@@ -29,10 +29,10 @@ field = dirac_velocity_field(SpinOrientation.UP, atom)
 steps = 10_000
 trajectory = integrate_trajectory(field, start, period / steps, steps)
 
-positions = trajectory.positions()
+positions = trajectory.xyz
 radii = np.linalg.norm(positions, axis=1)
 closure = np.linalg.norm(positions[-1] - positions[0]) / start.r
-speeds = np.array([s.speed for s in trajectory.states])
+speeds = np.linalg.norm(trajectory.velocity, axis=1)
 print(f"one full period at dt = T/{steps}:")
 print(f"  relative closure error : {closure:.3e}")
 print(f"  max relative r drift   : {np.max(np.abs(radii - start.r)) / start.r:.3e}")
@@ -44,9 +44,8 @@ print(f"{'steps':>8}  {'end-point error':>16}  {'order':>6}")
 previous = None
 for n in (250, 500, 1000, 2000):
     run = integrate_trajectory(field, start, period / n, n)
-    final = run.states[-1]
-    reference = analytic_orbit(SpinOrientation.UP, atom, start, final.t).to_cartesian()
-    error = float(np.linalg.norm(final.xyz - reference))
+    reference = analytic_orbit(SpinOrientation.UP, atom, start, float(run.t[-1])).to_cartesian()
+    error = float(np.linalg.norm(run.xyz[-1] - reference))
     order = f"{math.log2(previous / error):6.3f}" if previous else "     -"
     print(f"{n:8d}  {error:16.6e}  {order}")
     previous = error
@@ -56,6 +55,6 @@ print("spin down traverses the same circle the other way:")
 down = integrate_trajectory(
     dirac_velocity_field(SpinOrientation.DOWN, atom), start, period / 2000, 500
 )
-xy = down.positions()[:, :2]
+xy = down.xyz[:, :2]
 area = 0.5 * float(np.sum(xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1]))
 print(f"  signed x-y area over a quarter period: {area:+.4e} (negative = clockwise)")

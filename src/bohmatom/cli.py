@@ -29,7 +29,7 @@ from .schrodinger_states import (
     probability_current,
 )
 from .trajectory_engine import (
-    circular_orbit,
+    circular_orbit_xyz,
     dirac_velocity_field,
     integrate_trajectory,
     schrodinger_velocity_field,
@@ -226,6 +226,8 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     atom = _make_atom(z, alpha_scale, mass)
     if steps < 0:
         raise click.UsageError("--steps must be nonnegative")
+    if dt is not None and not (dt > 0.0 and math.isfinite(dt)):
+        raise click.UsageError(f"--dt must be positive and finite, got {dt}")
     try:
         start = SphericalPoint(atom.bohr_radius if r0 is None else r0, theta0, phi0)
     except DomainError as exc:
@@ -263,20 +265,21 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    except MemoryError:
+        # The trajectory's columns are allocated up front, before the first step.
+        click.echo(f"error: --steps {steps} does not fit in memory", err=True)
+        sys.exit(1)
 
     columns = ["t", "x", "y", "z", "vx", "vy", "vz", "x_ref", "y_ref", "z_ref", "deviation"]
-    rows = []
-    max_deviation = 0.0
-    for state in trajectory.states:
-        ref = circular_orbit(start, omega, state.t).to_cartesian()
-        deviation = float(np.linalg.norm(state.xyz - ref))
-        max_deviation = max(max_deviation, deviation)
-        rows.append([state.t, *state.xyz, *state.velocity, *ref, deviation])
+    ref = circular_orbit_xyz(start, omega, trajectory.t)
+    deviation = np.linalg.norm(trajectory.xyz - ref, axis=1)
+    max_deviation = float(deviation.max(initial=0.0))
+    rows = np.column_stack([trajectory.t, trajectory.xyz, trajectory.velocity, ref, deviation]).tolist()
 
     summary = {
         "dt": dt,
         "steps_requested": steps,
-        "steps_completed": len(trajectory.states) - 1 if trajectory.states else 0,
+        "steps_completed": max(len(trajectory.t) - 1, 0),
         "period": period if math.isfinite(period) else None,
         "max_deviation": max_deviation,
         "aborted": aborted,
@@ -286,7 +289,7 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
         if fmt == "csv":
             lines = ["# bohmatom trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"]
             lines.append(",".join(columns))
-            lines.extend(",".join(_num(x) for x in row) for row in rows)
+            lines.extend(",".join(map(repr, row)) for row in rows)
             _write_text(out, "\n".join(lines) + "\n")
             _write_text(out + ".summary.json", _json_text(summary))
         else:
@@ -302,7 +305,7 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
                         "alpha_scale": alpha_scale,
                         "mass": mass,
                         "columns": columns,
-                        "rows": [[float(x) for x in row] for row in rows],
+                        "rows": rows,
                         "summary": summary,
                     }
                 ),
@@ -335,8 +338,12 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     scaling = []
     for s in _ALPHA_SCALING_STEPS:
         atom_s = _make_atom(z, alpha_scale * s, mass)
-        mg, _ = mean_lorentz_factor(spin_o, atom_s)
-        excess = (mg - 1.0) / atom_s.za**2
+        za_sq = atom_s.za**2
+        if za_sq == 0.0:
+            click.echo(f"error: coupling too small: (Z*alpha)^2 underflows to 0 at Z*alpha = {atom_s.za!r}", err=True)
+            sys.exit(1)
+        mg = report.mean_gamma if s == 1.0 else mean_lorentz_factor(spin_o, atom_s)[0]
+        excess = (mg - 1.0) / za_sq
         scaling.append(
             {"scale": s, "alpha": atom_s.alpha, "mean_gamma": mg, "excess_over_za_sq": excess}
         )

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coords import SphericalPoint, pole_safe_sin
-from .errors import DomainError, OriginSingularityError, UndefinedVelocityError
+from .errors import DomainError, OriginSingularityError
 from .physics_core import AtomConfig
 from .quadrature import angular_nodes, radial_nodes
 from .special_functions import gamma_function
@@ -175,11 +175,20 @@ def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) ->
     """Flow velocity v^i = j^i / j^0 (Cartesian, units of c).
 
     Purely azimuthal; |v| = Z*alpha*sin(theta) independent of r and phi.
+    The amplitude A(r)^2 is a common factor of j and j^0 and cancels from the
+    ratio, which leaves 2 zeta sin(theta) / (1 + zeta^2) = Z*alpha*sin(theta)
+    along +/- phi_hat. The velocity is therefore evaluated without A and stays
+    defined at every r > 0, including radii where A(r)^2 underflows to zero.
+    dirac_current of the spinor remains the reference it is tested against.
     """
-    current = dirac_current(dirac_ground_state(spin, atom, p))
-    if current.j0 <= 0.0:
-        raise UndefinedVelocityError("velocity undefined: j0 vanishes")
-    return current.spatial / current.j0
+    if p.r == 0.0:
+        raise OriginSingularityError("origin singularity: the flow is undefined at r = 0")
+    speed = atom.za * pole_safe_sin(p.theta)
+    if spin is SpinOrientation.DOWN:
+        speed = -speed
+    # 0.0 - a and a + 0.0 map a signed zero to +0.0, so a flow that vanishes
+    # (on the axis) is written as 0.0, never -0.0.
+    return np.array([0.0 - speed * math.sin(p.phi), speed * math.cos(p.phi) + 0.0, 0.0])
 
 
 def ground_state_norm(

@@ -10,7 +10,7 @@ exact rotation returned by analytic_orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,19 +61,41 @@ class TrajectoryState:
         return float(np.linalg.norm(self.velocity))
 
 
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class Trajectory:
-    """Uniform-step trajectory with its model tag (and spin for Dirac runs)."""
+    """Uniform-step trajectory in columns, with its model tag (and spin for Dirac runs).
 
-    states: list[TrajectoryState] = field(default_factory=list)
+    Row k holds the state at time t[k]: position xyz[k] and velocity
+    velocity[k], Cartesian. The columns are read-only views.
+    """
+
+    t: np.ndarray
+    xyz: np.ndarray
+    velocity: np.ndarray
     model: str = ""
     spin: SpinOrientation | None = None
 
+    def __post_init__(self):
+        self.t = _read_only(self.t)
+        self.xyz = _read_only(self.xyz)
+        self.velocity = _read_only(self.velocity)
+
+    @property
+    def states(self) -> list[TrajectoryState]:
+        """The rows as TrajectoryState snapshots, derived from the columns."""
+        return [TrajectoryState(t, x, v) for t, x, v in zip(self.t.tolist(), self.xyz, self.velocity)]
+
     def positions(self) -> np.ndarray:
-        return np.array([s.xyz for s in self.states])
+        return self.xyz
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return self.t
 
 
 def schrodinger_velocity_field(q: QuantumNumbers, atom: AtomConfig) -> VelocityField:
@@ -99,11 +121,18 @@ def schrodinger_velocity_field(q: QuantumNumbers, atom: AtomConfig) -> VelocityF
 
 
 def dirac_velocity_field(spin: SpinOrientation, atom: AtomConfig) -> VelocityField:
-    """Ground-state Dirac flow v = j/j0 as a Cartesian field."""
+    """Ground-state Dirac flow v = j/j0 as a Cartesian field.
+
+    In Cartesian form bohm_velocity's Z*alpha*sin(theta)*phi_hat reads
+    +/- Z*alpha*(-y, x, 0)/r (upper sign: spin up), evaluated here directly.
+    """
     guard = ORIGIN_GUARD_RADII * atom.bohr_radius
+    k = atom.za if spin is SpinOrientation.UP else -atom.za
 
     def fn(xyz: np.ndarray) -> np.ndarray:
-        return bohm_velocity(spin, atom, SphericalPoint.from_cartesian(xyz))
+        x, y, z = np.asarray(xyz, dtype=float).tolist()
+        w = k / math.sqrt(x * x + y * y + z * z)
+        return np.array([0.0 - w * y, w * x + 0.0, 0.0])  # signed zeros as in bohm_velocity
 
     return VelocityField(fn, model="dirac", spin=spin, min_radius=guard)
 
@@ -122,26 +151,34 @@ def integrate_trajectory(
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
 
-    trajectory = Trajectory(model=field.model, spin=field.spin)
+    t = dt * np.arange(steps + 1, dtype=float)
+    xyz = np.empty((steps + 1, 3))
+    velocity = np.empty((steps + 1, 3))
+
+    def columns(rows: int) -> Trajectory:
+        return Trajectory(t[:rows], xyz[:rows], velocity[:rows], model=field.model, spin=field.spin)
+
+    # `done` is the number of complete rows; inside the loop it is also the
+    # index of the row being computed, so an abort keeps rows [0, done).
+    done = 0
     x = start.to_cartesian()
     try:
         v = field(x)
-    except OriginSingularityError as exc:
-        raise TrajectorySingularityError(str(exc), trajectory=trajectory) from exc
-    trajectory.states.append(TrajectoryState(0.0, x, v))
-
-    for k in range(1, steps + 1):
-        try:
+        xyz[0] = x
+        velocity[0] = v
+        for done in range(1, steps + 1):
             k1 = v
             k2 = field(x + 0.5 * dt * k1)
             k3 = field(x + 0.5 * dt * k2)
             k4 = field(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             v = field(x)
-        except OriginSingularityError as exc:
-            raise TrajectorySingularityError(str(exc), trajectory=trajectory) from exc
-        trajectory.states.append(TrajectoryState(k * dt, x, v))
-    return trajectory
+            xyz[done] = x
+            velocity[done] = v
+        done = steps + 1
+    except OriginSingularityError as exc:
+        raise TrajectorySingularityError(str(exc), trajectory=columns(done)) from exc
+    return columns(done)
 
 
 def circular_orbit(start: SphericalPoint, angular_rate: float, t: float) -> SphericalPoint:
@@ -150,6 +187,24 @@ def circular_orbit(start: SphericalPoint, angular_rate: float, t: float) -> Sphe
     if phi >= 2.0 * math.pi:
         phi = 0.0
     return SphericalPoint(start.r, start.theta, phi)
+
+
+def circular_orbit_xyz(start: SphericalPoint, angular_rate: float, t: np.ndarray) -> np.ndarray:
+    """Cartesian positions of circular_orbit(start, angular_rate, t_k) for the 1-D times t, shape (N, 3).
+
+    The phase follows circular_orbit's rule and the sines and cosines come
+    from the same math functions, so row k equals
+    circular_orbit(start, angular_rate, t[k]).to_cartesian() bit for bit.
+    """
+    phi = (start.phi + angular_rate * np.asarray(t, dtype=float)) % (2.0 * math.pi)
+    phi[phi >= 2.0 * math.pi] = 0.0
+    phases = phi.tolist()
+    rho = start.r * math.sin(start.theta)
+    xyz = np.empty((len(phases), 3))
+    xyz[:, 0] = [rho * math.cos(p) for p in phases]
+    xyz[:, 1] = [rho * math.sin(p) for p in phases]
+    xyz[:, 2] = start.r * math.cos(start.theta)
+    return xyz
 
 
 def analytic_orbit(

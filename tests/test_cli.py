@@ -182,6 +182,40 @@ class TestTrajectoryCommand:
         summary = json.loads(read_bytes(str(out) + ".summary.json"))
         assert summary["aborted"] is True
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_invalid_dt_is_a_usage_error(self, runner, tmp_path, dt):
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, TRAJ_ARGS + ["--dt", dt, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--dt must be positive and finite" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_steps_beyond_memory_is_a_one_line_error(self, runner, tmp_path):
+        # 10^17 rows need over 10^18 bytes, more than any 64-bit address space
+        # holds, so allocating the columns fails at once.
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, ["trajectory", "--steps", str(10**17), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: --steps {10**17} does not fit in memory\n"
+        assert not out.exists()
+
+    def test_start_beyond_amplitude_underflow_stays_on_its_circle(self, runner, tmp_path):
+        out = tmp_path / "far.csv"
+        r0 = 60000.0
+        args = ["trajectory", "--r", "60000", "--steps", "100", "--out", str(out)]
+        assert invoke(runner, args).exit_code == 0
+        _, rows = parse_csv(out)
+        rows = np.array(rows)
+        assert rows.shape == (101, 11)
+        t, xyz = rows[:, 0], rows[:, 1:4]
+        omega = make_atom().za / r0
+        z0 = r0 * math.cos(math.pi / 2.0)
+        exact = np.column_stack([r0 * np.cos(omega * t), r0 * np.sin(omega * t), np.full_like(t, z0)])
+        assert np.max(np.abs(xyz - exact)) <= 1e-8 * r0
+        assert np.max(np.abs(rows[:, 7:10] - exact)) <= 1e-12 * r0
+        assert np.max(rows[:, 10]) <= 1e-8 * r0
+
     def test_json_embeds_summary(self, runner, tmp_path):
         out = tmp_path / "t.json"
         assert invoke(runner, TRAJ_ARGS + ["--format", "json", "--out", str(out)]).exit_code == 0
@@ -216,6 +250,24 @@ class TestDilateCommand:
         assert invoke(runner, DILATE_ARGS + ["--spin", "down", "--out", str(b)]).exit_code == 0
         assert read_bytes(a) == read_bytes(b)
 
+    def test_scale_one_row_reuses_report_mean(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        assert invoke(runner, DILATE_ARGS + ["--Z", "80", "--out", str(out)]).exit_code == 0
+        doc = json.loads(read_bytes(out))
+        assert doc["alpha_scaling"][0]["scale"] == 1.0
+        assert doc["alpha_scaling"][0]["mean_gamma"] == doc["mean_gamma"]
+
+    def test_underflowing_coupling_is_a_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        args = ["dilate", "--rest-lifetime", "2e-6", "--alpha-scale", "1e-200", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_rejects_nonpositive_lifetime(self, runner, tmp_path):
         args = ["dilate", "--rest-lifetime", "-1.0", "--out", str(tmp_path / "x.json")]
         assert invoke(runner, args).exit_code == 2
@@ -235,6 +287,13 @@ class TestStateCommand:
         doc = json.loads(result.output)
         assert doc["phase"] == 0.0
         assert doc["velocity"] == [0.0, 0.0, 0.0]
+
+    def test_velocity_defined_where_the_amplitude_underflows(self, runner):
+        result = invoke(runner, ["state", "--model", "dirac", "--r", "1e6", "--theta", "1.0"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["current"][0] == 0.0  # A(r)^2 underflows at this radius
+        assert doc["speed"] == pytest.approx(make_atom().za * math.sin(1.0), rel=1e-12)
 
     def test_write_to_file(self, runner, tmp_path):
         out = tmp_path / "state.json"

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmatom import (
     DomainError,
@@ -15,6 +17,7 @@ from bohmatom import (
     dirac_adjoint,
     dirac_current,
     dirac_ground_state,
+    dirac_velocity_field,
     gamma_matrices,
     ground_state_norm,
     make_atom,
@@ -259,6 +262,38 @@ class TestBohmVelocity:
             )
             ratio = speed / (scale * FINE_STRUCTURE)
             assert abs(ratio - math.sin(theta)) <= 1e-4 * math.sin(theta)
+
+
+    def test_defined_where_the_amplitude_underflows(self, hydrogen):
+        p = SphericalPoint(1e6, 1.0, 0.3)
+        assert radial_amplitude(hydrogen, p.r) == 0.0
+        v = bohm_velocity(DOWN, hydrogen, p)
+        assert float(np.linalg.norm(v)) == pytest.approx(hydrogen.za * math.sin(p.theta), rel=1e-12)
+        assert -v[0] * math.sin(p.phi) + v[1] * math.cos(p.phi) < 0.0
+
+    def test_origin_rejected(self, hydrogen):
+        with pytest.raises(OriginSingularityError):
+            bohm_velocity(UP, hydrogen, SphericalPoint(0.0, 1.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.integers(1, 137),
+    alpha_factor=st.floats(1e-3, 1.0),
+    radii=st.floats(0.05, 50.0),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    spin=st.sampled_from([UP, DOWN]),
+)
+def test_closed_form_velocities_match_gamma_contraction(z, alpha_factor, radii, theta, phi, spin):
+    """bohm_velocity and the Cartesian trajectory field agree with j/j0 from the spinor."""
+    atom = make_atom(z, FINE_STRUCTURE * alpha_factor)
+    p = SphericalPoint(radii * atom.bohr_radius, theta, phi)
+    current = dirac_current(dirac_ground_state(spin, atom, p))
+    reference = current.spatial / current.j0
+    for v in (bohm_velocity(spin, atom, p), dirac_velocity_field(spin, atom)(p.to_cartesian())):
+        assert np.max(np.abs(v - reference)) <= 4e-15 * atom.za
+        assert float(np.linalg.norm(v)) < 1.0
 
 
 def finite_difference_divergence(spin, atom, xyz, h):

@@ -10,11 +10,15 @@ from bohmatom import (
     TrajectorySingularityError,
     VelocityField,
     analytic_orbit,
+    circular_orbit,
+    dirac_current,
+    dirac_ground_state,
     dirac_velocity_field,
     integrate_trajectory,
     orbital_period,
     schrodinger_velocity_field,
 )
+from bohmatom.trajectory_engine import ORIGIN_GUARD_RADII, circular_orbit_xyz
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 
@@ -95,6 +99,24 @@ class TestDiracOrbits:
             assert 3.8 < math.log2(ratio) < 4.2
 
 
+    @pytest.mark.parametrize("spin", [UP, DOWN], ids=("up", "down"))
+    def test_closed_form_field_tracks_contraction_route(self, hydrogen, spin):
+        """RK4 over the closed-form field follows RK4 over j/j0 from the spinor."""
+
+        def contraction(xyz):
+            current = dirac_current(dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian(xyz)))
+            return current.spatial / current.j0
+
+        guard = ORIGIN_GUARD_RADII * hydrogen.bohr_radius
+        reference_field = VelocityField(contraction, model="dirac", spin=spin, min_radius=guard)
+        start = SphericalPoint(3.1 * hydrogen.bohr_radius, 1.1, 0.4)
+        dt = orbital_period(spin, hydrogen, start) / 2000
+        reference = integrate_trajectory(reference_field, start, dt, 2000)
+        closed_form = integrate_trajectory(dirac_velocity_field(spin, hydrogen), start, dt, 2000)
+        assert np.max(np.abs(closed_form.xyz - reference.xyz)) <= 1e-12 * start.r
+        assert np.max(np.abs(closed_form.velocity - reference.velocity)) <= 1e-12 * hydrogen.za
+
+
 class TestAnalyticOrbit:
     def test_identity_at_time_zero(self, hydrogen):
         start = SphericalPoint(2.0 * hydrogen.bohr_radius, 1.0, 0.5)
@@ -129,6 +151,14 @@ class TestAnalyticOrbit:
         assert orbital_period(UP, hydrogen, pole) == math.inf
 
 
+    def test_array_form_matches_circular_orbit(self, hydrogen):
+        start = SphericalPoint(2.0 * hydrogen.bohr_radius, 0.7, 6.0)
+        omega = -3e-4
+        t = 97.0 * np.arange(300)
+        expected = np.array([circular_orbit(start, omega, float(tk)).to_cartesian() for tk in t])
+        np.testing.assert_array_equal(circular_orbit_xyz(start, omega, t), expected)
+
+
 class TestIntegratorContract:
     def test_zero_steps_returns_start_only(self, hydrogen):
         field = dirac_velocity_field(UP, hydrogen)
@@ -144,6 +174,23 @@ class TestIntegratorContract:
             integrate_trajectory(field, start, dt=0.0, steps=5)
         with pytest.raises(ValueError):
             integrate_trajectory(field, start, dt=1.0, steps=-1)
+
+    def test_columns_are_read_only_and_states_derive_from_them(self, hydrogen):
+        field = dirac_velocity_field(UP, hydrogen)
+        start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.0)
+        trajectory = integrate_trajectory(field, start, dt=3.0, steps=7)
+        assert trajectory.t.shape == (8,)
+        assert trajectory.xyz.shape == trajectory.velocity.shape == (8, 3)
+        assert trajectory.t.tolist() == [k * 3.0 for k in range(8)]
+        for column in (trajectory.t, trajectory.xyz, trajectory.velocity):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert trajectory.positions() is trajectory.xyz
+        assert trajectory.times() is trajectory.t
+        for k, state in enumerate(trajectory.states):
+            assert state.t == trajectory.t[k]
+            np.testing.assert_array_equal(state.xyz, trajectory.xyz[k])
+            np.testing.assert_array_equal(state.velocity, trajectory.velocity[k])
 
     def test_model_tags_recorded(self, hydrogen):
         field = dirac_velocity_field(DOWN, hydrogen)
@@ -164,4 +211,6 @@ class TestIntegratorContract:
         partial = excinfo.value.trajectory
         assert partial is not None
         assert 1 <= len(partial.states) < 11
+        assert partial.xyz.shape == (len(partial.t), 3)
+        assert np.all(np.linalg.norm(partial.xyz, axis=1) >= 1.0)
         np.testing.assert_array_equal(partial.states[0].xyz, start.to_cartesian())
