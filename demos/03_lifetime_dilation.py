@@ -18,6 +18,7 @@ from bohmatom import (
     make_atom,
     make_report,
     mean_lorentz_factor,
+    mean_lorentz_factor_3d,
 )
 
 MUON_REST_LIFETIME_S = 2.196981e-6  # free-muon value, used as a plain input
@@ -28,23 +29,23 @@ report = make_report(SpinOrientation.UP, atom, MUON_REST_LIFETIME_S)
 print("== dilation report, hydrogen-like ground state at physical coupling ==")
 print(f"mean Lorentz factor      : {report.mean_gamma:.12f}")
 print(f"pointwise max (equator)  : {report.pointwise_max_gamma:.12f}")
-print(f"quadrature error estimate: {report.quadrature_error_estimate:.2e}")
 print(f"rest lifetime            : {report.rest_lifetime:.6e} s")
 print(f"dilated lifetime         : {report.dilated_lifetime:.6e} s")
 print(f"fractional lengthening   : {report.mean_gamma - 1.0:.6e}"
       f"  (alpha^2 / 3 = {atom.za**2 / 3.0:.6e})")
 
 print()
-print("closed-form cross-check: the mean equals atanh(Z*alpha) / (Z*alpha)")
-print(f"quadrature : {report.mean_gamma:.15f}")
-print(f"closed form: {math.atanh(atom.za) / atom.za:.15f}")
+print("cross-check: the closed form atanh(Z*alpha) / (Z*alpha) against the")
+print("three-dimensional quadrature of gamma_L j^0 through the spinor")
+print(f"closed form: {report.mean_gamma:.15f}")
+print(f"quadrature : {mean_lorentz_factor_3d(SpinOrientation.UP, atom):.15f}")
 
 print()
 print("== non-relativistic limit: scale the coupling down ==")
 print(f"{'scale':>8}  {'mean_gamma - 1':>16}  {'(mean-1)/alpha^2':>18}")
 for scale in (1.0, 0.5, 0.1, 0.01):
     scaled = make_atom(1, FINE_STRUCTURE * scale)
-    mean, _ = mean_lorentz_factor(SpinOrientation.UP, scaled)
+    mean = mean_lorentz_factor(SpinOrientation.UP, scaled)
     excess = mean - 1.0
     ratio = excess / scaled.za**2 if excess else 1.0 / 3.0
     print(f"{scale:8.2f}  {excess:16.6e}  {ratio:18.9f}")

@@ -36,10 +36,8 @@ from .errors import (
     DomainError,
     OriginSingularityError,
     PhaseSingularityError,
-    QuadratureConvergenceError,
     SupercriticalCouplingError,
     TrajectorySingularityError,
-    UndefinedVelocityError,
 )
 from .physics_core import FINE_STRUCTURE, SECONDS_PER_NATURAL_TIME, AtomConfig, make_atom
 from .schrodinger_states import (
@@ -75,7 +73,6 @@ __all__ = [
     "OriginSingularityError",
     "PhaseSingularityError",
     "PolarForm",
-    "QuadratureConvergenceError",
     "QuantumNumbers",
     "SECONDS_PER_NATURAL_TIME",
     "SphericalPoint",
@@ -84,7 +81,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryState",
     "TrajectorySingularityError",
-    "UndefinedVelocityError",
     "VelocityField",
     "analytic_orbit",
     "bohm_momentum",

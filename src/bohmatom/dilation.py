@@ -8,8 +8,10 @@ maximum (the equatorial trajectory) reported alongside so the spread across
 trajectories is visible.
 
 Because the speed depends only on theta and the density factorizes, the mean
-collapses to a one-dimensional theta average against the marginal weight
-sin(theta)/2; the full three-dimensional quadrature is kept as a cross-check.
+is a one-dimensional theta average against the marginal weight sin(theta)/2,
+which has the closed form artanh(Z*alpha) / (Z*alpha). That closed form is
+the only runtime path; the full three-dimensional quadrature through the
+spinor, mean_lorentz_factor_3d, is kept as the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import SphericalPoint
-from .dirac_states import SpinOrientation, bohm_velocity, dirac_current, dirac_ground_state
-from .errors import DomainError, QuadratureConvergenceError
+from .dirac_states import SpinOrientation, dirac_current, dirac_ground_state
+from .errors import DomainError
 from .physics_core import AtomConfig
 from .quadrature import angular_nodes, radial_nodes
 
@@ -35,50 +37,22 @@ def lorentz_factor(v) -> float:
     return 1.0 / math.sqrt(1.0 - speed_sq)
 
 
-def _theta_mean_excess(spin: SpinOrientation, atom: AtomConfig, n_theta: int) -> float:
-    """Density-weighted average of (gamma_L - 1) over theta.
+def mean_lorentz_factor(spin: SpinOrientation, atom: AtomConfig) -> float:
+    """Density-weighted mean Lorentz factor over the ground state, artanh(k) / k.
 
-    The radial marginal of j^0 integrates to one and its theta marginal is
-    sin(theta)/2, so the average needs only the theta nodes. Working with the
-    excess gamma_L - 1 >= 0 keeps the mean exactly >= 1 after the final add.
+    With k = Z*alpha the flow speed is k*sin(theta) and the theta marginal of
+    j^0 is sin(theta)/2, so the mean is the integral of
+    1/sqrt(1 - k^2 sin^2 theta) against it, which equals artanh(k) / k =
+    1 + k^2/3 + k^4/5 + ... for either spin.
     """
-    theta_nodes, weights = angular_nodes(n_theta)
-    r_ref = atom.bohr_radius
-    excess = np.array(
-        [
-            lorentz_factor(bohm_velocity(spin, atom, SphericalPoint(r_ref, float(t), 0.0))) - 1.0
-            for t in theta_nodes
-        ]
-    )
-    return float(np.sum(weights * excess) / np.sum(weights))
-
-
-def mean_lorentz_factor(
-    spin: SpinOrientation, atom: AtomConfig, n_theta: int = 64
-) -> tuple[float, float]:
-    """Density-weighted mean Lorentz factor over the ground state.
-
-    Returns (mean_gamma, error_estimate) where the estimate is the node
-    doubling difference |result(2 n_theta) - result(n_theta)|. Raises
-    QuadratureConvergenceError when that difference exceeds 1e-9 relative.
-    """
-    coarse = _theta_mean_excess(spin, atom, n_theta)
-    fine = _theta_mean_excess(spin, atom, 2 * n_theta)
-    estimate = abs(fine - coarse)
-    mean = 1.0 + fine
-    if estimate > max(1e-9 * mean, 1e-15):
-        raise QuadratureConvergenceError(
-            f"theta quadrature not converged: n={n_theta} gives {1.0 + coarse}, "
-            f"n={2 * n_theta} gives {mean}, difference {estimate}"
-        )
-    return mean, estimate
+    return math.atanh(atom.za) / atom.za
 
 
 def mean_lorentz_factor_3d(
     spin: SpinOrientation, atom: AtomConfig, n_radial: int = 48, n_theta: int = 72
 ) -> float:
-    """Full int gamma_L(v) j^0 d^3x through the spinor route; cross-checks the
-    one-dimensional reduction."""
+    """Full int gamma_L(v) j^0 d^3x through the spinor route; the quadrature
+    oracle that the closed form of mean_lorentz_factor is tested against."""
     r_nodes, r_weights = radial_nodes(atom, n_radial)
     theta_nodes, theta_weights = angular_nodes(n_theta)
     total = 0.0
@@ -108,7 +82,6 @@ class DilationReport:
     pointwise_max_gamma: float
     rest_lifetime: float
     dilated_lifetime: float
-    quadrature_error_estimate: float
 
     def __post_init__(self):
         if not 1.0 <= self.mean_gamma <= self.pointwise_max_gamma:
@@ -118,25 +91,20 @@ class DilationReport:
             )
         if self.rest_lifetime <= 0.0 or self.dilated_lifetime <= 0.0:
             raise DomainError("lifetimes must be positive")
-        if self.quadrature_error_estimate < 0.0:
-            raise DomainError("error estimate must be nonnegative")
 
 
-def make_report(
-    spin: SpinOrientation, atom: AtomConfig, rest_lifetime: float, n_theta: int = 64
-) -> DilationReport:
+def make_report(spin: SpinOrientation, atom: AtomConfig, rest_lifetime: float) -> DilationReport:
     """Assemble the DilationReport for one atom configuration.
 
     The pointwise maximum Lorentz factor sits on the equatorial trajectory,
-    where the flow speed peaks.
+    where the flow speed Z*alpha peaks: 1 / gamma_exp.
     """
-    mean, estimate = mean_lorentz_factor(spin, atom, n_theta)
-    equator = SphericalPoint(atom.bohr_radius, 0.5 * math.pi, 0.0)
-    max_gamma = lorentz_factor(bohm_velocity(spin, atom, equator))
+    mean = mean_lorentz_factor(spin, atom)
     return DilationReport(
         mean_gamma=mean,
-        pointwise_max_gamma=max(max_gamma, mean),
+        # Near Z*alpha = 7e-9, artanh(k) / k rounds one ulp above 1 while
+        # 1 / gamma_exp rounds to 1; the max keeps mean <= maximum.
+        pointwise_max_gamma=max(1.0 / atom.gamma_exp, mean),
         rest_lifetime=rest_lifetime,
         dilated_lifetime=dilated_lifetime(rest_lifetime, mean),
-        quadrature_error_estimate=estimate,
     )

@@ -37,7 +37,6 @@ from .coords import SphericalPoint, pole_safe_sin
 from .errors import DomainError, OriginSingularityError
 from .physics_core import AtomConfig
 from .quadrature import angular_nodes, radial_nodes
-from .special_functions import gamma_function
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -101,7 +100,7 @@ def small_component_ratio(atom: AtomConfig) -> float:
 def _amplitude_prefactor(atom: AtomConfig) -> float:
     c = 2.0 * atom.mass * atom.za
     g = atom.gamma_exp
-    return c**1.5 / math.sqrt(4.0 * math.pi) * math.sqrt((1.0 + g) / (2.0 * gamma_function(1.0 + 2.0 * g)))
+    return c**1.5 / math.sqrt(4.0 * math.pi) * math.sqrt((1.0 + g) / (2.0 * math.gamma(1.0 + 2.0 * g)))
 
 
 def radial_amplitude(atom: AtomConfig, r: float) -> float:

@@ -17,10 +17,6 @@ class OriginSingularityError(DomainError):
     """Pointwise evaluation at r = 0 where the relativistic radial amplitude diverges."""
 
 
-class UndefinedVelocityError(DomainError):
-    """Velocity j^i / j^0 requested at a point where j^0 vanishes."""
-
-
 class TrajectorySingularityError(RuntimeError):
     """Integration approached the origin guard radius.
 
@@ -31,7 +27,3 @@ class TrajectorySingularityError(RuntimeError):
     def __init__(self, message: str, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Node-doubling check failed to converge; the message carries diagnostics."""

@@ -1,20 +1,40 @@
-"""Deterministic quadrature rules for normalization and averaging integrals.
+"""Deterministic quadrature rules for the normalization and averaging oracles.
 
-Node sets are fixed functions of their arguments and sums are taken with
-numpy's pairwise accumulation, so repeated runs give identical results.
+No runtime path integrates numerically: these rules serve the quadrature
+cross-checks (state norms and the three-dimensional mean Lorentz factor)
+that tests compare the closed forms against. Node sets are fixed functions
+of their arguments and sums are taken with numpy's pairwise accumulation, so
+repeated runs give identical results.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .physics_core import AtomConfig
 
 
+def gauss_genlaguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre nodes and weights for the weight u^a exp(-u) on [0, inf).
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric Jacobi matrix of the monic three-term recurrence, with diagonal
+    2i + 1 + a and off-diagonal sqrt(i (i + a)), and each weight is
+    Gamma(a + 1) times the squared first component of its unit eigenvector.
+    """
+    i = np.arange(n, dtype=float)
+    off = np.sqrt(i[1:] * (i[1:] + a))
+    jacobi = np.diag(2.0 * i + 1.0 + a) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, math.gamma(a + 1.0) * vectors[0] ** 2
+
+
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -35,7 +55,7 @@ def angular_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Legendre in x = cos(theta), exact for integrands polynomial in
     cos(theta) up to degree 2n - 1.
     """
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     return np.arccos(x), w
 
 
@@ -45,11 +65,10 @@ def radial_nodes(atom: AtomConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     Generalized Gauss-Laguerre in u = 2 m Z alpha r with weight exponent
     2 * gamma_exp, matched to the relativistic ground-state density so its
     integrable r^(2 gamma - 2) endpoint behavior is handled exactly and r = 0
-    is never sampled. Weights are assembled in log space to avoid overflow in
-    the exp(u) compensation factor.
+    is never sampled. The exp(u) compensation multiplies the weight directly,
+    not through log(w), because the tail weights may underflow to zero.
     """
     g = atom.gamma_exp
     c = 2.0 * atom.mass * atom.za
-    u, w = roots_genlaguerre(n, 2.0 * g)
-    weights = np.exp(np.log(w) + u + (2.0 - 2.0 * g) * np.log(u)) / c**3
-    return u / c, weights
+    u, w = gauss_genlaguerre(n, 2.0 * g)
+    return u / c, w * np.exp(u) * u ** (2.0 - 2.0 * g) / c**3

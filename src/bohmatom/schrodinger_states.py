@@ -60,10 +60,12 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
         raise DomainError(f"r must be nonnegative and finite, got {r}")
     a = atom.bohr_radius
     rho = 2.0 * r / (q.n * a)
+    # The factorial ratio is taken first, as a correctly rounded int division:
+    # converting either factorial to float overflows from n + l = 171 on.
     norm = math.sqrt(
         (2.0 / (q.n * a)) ** 3
-        * math.factorial(q.n - q.l - 1)
-        / (2.0 * q.n * math.factorial(q.n + q.l))
+        * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l))
+        / (2.0 * q.n)
     )
     return norm * rho**q.l * math.exp(-0.5 * rho) * associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
 

@@ -1,14 +1,12 @@
-"""Real-valued special functions used by both wavefunction families.
+"""Real-valued special functions used by the Schrodinger wavefunctions.
 
-Deliberately self-contained (no scipy.special) so the analytic state modules
-depend only on these fixed conventions:
+Self-contained, so the analytic state modules depend only on these fixed
+conventions:
 
 * generalized Laguerre: L_0^k = 1, L_1^k = 1 + k - x, upward three-term
   recurrence in the degree;
 * spherical harmonics: orthonormal over the sphere, Condon-Shortley phase,
-  Y_l^{-m} = (-1)^m * conj(Y_l^m);
-* Euler Gamma: Lanczos rational approximation (g = 7, nine coefficients) on
-  the positive axis, relative accuracy better than 1e-13 on (0, 30].
+  Y_l^{-m} = (-1)^m * conj(Y_l^m).
 """
 
 from __future__ import annotations
@@ -17,21 +15,6 @@ import cmath
 import math
 
 from .errors import DomainError
-
-# Lanczos coefficients for g = 7 (Godfrey's nine-term set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def associated_laguerre(degree: int, order: int, x: float) -> float:
     """Generalized Laguerre polynomial L_degree^order(x).
@@ -77,28 +60,13 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     x = math.cos(theta)
     s = math.sin(theta)
     plm = _assoc_legendre(l, am, x, s)
+    # Factorial ratio first (correctly rounded int division, at most 1): a
+    # float times math.factorial(l + am) overflows from l + am = 171 on.
     norm = math.sqrt(
-        (2.0 * l + 1.0) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
+        (2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am))
     )
     y = norm * plm * cmath.exp(1j * am * phi)
     if m >= 0:
         return y
     return (-1.0) ** am * y.conjugate()
 
-
-def gamma_function(x: float) -> float:
-    """Euler Gamma for real x > 0.
-
-    Arguments below 0.5 are lifted with Gamma(x) = Gamma(x + 1) / x, so no
-    reflection formula is needed anywhere on the supported domain.
-    """
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_function requires x > 0, got {x}")
-    if x < 0.5:
-        return gamma_function(x + 1.0) / x
-    y = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc

@@ -1,11 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bohmatom import SphericalPoint, SpinOrientation, dirac_current, dirac_ground_state, make_atom
+import bohmatom
+from bohmatom import (
+    FINE_STRUCTURE,
+    SphericalPoint,
+    SpinOrientation,
+    dirac_current,
+    dirac_ground_state,
+    make_atom,
+)
 from bohmatom.cli import main
 
 
@@ -45,6 +57,8 @@ FIELD_ARGS = [
 ]
 TRAJ_ARGS = ["trajectory", "--model", "dirac", "--spin", "up", "--steps", "64"]
 DILATE_ARGS = ["dilate", "--rest-lifetime", "2.196981e-6"]
+# Fresh interpreters import the package from the same source tree as the tests.
+_SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(bohmatom.__file__).resolve().parents[1])}
 
 
 class TestDeterminism:
@@ -269,8 +283,20 @@ class TestDilateCommand:
         assert not out.exists()
 
     def test_rejects_nonpositive_lifetime(self, runner, tmp_path):
-        args = ["dilate", "--rest-lifetime", "-1.0", "--out", str(tmp_path / "x.json")]
-        assert invoke(runner, args).exit_code == 2
+        for lifetime in ("-1.0", "0", "nan", "inf", "-inf"):
+            out = tmp_path / "x.json"
+            result = runner.invoke(main, ["dilate", "--rest-lifetime", lifetime, "--out", str(out)])
+            assert result.exit_code == 2, lifetime
+            assert "--rest-lifetime must be positive and finite" in result.output
+            assert not out.exists()
+
+    @pytest.mark.parametrize("z", [136, 137])
+    def test_coupling_near_one_has_the_closed_form_mean(self, runner, tmp_path, z):
+        out = tmp_path / "report.json"
+        assert invoke(runner, DILATE_ARGS + ["--Z", str(z), "--out", str(out)]).exit_code == 0
+        doc = json.loads(read_bytes(out))
+        k = z * FINE_STRUCTURE
+        assert doc["mean_gamma"] == pytest.approx(math.atanh(k) / k, rel=1e-12)
 
 
 class TestStateCommand:
@@ -323,3 +349,31 @@ class TestFlagValidation:
     def test_unwritable_output_path(self, runner, tmp_path):
         args = FIELD_ARGS + ["--out", str(tmp_path / "missing-dir" / "x.csv")]
         assert invoke(runner, args).exit_code == 1
+
+    @pytest.mark.parametrize("m", ["0", "1", "-1"])
+    def test_factorials_beyond_float_range(self, tmp_path, m):
+        # (n + l)! = 399! does not fit in a float. The run either writes the
+        # whole table or ends with a one-line error, never a traceback.
+        out = tmp_path / "x.csv"
+        args = ["field", "--model", "schrodinger", "--n", "200", "--l", "199", "--m", m, "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "bohmatom.cli", *args], env=_SUBPROCESS_ENV, capture_output=True, text=True
+        )
+        assert "Traceback" not in result.stderr
+        if result.returncode == 0:
+            _, rows = parse_csv(out)
+            assert len(rows) == 5 * 7 * 8
+        else:
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: ")
+            assert result.stderr.count("\n") == 1
+            assert not out.exists()
+        if m == "0":
+            assert result.returncode == 0
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, bohmatom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=_SUBPROCESS_ENV, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -7,8 +7,9 @@ from bohmatom import (
     DilationReport,
     DomainError,
     FINE_STRUCTURE,
-    QuadratureConvergenceError,
+    SphericalPoint,
     SpinOrientation,
+    bohm_velocity,
     dilated_lifetime,
     lorentz_factor,
     make_atom,
@@ -48,24 +49,24 @@ class TestLorentzFactor:
 class TestMeanLorentzFactor:
     def test_tends_to_one_in_nonrelativistic_limit(self):
         atom = make_atom(1, FINE_STRUCTURE * 1e-6)
-        mean, estimate = mean_lorentz_factor(UP, atom)
+        mean = mean_lorentz_factor(UP, atom)
         assert abs(mean - 1.0) <= 1e-12
-        assert estimate <= 1e-12
 
     def test_small_coupling_law(self, hydrogen):
-        mean, _ = mean_lorentz_factor(UP, hydrogen)
+        mean = mean_lorentz_factor(UP, hydrogen)
         excess_ratio = (mean - 1.0) / hydrogen.za**2
         assert abs(excess_ratio - 1.0 / 3.0) <= 0.01 / 3.0
         atom = make_atom(1, 0.001)
-        mean_small, _ = mean_lorentz_factor(UP, atom)
+        mean_small = mean_lorentz_factor(UP, atom)
         ratio_small = (mean_small - 1.0) / atom.za**2
         assert abs(ratio_small - 1.0 / 3.0) <= 1e-4 / 3.0
 
     def test_matches_closed_form(self):
-        for za in (FINE_STRUCTURE, 0.01, 0.1, 0.4):
-            atom = make_atom(1, za)
-            mean, _ = mean_lorentz_factor(UP, atom)
-            assert mean == pytest.approx(exact_mean_gamma(za), rel=1e-12)
+        # the spinor-route quadrature is the oracle for the closed form
+        for z in (1, 20, 40, 80):
+            atom = make_atom(z)
+            mean = mean_lorentz_factor(UP, atom)
+            assert mean == pytest.approx(mean_lorentz_factor_3d(UP, atom), rel=1e-12)
 
     def test_spins_agree_exactly(self, hydrogen):
         assert mean_lorentz_factor(UP, hydrogen) == mean_lorentz_factor(DOWN, hydrogen)
@@ -73,8 +74,7 @@ class TestMeanLorentzFactor:
     def test_monotone_in_coupling(self):
         means = []
         for alpha in (0.001, 0.01, FINE_STRUCTURE, 0.1):
-            mean, _ = mean_lorentz_factor(UP, make_atom(1, alpha))
-            means.append(mean)
+            means.append(mean_lorentz_factor(UP, make_atom(1, alpha)))
         ordered = [m for _, m in sorted(zip((0.001, 0.01, FINE_STRUCTURE, 0.1), means))]
         assert all(a < b for a, b in zip(ordered[:-1], ordered[1:]))
 
@@ -83,17 +83,13 @@ class TestMeanLorentzFactor:
         for _ in range(20):
             za = float(rng.uniform(1e-4, 0.75))
             atom = make_atom(1, za)
-            mean, _ = mean_lorentz_factor(UP, atom)
+            mean = mean_lorentz_factor(UP, atom)
             assert 1.0 < mean < 1.0 + za**2
 
     def test_one_dimensional_and_full_quadrature_agree(self, hydrogen):
-        mean_1d, _ = mean_lorentz_factor(UP, hydrogen)
+        mean_1d = mean_lorentz_factor(UP, hydrogen)
         mean_3d = mean_lorentz_factor_3d(UP, hydrogen)
         assert abs(mean_1d - mean_3d) <= 1e-9 * mean_1d
-
-    def test_unconverged_quadrature_raises(self, hydrogen):
-        with pytest.raises(QuadratureConvergenceError):
-            mean_lorentz_factor(UP, hydrogen, n_theta=1)
 
 
 class TestDilatedLifetime:
@@ -118,9 +114,17 @@ class TestDilationReport:
         report = make_report(UP, hydrogen, MUON_REST_LIFETIME)
         assert 1.0 <= report.mean_gamma <= report.pointwise_max_gamma
         assert report.dilated_lifetime == report.rest_lifetime * report.mean_gamma
-        assert report.quadrature_error_estimate >= 0.0
         # pointwise maximum is the equatorial Lorentz factor 1/gamma_exp
         assert report.pointwise_max_gamma == pytest.approx(1.0 / hydrogen.gamma_exp, rel=1e-12)
+        equator = SphericalPoint(hydrogen.bohr_radius, 0.5 * math.pi, 0.0)
+        assert report.pointwise_max_gamma == lorentz_factor(bohm_velocity(UP, hydrogen, equator))
+
+    def test_mean_rounding_above_the_equatorial_factor(self):
+        # here artanh(k)/k rounds to 1 + 2^-52 while 1/gamma_exp rounds to 1
+        atom = make_atom(1, 6.681313494619863e-09)
+        assert mean_lorentz_factor(UP, atom) > 1.0 / atom.gamma_exp
+        report = make_report(UP, atom, MUON_REST_LIFETIME)
+        assert report.pointwise_max_gamma == report.mean_gamma
 
     def test_spin_reports_identical(self, hydrogen):
         assert make_report(UP, hydrogen, MUON_REST_LIFETIME) == make_report(
@@ -136,10 +140,10 @@ class TestDilationReport:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            DilationReport(0.9, 1.0, 1.0, 1.0, 0.0)
+            DilationReport(0.9, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            DilationReport(1.2, 1.1, 1.0, 1.2, 0.0)
+            DilationReport(1.2, 1.1, 1.0, 1.2)
         with pytest.raises(DomainError):
-            DilationReport(1.1, 1.2, -1.0, 1.1, 0.0)
+            DilationReport(1.1, 1.2, -1.0, 1.1)
         with pytest.raises(DomainError):
-            DilationReport(1.1, 1.2, 1.0, 1.1, -1e-3)
+            DilationReport(1.1, 1.2, 1.0, -1.1)

@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy import special as sps
 
 from bohmatom import DomainError
-from bohmatom.special_functions import associated_laguerre, gamma_function, spherical_harmonic
+from bohmatom.special_functions import associated_laguerre, spherical_harmonic
 
 
 def laguerre_series(n, k, x):
@@ -132,46 +131,3 @@ class TestSphericalHarmonic:
                 ) * w_phi
                 expected = 1.0 if lm == lm2 else 0.0
                 assert abs(overlap - expected) < 1e-8
-
-
-class TestGammaFunction:
-    def test_gamma_of_one(self):
-        assert gamma_function(1.0) == pytest.approx(1.0, rel=1e-13)
-
-    def test_gamma_of_integer_is_factorial(self):
-        assert gamma_function(5.0) == pytest.approx(24.0, rel=1e-13)
-
-    def test_matches_quadrature_oracle_near_three(self):
-        # the argument exercised by the relativistic normalization constant
-        x = 2.9999467479365338
-        oracle, err = integrate.quad(
-            lambda t: t ** (x - 1.0) * math.exp(-t),
-            0.0,
-            80.0,
-            limit=200,
-            epsabs=1e-13,
-            epsrel=1e-13,
-        )
-        assert err < 1e-10
-        assert oracle == pytest.approx(1.9999017231946599, rel=1e-12)
-        assert gamma_function(x) == pytest.approx(oracle, rel=1e-11)
-
-    def test_functional_equation(self, rng):
-        for _ in range(100):
-            x = float(rng.uniform(0.5, 20.0))
-            assert gamma_function(x + 1.0) == pytest.approx(
-                x * gamma_function(x), rel=1e-11
-            )
-
-    def test_accuracy_against_scipy_on_domain(self):
-        xs = np.concatenate(
-            [np.linspace(0.01, 0.5, 200), np.linspace(0.5, 30.0, 2000)]
-        )
-        for x in xs:
-            want = float(sps.gamma(x))
-            assert gamma_function(float(x)) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_nonpositive_arguments(self):
-        for bad in (0.0, -1.0, -0.5, math.nan):
-            with pytest.raises(DomainError):
-                gamma_function(bad)
