@@ -9,10 +9,11 @@ Z*alpha*sin(theta), so a bound unstable particle picks up a computable
 lifetime dilation.
 """
 
-from .coords import SphericalPoint, vector_to_cartesian, vector_to_spherical
+from .coords import SphericalPoint, SphericalPoints, vector_to_cartesian, vector_to_spherical
 from .dilation import (
     DilationReport,
     dilated_lifetime,
+    excess_over_za_sq,
     lorentz_factor,
     make_report,
     mean_lorentz_factor,
@@ -76,6 +77,7 @@ __all__ = [
     "QuantumNumbers",
     "SECONDS_PER_NATURAL_TIME",
     "SphericalPoint",
+    "SphericalPoints",
     "SpinOrientation",
     "SupercriticalCouplingError",
     "Trajectory",
@@ -88,6 +90,7 @@ __all__ = [
     "circular_orbit",
     "closed_form_current",
     "dilated_lifetime",
+    "excess_over_za_sq",
     "dirac_adjoint",
     "dirac_current",
     "dirac_ground_state",

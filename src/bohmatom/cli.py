@@ -11,45 +11,65 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
 import numpy as np
 
-from .coords import SphericalPoint, vector_to_cartesian, vector_to_spherical
-from .dilation import lorentz_factor, make_report, mean_lorentz_factor
+from .coords import SphericalPoint, SphericalPoints, vector_to_cartesian, vector_to_spherical
+from .dilation import excess_over_za_sq, lorentz_factor, make_report, mean_lorentz_factor
 from .dirac_states import SpinOrientation, bohm_velocity, dirac_current, dirac_ground_state
 from .errors import DomainError, TrajectorySingularityError
 from .physics_core import FINE_STRUCTURE, make_atom
-from .schrodinger_states import (
-    QuantumNumbers,
-    bohm_momentum,
-    hydrogen_wavefunction,
-    polar_decompose,
-    probability_current,
-)
-from .trajectory_engine import (
-    circular_orbit_xyz,
-    dirac_velocity_field,
-    integrate_trajectory,
-    schrodinger_velocity_field,
-)
+from .schrodinger_states import QuantumNumbers, bohm_momentum, hydrogen_wavefunction, polar_decompose, probability_current
+from .trajectory_engine import circular_orbit_xyz, dirac_velocity_field, integrate_trajectory, schrodinger_velocity_field
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 
 
-def _num(x) -> str:
-    """Shortest representation that round-trips the float exactly."""
-    return repr(float(x))
+def _write_files(out: str, texts: dict[str, str]) -> None:
+    """Write each text to its path, or report the failure for --out and exit 1.
 
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    Every text first goes to a new temporary file beside its path, and only
+    once all of them are complete are they moved into place with os.replace:
+    a failed write leaves no partial file and no existing file changed. A
+    device or pipe, such as /dev/null, cannot be replaced and is written in place.
+    """
+    temps = {}
+    try:
+        for path, text in texts.items():
+            in_place = os.path.exists(path) and not os.path.isfile(path)
+            temps[path] = path if in_place else f"{path}.{os.getpid()}.tmp"
+            with open(temps[path], "w" if in_place else "x", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for path, temp in temps.items():
+            if temp != path:
+                os.replace(temp, path)
+    except OSError as exc:
+        click.echo(f"error: cannot write {out}: {exc}", err=True)
+        sys.exit(1)
+    finally:
+        for path, temp in temps.items():
+            if temp != path and os.path.exists(temp):
+                os.remove(temp)
 
 
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_text(comment: str, columns: list[str], rows: list[list[float]]) -> str:
+    lines = [f"# bohmatom {comment}", ",".join(columns)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _document(command, model, spin_o, q, z, alpha_scale, mass, **fields) -> dict:
+    """A JSON document: the command and its resolved model and atom, then the fields."""
+    header = {"command": command, "model": model, "spin": spin_o.value if spin_o else None}
+    header["quantum_numbers"] = [q.n, q.l, q.m] if q else None
+    return {**header, "Z": z, "alpha_scale": alpha_scale, "mass": mass, **fields}
 
 
 def _atom_options(fn):
@@ -61,23 +81,12 @@ def _atom_options(fn):
         show_default=True,
         help="Multiplier on the physical fine-structure constant.",
     )(fn)
-    fn = click.option(
-        "--mass",
-        type=float,
-        default=1.0,
-        show_default=True,
-        help="Bound-particle mass in natural units.",
-    )(fn)
+    fn = click.option("--mass", type=float, default=1.0, show_default=True, help="Bound-particle mass in natural units.")(fn)
     return fn
 
 
 def _model_options(fn):
-    fn = click.option(
-        "--model",
-        type=click.Choice(["schrodinger", "dirac"]),
-        default="dirac",
-        show_default=True,
-    )(fn)
+    fn = click.option("--model", type=click.Choice(["schrodinger", "dirac"]), default="dirac", show_default=True)(fn)
     fn = click.option("--spin", type=click.Choice(["up", "down"]), default=None, help="Dirac only.")(fn)
     fn = click.option("--n", type=int, default=None, help="Schrodinger only.")(fn)
     fn = click.option("--l", type=int, default=None, help="Schrodinger only.")(fn)
@@ -105,31 +114,6 @@ def _resolve_model(model, spin, n, l, m):
     if n is not None or l is not None or m is not None:
         raise click.UsageError("--n/--l/--m apply only to --model schrodinger")
     return None, SpinOrientation(spin if spin is not None else "up")
-
-
-def _field_row(model, q, spin, atom, point):
-    if model == "dirac":
-        current = dirac_current(dirac_ground_state(spin, atom, point))
-        velocity = current.spatial / current.j0
-        j = (current.j0, current.j1, current.j2, current.j3)
-    else:
-        density = abs(hydrogen_wavefunction(q, atom, point)) ** 2
-        j_cart = vector_to_cartesian(point, probability_current(q, atom, point))
-        if q.m == 0:
-            velocity = np.zeros(3)
-        else:
-            velocity = vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
-        j = (density, j_cart[0], j_cart[1], j_cart[2])
-    return [
-        point.r,
-        point.theta,
-        point.phi,
-        *j,
-        velocity[0],
-        velocity[1],
-        velocity[2],
-        float(np.linalg.norm(velocity)),
-    ]
 
 
 @click.group()
@@ -162,46 +146,33 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     if r_lo <= 0.0 or r_hi < r_lo or r_count < 1 or theta_count < 1 or phi_count < 1:
         raise click.UsageError("invalid grid: need 0 < r-min <= r-max and positive counts")
 
-    r_values = np.linspace(r_lo, r_hi, r_count)
-    theta_values = [math.pi * (i + 0.5) / theta_count for i in range(theta_count)]
-    phi_values = [2.0 * math.pi * j / phi_count for j in range(phi_count)]
-
     columns = ["r", "theta", "phi", "j0", "j1", "j2", "j3", "vx", "vy", "vz", "speed"]
     try:
-        rows = [
-            _field_row(model, q, spin_o, atom, SphericalPoint(float(r), t, p))
-            for r in r_values
-            for t in theta_values
-            for p in phi_values
-        ]
-    except DomainError as exc:
+        points = SphericalPoints.grid(
+            np.linspace(r_lo, r_hi, r_count),
+            np.pi * (np.arange(theta_count) + 0.5) / theta_count,
+            2.0 * np.pi * np.arange(phi_count) / phi_count,
+        )
+        if model == "dirac":
+            current = dirac_current(dirac_ground_state(spin_o, atom, points))
+            j = np.column_stack([current.j0, current.spatial])
+            velocity = bohm_velocity(spin_o, atom, points)
+        else:
+            # One psi over the grid gives the density; the current is density times velocity.
+            density = np.abs(hydrogen_wavefunction(q, atom, points)) ** 2
+            velocity = vector_to_cartesian(points, bohm_momentum(q, atom, points) / atom.mass)
+            j = np.column_stack([density, density[:, None] * velocity])
+    except (DomainError, MemoryError) as exc:  # numpy names the allocation that failed
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    speed = np.linalg.norm(velocity, axis=1)
+    rows = np.column_stack([points.r, points.theta, points.phi, j, velocity, speed]).tolist()
 
     if fmt == "csv":
-        lines = ["# bohmatom field table; natural units (hbar = c = 1); angles in radians"]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_num(x) for x in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, rows)
     else:
-        text = _json_text(
-            {
-                "command": "field",
-                "model": model,
-                "spin": spin_o.value if spin_o else None,
-                "quantum_numbers": [q.n, q.l, q.m] if q else None,
-                "Z": z,
-                "alpha_scale": alpha_scale,
-                "mass": mass,
-                "columns": columns,
-                "rows": [[float(x) for x in row] for row in rows],
-            }
-        )
-    try:
-        _write_text(out, text)
-    except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
-        sys.exit(1)
+        text = _json_text(_document("field", model, spin_o, q, z, alpha_scale, mass, columns=columns, rows=rows))
+    _write_files(out, {out: text})
 
 
 @main.command("trajectory")
@@ -285,34 +256,13 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
         "aborted": aborted,
     }
 
-    try:
-        if fmt == "csv":
-            lines = ["# bohmatom trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"]
-            lines.append(",".join(columns))
-            lines.extend(",".join(map(repr, row)) for row in rows)
-            _write_text(out, "\n".join(lines) + "\n")
-            _write_text(out + ".summary.json", _json_text(summary))
-        else:
-            _write_text(
-                out,
-                _json_text(
-                    {
-                        "command": "trajectory",
-                        "model": model,
-                        "spin": spin_o.value if spin_o else None,
-                        "quantum_numbers": [q.n, q.l, q.m] if q else None,
-                        "Z": z,
-                        "alpha_scale": alpha_scale,
-                        "mass": mass,
-                        "columns": columns,
-                        "rows": rows,
-                        "summary": summary,
-                    }
-                ),
-            )
-    except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
-        sys.exit(1)
+    if fmt == "csv":
+        comment = "trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"
+        texts = {out: _csv_text(comment, columns, rows), out + ".summary.json": _json_text(summary)}
+    else:
+        doc = _document("trajectory", model, spin_o, q, z, alpha_scale, mass, columns=columns, rows=rows, summary=summary)
+        texts = {out: _json_text(doc)}
+    _write_files(out, texts)
     if aborted:
         sys.exit(1)
 
@@ -338,14 +288,12 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     scaling = []
     for s in _ALPHA_SCALING_STEPS:
         atom_s = _make_atom(z, alpha_scale * s, mass)
-        za_sq = atom_s.za**2
-        if za_sq == 0.0:
+        if atom_s.za**2 == 0.0:
             click.echo(f"error: coupling too small: (Z*alpha)^2 underflows to 0 at Z*alpha = {atom_s.za!r}", err=True)
             sys.exit(1)
         mg = report.mean_gamma if s == 1.0 else mean_lorentz_factor(spin_o, atom_s)
-        excess = (mg - 1.0) / za_sq
         scaling.append(
-            {"scale": s, "alpha": atom_s.alpha, "mean_gamma": mg, "excess_over_za_sq": excess}
+            {"scale": s, "alpha": atom_s.alpha, "mean_gamma": mg, "excess_over_za_sq": excess_over_za_sq(atom_s)}
         )
 
     doc = {
@@ -355,11 +303,7 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
         "dilated_lifetime": report.dilated_lifetime,
         "alpha_scaling": scaling,
     }
-    try:
-        _write_text(out, _json_text(doc))
-    except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
-        sys.exit(1)
+    _write_files(out, {out: _json_text(doc)})
 
 
 @main.command("state")
@@ -378,21 +322,9 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    doc = {
-        "command": "state",
-        "model": model,
-        "spin": spin_o.value if spin_o else None,
-        "quantum_numbers": [q.n, q.l, q.m] if q else None,
-        "Z": z,
-        "alpha_scale": alpha_scale,
-        "mass": mass,
-        "point": {
-            "r": point.r,
-            "theta": point.theta,
-            "phi": point.phi,
-            "xyz": [float(c) for c in point.to_cartesian()],
-        },
-    }
+    xyz = [float(c) for c in point.to_cartesian()]
+    point_doc = {"r": point.r, "theta": point.theta, "phi": point.phi, "xyz": xyz}
+    doc = _document("state", model, spin_o, q, z, alpha_scale, mass, point=point_doc)
     try:
         if model == "dirac":
             psi = dirac_ground_state(spin_o, atom, point)
@@ -411,10 +343,7 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
             doc["amplitude"] = polar.amplitude
             doc["phase"] = polar.phase if polar.phase_defined else None
             doc["current_spherical"] = [float(c) for c in current]
-            if q.m == 0:
-                velocity = np.zeros(3)
-            else:
-                velocity = vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
+            velocity = vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
             doc["velocity"] = [float(c) for c in velocity]
             doc["speed"] = float(np.linalg.norm(velocity))
     except DomainError as exc:
@@ -425,11 +354,7 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
     if out is None:
         click.echo(text, nl=False)
     else:
-        try:
-            _write_text(out, text)
-        except OSError as exc:
-            click.echo(f"error: cannot write {out}: {exc}", err=True)
-            sys.exit(1)
+        _write_files(out, {out: text})
 
 
 if __name__ == "__main__":

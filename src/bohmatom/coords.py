@@ -57,32 +57,58 @@ class SphericalPoint:
         return cls(r, theta, phi)
 
 
-def pole_safe_sin(theta: float) -> float:
-    """sin(theta) with the theta = pi endpoint mapped to exactly zero.
+@dataclass(frozen=True, eq=False)
+class SphericalPoints:
+    """Many points as equal-length 1-D columns r, theta, phi, each row held to SphericalPoint's ranges."""
+
+    r: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self):
+        for name in ("r", "theta", "phi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        r, theta, phi = self.r, self.theta, self.phi
+        ok = (r >= 0.0) & (r < math.inf) & (theta >= 0.0) & (theta <= math.pi) & (phi >= 0.0) & (phi < TWO_PI)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            SphericalPoint(float(r[i]), float(theta[i]), float(phi[i]))  # raises the DomainError naming the coordinate
+
+    @classmethod
+    def grid(cls, r, theta, phi) -> "SphericalPoints":
+        """Every (r, theta, phi) combination, r-major, then theta, then phi."""
+        return cls(*(c.ravel() for c in np.meshgrid(r, theta, phi, indexing="ij")))
+
+
+def columns(p: SphericalPoint | SphericalPoints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, theta, phi) as 1-D arrays. The state functions evaluate these and return row 0 for a
+    SphericalPoint, so a point's result equals its row of a batch of points bit for bit."""
+    return tuple(np.array(c, dtype=float, ndmin=1) for c in (p.r, p.theta, p.phi))
+
+
+def pole_safe_sin(theta):
+    """sin(theta) with the theta = pi endpoint mapped to exactly zero; elementwise on arrays.
 
     math.sin(math.pi) is ~1.2e-16, but within the [0, pi] colatitude domain
     the endpoint denotes the south pole, where axial geometry must be exact
     (zero azimuthal speed, singular azimuthal phase).
     """
+    if np.ndim(theta):
+        return np.where(theta == math.pi, 0.0, np.sin(theta))
     return 0.0 if theta == math.pi else math.sin(theta)
 
 
-def spherical_basis(point: SphericalPoint) -> np.ndarray:
-    """Rows are the unit vectors r_hat, theta_hat, phi_hat in Cartesian components."""
-    st, ct = math.sin(point.theta), math.cos(point.theta)
-    sp, cp = math.sin(point.phi), math.cos(point.phi)
-    return np.array(
-        [
-            [st * cp, st * sp, ct],
-            [ct * cp, ct * sp, -st],
-            [-sp, cp, 0.0],
-        ]
-    )
+def spherical_basis(point: SphericalPoint | SphericalPoints) -> np.ndarray:
+    """Rows r_hat, theta_hat, phi_hat in Cartesian components: (3, 3) at a point, (N, 3, 3) over N points."""
+    st, ct = np.sin(point.theta), np.cos(point.theta)
+    sp, cp = np.sin(point.phi), np.cos(point.phi)
+    basis = np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, np.zeros_like(st)]])
+    return np.moveaxis(basis, (0, 1), (-2, -1))
 
 
-def vector_to_cartesian(point: SphericalPoint, components) -> np.ndarray:
-    """Map (v_r, v_theta, v_phi) at the point to Cartesian (v_x, v_y, v_z)."""
-    return spherical_basis(point).T @ np.asarray(components, dtype=float)
+def vector_to_cartesian(point: SphericalPoint | SphericalPoints, components) -> np.ndarray:
+    """Map (v_r, v_theta, v_phi) to Cartesian (v_x, v_y, v_z): (3,) at a point, (N, 3) over N points."""
+    return np.einsum("...ki,...k->...i", spherical_basis(point), np.asarray(components, dtype=float))
 
 
 def vector_to_spherical(point: SphericalPoint, vec) -> np.ndarray:

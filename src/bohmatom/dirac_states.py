@@ -19,12 +19,12 @@ and the contraction j^mu = Re[psibar gamma^mu psi] collapses to
 
 The flow v^i = j^i / j^0 is purely azimuthal with speed Z*alpha*sin(theta),
 anticlockwise around +z for spin up and clockwise for spin down. Spatial
-current and velocity components here are Cartesian.
+current and velocity components here are Cartesian. The point functions take
+a SphericalPoint or SphericalPoints (see coords).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,10 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coords import SphericalPoint, pole_safe_sin
+from .coords import SphericalPoint, SphericalPoints, columns, pole_safe_sin
 from .errors import DomainError, OriginSingularityError
 from .physics_core import AtomConfig
-from .quadrature import angular_nodes, radial_nodes
+from .quadrature import axisymmetric_nodes
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -65,7 +65,7 @@ class SpinOrientation(Enum):
 
 @dataclass(frozen=True)
 class FourCurrent:
-    """Probability 4-current (j0, j1, j2, j3); spatial components Cartesian."""
+    """Probability 4-current (j0, j1, j2, j3), spatial parts Cartesian: floats for one spinor, (N,) columns for N."""
 
     j0: float
     j1: float
@@ -74,10 +74,11 @@ class FourCurrent:
 
     @property
     def spatial(self) -> np.ndarray:
-        return np.array([self.j1, self.j2, self.j3])
+        """(j1, j2, j3): shape (3,) for one spinor, (N, 3) for N."""
+        return np.stack([self.j1, self.j2, self.j3], axis=-1)
 
     @property
-    def minkowski_norm_sq(self) -> float:
+    def minkowski_norm_sq(self):
         """j0^2 - |j|^2; nonnegative for a physical (timelike or null) current."""
         return self.j0 * self.j0 - (self.j1 * self.j1 + self.j2 * self.j2 + self.j3 * self.j3)
 
@@ -103,8 +104,8 @@ def _amplitude_prefactor(atom: AtomConfig) -> float:
     return c**1.5 / math.sqrt(4.0 * math.pi) * math.sqrt((1.0 + g) / (2.0 * math.gamma(1.0 + 2.0 * g)))
 
 
-def radial_amplitude(atom: AtomConfig, r: float) -> float:
-    """Ground-state radial amplitude A(r).
+def radial_amplitude(atom: AtomConfig, r):
+    """Ground-state radial amplitude A(r), elementwise on arrays (a float r returns a float).
 
     A(r) = (2 m Z alpha)^{3/2} / sqrt(4 pi)
            * sqrt((1 + gamma) / (2 Gamma(1 + 2 gamma)))
@@ -114,64 +115,75 @@ def radial_amplitude(atom: AtomConfig, r: float) -> float:
     power law and the exponential. Diverges mildly as r -> 0 because
     gamma - 1 < 0, so r = 0 is rejected.
     """
-    if not math.isfinite(r) or r < 0.0:
-        raise DomainError(f"r must be nonnegative and finite, got {r}")
-    if r == 0.0:
+    rs = np.array(r, dtype=float, ndmin=1)
+    bad = ~((rs >= 0.0) & (rs < math.inf))
+    if bad.any():
+        raise DomainError(f"r must be nonnegative and finite, got {rs[bad][0]}")
+    if (rs == 0.0).any():
         raise OriginSingularityError("origin singularity: A(r) diverges at r = 0")
     c = 2.0 * atom.mass * atom.za
-    return _amplitude_prefactor(atom) * (c * r) ** (atom.gamma_exp - 1.0) * math.exp(-0.5 * c * r)
+    amp = _amplitude_prefactor(atom) * (c * rs) ** (atom.gamma_exp - 1.0) * np.exp(-0.5 * c * rs)
+    return amp if np.ndim(r) else float(amp[0])
 
 
-def dirac_ground_state(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> np.ndarray:
-    """Bound 1S_1/2 bispinor at the point, as a length-4 complex array."""
-    amp = radial_amplitude(atom, p.r)
+def dirac_ground_state(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
+    """Bound 1S_1/2 bispinor: shape (4,) complex at a point, (N, 4) over N points."""
+    r, theta, phi = columns(p)
+    amp = radial_amplitude(atom, r)
     zeta = small_component_ratio(atom)
-    b = zeta * math.cos(p.theta)
-    d = zeta * pole_safe_sin(p.theta)
+    b = zeta * np.cos(theta)
+    d = zeta * pole_safe_sin(theta)
+    one, zero = np.ones_like(b), np.zeros_like(b)
     if spin is SpinOrientation.UP:
-        return amp * np.array([1.0, 0.0, 1j * b, 1j * d * cmath.exp(1j * p.phi)])
-    return amp * np.array([0.0, 1.0, 1j * d * cmath.exp(-1j * p.phi), -1j * b])
+        psi = np.stack([one, zero, 1j * b, 1j * d * np.exp(1j * phi)], axis=-1)
+    else:
+        psi = np.stack([zero, one, 1j * d * np.exp(-1j * phi), -1j * b], axis=-1)
+    psi = amp[:, None] * psi
+    return psi if isinstance(p, SphericalPoints) else psi[0]
 
 
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
-    """Adjoint row spinor: conjugate transpose times gamma^0."""
+    """Adjoint row spinor: conjugate transpose times gamma^0 (row by row for (N, 4))."""
     return np.conjugate(np.asarray(psi, dtype=complex)) @ _GAMMA0
 
 
 def dirac_current(psi: np.ndarray) -> FourCurrent:
     """j^mu = Re[psibar gamma^mu psi] from the explicit matrix contraction.
 
-    The imaginary part must cancel; it is checked against 1e-13 relative to
-    the density scale rather than trusted to vanish in floating point.
+    psi of shape (4,) gives float components, (N, 4) gives (N,) columns from
+    one batched contraction. The imaginary part must cancel; it is checked
+    row by row against 1e-13 relative to the density scale rather than
+    trusted to vanish in floating point.
     """
-    psi = np.asarray(psi, dtype=complex)
-    j = np.einsum("k,mkl,l->m", dirac_adjoint(psi), _GAMMA, psi)
-    scale = max(1.0, abs(j[0].real))
-    leak = float(np.max(np.abs(j.imag)))
-    if leak > 1e-13 * scale:
-        raise ArithmeticError(
-            f"gamma contraction produced imaginary current {leak} (scale {scale})"
-        )
-    return FourCurrent(*(float(c.real) for c in j))
+    rows = np.asarray(psi, dtype=complex).reshape(-1, 4)
+    j = np.einsum("nk,mkl,nl->nm", dirac_adjoint(rows), _GAMMA, rows)
+    scale = np.maximum(1.0, np.abs(j[:, 0].real))
+    leak = np.max(np.abs(j.imag), axis=1)
+    if (leak > 1e-13 * scale).any():
+        i = int(np.argmax(leak / scale))
+        raise ArithmeticError(f"gamma contraction produced imaginary current {leak[i]} (scale {scale[i]})")
+    return FourCurrent(*(j.real.T if np.ndim(psi) > 1 else j.real[0].tolist()))
 
 
-def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> FourCurrent:
+def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> FourCurrent:
     """Ground-state current from the closed forms; regression target for dirac_current."""
-    amp2 = radial_amplitude(atom, p.r) ** 2
+    r, theta, phi = columns(p)
+    amp2 = radial_amplitude(atom, r) ** 2
     zeta = small_component_ratio(atom)
-    b = zeta * math.cos(p.theta)
-    d = zeta * pole_safe_sin(p.theta)
+    b = zeta * np.cos(theta)
+    d = zeta * pole_safe_sin(theta)
     sign = 1.0 if spin is SpinOrientation.UP else -1.0
-    return FourCurrent(
+    j = (
         amp2 * (1.0 + b * b + d * d),
-        -sign * 2.0 * amp2 * d * math.sin(p.phi),
-        sign * 2.0 * amp2 * d * math.cos(p.phi),
-        0.0,
+        -sign * 2.0 * amp2 * d * np.sin(phi),
+        sign * 2.0 * amp2 * d * np.cos(phi),
+        np.zeros_like(amp2),
     )
+    return FourCurrent(*(j if isinstance(p, SphericalPoints) else (float(c[0]) for c in j)))
 
 
-def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> np.ndarray:
-    """Flow velocity v^i = j^i / j^0 (Cartesian, units of c).
+def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
+    """Flow velocity v^i = j^i / j^0 (Cartesian, units of c): (3,) at a point, (N, 3) over N points.
 
     Purely azimuthal; |v| = Z*alpha*sin(theta) independent of r and phi.
     The amplitude A(r)^2 is a common factor of j and j^0 and cancels from the
@@ -180,30 +192,22 @@ def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) ->
     defined at every r > 0, including radii where A(r)^2 underflows to zero.
     dirac_current of the spinor remains the reference it is tested against.
     """
-    if p.r == 0.0:
+    r, theta, phi = columns(p)
+    if (r == 0.0).any():
         raise OriginSingularityError("origin singularity: the flow is undefined at r = 0")
-    speed = atom.za * pole_safe_sin(p.theta)
+    speed = atom.za * pole_safe_sin(theta)
     if spin is SpinOrientation.DOWN:
         speed = -speed
     # 0.0 - a and a + 0.0 map a signed zero to +0.0, so a flow that vanishes
     # (on the axis) is written as 0.0, never -0.0.
-    return np.array([0.0 - speed * math.sin(p.phi), speed * math.cos(p.phi) + 0.0, 0.0])
+    v = np.stack([0.0 - speed * np.sin(phi), speed * np.cos(phi) + 0.0, np.zeros_like(speed)], axis=-1)
+    return v if isinstance(p, SphericalPoints) else v[0]
 
 
-def ground_state_norm(
-    spin: SpinOrientation, atom: AtomConfig, n_radial: int = 48, n_theta: int = 64
-) -> float:
+def ground_state_norm(spin: SpinOrientation, atom: AtomConfig, n_radial: int = 48, n_theta: int = 64) -> float:
     """Quadrature value of int j^0 d^3x through the spinor route (should equal 1)."""
-    r_nodes, r_weights = radial_nodes(atom, n_radial)
-    theta_nodes, theta_weights = angular_nodes(n_theta)
-    total = 0.0
-    for r, wr in zip(r_nodes, r_weights):
-        row = 0.0
-        for theta, wt in zip(theta_nodes, theta_weights):
-            point = SphericalPoint(float(r), float(theta), 0.0)
-            row += wt * dirac_current(dirac_ground_state(spin, atom, point)).j0
-        total += wr * row
-    return 2.0 * math.pi * total
+    points, weights = axisymmetric_nodes(atom, n_radial, n_theta)
+    return float(weights @ dirac_current(dirac_ground_state(spin, atom, points)).j0)
 
 
 def normalization_correction(

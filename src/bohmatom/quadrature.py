@@ -14,6 +14,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .coords import SphericalPoints
 from .physics_core import AtomConfig
 
 
@@ -72,3 +73,12 @@ def radial_nodes(atom: AtomConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     c = 2.0 * atom.mass * atom.za
     u, w = gauss_genlaguerre(n, 2.0 * g)
     return u / c, w * np.exp(u) * u ** (2.0 - 2.0 * g) / c**3
+
+
+def axisymmetric_nodes(atom: AtomConfig, n_radial: int, n_theta: int) -> tuple[SphericalPoints, np.ndarray]:
+    """Product of the radial and angular rules at phi = 0, r-major, with weights
+    W_k such that sum_k W_k f(p_k) ~ int f d^3x for f independent of phi."""
+    r_nodes, r_weights = radial_nodes(atom, n_radial)
+    theta_nodes, theta_weights = angular_nodes(n_theta)
+    weights = 2.0 * math.pi * np.outer(r_weights, theta_weights).ravel()
+    return SphericalPoints.grid(r_nodes, theta_nodes, 0.0), weights

@@ -7,7 +7,8 @@ wherever it does not vanish, so the phase gradient is known in closed form:
 
 The guidance momentum is grad S and the probability current is
 |psi|^2 grad S / mass. Every vector returned by this module is expressed in
-the local spherical basis; use coords.vector_to_cartesian to convert.
+the local spherical basis; use coords.vector_to_cartesian to convert. The
+point functions take a SphericalPoint or SphericalPoints (see coords).
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import SphericalPoint, pole_safe_sin
+from .coords import SphericalPoint, SphericalPoints, columns, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig
 from .quadrature import angular_nodes, composite_gauss_legendre
-from .special_functions import associated_laguerre, spherical_harmonic
+from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,14 @@ class PolarForm:
     phase_defined: bool = True
 
 
-def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
-    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1."""
-    if r < 0.0 or not math.isfinite(r):
-        raise DomainError(f"r must be nonnegative and finite, got {r}")
+def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
+    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays."""
+    rs = np.array(r, dtype=float, ndmin=1)
+    bad = ~((rs >= 0.0) & (rs < math.inf))
+    if bad.any():
+        raise DomainError(f"r must be nonnegative and finite, got {rs[bad][0]}")
     a = atom.bohr_radius
-    rho = 2.0 * r / (q.n * a)
+    rho = 2.0 * rs / (q.n * a)
     # The factorial ratio is taken first, as a correctly rounded int division:
     # converting either factorial to float overflows from n + l = 171 on.
     norm = math.sqrt(
@@ -67,12 +70,15 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
         * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l))
         / (2.0 * q.n)
     )
-    return norm * rho**q.l * math.exp(-0.5 * rho) * associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+    radial = norm * rho**q.l * np.exp(-0.5 * rho) * associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+    return radial if np.ndim(r) else float(radial[0])
 
 
-def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> complex:
-    """psi_nlm(r, theta, phi), normalized so that int |psi|^2 d^3x = 1."""
-    return radial_function(q, atom, p.r) * spherical_harmonic(q.l, q.m, p.theta, p.phi)
+def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints):
+    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a point, shape (N,) over N points."""
+    r, theta, phi = columns(p)
+    psi = radial_function(q, atom, r) * spherical_harmonic(q.l, q.m, theta, phi)
+    return psi if isinstance(p, SphericalPoints) else complex(psi[0])
 
 
 def polar_decompose(psi: complex) -> PolarForm:
@@ -83,37 +89,48 @@ def polar_decompose(psi: complex) -> PolarForm:
     return PolarForm(amplitude, math.atan2(psi.imag, psi.real))
 
 
-def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> np.ndarray:
-    """Guidance momentum grad S in the spherical basis.
+def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
+    """Whether psi_nlm vanishes at (r > 0, cos theta) off the axis, elementwise: a zero of the Laguerre
+    factor or of P_l^|m| / sin^|m|. The other factors are positive, so an underflowed psi is no node."""
+    rho = 2.0 * r / (q.n * atom.bohr_radius)
+    laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+    return (laguerre == 0.0) | (assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0)
+
+
+def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
+    """Guidance momentum grad S in the spherical basis: (3,) at a point, (N, 3) over N points.
 
     Identically zero for m = 0 states (real wavefunction, S = 0). For m != 0
     the phase S = m*phi is singular on the polar axis and undefined at nodes.
     """
-    if q.m == 0:
-        return np.zeros(3)
-    st = pole_safe_sin(p.theta)
-    if p.r == 0.0 or st == 0.0:
-        raise PhaseSingularityError(
-            f"phase singularity: grad(m*phi) undefined at r={p.r}, theta={p.theta}"
-        )
-    if hydrogen_wavefunction(q, atom, p) == 0.0:
-        raise PhaseSingularityError("phase singularity: wavefunction node")
-    return np.array([0.0, 0.0, q.m / (p.r * st)])
+    r, theta, _ = columns(p)
+    out = np.zeros((len(r), 3))
+    if q.m != 0:
+        st = pole_safe_sin(theta)
+        axis = (r == 0.0) | (st == 0.0)
+        if axis.any():
+            i = int(np.argmax(axis))
+            raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined at r={r[i]}, theta={theta[i]}")
+        if is_node(q, atom, r, np.cos(theta)).any():
+            raise PhaseSingularityError("phase singularity: wavefunction node")
+        out[:, 2] = q.m / (r * st)
+    return out if isinstance(p, SphericalPoints) else out[0]
 
 
-def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> np.ndarray:
-    """Probability current |psi|^2 grad S / mass in the spherical basis.
+def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
+    """Probability current |psi|^2 grad S / mass in the spherical basis: (3,) at a point, (N, 3) over N points.
 
     Well defined everywhere: it vanishes at nodes and (for m != 0) on the
     polar axis, where |psi|^2 goes to zero faster than 1/(r sin theta) grows.
     """
-    if q.m == 0:
-        return np.zeros(3)
-    st = pole_safe_sin(p.theta)
-    if p.r == 0.0 or st == 0.0:
-        return np.zeros(3)
-    density = abs(hydrogen_wavefunction(q, atom, p)) ** 2
-    return np.array([0.0, 0.0, density * q.m / (atom.mass * p.r * st)])
+    r, theta, _ = columns(p)
+    out = np.zeros((len(r), 3))
+    if q.m != 0:
+        st = pole_safe_sin(theta)
+        off_axis = (r > 0.0) & (st > 0.0)
+        density = np.abs(np.atleast_1d(hydrogen_wavefunction(q, atom, p))) ** 2
+        out[off_axis, 2] = density[off_axis] * q.m / (atom.mass * r[off_axis] * st[off_axis])
+    return out if isinstance(p, SphericalPoints) else out[0]
 
 
 def state_norm(q: QuantumNumbers, atom: AtomConfig, n_radial: int = 64, n_theta: int = 64) -> float:
@@ -125,9 +142,7 @@ def state_norm(q: QuantumNumbers, atom: AtomConfig, n_radial: int = 64, n_theta:
     a = atom.bohr_radius
     edges = np.array([0.0, 2.0, 8.0, 20.0, 45.0]) * q.n * a
     r_nodes, r_weights = composite_gauss_legendre(edges, n_radial)
-    radial = np.array([radial_function(q, atom, r) ** 2 * r * r for r in r_nodes])
+    radial = radial_function(q, atom, r_nodes) ** 2 * r_nodes * r_nodes
     theta_nodes, theta_weights = angular_nodes(n_theta)
-    angular = np.array(
-        [abs(spherical_harmonic(q.l, q.m, t, 0.0)) ** 2 for t in theta_nodes]
-    )
+    angular = np.abs(spherical_harmonic(q.l, q.m, theta_nodes, 0.0)) ** 2
     return 2.0 * math.pi * float(np.sum(r_weights * radial)) * float(np.sum(theta_weights * angular))

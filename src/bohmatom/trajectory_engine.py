@@ -15,11 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import SphericalPoint, pole_safe_sin, vector_to_cartesian
+from .coords import SphericalPoint, pole_safe_sin
 from .dirac_states import SpinOrientation, bohm_velocity
-from .errors import OriginSingularityError, TrajectorySingularityError
+from .errors import OriginSingularityError, PhaseSingularityError, TrajectorySingularityError
 from .physics_core import AtomConfig
-from .schrodinger_states import QuantumNumbers, bohm_momentum
+from .schrodinger_states import QuantumNumbers, is_node
 
 #: Trajectories are aborted when they come this close to the nucleus, in units
 #: of the Bohr radius. Ground-state circles never do; the guard protects
@@ -103,7 +103,8 @@ def schrodinger_velocity_field(q: QuantumNumbers, atom: AtomConfig) -> VelocityF
 
     m = 0 states have identically zero field; the closure returns exact zeros
     without touching the wavefunction, so their trajectories are fixed points
-    bit for bit.
+    bit for bit. For m != 0 bohm_momentum's m/(r sin theta) phi_hat / mass is evaluated
+    as (m/mass)(-y, x, 0)/(x^2 + y^2), raising PhaseSingularityError on the axis and at nodes.
     """
     if q.m == 0:
         def zero_fn(xyz: np.ndarray) -> np.ndarray:
@@ -112,10 +113,18 @@ def schrodinger_velocity_field(q: QuantumNumbers, atom: AtomConfig) -> VelocityF
         return VelocityField(zero_fn, model="schrodinger", min_radius=0.0)
 
     guard = ORIGIN_GUARD_RADII * atom.bohr_radius
+    k = q.m / atom.mass
 
     def fn(xyz: np.ndarray) -> np.ndarray:
-        point = SphericalPoint.from_cartesian(xyz)
-        return vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
+        x, y, z = np.asarray(xyz, dtype=float).tolist()
+        rho_sq = x * x + y * y
+        r = math.sqrt(rho_sq + z * z)
+        if rho_sq == 0.0 or r == abs(z):  # on the axis, where the colatitude rounds to 0 or pi
+            raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined on the z axis, z={z}")
+        if is_node(q, atom, r, z / r):
+            raise PhaseSingularityError("phase singularity: wavefunction node")
+        w = k / rho_sq
+        return np.array([0.0 - w * y, w * x + 0.0, 0.0])
 
     return VelocityField(fn, model="schrodinger", min_radius=guard)
 

@@ -12,11 +12,16 @@ from click.testing import CliRunner
 import bohmatom
 from bohmatom import (
     FINE_STRUCTURE,
+    QuantumNumbers,
     SphericalPoint,
     SpinOrientation,
+    bohm_momentum,
+    bohm_velocity,
     dirac_current,
     dirac_ground_state,
+    hydrogen_wavefunction,
     make_atom,
+    vector_to_cartesian,
 )
 from bohmatom.cli import main
 
@@ -146,6 +151,70 @@ class TestFieldCommand:
         result = invoke(runner, args)
         assert result.exit_code == 2
 
+    def test_grid_beyond_memory_is_a_one_line_error(self, runner, tmp_path):
+        # 10^17 points need over 10^18 bytes per column, so building the grid fails at once.
+        out = tmp_path / "x.csv"
+        counts = ["--r-count", str(10**6), "--theta-count", str(10**6), "--phi-count", str(10**5)]
+        result = runner.invoke(main, ["field", *counts, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: Unable to allocate")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_velocity_defined_where_the_density_underflows(self, tmp_path):
+        # j0 = A(r)^2 underflows to 0 at these radii; the velocity is the
+        # amplitude-free closed form Z*alpha*sin(theta)*phi_hat.
+        out = tmp_path / "far.csv"
+        args = ["field", "--model", "dirac", "--r-min", "1e5", "--r-max", "1e6",
+                "--r-count", "2", "--theta-count", "1", "--phi-count", "2", "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "bohmatom.cli", *args], env=_SUBPROCESS_ENV, capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        _, rows = parse_csv(out)
+        rows = np.array(rows)
+        assert rows.shape == (4, 11)
+        assert np.all(rows[:, 3] == 0.0)
+        k = make_atom().za
+        theta, phi = rows[:, 1], rows[:, 2]
+        speed = k * np.sin(theta)
+        np.testing.assert_allclose(rows[:, 7], -speed * np.sin(phi), rtol=0.0, atol=1e-17)
+        np.testing.assert_allclose(rows[:, 8], speed * np.cos(phi), rtol=1e-15)
+        assert np.all(rows[:, 9] == 0.0)
+        np.testing.assert_allclose(rows[:, 10], speed, rtol=1e-15)
+
+    @pytest.mark.parametrize("spin", ["up", "down"])
+    def test_dirac_rows_equal_the_scalar_api(self, runner, tmp_path, spin):
+        out = tmp_path / "field.csv"
+        args = ["field", "--spin", spin, "--Z", "60", "--r-count", "3", "--theta-count", "4", "--phi-count", "3"]
+        assert invoke(runner, args + ["--out", str(out)]).exit_code == 0
+        _, rows = parse_csv(out)
+        atom = make_atom(60)
+        spin_o = SpinOrientation(spin)
+        for row in rows:
+            point = SphericalPoint(row[0], row[1], row[2])
+            current = dirac_current(dirac_ground_state(spin_o, atom, point))
+            velocity = bohm_velocity(spin_o, atom, point)
+            assert row[3:7] == [current.j0, current.j1, current.j2, current.j3]
+            assert row[7:10] == velocity.tolist()
+
+    def test_schrodinger_rows_come_from_one_wavefunction(self, runner, tmp_path):
+        out = tmp_path / "s.json"
+        args = ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "-1", "--Z", "7",
+                "--r-count", "3", "--theta-count", "4", "--phi-count", "3", "--format", "json", "--out", str(out)]
+        assert invoke(runner, args).exit_code == 0
+        rows = json.loads(read_bytes(out))["rows"]
+        atom = make_atom(7)
+        q = QuantumNumbers(3, 2, -1)
+        for row in rows:
+            point = SphericalPoint(row[0], row[1], row[2])
+            density = np.abs(hydrogen_wavefunction(q, atom, point)) ** 2
+            velocity = vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
+            assert row[3] == density
+            assert row[4:7] == (density * velocity).tolist()
+            assert row[7:10] == velocity.tolist()
+
 
 class TestTrajectoryCommand:
     def test_spin_up_sweeps_positive_area(self, runner, tmp_path):
@@ -230,6 +299,20 @@ class TestTrajectoryCommand:
         assert np.max(np.abs(rows[:, 7:10] - exact)) <= 1e-12 * r0
         assert np.max(rows[:, 10]) <= 1e-8 * r0
 
+    def test_schrodinger_start_beyond_wavefunction_underflow(self, runner, tmp_path):
+        # psi underflows to 0 at r = 1e6, which is not a node: the orbit runs.
+        out = tmp_path / "far.csv"
+        args = ["trajectory", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1",
+                "--r", "1e6", "--theta", "1.0", "--steps", "50", "--out", str(out)]
+        assert invoke(runner, args).exit_code == 0
+        summary = json.loads(read_bytes(str(out) + ".summary.json"))
+        assert summary["aborted"] is False
+        assert summary["steps_completed"] == 50
+        rho = 1e6 * math.sin(1.0)
+        assert summary["period"] == pytest.approx(2.0 * math.pi * rho * rho, rel=1e-12)
+        _, rows = parse_csv(out)
+        assert max(row[10] for row in rows) <= 1e-8 * 1e6
+
     def test_json_embeds_summary(self, runner, tmp_path):
         out = tmp_path / "t.json"
         assert invoke(runner, TRAJ_ARGS + ["--format", "json", "--out", str(out)]).exit_code == 0
@@ -290,6 +373,16 @@ class TestDilateCommand:
             assert "--rest-lifetime must be positive and finite" in result.output
             assert not out.exists()
 
+    @pytest.mark.parametrize("alpha_scale", ["9.1e-7", "1e-3"])
+    def test_excess_keeps_its_digits_at_small_coupling(self, runner, tmp_path, alpha_scale):
+        out = tmp_path / "report.json"
+        args = ["dilate", "--rest-lifetime", "2e-6", "--alpha-scale", alpha_scale, "--out", str(out)]
+        assert invoke(runner, args).exit_code == 0
+        for row in json.loads(read_bytes(out))["alpha_scaling"]:
+            k = FINE_STRUCTURE * float(alpha_scale) * row["scale"]
+            series = math.fsum(k ** (2 * j) / (2 * j + 3) for j in range(40))
+            assert row["excess_over_za_sq"] == pytest.approx(series, rel=1e-12)
+
     @pytest.mark.parametrize("z", [136, 137])
     def test_coupling_near_one_has_the_closed_form_mean(self, runner, tmp_path, z):
         out = tmp_path / "report.json"
@@ -320,6 +413,14 @@ class TestStateCommand:
         doc = json.loads(result.output)
         assert doc["current"][0] == 0.0  # A(r)^2 underflows at this radius
         assert doc["speed"] == pytest.approx(make_atom().za * math.sin(1.0), rel=1e-12)
+
+    def test_schrodinger_velocity_defined_where_psi_underflows(self, runner):
+        args = ["state", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1", "--r", "1e6", "--theta", "1.0"]
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["amplitude"] == 0.0 and doc["phase"] is None
+        assert doc["velocity"] == pytest.approx([0.0, 1.0 / (1e6 * math.sin(1.0)), 0.0], rel=1e-15, abs=0.0)
 
     def test_write_to_file(self, runner, tmp_path):
         out = tmp_path / "state.json"
@@ -352,24 +453,51 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("m", ["0", "1", "-1"])
     def test_factorials_beyond_float_range(self, tmp_path, m):
-        # (n + l)! = 399! does not fit in a float. The run either writes the
-        # whole table or ends with a one-line error, never a traceback.
+        # (n + l)! = 399! does not fit in a float, and the norm underflows to
+        # 0, which is not a node: the run writes the whole table.
         out = tmp_path / "x.csv"
         args = ["field", "--model", "schrodinger", "--n", "200", "--l", "199", "--m", m, "--out", str(out)]
         result = subprocess.run(
             [sys.executable, "-m", "bohmatom.cli", *args], env=_SUBPROCESS_ENV, capture_output=True, text=True
         )
-        assert "Traceback" not in result.stderr
-        if result.returncode == 0:
-            _, rows = parse_csv(out)
-            assert len(rows) == 5 * 7 * 8
-        else:
-            assert result.returncode == 1
-            assert result.stderr.startswith("error: ")
-            assert result.stderr.count("\n") == 1
-            assert not out.exists()
-        if m == "0":
-            assert result.returncode == 0
+        assert result.returncode == 0
+        assert result.stderr == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 5 * 7 * 8
+
+
+_FILE_SIZE_LIMITED = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+from bohmatom.cli import main
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("args", [FIELD_ARGS, TRAJ_ARGS], ids=["field", "trajectory"])
+def test_failed_write_keeps_the_existing_file(tmp_path, args):
+    # A 4096-byte file size limit makes the write fail midway (EFBIG).
+    out = tmp_path / "x.csv"
+    out.write_text("previous contents\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c", _FILE_SIZE_LIMITED, *args, "--out", str(out)],
+        env={**_SUBPROCESS_ENV, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert result.stderr.count("\n") == 1
+    assert out.read_text(encoding="utf-8") == "previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_written_file_replaces_the_existing_one(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("previous contents\n", encoding="utf-8")
+    assert invoke(runner, FIELD_ARGS + ["--out", str(out)]).exit_code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 3 * 5 * 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_cli_import_loads_no_scipy():
