@@ -11,21 +11,22 @@ import math
 import numpy as np
 
 from bohmatom import (
+    DiracGroundState,
     SphericalPoint,
     SpinOrientation,
-    analytic_orbit,
-    dirac_velocity_field,
+    circular_orbit_xyz,
     integrate_trajectory,
     make_atom,
-    orbital_period,
 )
 
 atom = make_atom()
 start = SphericalPoint(atom.bohr_radius, math.pi / 2.0, 0.0)
-period = orbital_period(SpinOrientation.UP, atom, start)
+model = DiracGroundState(SpinOrientation.UP, atom)
+omega = model.angular_rate(start)
+period = 2.0 * math.pi / abs(omega)
 print(f"equatorial orbit at r = a0: period T = {period:.6e} natural time units")
 
-field = dirac_velocity_field(SpinOrientation.UP, atom)
+field = model.velocity_field()
 steps = 10_000
 trajectory = integrate_trajectory(field, start, period / steps, steps)
 
@@ -39,12 +40,12 @@ print(f"  max relative r drift   : {np.max(np.abs(radii - start.r)) / start.r:.3
 print(f"  max speed variation    : {np.max(np.abs(speeds - speeds[0])):.3e}")
 
 print()
-print("fourth-order convergence against the analytic orbit:")
+print("fourth-order convergence against the exact circle:")
 print(f"{'steps':>8}  {'end-point error':>16}  {'order':>6}")
 previous = None
 for n in (250, 500, 1000, 2000):
     run = integrate_trajectory(field, start, period / n, n)
-    reference = analytic_orbit(SpinOrientation.UP, atom, start, float(run.t[-1])).to_cartesian()
+    reference = circular_orbit_xyz(start, omega, run.t[-1:])[0]
     error = float(np.linalg.norm(run.xyz[-1] - reference))
     order = f"{math.log2(previous / error):6.3f}" if previous else "     -"
     print(f"{n:8d}  {error:16.6e}  {order}")
@@ -53,7 +54,7 @@ for n in (250, 500, 1000, 2000):
 print()
 print("spin down traverses the same circle the other way:")
 down = integrate_trajectory(
-    dirac_velocity_field(SpinOrientation.DOWN, atom), start, period / 2000, 500
+    DiracGroundState(SpinOrientation.DOWN, atom).velocity_field(), start, period / 2000, 500
 )
 xy = down.xyz[:, :2]
 area = 0.5 * float(np.sum(xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1]))

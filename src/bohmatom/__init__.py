@@ -9,7 +9,7 @@ Z*alpha*sin(theta), so a bound unstable particle picks up a computable
 lifetime dilation.
 """
 
-from .coords import SphericalPoint, SphericalPoints, vector_to_cartesian, vector_to_spherical
+from .coords import SphericalPoint, SphericalPoints, vector_to_cartesian
 from .dilation import (
     DilationReport,
     dilated_lifetime,
@@ -29,7 +29,6 @@ from .dirac_states import (
     dirac_ground_state,
     gamma_matrices,
     ground_state_norm,
-    normalization_correction,
     radial_amplitude,
     small_component_ratio,
 )
@@ -40,7 +39,8 @@ from .errors import (
     SupercriticalCouplingError,
     TrajectorySingularityError,
 )
-from .physics_core import FINE_STRUCTURE, SECONDS_PER_NATURAL_TIME, AtomConfig, make_atom
+from .models import DiracGroundState, SchrodingerEigenstate
+from .physics_core import FINE_STRUCTURE, AtomConfig, make_atom
 from .schrodinger_states import (
     PolarForm,
     QuantumNumbers,
@@ -51,23 +51,14 @@ from .schrodinger_states import (
     radial_function,
     state_norm,
 )
-from .trajectory_engine import (
-    Trajectory,
-    TrajectoryState,
-    VelocityField,
-    analytic_orbit,
-    circular_orbit,
-    dirac_velocity_field,
-    integrate_trajectory,
-    orbital_period,
-    schrodinger_velocity_field,
-)
+from .trajectory_engine import Trajectory, VelocityField, circular_orbit_xyz, integrate_trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomConfig",
     "DilationReport",
+    "DiracGroundState",
     "DomainError",
     "FINE_STRUCTURE",
     "FourCurrent",
@@ -75,26 +66,23 @@ __all__ = [
     "PhaseSingularityError",
     "PolarForm",
     "QuantumNumbers",
-    "SECONDS_PER_NATURAL_TIME",
+    "SchrodingerEigenstate",
     "SphericalPoint",
     "SphericalPoints",
     "SpinOrientation",
     "SupercriticalCouplingError",
     "Trajectory",
-    "TrajectoryState",
     "TrajectorySingularityError",
     "VelocityField",
-    "analytic_orbit",
     "bohm_momentum",
     "bohm_velocity",
-    "circular_orbit",
+    "circular_orbit_xyz",
     "closed_form_current",
     "dilated_lifetime",
     "excess_over_za_sq",
     "dirac_adjoint",
     "dirac_current",
     "dirac_ground_state",
-    "dirac_velocity_field",
     "gamma_matrices",
     "ground_state_norm",
     "hydrogen_wavefunction",
@@ -104,15 +92,11 @@ __all__ = [
     "make_report",
     "mean_lorentz_factor",
     "mean_lorentz_factor_3d",
-    "normalization_correction",
-    "orbital_period",
     "polar_decompose",
     "probability_current",
     "radial_amplitude",
     "radial_function",
-    "schrodinger_velocity_field",
     "small_component_ratio",
     "state_norm",
     "vector_to_cartesian",
-    "vector_to_spherical",
 ]

@@ -9,6 +9,7 @@ byte-identical files. Diagnostics go to stderr only.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -17,13 +18,14 @@ import sys
 import click
 import numpy as np
 
-from .coords import SphericalPoint, SphericalPoints, vector_to_cartesian, vector_to_spherical
-from .dilation import excess_over_za_sq, lorentz_factor, make_report, mean_lorentz_factor
-from .dirac_states import SpinOrientation, bohm_velocity, dirac_current, dirac_ground_state
+from .coords import SphericalPoint, SphericalPoints, vector_norm
+from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
+from .dirac_states import SpinOrientation
 from .errors import DomainError, TrajectorySingularityError
+from .models import DiracGroundState, SchrodingerEigenstate
 from .physics_core import FINE_STRUCTURE, make_atom
-from .schrodinger_states import QuantumNumbers, bohm_momentum, hydrogen_wavefunction, polar_decompose, probability_current
-from .trajectory_engine import circular_orbit_xyz, dirac_velocity_field, integrate_trajectory, schrodinger_velocity_field
+from .schrodinger_states import QuantumNumbers
+from .trajectory_engine import circular_orbit_xyz, integrate_trajectory
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 
@@ -47,29 +49,39 @@ def _write_files(out: str, texts: dict[str, str]) -> None:
             if temp != path:
                 os.replace(temp, path)
     except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
-        sys.exit(1)
+        _fail(f"cannot write {out}: {exc}")
     finally:
         for path, temp in temps.items():
             if temp != path and os.path.exists(temp):
                 os.remove(temp)
 
 
+def _fail(message: str) -> None:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(1)
+
+
+_NOT_FINITE = "the result is not finite: a value overflowed or is undefined"
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # NaN or Infinity, which JSON cannot carry
+        _fail(_NOT_FINITE)
 
 
-def _csv_text(comment: str, columns: list[str], rows: list[list[float]]) -> str:
+def _csv_text(comment: str, columns: list[str], table: np.ndarray) -> str:
+    if not np.isfinite(table).all():
+        _fail(_NOT_FINITE)
     lines = [f"# bohmatom {comment}", ",".join(columns)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
-def _document(command, model, spin_o, q, z, alpha_scale, mass, **fields) -> dict:
+def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
     """A JSON document: the command and its resolved model and atom, then the fields."""
-    header = {"command": command, "model": model, "spin": spin_o.value if spin_o else None}
-    header["quantum_numbers"] = [q.n, q.l, q.m] if q else None
-    return {**header, "Z": z, "alpha_scale": alpha_scale, "mass": mass, **fields}
+    return {"command": command, **model.header, "Z": z, "alpha_scale": alpha_scale, "mass": mass, **fields}
 
 
 def _atom_options(fn):
@@ -101,8 +113,8 @@ def _make_atom(z: int, alpha_scale: float, mass: float):
         raise click.UsageError(str(exc)) from exc
 
 
-def _resolve_model(model, spin, n, l, m):
-    """Enforce model-conditional flags and return (quantum_numbers, spin)."""
+def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
+    """Enforce the model-conditional flags, then build the model on its atom."""
     if model == "schrodinger":
         if spin is not None:
             raise click.UsageError("--spin applies only to --model dirac")
@@ -110,10 +122,10 @@ def _resolve_model(model, spin, n, l, m):
             q = QuantumNumbers(n if n is not None else 1, l if l is not None else 0, m if m is not None else 0)
         except DomainError as exc:
             raise click.UsageError(str(exc)) from exc
-        return q, None
+        return SchrodingerEigenstate(q, _make_atom(z, alpha_scale, mass))
     if n is not None or l is not None or m is not None:
         raise click.UsageError("--n/--l/--m apply only to --model schrodinger")
-    return None, SpinOrientation(spin if spin is not None else "up")
+    return DiracGroundState(SpinOrientation(spin if spin is not None else "up"), _make_atom(z, alpha_scale, mass))
 
 
 @click.group()
@@ -138,13 +150,14 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     Rows are ordered r-major, then theta, then phi. Columns: r, theta, phi,
     j0, j1, j2, j3, vx, vy, vz, speed (spatial components Cartesian).
     """
-    q, spin_o = _resolve_model(model, spin, n, l, m)
-    atom = _make_atom(z, alpha_scale, mass)
-    a0 = atom.bohr_radius
+    model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
+    a0 = model.atom.bohr_radius
     r_lo = 0.2 * a0 if r_min is None else r_min
     r_hi = 5.0 * a0 if r_max is None else r_max
-    if r_lo <= 0.0 or r_hi < r_lo or r_count < 1 or theta_count < 1 or phi_count < 1:
+    if not 0.0 < r_lo <= r_hi < math.inf or r_count < 1 or theta_count < 1 or phi_count < 1:
         raise click.UsageError("invalid grid: need 0 < r-min <= r-max and positive counts")
+    if 8 * r_count * theta_count * phi_count > sys.maxsize:  # numpy refuses a column that large
+        _fail(f"a grid of {r_count * theta_count * phi_count} points does not fit in memory")
 
     columns = ["r", "theta", "phi", "j0", "j1", "j2", "j3", "vx", "vy", "vz", "speed"]
     try:
@@ -153,25 +166,16 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
             np.pi * (np.arange(theta_count) + 0.5) / theta_count,
             2.0 * np.pi * np.arange(phi_count) / phi_count,
         )
-        if model == "dirac":
-            current = dirac_current(dirac_ground_state(spin_o, atom, points))
-            j = np.column_stack([current.j0, current.spatial])
-            velocity = bohm_velocity(spin_o, atom, points)
-        else:
-            # One psi over the grid gives the density; the current is density times velocity.
-            density = np.abs(hydrogen_wavefunction(q, atom, points)) ** 2
-            velocity = vector_to_cartesian(points, bohm_momentum(q, atom, points) / atom.mass)
-            j = np.column_stack([density, density[:, None] * velocity])
+        j, velocity = model.table(points)
     except (DomainError, MemoryError) as exc:  # numpy names the allocation that failed
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    speed = np.linalg.norm(velocity, axis=1)
-    rows = np.column_stack([points.r, points.theta, points.phi, j, velocity, speed]).tolist()
+        _fail(str(exc))
+    speed = vector_norm(velocity)
+    table = np.column_stack([points.r, points.theta, points.phi, j, velocity, speed])
 
     if fmt == "csv":
-        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, rows)
+        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, table)
     else:
-        text = _json_text(_document("field", model, spin_o, q, z, alpha_scale, mass, columns=columns, rows=rows))
+        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=columns, rows=table.tolist()))
     _write_files(out, {out: text})
 
 
@@ -193,59 +197,39 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     the Cartesian distance to it. CSV output carries the run summary in a
     '<out>.summary.json' sidecar; JSON output embeds it.
     """
-    q, spin_o = _resolve_model(model, spin, n, l, m)
-    atom = _make_atom(z, alpha_scale, mass)
+    model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     if steps < 0:
         raise click.UsageError("--steps must be nonnegative")
     if dt is not None and not (dt > 0.0 and math.isfinite(dt)):
         raise click.UsageError(f"--dt must be positive and finite, got {dt}")
     try:
-        start = SphericalPoint(atom.bohr_radius if r0 is None else r0, theta0, phi0)
+        start = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    field = (
-        dirac_velocity_field(spin_o, atom)
-        if model == "dirac"
-        else schrodinger_velocity_field(q, atom)
-    )
-    try:
-        v_start = field(start.to_cartesian())
-    except DomainError:
-        v_start = None  # singular start; integration below reports the abort
-
-    # Signed rotation rate of the exact circular orbit through the start.
-    st = math.sin(start.theta)
-    speed0 = float(np.linalg.norm(v_start)) if v_start is not None else 0.0
-    if st > 0.0 and speed0 > 0.0:
-        omega = float(vector_to_spherical(start, v_start)[2]) / (start.r * st)
-        period = 2.0 * math.pi / abs(omega)
-    else:
-        omega = 0.0
-        period = math.inf
-    if dt is None:
-        dt = period / 10000.0 if math.isfinite(period) else 1.0
-
     aborted = False
     try:
-        trajectory = integrate_trajectory(field, start, dt, steps)
+        # Signed rotation rate of the exact circular orbit through the start; 0 where there is none.
+        omega = model.angular_rate(start)
+        period = 2.0 * math.pi / abs(omega) if omega else math.inf
+        if dt is None:
+            dt = period / 10000.0 if math.isfinite(period) else 1.0
+        trajectory = integrate_trajectory(model.velocity_field(), start, dt, steps)
     except TrajectorySingularityError as exc:
         click.echo(f"error: {exc}", err=True)
         trajectory = exc.trajectory
         aborted = True
     except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(str(exc))
     except MemoryError:
         # The trajectory's columns are allocated up front, before the first step.
-        click.echo(f"error: --steps {steps} does not fit in memory", err=True)
-        sys.exit(1)
+        _fail(f"--steps {steps} does not fit in memory")
 
     columns = ["t", "x", "y", "z", "vx", "vy", "vz", "x_ref", "y_ref", "z_ref", "deviation"]
     ref = circular_orbit_xyz(start, omega, trajectory.t)
-    deviation = np.linalg.norm(trajectory.xyz - ref, axis=1)
+    deviation = vector_norm(trajectory.xyz - ref)
     max_deviation = float(deviation.max(initial=0.0))
-    rows = np.column_stack([trajectory.t, trajectory.xyz, trajectory.velocity, ref, deviation]).tolist()
+    table = np.column_stack([trajectory.t, trajectory.xyz, trajectory.velocity, ref, deviation])
 
     summary = {
         "dt": dt,
@@ -258,9 +242,9 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
 
     if fmt == "csv":
         comment = "trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"
-        texts = {out: _csv_text(comment, columns, rows), out + ".summary.json": _json_text(summary)}
+        texts = {out: _csv_text(comment, columns, table), out + ".summary.json": _json_text(summary)}
     else:
-        doc = _document("trajectory", model, spin_o, q, z, alpha_scale, mass, columns=columns, rows=rows, summary=summary)
+        doc = _document("trajectory", model, z, alpha_scale, mass, columns=columns, rows=table.tolist(), summary=summary)
         texts = {out: _json_text(doc)}
     _write_files(out, texts)
     if aborted:
@@ -289,21 +273,13 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     for s in _ALPHA_SCALING_STEPS:
         atom_s = _make_atom(z, alpha_scale * s, mass)
         if atom_s.za**2 == 0.0:
-            click.echo(f"error: coupling too small: (Z*alpha)^2 underflows to 0 at Z*alpha = {atom_s.za!r}", err=True)
-            sys.exit(1)
+            _fail(f"coupling too small: (Z*alpha)^2 underflows to 0 at Z*alpha = {atom_s.za!r}")
         mg = report.mean_gamma if s == 1.0 else mean_lorentz_factor(spin_o, atom_s)
         scaling.append(
             {"scale": s, "alpha": atom_s.alpha, "mean_gamma": mg, "excess_over_za_sq": excess_over_za_sq(atom_s)}
         )
 
-    doc = {
-        "mean_gamma": report.mean_gamma,
-        "pointwise_max_gamma": report.pointwise_max_gamma,
-        "rest_lifetime": report.rest_lifetime,
-        "dilated_lifetime": report.dilated_lifetime,
-        "alpha_scaling": scaling,
-    }
-    _write_files(out, {out: _json_text(doc)})
+    _write_files(out, {out: _json_text({**dataclasses.asdict(report), "alpha_scaling": scaling})})
 
 
 @main.command("state")
@@ -315,40 +291,18 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
 def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out):
     """Print the wavefunction or spinor (and local flow data) at one point."""
-    q, spin_o = _resolve_model(model, spin, n, l, m)
-    atom = _make_atom(z, alpha_scale, mass)
+    model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     try:
-        point = SphericalPoint(atom.bohr_radius if r0 is None else r0, theta0, phi0)
+        point = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
 
     xyz = [float(c) for c in point.to_cartesian()]
     point_doc = {"r": point.r, "theta": point.theta, "phi": point.phi, "xyz": xyz}
-    doc = _document("state", model, spin_o, q, z, alpha_scale, mass, point=point_doc)
     try:
-        if model == "dirac":
-            psi = dirac_ground_state(spin_o, atom, point)
-            current = dirac_current(psi)
-            velocity = bohm_velocity(spin_o, atom, point)
-            doc["spinor"] = [[float(c.real), float(c.imag)] for c in psi]
-            doc["current"] = [current.j0, current.j1, current.j2, current.j3]
-            doc["velocity"] = [float(c) for c in velocity]
-            doc["speed"] = float(np.linalg.norm(velocity))
-            doc["lorentz_factor"] = lorentz_factor(velocity)
-        else:
-            psi = hydrogen_wavefunction(q, atom, point)
-            polar = polar_decompose(psi)
-            current = probability_current(q, atom, point)
-            doc["psi"] = [float(psi.real), float(psi.imag)]
-            doc["amplitude"] = polar.amplitude
-            doc["phase"] = polar.phase if polar.phase_defined else None
-            doc["current_spherical"] = [float(c) for c in current]
-            velocity = vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
-            doc["velocity"] = [float(c) for c in velocity]
-            doc["speed"] = float(np.linalg.norm(velocity))
+        doc = _document("state", model, z, alpha_scale, mass, point=point_doc, **model.describe(point))
     except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(str(exc))
 
     text = _json_text(doc)
     if out is None:

@@ -111,6 +111,12 @@ def vector_to_cartesian(point: SphericalPoint | SphericalPoints, components) -> 
     return np.einsum("...ki,...k->...i", spherical_basis(point), np.asarray(components, dtype=float))
 
 
-def vector_to_spherical(point: SphericalPoint, vec) -> np.ndarray:
-    """Map Cartesian (v_x, v_y, v_z) to local (v_r, v_theta, v_phi) at the point."""
-    return spherical_basis(point) @ np.asarray(vec, dtype=float)
+def vector_norm(v):
+    """np.linalg.norm over the last axis (a float for one vector); where the sum of squares
+    overflows, each vector is scaled by its largest component first."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.linalg.norm(v, axis=-1 if v.ndim > 1 else None)
+        s = np.abs(v).max(axis=-1)
+        n = np.where((n == math.inf) & (s < math.inf), s * np.linalg.norm(v / s[..., None], axis=-1), n)
+    return n if v.ndim > 1 else float(n)

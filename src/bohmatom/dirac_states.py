@@ -26,7 +26,6 @@ a SphericalPoint or SphericalPoints (see coords).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -98,10 +97,14 @@ def small_component_ratio(atom: AtomConfig) -> float:
 
 
 @lru_cache(maxsize=64)
-def _amplitude_prefactor(atom: AtomConfig) -> float:
+def _amplitude_prefactor(atom: AtomConfig) -> tuple[float, bool]:
+    """A(r)'s constant factor, or its logarithm (flagged True) where the factor exceeds the float range."""
     c = 2.0 * atom.mass * atom.za
     g = atom.gamma_exp
-    return c**1.5 / math.sqrt(4.0 * math.pi) * math.sqrt((1.0 + g) / (2.0 * math.gamma(1.0 + 2.0 * g)))
+    try:
+        return c**1.5 / math.sqrt(4.0 * math.pi) * math.sqrt((1.0 + g) / (2.0 * math.gamma(1.0 + 2.0 * g))), False
+    except OverflowError:
+        return 1.5 * math.log(c) - 0.5 * math.log(8.0 * math.pi) + 0.5 * (math.log1p(g) - math.lgamma(1.0 + 2.0 * g)), True
 
 
 def radial_amplitude(atom: AtomConfig, r):
@@ -113,7 +116,7 @@ def radial_amplitude(atom: AtomConfig, r):
 
     with gamma = gamma_exp and Z*alpha used uniformly in the prefactor, the
     power law and the exponential. Diverges mildly as r -> 0 because
-    gamma - 1 < 0, so r = 0 is rejected.
+    gamma - 1 < 0, so r = 0 is rejected, as is an A(r) beyond the float range.
     """
     rs = np.array(r, dtype=float, ndmin=1)
     bad = ~((rs >= 0.0) & (rs < math.inf))
@@ -122,7 +125,15 @@ def radial_amplitude(atom: AtomConfig, r):
     if (rs == 0.0).any():
         raise OriginSingularityError("origin singularity: A(r) diverges at r = 0")
     c = 2.0 * atom.mass * atom.za
-    amp = _amplitude_prefactor(atom) * (c * rs) ** (atom.gamma_exp - 1.0) * np.exp(-0.5 * c * rs)
+    g1 = atom.gamma_exp - 1.0
+    factor, is_log = _amplitude_prefactor(atom)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if is_log:  # sum the logarithms, so that a huge factor meets a tiny exponential first
+            amp = np.exp(factor + g1 * np.log(c * rs) - 0.5 * c * rs)
+        else:
+            amp = factor * (c * rs) ** g1 * np.exp(-0.5 * c * rs)
+    if not np.isfinite(amp).all():
+        raise DomainError(f"the amplitude A(r) exceeds the float range at r = {float(rs[np.argmin(np.isfinite(amp))])!r}")
     return amp if np.ndim(r) else float(amp[0])
 
 
@@ -209,21 +220,3 @@ def ground_state_norm(spin: SpinOrientation, atom: AtomConfig, n_radial: int = 4
     points, weights = axisymmetric_nodes(atom, n_radial, n_theta)
     return float(weights @ dirac_current(dirac_ground_state(spin, atom, points)).j0)
 
-
-def normalization_correction(
-    spin: SpinOrientation, atom: AtomConfig, n_radial: int = 48, n_theta: int = 64
-) -> float:
-    """Multiplier kappa that would rescale A(r) to make int j^0 d^3x exactly 1.
-
-    With Z*alpha used uniformly the closed-form normalization is already
-    exact, so kappa stays within quadrature noise of 1; a deviation beyond
-    1e-9 is reported as a warning since it would indicate a transcription
-    problem in the amplitude.
-    """
-    kappa = 1.0 / math.sqrt(ground_state_norm(spin, atom, n_radial, n_theta))
-    if abs(kappa - 1.0) > 1e-9:
-        warnings.warn(
-            f"radial amplitude normalization correction {kappa} deviates from 1",
-            stacklevel=2,
-        )
-    return kappa

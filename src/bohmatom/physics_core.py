@@ -2,9 +2,8 @@
 
 Everything internal works in natural units, hbar = c = 1, with the particle
 mass as a free parameter (mass = 1 puts lengths in units of the reduced
-Compton wavelength of that particle). The only SI constant in the package is
-SECONDS_PER_NATURAL_TIME, used to document time columns; lifetime inputs and
-outputs are always plain seconds and never pass through it.
+Compton wavelength of that particle). Lifetime inputs and outputs are plain
+seconds and never pass through a unit conversion.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from .errors import DomainError, SupercriticalCouplingError
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 0.0072973525693
-
-#: Seconds per natural time unit for a mass = 1 particle at the electron mass
-#: scale, hbar / (m_e c^2). Scales inversely with the mass parameter.
-SECONDS_PER_NATURAL_TIME = 1.2880886674e-21
 
 
 @dataclass(frozen=True)
@@ -41,6 +36,9 @@ class AtomConfig:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise DomainError(f"mass must be positive and finite, got {self.mass}")
+        scale = self.mass * self.Z * self.alpha
+        if not (0.0 < scale and 2.0 * scale < math.inf and 1.0 / scale < math.inf):
+            raise DomainError(f"mass * Z * alpha = {scale!r} puts the Bohr radius out of the float range")
         if self.Z * self.alpha >= 1.0:
             raise SupercriticalCouplingError(
                 f"supercritical coupling: Z*alpha = {self.Z * self.alpha} >= 1"

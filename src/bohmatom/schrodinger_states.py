@@ -62,15 +62,22 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
     if bad.any():
         raise DomainError(f"r must be nonnegative and finite, got {rs[bad][0]}")
     a = atom.bohr_radius
-    rho = 2.0 * rs / (q.n * a)
     # The factorial ratio is taken first, as a correctly rounded int division:
     # converting either factorial to float overflows from n + l = 171 on.
-    norm = math.sqrt(
-        (2.0 / (q.n * a)) ** 3
-        * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l))
-        / (2.0 * q.n)
-    )
-    radial = norm * rho**q.l * np.exp(-0.5 * rho) * associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+    try:
+        norm = math.sqrt(
+            (2.0 / (q.n * a)) ** 3
+            * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l))
+            / (2.0 * q.n)
+        )
+    except OverflowError:  # (2 / (n a))^3 overflows; the product below is then not finite
+        norm = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = 2.0 * rs / (q.n * a)
+        radial = norm * rho**q.l * np.exp(-0.5 * rho) * associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+    if not np.isfinite(radial).all():
+        i = int(np.argmin(np.isfinite(radial)))
+        raise DomainError(f"R_nl(r) leaves the float range at r = {float(rs[i])!r}: a factor overflows")
     return radial if np.ndim(r) else float(radial[0])
 
 
@@ -92,28 +99,31 @@ def polar_decompose(psi: complex) -> PolarForm:
 def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
     """Whether psi_nlm vanishes at (r > 0, cos theta) off the axis, elementwise: a zero of the Laguerre
     factor or of P_l^|m| / sin^|m|. The other factors are positive, so an underflowed psi is no node."""
-    rho = 2.0 * r / (q.n * atom.bohr_radius)
-    laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
-    return (laguerre == 0.0) | (assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor beyond the float range is no zero
+        rho = 2.0 * r / (q.n * atom.bohr_radius)
+        laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+        return (laguerre == 0.0) | (assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0)
 
 
 def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
     """Guidance momentum grad S in the spherical basis: (3,) at a point, (N, 3) over N points.
 
     Identically zero for m = 0 states (real wavefunction, S = 0). For m != 0
-    the phase S = m*phi is singular on the polar axis and undefined at nodes.
+    the phase S = m*phi is singular on the polar axis, which includes points
+    where m/(r sin theta) overflows, and undefined at nodes.
     """
     r, theta, _ = columns(p)
     out = np.zeros((len(r), 3))
     if q.m != 0:
-        st = pole_safe_sin(theta)
-        axis = (r == 0.0) | (st == 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            rate = q.m / (r * pole_safe_sin(theta))
+        axis = ~np.isfinite(rate)  # r sin(theta) is 0, or so small that the rate overflows
         if axis.any():
             i = int(np.argmax(axis))
             raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined at r={r[i]}, theta={theta[i]}")
         if is_node(q, atom, r, np.cos(theta)).any():
             raise PhaseSingularityError("phase singularity: wavefunction node")
-        out[:, 2] = q.m / (r * st)
+        out[:, 2] = rate
     return out if isinstance(p, SphericalPoints) else out[0]
 
 
@@ -127,7 +137,7 @@ def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint |
     out = np.zeros((len(r), 3))
     if q.m != 0:
         st = pole_safe_sin(theta)
-        off_axis = (r > 0.0) & (st > 0.0)
+        off_axis = atom.mass * r * st > 0.0  # on the axis, or so near that this product underflows, j = 0
         density = np.abs(np.atleast_1d(hydrogen_wavefunction(q, atom, p))) ** 2
         out[off_axis, 2] = density[off_axis] * q.m / (atom.mass * r[off_axis] * st[off_axis])
     return out if isinstance(p, SphericalPoints) else out[0]

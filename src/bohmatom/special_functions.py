@@ -65,13 +65,15 @@ def spherical_harmonic(l: int, m: int, theta, phi):
         raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
     am = abs(m)
     theta_a, phi_a = np.array(theta, dtype=float, ndmin=1), np.array(phi, dtype=float, ndmin=1)
-    plm = assoc_legendre(l, am, np.cos(theta_a), np.sin(theta_a))
     # Factorial ratio first (correctly rounded int division, at most 1): a
     # float times math.factorial(l + am) overflows from l + am = 171 on.
     norm = math.sqrt(
         (2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am))
     )
-    y = norm * plm * np.exp(1j * am * phi_a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = norm * assoc_legendre(l, am, np.cos(theta_a), np.sin(theta_a)) * np.exp(1j * am * phi_a)
+    if not np.isfinite(y).all():
+        raise DomainError(f"Y_l^m leaves the float range at l={l}, m={m}: P_l^m overflows where its norm underflows")
     if m < 0:
         y = (-1.0) ** am * np.conj(y)
     return y if np.ndim(theta) or np.ndim(phi) else complex(y[0])

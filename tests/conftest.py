@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from bohmatom import (
-    SphericalPoint,
-    SpinOrientation,
-    dirac_velocity_field,
-    integrate_trajectory,
-    make_atom,
-    orbital_period,
-)
+from bohmatom import DiracGroundState, SphericalPoint, SpinOrientation, integrate_trajectory, make_atom
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +37,7 @@ def equatorial_closure(hydrogen):
     Computed once; shared by the trajectory tests and the acceptance suite.
     """
     start = SphericalPoint(hydrogen.bohr_radius, np.pi / 2, 0.0)
-    period = orbital_period(SpinOrientation.UP, hydrogen, start)
-    field = dirac_velocity_field(SpinOrientation.UP, hydrogen)
-    trajectory = integrate_trajectory(field, start, period / 10_000, 10_000)
+    model = DiracGroundState(SpinOrientation.UP, hydrogen)
+    period = 2.0 * np.pi / model.angular_rate(start)
+    trajectory = integrate_trajectory(model.velocity_field(), start, period / 10_000, 10_000)
     return start, period, trajectory

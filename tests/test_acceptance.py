@@ -15,21 +15,20 @@ from bohmatom import (
     FINE_STRUCTURE,
     QuantumNumbers,
     SphericalPoint,
+    DiracGroundState,
     SpinOrientation,
-    analytic_orbit,
     bohm_momentum,
     bohm_velocity,
     closed_form_current,
     dirac_current,
+    circular_orbit_xyz,
     dirac_ground_state,
-    dirac_velocity_field,
     gamma_matrices,
     ground_state_norm,
     integrate_trajectory,
     make_atom,
     mean_lorentz_factor,
     mean_lorentz_factor_3d,
-    orbital_period,
     probability_current,
     state_norm,
 )
@@ -92,11 +91,10 @@ def test_criterion_03_rotation_sense(hydrogen, rng):
                 float(rng.uniform(0.0, 2.0 * np.pi)),
             )
             for spin, expected_sign in ((UP, 1.0), (DOWN, -1.0)):
-                period = orbital_period(spin, hydrogen, start)
-                trajectory = integrate_trajectory(
-                    dirac_velocity_field(spin, hydrogen), start, period / 600.0, 150
-                )
-                xy = trajectory.positions()[:, :2]
+                model = DiracGroundState(spin, hydrogen)
+                period = 2.0 * math.pi / abs(model.angular_rate(start))
+                trajectory = integrate_trajectory(model.velocity_field(), start, period / 600.0, 150)
+                xy = trajectory.xyz[:, :2]
                 area = 0.5 * float(
                     np.sum(xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1])
                 )
@@ -107,20 +105,19 @@ def test_criterion_04_orbit_closure_and_rk4_order(hydrogen, equatorial_closure):
     with criterion(4, "one-period closure at dt = T/1e4 and fourth-order convergence"):
         start, period, trajectory = equatorial_closure
         a0 = hydrogen.bohr_radius
-        positions = trajectory.positions()
+        positions = trajectory.xyz
         assert np.linalg.norm(positions[-1] - positions[0]) <= 1e-8 * a0
         radii = np.linalg.norm(positions, axis=1)
         thetas = np.arccos(np.clip(positions[:, 2] / radii, -1.0, 1.0))
         assert np.max(np.abs(radii - start.r)) / start.r < 1e-8
         assert np.max(np.abs(thetas - start.theta)) < 1e-8
 
-        field = dirac_velocity_field(UP, hydrogen)
+        model = DiracGroundState(UP, hydrogen)
         errors = []
         for n_steps in (500, 1000, 2000):
-            run = integrate_trajectory(field, start, period / n_steps, n_steps)
-            final = run.states[-1]
-            reference = analytic_orbit(UP, hydrogen, start, final.t).to_cartesian()
-            errors.append(float(np.linalg.norm(final.xyz - reference)))
+            run = integrate_trajectory(model.velocity_field(), start, period / n_steps, n_steps)
+            reference = circular_orbit_xyz(start, model.angular_rate(start), run.t[-1:])[0]
+            errors.append(float(np.linalg.norm(run.xyz[-1] - reference)))
         orders = [math.log2(a / b) for a, b in zip(errors[:-1], errors[1:])]
         assert all(3.8 <= order <= 4.2 for order in orders)
 

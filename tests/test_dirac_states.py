@@ -11,17 +11,16 @@ from bohmatom import (
     FINE_STRUCTURE,
     OriginSingularityError,
     SphericalPoint,
+    DiracGroundState,
     SpinOrientation,
     bohm_velocity,
     closed_form_current,
     dirac_adjoint,
     dirac_current,
     dirac_ground_state,
-    dirac_velocity_field,
     gamma_matrices,
     ground_state_norm,
     make_atom,
-    normalization_correction,
     radial_amplitude,
     small_component_ratio,
 )
@@ -291,7 +290,7 @@ def test_closed_form_velocities_match_gamma_contraction(z, alpha_factor, radii, 
     p = SphericalPoint(radii * atom.bohr_radius, theta, phi)
     current = dirac_current(dirac_ground_state(spin, atom, p))
     reference = current.spatial / current.j0
-    for v in (bohm_velocity(spin, atom, p), dirac_velocity_field(spin, atom)(p.to_cartesian())):
+    for v in (bohm_velocity(spin, atom, p), DiracGroundState(spin, atom).velocity_field()(p.to_cartesian())):
         assert np.max(np.abs(v - reference)) <= 4e-15 * atom.za
         assert float(np.linalg.norm(v)) < 1.0
 
@@ -335,7 +334,8 @@ class TestNormalization:
             assert abs(ground_state_norm(UP, atom) - 1.0) <= 1e-6
 
     def test_correction_factor_is_unity(self, hydrogen):
+        # The factor 1/sqrt(norm) that would rescale A(r) lies within 1e-9 of 1.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kappa = normalization_correction(UP, hydrogen)
-        assert abs(kappa - 1.0) <= 1e-9
+            norm = ground_state_norm(UP, hydrogen)
+        assert abs(norm - 1.0) <= 2e-9

@@ -19,6 +19,7 @@ from bohmatom import (
     FINE_STRUCTURE,
     PhaseSingularityError,
     QuantumNumbers,
+    SchrodingerEigenstate,
     SphericalPoint,
     SphericalPoints,
     SpinOrientation,
@@ -32,7 +33,6 @@ from bohmatom import (
     probability_current,
     radial_amplitude,
     radial_function,
-    schrodinger_velocity_field,
     vector_to_cartesian,
 )
 from bohmatom.cli import main
@@ -134,7 +134,7 @@ def test_schrodinger_array_path_equals_the_scalar_api(atom, q, raw):
 )
 def test_cartesian_schrodinger_field_matches_bohm_momentum(atom, q, raw):
     """The trajectory field evaluates bohm_momentum / mass in Cartesian form."""
-    field = schrodinger_velocity_field(q, atom)
+    field = SchrodingerEigenstate(q, atom).velocity_field()
     for p in batch(atom, raw)[1]:
         if p.theta in (0.0, math.pi):
             with pytest.raises(PhaseSingularityError):
