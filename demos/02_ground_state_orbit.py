@@ -27,6 +27,8 @@ period = 2.0 * math.pi / abs(omega)
 print(f"equatorial orbit at r = a0: period T = {period:.6e} natural time units")
 
 field = model.velocity_field()
+vx, vy, vz = field(*start.to_cartesian().tolist())   # the flow maps a float triple to a float triple
+print(f"speed at the start: {math.hypot(vx, vy, vz):.12f} (Z*alpha = {atom.za:.12f})")
 steps = 10_000
 trajectory = integrate_trajectory(field, start, period / steps, steps)
 

@@ -7,6 +7,7 @@ orthonormal triad (r_hat, theta_hat, phi_hat) at the point in question.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+#: 2**-511, whose square is the smallest normal float.
+_SQRT_NORMAL_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,13 @@ def vector_to_cartesian(point: SphericalPoint | SphericalPoints, components) -> 
 
 def vector_norm(v):
     """np.linalg.norm over the last axis (a float for one vector); where the sum of squares
-    overflows, each vector is scaled by its largest component first."""
+    overflows, or underflows below the smallest normal float for a nonzero vector, each vector
+    is scaled by its largest component first."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.linalg.norm(v, axis=-1 if v.ndim > 1 else None)
         s = np.abs(v).max(axis=-1)
-        n = np.where((n == math.inf) & (s < math.inf), s * np.linalg.norm(v / s[..., None], axis=-1), n)
+        # n < sqrt(min) only where the sum of squares is below min, so a normal sum keeps its bits.
+        scale = ((n == math.inf) | ((n < _SQRT_NORMAL_MIN) & (s > 0.0))) & (s < math.inf)
+        n = np.where(scale, s * np.linalg.norm(v / s[..., None], axis=-1), n)
     return n if v.ndim > 1 else float(n)

@@ -36,9 +36,9 @@ from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
 _NORMAL_MIN = sys.float_info.min
 
 
-def _rotation(w: float, x: float, y: float) -> np.ndarray:
+def _rotation(w: float, x: float, y: float) -> tuple[float, float, float]:
     # 0.0 - a and a + 0.0 map a signed zero to +0.0, as bohm_velocity does.
-    return np.array([0.0 - w * y, w * x + 0.0, 0.0])
+    return (0.0 - w * y, w * x + 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class DiracGroundState:
         """v = j/j0, which in Cartesian form reads +/-Z*alpha*(-y, x, 0)/r."""
         k = self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za
 
-        def fn(xyz: np.ndarray) -> np.ndarray:
-            x, y, z = np.asarray(xyz, dtype=float).tolist()
+        def fn(x: float, y: float, z: float) -> tuple[float, float, float]:
             r_sq = x * x + y * y + z * z
             if _NORMAL_MIN <= r_sq < math.inf:
                 return _rotation(k / math.sqrt(r_sq), x, y)
@@ -112,12 +111,11 @@ class SchrodingerEigenstate:
         trajectories are fixed points bit for bit. PhaseSingularityError on the axis
         (including where the rate overflows) and at nodes."""
         if self.q.m == 0:
-            return VelocityField(lambda xyz: np.zeros(3))
+            return VelocityField(lambda x, y, z: (0.0, 0.0, 0.0))
         q, atom = self.q, self.atom
         k = q.m / atom.mass
 
-        def fn(xyz: np.ndarray) -> np.ndarray:
-            x, y, z = np.asarray(xyz, dtype=float).tolist()
+        def fn(x: float, y: float, z: float) -> tuple[float, float, float]:
             d, s = x * x + y * y, 1.0
             r = math.sqrt(d + z * z)
             if not (_NORMAL_MIN <= d and r < math.inf and abs(k / d) < math.inf):

@@ -74,7 +74,10 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
         norm = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         rho = 2.0 * rs / (q.n * a)
-        radial = norm * rho**q.l * np.exp(-0.5 * rho) * associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
+        # Where rho overflows, exp(-rho/2) is 0 and the product is 0 (l = 0) or inf * 0, which the
+        # check below reports with the radius; the Laguerre factor is taken at 0 there, not rejected.
+        laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, np.where(rho < math.inf, rho, 0.0))
+        radial = norm * rho**q.l * np.exp(-0.5 * rho) * laguerre
     if not np.isfinite(radial).all():
         i = int(np.argmin(np.isfinite(radial)))
         raise DomainError(f"R_nl(r) leaves the float range at r = {float(rs[i])!r}: a factor overflows")
@@ -98,11 +101,18 @@ def polar_decompose(psi: complex) -> PolarForm:
 
 def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
     """Whether psi_nlm vanishes at (r > 0, cos theta) off the axis, elementwise: a zero of the Laguerre
-    factor or of P_l^|m| / sin^|m|. The other factors are positive, so an underflowed psi is no node."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a factor beyond the float range is no zero
+    factor or of P_l^|m| / sin^|m|. The other factors are positive, so an underflowed psi is no node,
+    and a factor beyond the float range is no zero; so is the Laguerre factor where rho = 2r/(n a0) is."""
+    degree, order, m = q.n - q.l - 1, 2 * q.l + 1, abs(q.m)
+    if isinstance(r, float):  # one point, as the trajectory flow asks: float arithmetic raises no warning
         rho = 2.0 * r / (q.n * atom.bohr_radius)
-        laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
-        return (laguerre == 0.0) | (assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0)
+        laguerre_zero = rho < math.inf and associated_laguerre(degree, order, rho) == 0.0
+        return laguerre_zero or assoc_legendre(q.l, m, cos_theta, 1.0) == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = 2.0 * r / (q.n * atom.bohr_radius)
+        finite = rho < math.inf
+        laguerre_zero = finite & (associated_laguerre(degree, order, np.where(finite, rho, 0.0)) == 0.0)
+        return laguerre_zero | (assoc_legendre(q.l, m, cos_theta, 1.0) == 0.0)
 
 
 def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:

@@ -18,23 +18,33 @@ import numpy as np
 from .errors import DomainError
 
 
+def _float_or_array(x):
+    """x as a float where it is one number (np.ndim 0), otherwise as a float array."""
+    return float(x) if isinstance(x, float) or np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
 def associated_laguerre(degree: int, order: int, x):
     """Generalized Laguerre polynomial L_degree^order(x), elementwise on arrays.
 
     Evaluated by the stable three-term recurrence
     n * L_n = (2n - 1 + k - x) * L_{n-1} - (n - 1 + k) * L_{n-2}.
-    A float x runs as a one-element array and returns a float.
+    A float x runs through the same recurrence in float arithmetic, which
+    rounds as the elementwise array arithmetic does, and returns a float.
     """
     if degree < 0 or order < 0:
         raise DomainError("degree and order must be nonnegative integers")
-    xs = np.array(x, dtype=float, ndmin=1)
-    if not np.isfinite(xs).all():
+    xs = _float_or_array(x)
+    if isinstance(xs, float):
+        if not math.isfinite(xs):
+            raise DomainError(f"x must be finite, got {xs}")
+    elif not np.isfinite(xs).all():
         raise DomainError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
-    prev = np.ones_like(xs)
-    curr = prev if degree == 0 else 1.0 + order - xs
+    if degree == 0:
+        return 1.0 if isinstance(xs, float) else np.ones_like(xs)
+    prev, curr = 1.0, 1.0 + order - xs
     for n in range(2, degree + 1):
         prev, curr = curr, ((2.0 * n - 1.0 + order - xs) * curr - (n - 1.0 + order) * prev) / n
-    return curr if np.ndim(x) else float(curr[0])
+    return curr
 
 
 def assoc_legendre(l: int, m: int, x, s):
@@ -42,8 +52,10 @@ def assoc_legendre(l: int, m: int, x, s):
 
     s enters only as the factor s^m, so s = 1 gives the polynomial part
     P_l^m / sin^m(theta), whose zeros are the nodes of P_l^m off the axis.
+    Float x and s give a float, by the same recurrence.
     """
-    pmm = np.ones_like(x)
+    x = _float_or_array(x)
+    pmm = 1.0 if isinstance(x, float) else np.ones_like(x)
     for k in range(1, m + 1):
         pmm = pmm * (-(2.0 * k - 1.0) * s)
     if l == m:

@@ -213,3 +213,45 @@ def test_far_dirac_trajectory_agrees_with_state(tmp_path):
     assert [math.hypot(*row[4:7]) for row in rows] == pytest.approx([za] * 3, rel=1e-15)
     assert summary["period"] == pytest.approx(2.0 * math.pi * 1e200 / za, rel=1e-15)
     assert summary["max_deviation"] <= 1e-8 * 1e200
+
+
+SCHRODINGER_211 = ["--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1"]
+
+
+def test_far_schrodinger_speed_keeps_an_underflowing_velocity():
+    # The velocity is about 1.19e-200 here; its sum of squares underflowed, and the speed read 0.
+    doc = finite_json(check(["state", *SCHRODINGER_211, "--r", "1e200", "--theta", "1.0"]).stdout)
+    assert doc["velocity"][1] > 0.0
+    assert doc["speed"] == math.hypot(*doc["velocity"])
+
+
+def test_far_schrodinger_deviation_keeps_an_underflowing_offset(tmp_path):
+    # The position drifts about 1.19e-200 off the reference per step; the deviation read 0.
+    out = tmp_path / "far.csv"
+    args = ["trajectory", *SCHRODINGER_211, "--r", "1e200", "--theta", "1", "--steps", "2", "--out", str(out)]
+    assert check(args).exit_code == 0
+    rows = finite_csv(out.read_text(encoding="utf-8"))
+    assert rows[-1][10] > 0.0
+    for row in rows:
+        assert row[10] == math.hypot(*(a - b for a, b in zip(row[1:4], row[7:10])))
+
+
+def test_schrodinger_trajectory_runs_where_rho_leaves_the_float_range(tmp_path):
+    # rho = 2r/(n a0) overflows at r = 1e308; the node test ended the run naming its argument x.
+    out = tmp_path / "far.csv"
+    args = ["trajectory", *SCHRODINGER_211, "--r", "1e308", "--theta", "1", "--steps", "1", "--out", str(out)]
+    assert check(args).exit_code == 0
+    assert len(finite_csv(out.read_text(encoding="utf-8"))) == 2
+
+
+@pytest.mark.parametrize(
+    "command, radius",
+    [("state", ["--r", "1e308"]), ("field", ["--r-min", "1e307", "--r-max", "1e308", "--r-count", "2"])],
+    ids=("state", "field"),
+)
+def test_a_radial_factor_where_rho_leaves_the_float_range_names_the_radius(tmp_path, command, radius):
+    # R_nl at rho = inf is inf * 0; the error named the Laguerre argument x instead of the radius.
+    out = [] if command == "state" else ["--out", str(tmp_path / "far.out")]
+    result = check([command, *SCHRODINGER_211, *radius, *out])
+    assert result.exit_code == 1
+    assert result.stderr == "error: R_nl(r) leaves the float range at r = 1e+308: a factor overflows\n"

@@ -290,7 +290,8 @@ def test_closed_form_velocities_match_gamma_contraction(z, alpha_factor, radii, 
     p = SphericalPoint(radii * atom.bohr_radius, theta, phi)
     current = dirac_current(dirac_ground_state(spin, atom, p))
     reference = current.spatial / current.j0
-    for v in (bohm_velocity(spin, atom, p), DiracGroundState(spin, atom).velocity_field()(p.to_cartesian())):
+    flow = np.array(DiracGroundState(spin, atom).velocity_field()(*p.to_cartesian().tolist()))
+    for v in (bohm_velocity(spin, atom, p), flow):
         assert np.max(np.abs(v - reference)) <= 4e-15 * atom.za
         assert float(np.linalg.norm(v)) < 1.0
 

@@ -33,7 +33,7 @@ def test_angular_rate_is_the_azimuthal_rate_of_the_flow(make, rng):
         for _ in range(50):
             start = SphericalPoint(float(rng.uniform(0.1, 20.0)) * model.atom.bohr_radius,
                                    float(rng.uniform(0.01, math.pi - 0.01)), float(rng.uniform(0.0, 2.0 * math.pi)))
-            v = model.velocity_field()(start.to_cartesian())
+            v = model.velocity_field()(*start.to_cartesian().tolist())
             v_phi = -math.sin(start.phi) * v[0] + math.cos(start.phi) * v[1]
             rho = start.r * math.sin(start.theta)
             assert model.angular_rate(start) * rho == pytest.approx(v_phi, rel=2e-15)
@@ -66,4 +66,4 @@ def test_schrodinger_field_agrees_with_bohm_momentum_beyond_the_squares_range(r0
     q = QuantumNumbers(2, 1, 1)
     p = SphericalPoint(r0, 1.0, 0.7)
     want = vector_to_cartesian(p, bohm_momentum(q, atom, p) / atom.mass)
-    np.testing.assert_allclose(SchrodingerEigenstate(q, atom).velocity_field()(p.to_cartesian()), want, rtol=1e-15)
+    np.testing.assert_allclose(SchrodingerEigenstate(q, atom).velocity_field()(*p.to_cartesian().tolist()), want, rtol=1e-15)

@@ -1,7 +1,8 @@
 """Property tests over random atoms, states and points.
 
 The array path (SphericalPoints in, one row per point out) must equal the
-scalar API (one SphericalPoint at a time) bit for bit, the Dirac current must
+scalar API (one SphericalPoint at a time) bit for bit, as the float node test
+must equal its array rows, the Dirac current must
 be physical (j0 >= 0, timelike up to rounding, |v| < 1), the two spins must be
 mirror images, and the field command's CSV text must parse back to exactly
 the values the library computes.
@@ -36,7 +37,8 @@ from bohmatom import (
     vector_to_cartesian,
 )
 from bohmatom.cli import main
-from bohmatom.special_functions import associated_laguerre, spherical_harmonic
+from bohmatom.schrodinger_states import is_node
+from bohmatom.special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 
@@ -121,6 +123,44 @@ def test_schrodinger_array_path_equals_the_scalar_api(atom, q, raw):
 @settings(max_examples=150, deadline=None)
 @given(
     atom=atoms,
+    q=quantum_numbers,
+    raw=st.lists(
+        st.tuples(
+            # r in units of n a0; 1 and 2 put rho = 2r/(n a0) exactly at 2 and 4, the radial nodes
+            # of (2, 0, 0) and (3, 1, m); cos theta = 0 is a node wherever l - |m| is odd.
+            st.floats(0.01, 60.0) | st.sampled_from([1.0, 2.0]),
+            st.floats(-1.0, 1.0) | st.sampled_from([0.0]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_float_node_test_equals_the_array_path(atom, q, raw):
+    """is_node and its two recurrences give on floats, as floats, the bits of their array rows."""
+    a0 = atom.bohr_radius
+    r = np.array([f * (q.n * a0) for f, _ in raw])
+    cos_theta = np.array([c for _, c in raw])
+    rho = 2.0 * r / (q.n * a0)
+    degree, order, m = q.n - q.l - 1, 2 * q.l + 1, abs(q.m)
+    nodes = is_node(q, atom, r, cos_theta)
+    laguerre = associated_laguerre(degree, order, rho)
+    legendre = assoc_legendre(q.l, m, cos_theta, 1.0)
+    for i in range(len(raw)):
+        assert is_node(q, atom, float(r[i]), float(cos_theta[i])) == bool(nodes[i])
+        one = associated_laguerre(degree, order, float(rho[i]))
+        assert type(one) is float and same(laguerre[i], one)
+        one = assoc_legendre(q.l, m, float(cos_theta[i]), 1.0)
+        assert type(one) is float and same(legendre[i], one)
+    # Exact nodes on both paths: the equator of (3, 2, +/-1) and rho = 4 for (3, 1, 1).
+    for node_q, node_r, node_cos in ((QuantumNumbers(3, 2, 1), a0, 0.0), (QuantumNumbers(3, 2, -1), a0, 0.0),
+                                     (QuantumNumbers(3, 1, 1), 2.0 * (3 * a0), 0.5)):
+        assert is_node(node_q, atom, node_r, node_cos) is True
+        assert is_node(node_q, atom, np.array([node_r]), np.array([node_cos])).tolist() == [True]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    atom=atoms,
     q=quantum_numbers.filter(lambda q: q.m != 0),
     raw=st.lists(
         st.tuples(
@@ -138,13 +178,13 @@ def test_cartesian_schrodinger_field_matches_bohm_momentum(atom, q, raw):
     for p in batch(atom, raw)[1]:
         if p.theta in (0.0, math.pi):
             with pytest.raises(PhaseSingularityError):
-                field(p.to_cartesian())
+                field(*p.to_cartesian().tolist())
             continue
         try:
             want = vector_to_cartesian(p, bohm_momentum(q, atom, p) / atom.mass)
         except PhaseSingularityError:  # a node: rounded coordinates may miss it on the other side
             continue
-        np.testing.assert_allclose(field(p.to_cartesian()), want, rtol=0.0, atol=1e-13 * np.linalg.norm(want))
+        np.testing.assert_allclose(field(*p.to_cartesian().tolist()), want, rtol=0.0, atol=1e-13 * np.linalg.norm(want))
 
 
 @settings(max_examples=150, deadline=None)

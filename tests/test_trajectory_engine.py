@@ -5,6 +5,7 @@ import pytest
 
 from bohmatom import (
     DiracGroundState,
+    OriginSingularityError,
     QuantumNumbers,
     SchrodingerEigenstate,
     SphericalPoint,
@@ -30,6 +31,42 @@ def exact_orbit(spin, atom, start, t):
     return circular_orbit_xyz(start, DiracGroundState(spin, atom).angular_rate(start), np.array([t]))[0]
 
 
+def inward(x, y, z):
+    """Unit speed toward the origin."""
+    r = math.hypot(x, y, z)
+    return (-x / r, -y / r, -z / r)
+
+
+def array_rk4(field, start, dt, steps):
+    """The RK4 loop of integrate_trajectory on 3-element numpy arrays, as it ran before the float
+    kernel: the rows [0, done) of positions and velocities, done < steps + 1 after an abort."""
+
+    def v_of(x):
+        return np.array(field(*x.tolist()))
+
+    xyz, velocity = np.empty((steps + 1, 3)), np.empty((steps + 1, 3))
+    done = 0
+    x = start.to_cartesian()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            v = v_of(x)
+            xyz[0] = x
+            velocity[0] = v
+            for done in range(1, steps + 1):
+                k1 = v
+                k2 = v_of(x + 0.5 * dt * k1)
+                k3 = v_of(x + 0.5 * dt * k2)
+                k4 = v_of(x + dt * k3)
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                v = v_of(x)
+                xyz[done] = x
+                velocity[done] = v
+            done = steps + 1
+        except OriginSingularityError:
+            pass
+    return xyz[:done], velocity[:done]
+
+
 def signed_area_xy(positions):
     """Shoelace sum of the x-y projection; positive for anticlockwise sweeps."""
     x, y = positions[:, 0], positions[:, 1]
@@ -49,7 +86,7 @@ class TestSchrodingerFixedPoints:
         q = QuantumNumbers(2, 1, 1)
         field = SchrodingerEigenstate(q, hydrogen).velocity_field()
         start = SphericalPoint(hydrogen.bohr_radius, math.pi / 2.0, 0.0)
-        speed = np.linalg.norm(field(start.to_cartesian()))
+        speed = math.hypot(*field(*start.to_cartesian().tolist()))
         period = 2.0 * math.pi * start.r / speed
         trajectory = integrate_trajectory(field, start, period / 400.0, 100)
         assert signed_area_xy(trajectory.xyz) > 0.0
@@ -105,9 +142,9 @@ class TestDiracOrbits:
     def test_closed_form_field_tracks_contraction_route(self, hydrogen, spin):
         """RK4 over the closed-form field follows RK4 over j/j0 from the spinor."""
 
-        def contraction(xyz):
-            current = dirac_current(dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian(xyz)))
-            return current.spatial / current.j0
+        def contraction(x, y, z):
+            current = dirac_current(dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian((x, y, z))))
+            return tuple((current.spatial / current.j0).tolist())
 
         guard = ORIGIN_GUARD_RADII * hydrogen.bohr_radius
         reference_field = VelocityField(contraction, min_radius=guard)
@@ -117,6 +154,38 @@ class TestDiracOrbits:
         closed_form = integrate_trajectory(DiracGroundState(spin, hydrogen).velocity_field(), start, dt, 2000)
         assert np.max(np.abs(closed_form.xyz - reference.xyz)) <= 1e-12 * start.r
         assert np.max(np.abs(closed_form.velocity - reference.velocity)) <= 1e-12 * hydrogen.za
+
+
+class TestFloatKernel:
+    """integrate_trajectory gives the bits of the same RK4 run on numpy arrays."""
+
+    @pytest.mark.parametrize("spin", [UP, DOWN], ids=("up", "down"))
+    def test_dirac_rows_equal_the_array_loop(self, hydrogen, spin):
+        model = DiracGroundState(spin, hydrogen)
+        start = SphericalPoint(3.1 * hydrogen.bohr_radius, 1.1, 0.4)
+        dt = period_of(spin, hydrogen, start) / 2000
+        run = integrate_trajectory(model.velocity_field(), start, dt, 2000)
+        xyz, velocity = array_rk4(model.velocity_field(), start, dt, 2000)
+        assert np.array_equal(run.xyz, xyz) and np.array_equal(run.velocity, velocity)
+
+    @pytest.mark.parametrize("m", [1, -1])
+    def test_schrodinger_rows_equal_the_array_loop(self, hydrogen, m):
+        model = SchrodingerEigenstate(QuantumNumbers(2, 1, m), hydrogen)
+        start = SphericalPoint(2.3 * hydrogen.bohr_radius, 1.0, 0.3)
+        dt = 2.0 * math.pi / abs(model.angular_rate(start)) / 400
+        run = integrate_trajectory(model.velocity_field(), start, dt, 400)
+        xyz, velocity = array_rk4(model.velocity_field(), start, dt, 400)
+        assert np.array_equal(run.xyz, xyz) and np.array_equal(run.velocity, velocity)
+
+    def test_an_aborted_run_keeps_the_array_loop_rows(self):
+        field = VelocityField(inward, min_radius=1.0)
+        start = SphericalPoint(4.0, 1.2, 0.5)
+        with pytest.raises(TrajectorySingularityError) as excinfo:
+            integrate_trajectory(field, start, dt=0.3, steps=50)
+        partial = excinfo.value.trajectory
+        xyz, velocity = array_rk4(field, start, 0.3, 50)
+        assert 1 < len(xyz) < 51
+        assert np.array_equal(partial.xyz, xyz) and np.array_equal(partial.velocity, velocity)
 
 
 class TestAnalyticOrbit:
@@ -181,10 +250,10 @@ class TestIntegratorContract:
                 column[0] = 1.0
 
     def test_origin_guard_aborts_with_partial_trajectory(self):
-        inward = VelocityField(fn=lambda xyz: -xyz / np.linalg.norm(xyz), min_radius=1.0)
+        field = VelocityField(fn=inward, min_radius=1.0)
         start = SphericalPoint(4.0, math.pi / 2.0, 0.0)
         with pytest.raises(TrajectorySingularityError) as excinfo:
-            integrate_trajectory(inward, start, dt=1.0, steps=10)
+            integrate_trajectory(field, start, dt=1.0, steps=10)
         partial = excinfo.value.trajectory
         assert partial is not None
         assert 1 <= len(partial.t) < 11
