@@ -31,22 +31,21 @@ point = SphericalPoint(a0, 1.1, 2.3)
 
 print("== non-relativistic ground state ==")
 psi = hydrogen_wavefunction(ground, atom, point)
-form = polar_decompose(psi)
+amplitude, phase = polar_decompose(psi)
 print(f"psi_100 at (a0, 1.1, 2.3) = {psi:.6e}")
-print(f"amplitude = {form.amplitude:.6e}, phase = {form.phase}")
+print(f"(amplitude, phase) = ({amplitude:.6e}, {phase})")
 print(f"guidance momentum  : {bohm_momentum(ground, atom, point)}")
 print(f"probability current: {probability_current(ground, atom, point)}")
 
 print()
 print("== relativistic ground state (spin up) ==")
 spinor = dirac_ground_state(SpinOrientation.UP, atom, point)
-current = dirac_current(spinor)
+current = dirac_current(spinor)  # the row (j0, j1, j2, j3), spatial parts Cartesian
 velocity = bohm_velocity(SpinOrientation.UP, atom, point)
 print("spinor components:")
 for i, c in enumerate(spinor, start=1):
     print(f"  c{i} = {c:.6e}")
-print(f"four-current (j0, j1, j2, j3) = "
-      f"({current.j0:.6e}, {current.j1:.6e}, {current.j2:.6e}, {current.j3:.6e})")
+print(f"four-current (j0, j1, j2, j3) = {current}")
 print(f"velocity = {velocity}")
 print(f"|v| = {np.linalg.norm(velocity):.10e}  vs  Z*alpha*sin(theta) = "
       f"{atom.za * math.sin(point.theta):.10e}")
@@ -61,5 +60,5 @@ for theta in np.linspace(0.1, math.pi - 0.1, 7):
 print()
 print("The spin-down state carries the opposite current: same speeds, reversed sense.")
 down = dirac_current(dirac_ground_state(SpinOrientation.DOWN, atom, point))
-print(f"spin-up  (j1, j2) = ({current.j1:+.6e}, {current.j2:+.6e})")
-print(f"spin-down(j1, j2) = ({down.j1:+.6e}, {down.j2:+.6e})")
+print(f"spin-up  (j1, j2) = {current[1:3]}")
+print(f"spin-down(j1, j2) = {down[1:3]}")

@@ -14,6 +14,7 @@ import math
 from bohmatom import (
     FINE_STRUCTURE,
     SpinOrientation,
+    excess_over_za_sq,
     lorentz_factor,
     make_atom,
     make_report,
@@ -46,9 +47,7 @@ print(f"{'scale':>8}  {'mean_gamma - 1':>16}  {'(mean-1)/alpha^2':>18}")
 for scale in (1.0, 0.5, 0.1, 0.01):
     scaled = make_atom(1, FINE_STRUCTURE * scale)
     mean = mean_lorentz_factor(SpinOrientation.UP, scaled)
-    excess = mean - 1.0
-    ratio = excess / scaled.za**2 if excess else 1.0 / 3.0
-    print(f"{scale:8.2f}  {excess:16.6e}  {ratio:18.9f}")
+    print(f"{scale:8.2f}  {mean - 1.0:16.6e}  {excess_over_za_sq(scaled):18.9f}")
 print("the ratio settles on 1/3, and the dilation disappears with the coupling")
 
 print()

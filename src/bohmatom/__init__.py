@@ -20,7 +20,6 @@ from .dilation import (
     mean_lorentz_factor_3d,
 )
 from .dirac_states import (
-    FourCurrent,
     SpinOrientation,
     bohm_velocity,
     closed_form_current,
@@ -42,7 +41,6 @@ from .errors import (
 from .models import DiracGroundState, SchrodingerEigenstate
 from .physics_core import FINE_STRUCTURE, AtomConfig, make_atom
 from .schrodinger_states import (
-    PolarForm,
     QuantumNumbers,
     bohm_momentum,
     hydrogen_wavefunction,
@@ -61,10 +59,8 @@ __all__ = [
     "DiracGroundState",
     "DomainError",
     "FINE_STRUCTURE",
-    "FourCurrent",
     "OriginSingularityError",
     "PhaseSingularityError",
-    "PolarForm",
     "QuantumNumbers",
     "SchrodingerEigenstate",
     "SphericalPoint",

@@ -114,6 +114,14 @@ def vector_to_cartesian(point: SphericalPoint | SphericalPoints, components) -> 
     return np.einsum("...ki,...k->...i", spherical_basis(point), np.asarray(components, dtype=float))
 
 
+def azimuthal_to_cartesian(phi, v_phi) -> np.ndarray:
+    """Cartesian (v_x, v_y, v_z) of the azimuthal vector v_phi * phi_hat at azimuth phi:
+    (N, 3) for 1-D columns, (3,) for scalars."""
+    # 0.0 - a and a + 0.0 map a signed zero to +0.0, so a flow that vanishes
+    # (on the axis, or everywhere for m = 0) is written as 0.0, never -0.0.
+    return np.stack([0.0 - v_phi * np.sin(phi), v_phi * np.cos(phi) + 0.0, np.zeros_like(v_phi)], axis=-1)
+
+
 def vector_norm(v):
     """np.linalg.norm over the last axis (a float for one vector); where the sum of squares
     overflows, or underflows below the smallest normal float for a nonzero vector, each vector

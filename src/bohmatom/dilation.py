@@ -26,6 +26,10 @@ from .errors import DomainError
 from .physics_core import AtomConfig
 from .quadrature import axisymmetric_nodes
 
+#: Radial and polar Gauss rule sizes of the mean_lorentz_factor_3d quadrature.
+_ORACLE_RADIAL_NODES = 48
+_ORACLE_THETA_NODES = 72
+
 
 def lorentz_factor(v) -> float:
     """gamma_L = 1 / sqrt(1 - |v|^2) for a velocity 3-vector with |v| < 1."""
@@ -58,13 +62,13 @@ def excess_over_za_sq(atom: AtomConfig) -> float:
     return math.fsum(k ** (2 * j) / (2 * j + 3) for j in range(30))
 
 
-def mean_lorentz_factor_3d(spin: SpinOrientation, atom: AtomConfig, n_radial: int = 48, n_theta: int = 72) -> float:
+def mean_lorentz_factor_3d(spin: SpinOrientation, atom: AtomConfig) -> float:
     """Full int gamma_L(v) j^0 d^3x through the spinor route; the quadrature
     oracle that the closed form of mean_lorentz_factor is tested against."""
-    points, weights = axisymmetric_nodes(atom, n_radial, n_theta)
-    current = dirac_current(dirac_ground_state(spin, atom, points))
-    v = current.spatial / current.j0[:, None]
-    return float(weights @ (current.j0 / np.sqrt(1.0 - np.sum(v * v, axis=1))))
+    points, weights = axisymmetric_nodes(atom, _ORACLE_RADIAL_NODES, _ORACLE_THETA_NODES)
+    j = dirac_current(dirac_ground_state(spin, atom, points))
+    v = j[:, 1:] / j[:, :1]
+    return float(weights @ (j[:, 0] / np.sqrt(1.0 - np.sum(v * v, axis=1))))
 
 
 def dilated_lifetime(rest_lifetime: float, mean_gamma: float) -> float:

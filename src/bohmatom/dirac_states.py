@@ -26,16 +26,18 @@ a SphericalPoint or SphericalPoints (see coords).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .coords import SphericalPoint, SphericalPoints, columns, pole_safe_sin
+from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, columns, pole_safe_sin
 from .errors import DomainError, OriginSingularityError
 from .physics_core import AtomConfig
 from .quadrature import axisymmetric_nodes
+
+#: Radial and polar Gauss rule sizes of the ground_state_norm quadrature.
+_NORM_RADIAL_NODES = 48
+_NORM_THETA_NODES = 64
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -62,26 +64,6 @@ class SpinOrientation(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class FourCurrent:
-    """Probability 4-current (j0, j1, j2, j3), spatial parts Cartesian: floats for one spinor, (N,) columns for N."""
-
-    j0: float
-    j1: float
-    j2: float
-    j3: float
-
-    @property
-    def spatial(self) -> np.ndarray:
-        """(j1, j2, j3): shape (3,) for one spinor, (N, 3) for N."""
-        return np.stack([self.j1, self.j2, self.j3], axis=-1)
-
-    @property
-    def minkowski_norm_sq(self):
-        """j0^2 - |j|^2; nonnegative for a physical (timelike or null) current."""
-        return self.j0 * self.j0 - (self.j1 * self.j1 + self.j2 * self.j2 + self.j3 * self.j3)
-
-
 def gamma_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four gamma matrices (gamma^0, gamma^1, gamma^2, gamma^3), read-only."""
     return _GAMMA[0], _GAMMA[1], _GAMMA[2], _GAMMA[3]
@@ -96,7 +78,6 @@ def small_component_ratio(atom: AtomConfig) -> float:
     return atom.za / (1.0 + atom.gamma_exp)
 
 
-@lru_cache(maxsize=64)
 def _amplitude_prefactor(atom: AtomConfig) -> tuple[float, bool]:
     """A(r)'s constant factor, or its logarithm (flagged True) where the factor exceeds the float range."""
     c = 2.0 * atom.mass * atom.za
@@ -158,13 +139,14 @@ def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(psi, dtype=complex)) @ _GAMMA0
 
 
-def dirac_current(psi: np.ndarray) -> FourCurrent:
+def dirac_current(psi: np.ndarray) -> np.ndarray:
     """j^mu = Re[psibar gamma^mu psi] from the explicit matrix contraction.
 
-    psi of shape (4,) gives float components, (N, 4) gives (N,) columns from
-    one batched contraction. The imaginary part must cancel; it is checked
-    row by row against 1e-13 relative to the density scale rather than
-    trusted to vanish in floating point.
+    A real array with columns j0, j1, j2, j3 (spatial parts Cartesian): shape
+    (4,) for psi of shape (4,), (N, 4) for (N, 4), from one batched
+    contraction. The imaginary part must cancel; it is checked row by row
+    against 1e-13 relative to the density scale rather than trusted to vanish
+    in floating point.
     """
     rows = np.asarray(psi, dtype=complex).reshape(-1, 4)
     j = np.einsum("nk,mkl,nl->nm", dirac_adjoint(rows), _GAMMA, rows)
@@ -173,24 +155,21 @@ def dirac_current(psi: np.ndarray) -> FourCurrent:
     if (leak > 1e-13 * scale).any():
         i = int(np.argmax(leak / scale))
         raise ArithmeticError(f"gamma contraction produced imaginary current {leak[i]} (scale {scale[i]})")
-    return FourCurrent(*(j.real.T if np.ndim(psi) > 1 else j.real[0].tolist()))
+    return j.real if np.ndim(psi) > 1 else j.real[0]
 
 
-def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> FourCurrent:
-    """Ground-state current from the closed forms; regression target for dirac_current."""
+def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
+    """Ground-state current from the closed forms, laid out as dirac_current's
+    array: (4,) at a point, (N, 4) over N points. The regression target for dirac_current."""
     r, theta, phi = columns(p)
     amp2 = radial_amplitude(atom, r) ** 2
     zeta = small_component_ratio(atom)
     b = zeta * np.cos(theta)
     d = zeta * pole_safe_sin(theta)
     sign = 1.0 if spin is SpinOrientation.UP else -1.0
-    j = (
-        amp2 * (1.0 + b * b + d * d),
-        -sign * 2.0 * amp2 * d * np.sin(phi),
-        sign * 2.0 * amp2 * d * np.cos(phi),
-        np.zeros_like(amp2),
-    )
-    return FourCurrent(*(j if isinstance(p, SphericalPoints) else (float(c[0]) for c in j)))
+    flow = sign * 2.0 * amp2 * d
+    j = np.stack([amp2 * (1.0 + b * b + d * d), -flow * np.sin(phi), flow * np.cos(phi), np.zeros_like(amp2)], axis=-1)
+    return j if isinstance(p, SphericalPoints) else j[0]
 
 
 def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
@@ -209,14 +188,12 @@ def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | S
     speed = atom.za * pole_safe_sin(theta)
     if spin is SpinOrientation.DOWN:
         speed = -speed
-    # 0.0 - a and a + 0.0 map a signed zero to +0.0, so a flow that vanishes
-    # (on the axis) is written as 0.0, never -0.0.
-    v = np.stack([0.0 - speed * np.sin(phi), speed * np.cos(phi) + 0.0, np.zeros_like(speed)], axis=-1)
+    v = azimuthal_to_cartesian(phi, speed)
     return v if isinstance(p, SphericalPoints) else v[0]
 
 
-def ground_state_norm(spin: SpinOrientation, atom: AtomConfig, n_radial: int = 48, n_theta: int = 64) -> float:
+def ground_state_norm(spin: SpinOrientation, atom: AtomConfig) -> float:
     """Quadrature value of int j^0 d^3x through the spinor route (should equal 1)."""
-    points, weights = axisymmetric_nodes(atom, n_radial, n_theta)
-    return float(weights @ dirac_current(dirac_ground_state(spin, atom, points)).j0)
+    points, weights = axisymmetric_nodes(atom, _NORM_RADIAL_NODES, _NORM_THETA_NODES)
+    return float(weights @ dirac_current(dirac_ground_state(spin, atom, points))[:, 0])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import SphericalPoint, SphericalPoints, pole_safe_sin, vector_norm, vector_to_cartesian
+from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, pole_safe_sin, vector_norm
 from .dilation import lorentz_factor
 from .dirac_states import SpinOrientation, bohm_velocity, dirac_current, dirac_ground_state
 from .errors import DomainError, PhaseSingularityError
@@ -37,7 +37,7 @@ _NORMAL_MIN = sys.float_info.min
 
 
 def _rotation(w: float, x: float, y: float) -> tuple[float, float, float]:
-    # 0.0 - a and a + 0.0 map a signed zero to +0.0, as bohm_velocity does.
+    # 0.0 - a and a + 0.0 map a signed zero to +0.0, as coords.azimuthal_to_cartesian does.
     return (0.0 - w * y, w * x + 0.0, 0.0)
 
 
@@ -53,7 +53,7 @@ class DiracGroundState:
     def table(self, points: SphericalPoints) -> tuple[np.ndarray, np.ndarray]:
         """The (N, 4) current j^mu from the gamma contraction and the (N, 3) Cartesian velocity."""
         current = dirac_current(dirac_ground_state(self.spin, self.atom, points))
-        return np.column_stack([current.j0, current.spatial]), bohm_velocity(self.spin, self.atom, points)
+        return current, bohm_velocity(self.spin, self.atom, points)
 
     def velocity_field(self) -> VelocityField:
         """v = j/j0, which in Cartesian form reads +/-Z*alpha*(-y, x, 0)/r."""
@@ -83,7 +83,7 @@ class DiracGroundState:
         velocity = bohm_velocity(self.spin, self.atom, point)
         return {
             "spinor": [[float(c.real), float(c.imag)] for c in psi],
-            "current": [current.j0, current.j1, current.j2, current.j3],
+            "current": current.tolist(),
             "velocity": [float(c) for c in velocity],
             "speed": vector_norm(velocity),
             "lorentz_factor": lorentz_factor(velocity),
@@ -103,7 +103,7 @@ class SchrodingerEigenstate:
         """The (N, 4) current (density, then density times velocity) and the (N, 3) Cartesian velocity."""
         # One psi over the grid gives the density; the current is density times velocity.
         density = np.abs(hydrogen_wavefunction(self.q, self.atom, points)) ** 2
-        velocity = vector_to_cartesian(points, bohm_momentum(self.q, self.atom, points) / self.atom.mass)
+        velocity = azimuthal_to_cartesian(points.phi, bohm_momentum(self.q, self.atom, points)[:, 2] / self.atom.mass)
         return np.column_stack([density, density[:, None] * velocity]), velocity
 
     def velocity_field(self) -> VelocityField:
@@ -145,13 +145,13 @@ class SchrodingerEigenstate:
 
     def describe(self, point: SphericalPoint) -> dict:
         psi = hydrogen_wavefunction(self.q, self.atom, point)
-        polar = polar_decompose(psi)
+        amplitude, phase = polar_decompose(psi)
         current = probability_current(self.q, self.atom, point)
-        velocity = vector_to_cartesian(point, bohm_momentum(self.q, self.atom, point) / self.atom.mass)
+        velocity = azimuthal_to_cartesian(point.phi, bohm_momentum(self.q, self.atom, point)[2] / self.atom.mass)
         return {
             "psi": [float(psi.real), float(psi.imag)],
-            "amplitude": polar.amplitude,
-            "phase": polar.phase if polar.phase_defined else None,
+            "amplitude": amplitude,
+            "phase": phase,
             "current_spherical": [float(c) for c in current],
             "velocity": [float(c) for c in velocity],
             "speed": vector_norm(velocity),

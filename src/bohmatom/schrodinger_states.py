@@ -24,6 +24,10 @@ from .physics_core import AtomConfig
 from .quadrature import angular_nodes, composite_gauss_legendre
 from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
 
+#: Gauss rule sizes of the state_norm quadrature: nodes per radial panel, and in cos(theta).
+_NORM_RADIAL_NODES = 64
+_NORM_THETA_NODES = 64
+
 
 @dataclass(frozen=True)
 class QuantumNumbers:
@@ -40,19 +44,6 @@ class QuantumNumbers:
             raise DomainError(f"l must lie in [0, n-1], got n={self.n}, l={self.l}")
         if abs(self.m) > self.l:
             raise DomainError(f"|m| must not exceed l, got l={self.l}, m={self.m}")
-
-
-@dataclass(frozen=True)
-class PolarForm:
-    """Amplitude-phase decomposition psi = amplitude * exp(i * phase).
-
-    phase_defined is False exactly when the amplitude vanishes; the stored
-    phase is NaN in that case.
-    """
-
-    amplitude: float
-    phase: float
-    phase_defined: bool = True
 
 
 def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
@@ -91,12 +82,18 @@ def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint
     return psi if isinstance(p, SphericalPoints) else complex(psi[0])
 
 
-def polar_decompose(psi: complex) -> PolarForm:
-    """Split psi into amplitude |psi| and phase arg(psi) in (-pi, pi]."""
+def polar_decompose(psi: complex) -> tuple[float, float | None]:
+    """psi = amplitude * exp(i * phase) as (amplitude, phase): |psi| and arg(psi) in (-pi, pi].
+
+    The phase is None where psi = 0. atan2 gives -pi on the negative real axis when the imaginary
+    part is -0.0 or too small to move it (sin(pi) is not exactly 0 in floats); that phase is
+    written as pi, and a -0.0 phase as 0.0, as the package writes every vanishing value.
+    """
     amplitude = abs(psi)
     if amplitude == 0.0:
-        return PolarForm(0.0, math.nan, phase_defined=False)
-    return PolarForm(amplitude, math.atan2(psi.imag, psi.real))
+        return 0.0, None
+    phase = math.atan2(psi.imag, psi.real)
+    return amplitude, (math.pi if phase == -math.pi else phase + 0.0)
 
 
 def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
@@ -153,7 +150,7 @@ def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint |
     return out if isinstance(p, SphericalPoints) else out[0]
 
 
-def state_norm(q: QuantumNumbers, atom: AtomConfig, n_radial: int = 64, n_theta: int = 64) -> float:
+def state_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
     """Quadrature value of int |psi_nlm|^2 d^3x (should equal 1).
 
     Composite Gauss-Legendre panels in r out to 45 n a0 (density tail below
@@ -161,8 +158,8 @@ def state_norm(q: QuantumNumbers, atom: AtomConfig, n_radial: int = 64, n_theta:
     """
     a = atom.bohr_radius
     edges = np.array([0.0, 2.0, 8.0, 20.0, 45.0]) * q.n * a
-    r_nodes, r_weights = composite_gauss_legendre(edges, n_radial)
+    r_nodes, r_weights = composite_gauss_legendre(edges, _NORM_RADIAL_NODES)
     radial = radial_function(q, atom, r_nodes) ** 2 * r_nodes * r_nodes
-    theta_nodes, theta_weights = angular_nodes(n_theta)
+    theta_nodes, theta_weights = angular_nodes(_NORM_THETA_NODES)
     angular = np.abs(spherical_harmonic(q.l, q.m, theta_nodes, 0.0)) ** 2
     return 2.0 * math.pi * float(np.sum(r_weights * radial)) * float(np.sum(theta_weights * angular))

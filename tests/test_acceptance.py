@@ -74,12 +74,7 @@ def test_criterion_02_closed_form_dirac_current(hydrogen, rng):
             for p in random_points(rng, hydrogen, 1000):
                 got = dirac_current(dirac_ground_state(spin, hydrogen, p))
                 want = closed_form_current(spin, hydrogen, p)
-                np.testing.assert_allclose(
-                    [got.j0, got.j1, got.j2, got.j3],
-                    [want.j0, want.j1, want.j2, want.j3],
-                    rtol=1e-12,
-                    atol=1e-18 * want.j0,
-                )
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18 * want[0])
 
 
 def test_criterion_03_rotation_sense(hydrogen, rng):
@@ -172,13 +167,13 @@ def test_criterion_08_current_conservation(hydrogen, rng):
                     step[i] = h
                     plus = dirac_current(
                         dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian(xyz + step))
-                    ).spatial[i]
+                    )[1 + i]
                     minus = dirac_current(
                         dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian(xyz - step))
-                    ).spatial[i]
+                    )[1 + i]
                     terms.append((plus - minus) / (2.0 * h))
                 current = dirac_current(dirac_ground_state(spin, hydrogen, p))
-                scale = max(sum(abs(t) for t in terms), float(np.linalg.norm(current.spatial)) / p.r)
+                scale = max(sum(abs(t) for t in terms), float(np.linalg.norm(current[1:])) / p.r)
                 assert abs(sum(terms)) <= 1e-6 * scale
 
 
@@ -229,7 +224,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         for row in rows:
             point = SphericalPoint(row[0], row[1], row[2])
             current = dirac_current(dirac_ground_state(Spin.UP, atom, point))
-            for parsed, computed in zip(row[3:7], (current.j0, current.j1, current.j2, current.j3)):
+            for parsed, computed in zip(row[3:7], current.tolist()):
                 if computed == 0.0:
                     assert parsed == 0.0
                 else:

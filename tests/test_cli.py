@@ -108,10 +108,7 @@ class TestFieldCommand:
             point = SphericalPoint(row[0], row[1], row[2])
             current = dirac_current(dirac_ground_state(SpinOrientation.UP, atom, point))
             # parsed text reproduces the computed values exactly
-            assert row[3] == current.j0
-            assert row[4] == current.j1
-            assert row[5] == current.j2
-            assert row[6] == current.j3
+            assert row[3:7] == current.tolist()
 
     def test_axial_current_column_is_zero(self, runner, tmp_path):
         out = tmp_path / "field.csv"
@@ -196,7 +193,7 @@ class TestFieldCommand:
             point = SphericalPoint(row[0], row[1], row[2])
             current = dirac_current(dirac_ground_state(spin_o, atom, point))
             velocity = bohm_velocity(spin_o, atom, point)
-            assert row[3:7] == [current.j0, current.j1, current.j2, current.j3]
+            assert row[3:7] == current.tolist()
             assert row[7:10] == velocity.tolist()
 
     def test_schrodinger_rows_come_from_one_wavefunction(self, runner, tmp_path):

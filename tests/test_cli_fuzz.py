@@ -255,3 +255,19 @@ def test_a_radial_factor_where_rho_leaves_the_float_range_names_the_radius(tmp_p
     result = check([command, *SCHRODINGER_211, *radius, *out])
     assert result.exit_code == 1
     assert result.stderr == "error: R_nl(r) leaves the float range at r = 1e+308: a factor overflows\n"
+
+
+@pytest.mark.parametrize(
+    "state, point, phase",
+    [
+        # psi's imaginary part is -3.3e-21 here (sin(pi) is not exactly 0), and atan2 gave -pi.
+        (["--n", "2", "--l", "1", "--m", "-1"], ["--phi", "3.141592653589793"], "3.141592653589793"),
+        # psi's imaginary part is -0.0 here, and atan2 gave -0.0.
+        (["--n", "3", "--l", "1", "--m", "0"], ["--r", "1644", "--theta", "2.5"], "0.0"),
+    ],
+    ids=("minus-pi", "signed-zero"),
+)
+def test_state_phase_stays_in_its_range(state, point, phase):
+    text = check(["state", "--model", "schrodinger", *state, *point]).stdout
+    assert f'"phase": {phase},' in text
+    assert finite_json(text)["psi"][1] <= 0.0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bohmatom import DomainError, SphericalPoint, vector_to_cartesian
-from bohmatom.coords import spherical_basis
+from bohmatom import DomainError, SphericalPoint, SphericalPoints, vector_to_cartesian
+from bohmatom.coords import azimuthal_to_cartesian, spherical_basis
 
 
 def test_roundtrip_through_cartesian(rng):
@@ -62,3 +62,21 @@ def test_radial_unit_vector_points_outward():
     np.testing.assert_allclose(
         vector_to_cartesian(p, [1.0, 0.0, 0.0]), p.to_cartesian() / 3.0, atol=1e-14
     )
+
+
+def test_azimuthal_map_equals_the_basis_route_bit_for_bit(rng):
+    # Random points plus the axis, the quarter turns and phi = 0; speeds of both signs, zeros of both signs.
+    n = 2000
+    theta = np.concatenate([rng.uniform(0.0, math.pi, n), [0.0, math.pi, math.pi / 2.0, 1.0, 2.0]])
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, n), [0.0, math.pi, 3.0 * math.pi / 2.0, 0.0, math.pi / 2.0]])
+    v_phi = np.concatenate([rng.normal(size=n) * 10.0 ** rng.uniform(-200, 200, n), [1.0, -1.0, 0.0, -0.0, -3.0]])
+    points = SphericalPoints(np.ones_like(theta), theta, phi)
+    components = np.column_stack([np.zeros_like(v_phi), np.zeros_like(v_phi), v_phi])
+    want = vector_to_cartesian(points, components)
+    got = azimuthal_to_cartesian(points.phi, v_phi)
+    assert got.tobytes() == want.tobytes()
+    for i in range(n, len(theta)):  # the one-point path: scalar coordinates and a float speed
+        p = SphericalPoint(1.0, float(theta[i]), float(phi[i]))
+        want = vector_to_cartesian(p, components[i])
+        assert azimuthal_to_cartesian(p.phi, float(v_phi[i])).tobytes() == want.tobytes()
+    assert not np.signbit(got[v_phi == 0.0]).any()

@@ -29,10 +29,6 @@ UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def current_array(c):
-    return np.array([c.j0, c.j1, c.j2, c.j3])
-
-
 def amplitude_log_form(atom, r):
     """Independent reimplementation of A(r) through logarithms."""
     from scipy.special import gammaln
@@ -168,24 +164,24 @@ class TestDiracAdjoint:
 class TestDiracCurrent:
     def test_rest_spinor(self):
         c = dirac_current(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-        assert (c.j0, c.j1, c.j2, c.j3) == (1.0, 0.0, 0.0, 0.0)
+        assert c.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_matches_closed_form_both_spins(self, hydrogen, sample_points):
         for spin in (UP, DOWN):
             for p in sample_points(hydrogen, 500):
-                got = current_array(dirac_current(dirac_ground_state(spin, hydrogen, p)))
-                want = current_array(closed_form_current(spin, hydrogen, p))
+                got = dirac_current(dirac_ground_state(spin, hydrogen, p))
+                want = closed_form_current(spin, hydrogen, p)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18 * want[0])
 
     def test_axial_current_component_vanishes(self, hydrogen, sample_points):
         for spin in (UP, DOWN):
             for p in sample_points(hydrogen, 200):
-                assert dirac_current(dirac_ground_state(spin, hydrogen, p)).j3 == 0.0
+                assert dirac_current(dirac_ground_state(spin, hydrogen, p))[3] == 0.0
 
     def test_spin_mirror(self, hydrogen, sample_points):
         for p in sample_points(hydrogen, 200):
-            up = current_array(dirac_current(dirac_ground_state(UP, hydrogen, p)))
-            down = current_array(dirac_current(dirac_ground_state(DOWN, hydrogen, p)))
+            up = dirac_current(dirac_ground_state(UP, hydrogen, p))
+            down = dirac_current(dirac_ground_state(DOWN, hydrogen, p))
             np.testing.assert_allclose(
                 down, [up[0], -up[1], -up[2], 0.0], rtol=1e-13, atol=1e-20 * up[0]
             )
@@ -193,20 +189,21 @@ class TestDiracCurrent:
     def test_current_is_timelike(self, hydrogen, sample_points):
         zeta = small_component_ratio(hydrogen)
         for p in sample_points(hydrogen, 100):
-            cur = dirac_current(dirac_ground_state(UP, hydrogen, p))
-            assert cur.minkowski_norm_sq > 0.0
+            j0, j1, j2, j3 = dirac_current(dirac_ground_state(UP, hydrogen, p))
+            norm_sq = j0 * j0 - (j1 * j1 + j2 * j2 + j3 * j3)
+            assert norm_sq > 0.0
             amp = radial_amplitude(hydrogen, p.r)
             b = zeta * math.cos(p.theta)
             d = zeta * math.sin(p.theta)
             want = amp**4 * ((1.0 - d) ** 2 + b * b) * ((1.0 + d) ** 2 + b * b)
-            assert cur.minkowski_norm_sq == pytest.approx(want, rel=1e-10)
+            assert norm_sq == pytest.approx(want, rel=1e-10)
 
     def test_generic_spinor_current_is_physical(self, rng):
         for _ in range(100):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            cur = dirac_current(psi)
-            assert cur.j0 > 0.0
-            assert cur.minkowski_norm_sq >= -1e-12 * cur.j0**2
+            j0, j1, j2, j3 = dirac_current(psi)
+            assert j0 > 0.0
+            assert j0 * j0 - (j1 * j1 + j2 * j2 + j3 * j3) >= -1e-12 * j0**2
 
     def test_rotation_sense(self, hydrogen, sample_points):
         # z component of the angular momentum density x*j2 - y*j1
@@ -214,8 +211,8 @@ class TestDiracCurrent:
             xyz = p.to_cartesian()
             up = dirac_current(dirac_ground_state(UP, hydrogen, p))
             down = dirac_current(dirac_ground_state(DOWN, hydrogen, p))
-            assert xyz[0] * up.j2 - xyz[1] * up.j1 > 0.0
-            assert xyz[0] * down.j2 - xyz[1] * down.j1 < 0.0
+            assert xyz[0] * up[2] - xyz[1] * up[1] > 0.0
+            assert xyz[0] * down[2] - xyz[1] * down[1] < 0.0
 
 
 class TestBohmVelocity:
@@ -289,7 +286,7 @@ def test_closed_form_velocities_match_gamma_contraction(z, alpha_factor, radii, 
     atom = make_atom(z, FINE_STRUCTURE * alpha_factor)
     p = SphericalPoint(radii * atom.bohr_radius, theta, phi)
     current = dirac_current(dirac_ground_state(spin, atom, p))
-    reference = current.spatial / current.j0
+    reference = current[1:] / current[0]
     flow = np.array(DiracGroundState(spin, atom).velocity_field()(*p.to_cartesian().tolist()))
     for v in (bohm_velocity(spin, atom, p), flow):
         assert np.max(np.abs(v - reference)) <= 4e-15 * atom.za
@@ -304,10 +301,10 @@ def finite_difference_divergence(spin, atom, xyz, h):
         step[i] = h
         plus = dirac_current(
             dirac_ground_state(spin, atom, SphericalPoint.from_cartesian(xyz + step))
-        ).spatial[i]
+        )[1 + i]
         minus = dirac_current(
             dirac_ground_state(spin, atom, SphericalPoint.from_cartesian(xyz - step))
-        ).spatial[i]
+        )[1 + i]
         terms.append((plus - minus) / (2.0 * h))
     return sum(terms), sum(abs(t) for t in terms)
 
@@ -320,7 +317,7 @@ class TestStationarity:
                 xyz = p.to_cartesian()
                 div, term_scale = finite_difference_divergence(spin, hydrogen, xyz, h)
                 current = dirac_current(dirac_ground_state(spin, hydrogen, p))
-                scale = max(term_scale, np.linalg.norm(current.spatial) / p.r)
+                scale = max(term_scale, np.linalg.norm(current[1:]) / p.r)
                 assert abs(div) <= 1e-6 * scale
 
 

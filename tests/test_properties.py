@@ -89,9 +89,9 @@ def test_dirac_array_path_equals_the_scalar_api(atom, spin, raw):
         single_psi = dirac_ground_state(spin, atom, p)
         assert same(psi[i], single_psi)
         one = dirac_current(single_psi)
-        assert same([current.j0[i], current.j1[i], current.j2[i], current.j3[i]], [one.j0, one.j1, one.j2, one.j3])
+        assert same(current[i], one)
         ref = closed_form_current(spin, atom, p)
-        assert same([closed.j0[i], closed.j1[i], closed.j2[i], closed.j3[i]], [ref.j0, ref.j1, ref.j2, ref.j3])
+        assert same(closed[i], ref)
         assert same(velocity[i], bohm_velocity(spin, atom, p))
         assert amplitude[i] == radial_amplitude(atom, p.r)
 
@@ -194,18 +194,19 @@ def test_dirac_current_is_physical_and_the_spins_mirror(atom, raw):
     up = dirac_current(dirac_ground_state(UP, atom, columns))
     down = dirac_current(dirac_ground_state(DOWN, atom, columns))
     for current in (up, down):
-        assert np.all(current.j0 >= 0.0)
-        assert np.all(current.minkowski_norm_sq >= -1e-15 * current.j0**2)
-        assert np.all(current.j3 == 0.0)
-    np.testing.assert_allclose(down.j0, up.j0, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(down.spatial, -up.spatial, rtol=1e-13, atol=0.0)
+        j0, j1, j2, j3 = current.T
+        assert np.all(j0 >= 0.0)
+        assert np.all(j0 * j0 - (j1 * j1 + j2 * j2 + j3 * j3) >= -1e-15 * j0**2)
+        assert np.all(j3 == 0.0)
+    np.testing.assert_allclose(down[:, 0], up[:, 0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(down[:, 1:], -up[:, 1:], rtol=1e-13, atol=0.0)
     v_up = bohm_velocity(UP, atom, columns)
     v_down = bohm_velocity(DOWN, atom, columns)
     np.testing.assert_array_equal(v_down, -v_up)
     assert np.all(np.linalg.norm(v_up, axis=1) < 1.0)
     # Where j0 is representable the closed-form velocity is the ratio j / j0.
-    positive = up.j0 > 0.0
-    ratio = up.spatial[positive] / up.j0[positive, None]
+    positive = up[:, 0] > 0.0
+    ratio = up[positive, 1:] / up[positive, :1]
     assert np.all(np.abs(ratio - v_up[positive]) <= 4e-15 * atom.za)
 
 
@@ -232,7 +233,7 @@ def test_field_csv_round_trips_exactly(tmp_path_factory, z, scale, mass, spin, c
     spin_o = SpinOrientation(spin)
     current = dirac_current(dirac_ground_state(spin_o, atom, columns))
     velocity = bohm_velocity(spin_o, atom, columns)
-    assert same(rows[:, 3], current.j0)
-    assert same(rows[:, 4:7], current.spatial)
+    assert same(rows[:, 3], current[:, 0])
+    assert same(rows[:, 4:7], current[:, 1:])
     assert same(rows[:, 7:10], velocity)
     assert same(rows[:, 10], np.linalg.norm(velocity, axis=1))

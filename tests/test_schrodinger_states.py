@@ -100,31 +100,28 @@ class TestWavefunction:
 
 class TestPolarDecompose:
     def test_negative_real(self):
-        form = polar_decompose(-2.0)
-        assert form.amplitude == 2.0
-        assert form.phase == pytest.approx(math.pi)
+        amplitude, phase = polar_decompose(-2.0)
+        assert amplitude == 2.0
+        assert phase == pytest.approx(math.pi)
 
     def test_pure_imaginary(self):
-        form = polar_decompose(3.0j)
-        assert form.amplitude == 3.0
-        assert form.phase == pytest.approx(math.pi / 2.0)
+        amplitude, phase = polar_decompose(3.0j)
+        assert amplitude == 3.0
+        assert phase == pytest.approx(math.pi / 2.0)
 
     def test_zero_flags_phase_undefined(self):
-        form = polar_decompose(0.0)
-        assert form.amplitude == 0.0
-        assert not form.phase_defined
-        assert math.isnan(form.phase)
+        assert polar_decompose(0.0) == (0.0, None)
 
     def test_ground_state_phase_is_zero(self, hydrogen, sample_points):
         for p in sample_points(hydrogen, 20):
-            form = polar_decompose(hydrogen_wavefunction(GROUND, hydrogen, p))
-            assert form.phase == 0.0
+            _, phase = polar_decompose(hydrogen_wavefunction(GROUND, hydrogen, p))
+            assert phase == 0.0
 
     def test_reconstruction(self, rng):
         for _ in range(200):
             psi = complex(rng.normal(), rng.normal())
-            form = polar_decompose(psi)
-            back = form.amplitude * cmath.exp(1j * form.phase)
+            amplitude, phase = polar_decompose(psi)
+            back = amplitude * cmath.exp(1j * phase)
             assert abs(back - psi) <= 1e-14 * abs(psi)
 
 

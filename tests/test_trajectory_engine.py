@@ -144,7 +144,7 @@ class TestDiracOrbits:
 
         def contraction(x, y, z):
             current = dirac_current(dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian((x, y, z))))
-            return tuple((current.spatial / current.j0).tolist())
+            return tuple((current[1:] / current[0]).tolist())
 
         guard = ORIGIN_GUARD_RADII * hydrogen.bohr_radius
         reference_field = VelocityField(contraction, min_radius=guard)
