@@ -7,92 +7,42 @@ non-relativistic flow of every m = 0 eigenstate vanishes identically, while
 the relativistic ground-state flow circulates azimuthally at speed
 Z*alpha*sin(theta), so a bound unstable particle picks up a computable
 lifetime dilation.
+
+The public names are imported from their submodules on first access
+(PEP 562), so importing the package, or a submodule that needs no numpy such
+as dilation, does not import numpy.
 """
 
-from .coords import SphericalPoint, SphericalPoints, vector_to_cartesian
-from .dilation import (
-    DilationReport,
-    dilated_lifetime,
-    excess_over_za_sq,
-    lorentz_factor,
-    make_report,
-    mean_lorentz_factor,
-    mean_lorentz_factor_3d,
-)
-from .dirac_states import (
-    SpinOrientation,
-    bohm_velocity,
-    closed_form_current,
-    dirac_adjoint,
-    dirac_current,
-    dirac_ground_state,
-    gamma_matrices,
-    ground_state_norm,
-    radial_amplitude,
-    small_component_ratio,
-)
-from .errors import (
-    DomainError,
-    OriginSingularityError,
-    PhaseSingularityError,
-    SupercriticalCouplingError,
-    TrajectorySingularityError,
-)
-from .models import DiracGroundState, SchrodingerEigenstate
-from .physics_core import FINE_STRUCTURE, AtomConfig, make_atom
-from .schrodinger_states import (
-    QuantumNumbers,
-    bohm_momentum,
-    hydrogen_wavefunction,
-    polar_decompose,
-    probability_current,
-    radial_function,
-    state_norm,
-)
-from .trajectory_engine import Trajectory, VelocityField, circular_orbit_xyz, integrate_trajectory
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomConfig",
-    "DilationReport",
-    "DiracGroundState",
-    "DomainError",
-    "FINE_STRUCTURE",
-    "OriginSingularityError",
-    "PhaseSingularityError",
-    "QuantumNumbers",
-    "SchrodingerEigenstate",
-    "SphericalPoint",
-    "SphericalPoints",
-    "SpinOrientation",
-    "SupercriticalCouplingError",
-    "Trajectory",
-    "TrajectorySingularityError",
-    "VelocityField",
-    "bohm_momentum",
-    "bohm_velocity",
-    "circular_orbit_xyz",
-    "closed_form_current",
-    "dilated_lifetime",
-    "excess_over_za_sq",
-    "dirac_adjoint",
-    "dirac_current",
-    "dirac_ground_state",
-    "gamma_matrices",
-    "ground_state_norm",
-    "hydrogen_wavefunction",
-    "integrate_trajectory",
-    "lorentz_factor",
-    "make_atom",
-    "make_report",
-    "mean_lorentz_factor",
-    "mean_lorentz_factor_3d",
-    "polar_decompose",
-    "probability_current",
-    "radial_amplitude",
-    "radial_function",
-    "small_component_ratio",
-    "state_norm",
-    "vector_to_cartesian",
-]
+#: Submodule -> the public names it defines.
+_SUBMODULE_EXPORTS = {
+    "coords": ["SphericalPoint", "SphericalPoints", "vector_to_cartesian"],
+    "dilation": ["DilationReport", "dilated_lifetime", "excess_over_za_sq", "make_report", "mean_lorentz_factor"],
+    "dirac_states": [
+        "bohm_velocity", "closed_form_current", "dirac_adjoint", "dirac_current", "dirac_ground_state",
+        "gamma_matrices", "ground_state_norm", "mean_lorentz_factor_3d", "radial_amplitude", "small_component_ratio",
+    ],
+    "errors": [
+        "DomainError", "OriginSingularityError", "PhaseSingularityError", "SupercriticalCouplingError",
+        "TrajectorySingularityError",
+    ],
+    "models": ["DiracGroundState", "SchrodingerEigenstate", "lorentz_factor"],
+    "physics_core": ["FINE_STRUCTURE", "AtomConfig", "SpinOrientation", "make_atom"],
+    "schrodinger_states": [
+        "QuantumNumbers", "bohm_momentum", "hydrogen_wavefunction", "polar_decompose", "probability_current",
+        "radial_function", "state_norm",
+    ],
+    "trajectory_engine": ["Trajectory", "VelocityField", "circular_orbit_xyz", "integrate_trajectory"],
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

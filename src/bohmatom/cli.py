@@ -4,7 +4,9 @@ All file values are in natural units (hbar = c = 1) except lifetime fields,
 which are in seconds. Numbers are serialized with shortest round-trip
 precision, CSV uses one '#' comment line, a single header row, comma
 delimiters and LF line endings, and identical invocations produce
-byte-identical files. Diagnostics go to stderr only.
+byte-identical files. Diagnostics go to stderr only. The module imports no
+numpy: `dilate` and `--help` run without it, and the array commands import
+it, with the models, when they run.
 """
 
 from __future__ import annotations
@@ -16,16 +18,10 @@ import os
 import sys
 
 import click
-import numpy as np
 
-from .coords import SphericalPoint, SphericalPoints, vector_norm
 from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
-from .dirac_states import SpinOrientation
 from .errors import DomainError, TrajectorySingularityError
-from .models import DiracGroundState, SchrodingerEigenstate
-from .physics_core import FINE_STRUCTURE, make_atom
-from .schrodinger_states import QuantumNumbers
-from .trajectory_engine import circular_orbit_xyz, integrate_trajectory
+from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 
@@ -71,12 +67,15 @@ def _json_text(doc) -> str:
         _fail(_NOT_FINITE)
 
 
-def _csv_text(comment: str, columns: list[str], table: np.ndarray) -> str:
+def _csv_text(comment: str, columns: list[str], table) -> str:
+    import numpy as np
+
     if not np.isfinite(table).all():
         _fail(_NOT_FINITE)
     lines = [f"# bohmatom {comment}", ",".join(columns)]
     lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final LF, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
@@ -115,6 +114,9 @@ def _make_atom(z: int, alpha_scale: float, mass: float):
 
 def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
     """Enforce the model-conditional flags, then build the model on its atom."""
+    from .models import DiracGroundState, SchrodingerEigenstate
+    from .schrodinger_states import QuantumNumbers
+
     if model == "schrodinger":
         if spin is not None:
             raise click.UsageError("--spin applies only to --model dirac")
@@ -150,6 +152,10 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     Rows are ordered r-major, then theta, then phi. Columns: r, theta, phi,
     j0, j1, j2, j3, vx, vy, vz, speed (spatial components Cartesian).
     """
+    import numpy as np
+
+    from .coords import SphericalPoints, vector_norm
+
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     a0 = model.atom.bohr_radius
     r_lo = 0.2 * a0 if r_min is None else r_min
@@ -197,6 +203,11 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     the Cartesian distance to it. CSV output carries the run summary in a
     '<out>.summary.json' sidecar; JSON output embeds it.
     """
+    import numpy as np
+
+    from .coords import SphericalPoint, vector_norm
+    from .trajectory_engine import circular_orbit_xyz, integrate_trajectory
+
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     if steps < 0:
         raise click.UsageError("--steps must be nonnegative")
@@ -291,6 +302,8 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
 def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out):
     """Print the wavefunction or spinor (and local flow data) at one point."""
+    from .coords import SphericalPoint
+
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     try:
         point = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)

@@ -10,8 +10,9 @@ trajectories is visible.
 Because the speed depends only on theta and the density factorizes, the mean
 is a one-dimensional theta average against the marginal weight sin(theta)/2,
 which has the closed form artanh(Z*alpha) / (Z*alpha). That closed form is
-the only runtime path; the full three-dimensional quadrature through the
-spinor, mean_lorentz_factor_3d, is kept as the oracle it is tested against.
+the only runtime path, and it needs nothing but the math module; the full
+three-dimensional quadrature through the spinor, dirac_states.mean_lorentz_factor_3d,
+is kept as the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -19,25 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dirac_states import SpinOrientation, dirac_current, dirac_ground_state
 from .errors import DomainError
-from .physics_core import AtomConfig
-from .quadrature import axisymmetric_nodes
-
-#: Radial and polar Gauss rule sizes of the mean_lorentz_factor_3d quadrature.
-_ORACLE_RADIAL_NODES = 48
-_ORACLE_THETA_NODES = 72
-
-
-def lorentz_factor(v) -> float:
-    """gamma_L = 1 / sqrt(1 - |v|^2) for a velocity 3-vector with |v| < 1."""
-    v = np.asarray(v, dtype=float)
-    speed_sq = float(np.dot(v, v))
-    if speed_sq >= 1.0:
-        raise DomainError(f"|v| must be < 1, got |v|^2 = {speed_sq}")
-    return 1.0 / math.sqrt(1.0 - speed_sq)
+from .physics_core import AtomConfig, SpinOrientation
 
 
 def mean_lorentz_factor(spin: SpinOrientation, atom: AtomConfig) -> float:
@@ -60,15 +44,6 @@ def excess_over_za_sq(atom: AtomConfig) -> float:
     if k >= 0.5:
         return (math.atanh(k) - k) / k**3
     return math.fsum(k ** (2 * j) / (2 * j + 3) for j in range(30))
-
-
-def mean_lorentz_factor_3d(spin: SpinOrientation, atom: AtomConfig) -> float:
-    """Full int gamma_L(v) j^0 d^3x through the spinor route; the quadrature
-    oracle that the closed form of mean_lorentz_factor is tested against."""
-    points, weights = axisymmetric_nodes(atom, _ORACLE_RADIAL_NODES, _ORACLE_THETA_NODES)
-    j = dirac_current(dirac_ground_state(spin, atom, points))
-    v = j[:, 1:] / j[:, :1]
-    return float(weights @ (j[:, 0] / np.sqrt(1.0 - np.sum(v * v, axis=1))))
 
 
 def dilated_lifetime(rest_lifetime: float, mean_gamma: float) -> float:

@@ -26,18 +26,19 @@ a SphericalPoint or SphericalPoints (see coords).
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, columns, pole_safe_sin
 from .errors import DomainError, OriginSingularityError
-from .physics_core import AtomConfig
+from .physics_core import AtomConfig, SpinOrientation
 from .quadrature import axisymmetric_nodes
 
-#: Radial and polar Gauss rule sizes of the ground_state_norm quadrature.
+#: Gauss rule sizes of the spinor-route quadratures: radial nodes for both, then
+#: polar nodes for ground_state_norm and for mean_lorentz_factor_3d.
 _NORM_RADIAL_NODES = 48
 _NORM_THETA_NODES = 64
+_ORACLE_THETA_NODES = 72
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -57,11 +58,6 @@ def _build_gammas() -> np.ndarray:
 
 _GAMMA = _build_gammas()
 _GAMMA0 = _GAMMA[0]
-
-
-class SpinOrientation(Enum):
-    UP = "up"
-    DOWN = "down"
 
 
 def gamma_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +151,8 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     if (leak > 1e-13 * scale).any():
         i = int(np.argmax(leak / scale))
         raise ArithmeticError(f"gamma contraction produced imaginary current {leak[i]} (scale {scale[i]})")
-    return j.real if np.ndim(psi) > 1 else j.real[0]
+    real = j.real.copy()  # owns its data, so the complex contraction is freed on return
+    return real if np.ndim(psi) > 1 else real[0]
 
 
 def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
@@ -197,3 +194,11 @@ def ground_state_norm(spin: SpinOrientation, atom: AtomConfig) -> float:
     points, weights = axisymmetric_nodes(atom, _NORM_RADIAL_NODES, _NORM_THETA_NODES)
     return float(weights @ dirac_current(dirac_ground_state(spin, atom, points))[:, 0])
 
+
+def mean_lorentz_factor_3d(spin: SpinOrientation, atom: AtomConfig) -> float:
+    """Full int gamma_L(v) j^0 d^3x through the spinor route; the quadrature
+    oracle that the closed form of dilation.mean_lorentz_factor is tested against."""
+    points, weights = axisymmetric_nodes(atom, _NORM_RADIAL_NODES, _ORACLE_THETA_NODES)
+    j = dirac_current(dirac_ground_state(spin, atom, points))
+    v = j[:, 1:] / j[:, :1]
+    return float(weights @ (j[:, 0] / np.sqrt(1.0 - np.sum(v * v, axis=1))))

@@ -14,7 +14,8 @@ class PhaseSingularityError(DomainError):
 
 
 class OriginSingularityError(DomainError):
-    """Pointwise evaluation at r = 0 where the relativistic radial amplitude diverges."""
+    """Evaluation at r = 0, where the relativistic radial amplitude diverges and the flow is
+    undefined, or a trajectory field evaluation inside the origin guard radius."""
 
 
 class TrajectorySingularityError(RuntimeError):

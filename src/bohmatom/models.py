@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, pole_safe_sin, vector_norm
-from .dilation import lorentz_factor
-from .dirac_states import SpinOrientation, bohm_velocity, dirac_current, dirac_ground_state
+from .dirac_states import bohm_velocity, dirac_current, dirac_ground_state
 from .errors import DomainError, PhaseSingularityError
-from .physics_core import AtomConfig
+from .physics_core import AtomConfig, SpinOrientation
 from .schrodinger_states import (
     QuantumNumbers,
     bohm_momentum,
@@ -34,6 +33,15 @@ from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
 
 #: Below the smallest normal float a sum of squares has lost digits.
 _NORMAL_MIN = sys.float_info.min
+
+
+def lorentz_factor(v) -> float:
+    """gamma_L = 1 / sqrt(1 - |v|^2) for a velocity 3-vector with |v| < 1."""
+    v = np.asarray(v, dtype=float)
+    speed_sq = float(np.dot(v, v))  # not a float sum: that differs from np.dot in the last bit
+    if speed_sq >= 1.0:
+        raise DomainError(f"|v| must be < 1, got |v|^2 = {speed_sq}")
+    return 1.0 / math.sqrt(1.0 - speed_sq)
 
 
 def _rotation(w: float, x: float, y: float) -> tuple[float, float, float]:

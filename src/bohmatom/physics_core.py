@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import DomainError, SupercriticalCouplingError
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 0.0072973525693
+
+
+class SpinOrientation(Enum):
+    UP = "up"
+    DOWN = "down"
 
 
 @dataclass(frozen=True)

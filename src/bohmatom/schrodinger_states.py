@@ -27,6 +27,8 @@ from .special_functions import assoc_legendre, associated_laguerre, spherical_ha
 #: Gauss rule sizes of the state_norm quadrature: nodes per radial panel, and in cos(theta).
 _NORM_RADIAL_NODES = 64
 _NORM_THETA_NODES = 64
+#: log(5e-324): an R_nl bounded below this rounds to 0.
+_LOG_SMALLEST_SUBNORMAL = math.log(5e-324)
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,22 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
         )
     except OverflowError:  # (2 / (n a))^3 overflows; the product below is then not finite
         norm = math.inf
+    degree, order = q.n - q.l - 1, 2 * q.l + 1
     with np.errstate(over="ignore", invalid="ignore"):
         rho = 2.0 * rs / (q.n * a)
-        # Where rho overflows, exp(-rho/2) is 0 and the product is 0 (l = 0) or inf * 0, which the
-        # check below reports with the radius; the Laguerre factor is taken at 0 there, not rejected.
-        laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, np.where(rho < math.inf, rho, 0.0))
+        # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
+        laguerre = associated_laguerre(degree, order, np.where(rho < math.inf, rho, 0.0))
         radial = norm * rho**q.l * np.exp(-0.5 * rho) * laguerre
+    underflow = ~np.isfinite(radial) & (rho >= 1.0)
+    if underflow.any() and 0.0 < norm < math.inf:
+        # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
+        # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
+        # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_bound = (
+                math.log(norm) + (q.n - 1) * np.log(rho) + math.log(associated_laguerre(degree, order, -1.0)) - 0.5 * rho
+            )
+        radial[underflow & ((rho == math.inf) | (log_bound < _LOG_SMALLEST_SUBNORMAL))] = 0.0
     if not np.isfinite(radial).all():
         i = int(np.argmin(np.isfinite(radial)))
         raise DomainError(f"R_nl(r) leaves the float range at r = {float(rs[i])!r}: a factor overflows")

@@ -497,8 +497,27 @@ def test_written_file_replaces_the_existing_one(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
-def test_cli_import_loads_no_scipy():
+_LOADED_AFTER_MAIN = """
+import runpy, sys
+try:
+    runpy.run_module("bohmatom.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
     code = "import sys, bohmatom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], env=_SUBPROCESS_ENV, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+    # The cold path: --help and dilate run without numpy too.
+    out = tmp_path / "report.json"
+    for args in (["--help"], ["dilate", "--rest-lifetime", "2e-6", "--out", str(out)]):
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER_MAIN, *args], env=_SUBPROCESS_ENV, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", args
+    assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0

@@ -188,6 +188,9 @@ def test_dilate(tmp_path, args):
         (["trajectory", "--steps", str(10**20)], 1),
         (["field", "--r-count", str(10**20)], 1),
         (["field", "--r-min", "nan"], 2),
+        # rho**l or the Laguerre factor overflowed where exp(-rho/2) underflowed, and R_nl was inf * 0.
+        (["state", "--model", "schrodinger", "--n", "3", "--l", "0", "--m", "0", "--r", "1e200"], 0),
+        (["state", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", "--r", "1e200"], 0),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -249,12 +252,20 @@ def test_schrodinger_trajectory_runs_where_rho_leaves_the_float_range(tmp_path):
     [("state", ["--r", "1e308"]), ("field", ["--r-min", "1e307", "--r-max", "1e308", "--r-count", "2"])],
     ids=("state", "field"),
 )
-def test_a_radial_factor_where_rho_leaves_the_float_range_names_the_radius(tmp_path, command, radius):
-    # R_nl at rho = inf is inf * 0; the error named the Laguerre argument x instead of the radius.
+def test_a_radial_factor_where_rho_leaves_the_float_range_is_zero(tmp_path, command, radius):
+    # R_nl at rho = inf is inf * 0; the command ended with an error, though the true R_nl underflows to 0.
     out = [] if command == "state" else ["--out", str(tmp_path / "far.out")]
     result = check([command, *SCHRODINGER_211, *radius, *out])
-    assert result.exit_code == 1
-    assert result.stderr == "error: R_nl(r) leaves the float range at r = 1e+308: a factor overflows\n"
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    if command == "state":
+        doc = finite_json(result.stdout)
+        assert doc["psi"] == [0.0, 0.0] and doc["amplitude"] == 0.0
+        assert doc["phase"] is None
+    else:
+        rows = finite_csv((tmp_path / "far.out").read_text(encoding="utf-8"))
+        assert len(rows) == 2 * 7 * 8
+        assert [row[3] for row in rows[-56:]] == [0.0] * 56  # j0 at r = 1e308
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from bohmatom import (
     make_atom,
     polar_decompose,
     probability_current,
+    radial_function,
     state_norm,
 )
 
@@ -92,6 +93,17 @@ class TestWavefunction:
         for p in sample_points(hydrogen, 50):
             got = hydrogen_wavefunction(q, hydrogen, p)
             assert got == pytest.approx(psi_211_closed_form(hydrogen, p), rel=1e-11, abs=1e-30)
+
+    @pytest.mark.parametrize("q", [QuantumNumbers(3, 0, 0), QuantumNumbers(3, 2, 1)], ids=["300", "321"])
+    def test_radial_factor_underflows_to_zero_where_a_factor_overflows(self, hydrogen, q):
+        # rho**l or the Laguerre factor overflows while exp(-rho/2) underflows: inf * 0 there.
+        r = np.array([0.0, hydrogen.bohr_radius, 1e200, 1e308])
+        got = radial_function(q, hydrogen, r)
+        assert got[2:].tolist() == [0.0, 0.0]
+        assert got[:2].tolist() == [radial_function(q, hydrogen, float(x)) for x in r[:2]]
+        assert got[1] > 0.0
+        with pytest.raises(DomainError, match="leaves the float range"):  # the norm itself overflows
+            radial_function(q, make_atom(1, mass=1e300), np.array([1e-298, 1e-200]))
 
     @pytest.mark.parametrize("q", ALL_N_LE_3, ids=lambda q: f"{q.n}{q.l}{q.m}")
     def test_normalization(self, hydrogen, q):
