@@ -59,22 +59,60 @@ def _fail(message: str) -> None:
 
 _NOT_FINITE = "the result is not finite: a value overflowed or is undefined"
 
+#: Rows formatted at a time: bounds the cell strings alive at once.
+_BLOCK_ROWS = 1024
+#: The "rows" value _json_text stands in for a table; no other value of a document is this string.
+_ROWS = "\0rows"
 
-def _json_text(doc) -> str:
+
+def _table_text(table, cell_sep: str, row_sep: str) -> str:
+    """The rows of a float table, each cell the repr of its float, joined by the separators.
+
+    The whole table must be finite, else the command fails. Block by block,
+    each column's cells are keyed by their bit pattern (so -0.0 and 0.0 stay
+    apart), and each distinct value is formatted once.
+    """
+    import numpy as np
+
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if not np.isfinite(table).all():
+        _fail(_NOT_FINITE)
+    bits = table.view(np.int64)
+    blocks = []
+    for start in range(0, len(bits), _BLOCK_ROWS):
+        block = bits[start : start + _BLOCK_ROWS]
+        cells = np.empty(block.shape, dtype=object)
+        for k in range(block.shape[1]):
+            keys, inverse = np.unique(block[:, k], return_inverse=True)
+            cells[:, k] = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)[inverse]
+        blocks.append(row_sep.join(map(cell_sep.join, cells.tolist())))
+    return row_sep.join(blocks)
+
+
+def _json_text(doc: dict) -> str:
+    """The document as indent-2 JSON; a "rows" table is written as its list of row lists would be."""
+    table = doc.get("rows")
+    if table is not None:
+        rows = _table_text(table, ",\n      ", "\n    ],\n    [\n      ")
+        doc = {**doc, "rows": _ROWS}
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError:  # NaN or Infinity, which JSON cannot carry
         _fail(_NOT_FINITE)
+    if table is None:
+        return text
+    head, _, tail = text.partition(json.dumps(_ROWS))
+    if not len(table):
+        return head + "[]" + tail
+    # One join builds the text: each + would copy all of it once more.
+    return "".join([head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail])
 
 
 def _csv_text(comment: str, columns: list[str], table) -> str:
-    import numpy as np
-
-    if not np.isfinite(table).all():
-        _fail(_NOT_FINITE)
     lines = [f"# bohmatom {comment}", ",".join(columns)]
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    lines.append("")  # the final LF, without a second copy of the text
+    if len(table):
+        lines.append(_table_text(table, ",", "\n"))
+    lines.append("")  # the final LF
     return "\n".join(lines)
 
 
@@ -181,7 +219,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     if fmt == "csv":
         text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, table)
     else:
-        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=columns, rows=table.tolist()))
+        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=columns, rows=table))
     _write_files(out, {out: text})
 
 
@@ -255,7 +293,7 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
         comment = "trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"
         texts = {out: _csv_text(comment, columns, table), out + ".summary.json": _json_text(summary)}
     else:
-        doc = _document("trajectory", model, z, alpha_scale, mass, columns=columns, rows=table.tolist(), summary=summary)
+        doc = _document("trajectory", model, z, alpha_scale, mass, columns=columns, rows=table, summary=summary)
         texts = {out: _json_text(doc)}
     _write_files(out, texts)
     if aborted:

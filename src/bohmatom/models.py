@@ -44,6 +44,13 @@ def lorentz_factor(v) -> float:
     return 1.0 / math.sqrt(1.0 - speed_sq)
 
 
+def _with_finite_period(rate: float, r: float) -> float:
+    """The rate of a start that moves; DomainError where it underflowed to 0 or its period 2*pi/|rate| overflows."""
+    if rate == 0.0 or not 2.0 * math.pi / abs(rate) < math.inf:
+        raise DomainError(f"the rotation period 2*pi/|omega| exceeds the float range at r = {r!r}")
+    return rate
+
+
 def _rotation(w: float, x: float, y: float) -> tuple[float, float, float]:
     # 0.0 - a and a + 0.0 map a signed zero to +0.0, as coords.azimuthal_to_cartesian does.
     return (0.0 - w * y, w * x + 0.0, 0.0)
@@ -77,13 +84,14 @@ class DiracGroundState:
         return VelocityField(fn, min_radius=ORIGIN_GUARD_RADII * self.atom.bohr_radius)
 
     def angular_rate(self, start: SphericalPoint) -> float:
-        """+/-Z*alpha/r; 0 on the axis, where the flow vanishes, and inside the origin guard."""
+        """+/-Z*alpha/r; 0 on the axis, where the flow vanishes, and inside the origin guard.
+        DomainError where the rate or its period 2*pi/|rate| leaves the float range."""
         if pole_safe_sin(start.theta) == 0.0 or start.r < ORIGIN_GUARD_RADII * self.atom.bohr_radius:
             return 0.0
         rate = (self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za) / start.r
         if not abs(rate) < math.inf:
             raise DomainError(f"the angular rate Z*alpha/r exceeds the float range at r = {start.r!r}")
-        return rate
+        return _with_finite_period(rate, start.r)
 
     def describe(self, point: SphericalPoint) -> dict:
         psi = dirac_ground_state(self.spin, self.atom, point)
@@ -139,7 +147,8 @@ class SchrodingerEigenstate:
 
     def angular_rate(self, start: SphericalPoint) -> float:
         """(m/mass)/rho^2; 0 where the flow is zero or undefined: for m = 0, on the
-        axis (including where the rate overflows), at a node and inside the origin guard."""
+        axis (including where the rate overflows), at a node and inside the origin guard.
+        DomainError where the start moves but the rate underflows or its period overflows."""
         rho = start.r * pole_safe_sin(start.theta)
         if (
             self.q.m == 0
@@ -149,7 +158,7 @@ class SchrodingerEigenstate:
         ):
             return 0.0
         rate = self.q.m / self.atom.mass / rho / rho
-        return rate if abs(rate) < math.inf else 0.0
+        return _with_finite_period(rate, start.r) if abs(rate) < math.inf else 0.0
 
     def describe(self, point: SphericalPoint) -> dict:
         psi = hydrogen_wavefunction(self.q, self.atom, point)

@@ -156,9 +156,11 @@ def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint |
     out = np.zeros((len(r), 3))
     if q.m != 0:
         st = pole_safe_sin(theta)
-        off_axis = atom.mass * r * st > 0.0  # on the axis, or so near that this product underflows, j = 0
         density = np.abs(np.atleast_1d(hydrogen_wavefunction(q, atom, p))) ** 2
-        out[off_axis, 2] = density[off_axis] * q.m / (atom.mass * r[off_axis] * st[off_axis])
+        # Where the product overflows, j = density * m / inf = 0; on the axis it may read inf * 0 = nan, not > 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            off_axis = atom.mass * r * st > 0.0  # on the axis, or so near that this product underflows, j = 0
+            out[off_axis, 2] = density[off_axis] * q.m / (atom.mass * r[off_axis] * st[off_axis])
     return out if isinstance(p, SphericalPoints) else out[0]
 
 

@@ -262,6 +262,22 @@ class TestTrajectoryCommand:
         summary = json.loads(read_bytes(str(out) + ".summary.json"))
         assert summary["aborted"] is True
 
+    def test_start_inside_the_origin_guard_writes_no_rows(self, runner, tmp_path):
+        # The run aborts before its first row; the JSON still holds an empty table and its summary.
+        out = tmp_path / "t.json"
+        result = runner.invoke(main, ["trajectory", "--r", "1e-10", "--steps", "3", "--format", "json", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: trajectory entered guard radius 0.0001370359990836958 around the origin\n"
+        columns = "".join(f'    "{c}",\n' for c in ["t", "x", "y", "z", "vx", "vy", "vz", "x_ref", "y_ref", "z_ref"])
+        assert out.read_text(encoding="utf-8") == (
+            '{\n  "command": "trajectory",\n  "model": "dirac",\n  "spin": "up",\n  "quantum_numbers": null,\n'
+            '  "Z": 1,\n  "alpha_scale": 1.0,\n  "mass": 1.0,\n'
+            f'  "columns": [\n{columns}    "deviation"\n  ],\n'
+            '  "rows": [],\n'
+            '  "summary": {\n    "dt": 1.0,\n    "steps_requested": 3,\n    "steps_completed": 0,\n'
+            '    "period": null,\n    "max_deviation": 0.0,\n    "aborted": true\n  }\n}\n'
+        )
+
     @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
     def test_invalid_dt_is_a_usage_error(self, runner, tmp_path, dt):
         out = tmp_path / "t.csv"

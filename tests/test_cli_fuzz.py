@@ -16,8 +16,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bohmatom import make_atom
+from bohmatom import QuantumNumbers, make_atom
 from bohmatom.cli import main
+from bohmatom.schrodinger_states import is_node
 
 FLOATS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf", "-inf"]
 COUNTS = ["0", "-1"]
@@ -191,6 +192,18 @@ def test_dilate(tmp_path, args):
         # rho**l or the Laguerre factor overflowed where exp(-rho/2) underflowed, and R_nl was inf * 0.
         (["state", "--model", "schrodinger", "--n", "3", "--l", "0", "--m", "0", "--r", "1e200"], 0),
         (["state", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", "--r", "1e200"], 0),
+        # mass * r * sin(theta) overflowed in the current's axis test (to inf * 0 = nan on the axis).
+        (["state", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1", "--mass", "207.0", "--r", "1e308"], 0),
+        (["state", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1", "--mass", "207.0", "--r", "1e308",
+          "--theta", "0"], 1),
+        # The start moves, but m/mass/rho/rho underflowed to 0 and the run read as "no circle" (period null).
+        (["trajectory", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1", "--r", "1e200", "--theta", "1",
+          "--steps", "2"], 1),
+        # The rate is a normal float, but the period 2*pi/|omega| overflowed and read as "no circle".
+        (["trajectory", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1", "--r", "1e154", "--theta", "1",
+          "--steps", "2"], 1),
+        # Z*alpha/r is subnormal and its period overflowed.
+        (["trajectory", "--r", "1e306", "--steps", "2"], 1),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -229,9 +242,10 @@ def test_far_schrodinger_speed_keeps_an_underflowing_velocity():
 
 
 def test_far_schrodinger_deviation_keeps_an_underflowing_offset(tmp_path):
-    # The position drifts about 1.19e-200 off the reference per step; the deviation read 0.
+    # The position drifts about 1.19e-210 off the reference per step; the deviation read 0.
     out = tmp_path / "far.csv"
-    args = ["trajectory", *SCHRODINGER_211, "--r", "1e200", "--theta", "1", "--steps", "2", "--out", str(out)]
+    args = ["trajectory", *SCHRODINGER_211, "--r", "1e150", "--theta", "1", "--dt", "1e-60", "--steps", "2",
+            "--out", str(out)]
     assert check(args).exit_code == 0
     rows = finite_csv(out.read_text(encoding="utf-8"))
     assert rows[-1][10] > 0.0
@@ -241,10 +255,14 @@ def test_far_schrodinger_deviation_keeps_an_underflowing_offset(tmp_path):
 
 def test_schrodinger_trajectory_runs_where_rho_leaves_the_float_range(tmp_path):
     # rho = 2r/(n a0) overflows at r = 1e308; the node test ended the run naming its argument x.
+    # The node test now passes this start, and the run ends where its rate underflows to 0.
+    assert not is_node(QuantumNumbers(2, 1, 1), make_atom(), 1e308, math.cos(1.0))
     out = tmp_path / "far.csv"
     args = ["trajectory", *SCHRODINGER_211, "--r", "1e308", "--theta", "1", "--steps", "1", "--out", str(out)]
-    assert check(args).exit_code == 0
-    assert len(finite_csv(out.read_text(encoding="utf-8"))) == 2
+    result = check(args)
+    assert result.exit_code == 1
+    assert result.stderr == "error: the rotation period 2*pi/|omega| exceeds the float range at r = 1e+308\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

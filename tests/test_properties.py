@@ -5,11 +5,14 @@ scalar API (one SphericalPoint at a time) bit for bit, as the float node test
 must equal its array rows, the Dirac current must
 be physical (j0 >= 0, timelike up to rounding, |v| < 1), the two spins must be
 mirror images, and the field command's CSV text must parse back to exactly
-the values the library computes.
+the values the library computes. The table writer must produce the same bytes
+as the row-wise repr join and json.dumps(indent=2) it replaces.
 """
 
+import json
 import math
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -36,6 +39,7 @@ from bohmatom import (
     radial_function,
     vector_to_cartesian,
 )
+from bohmatom import cli
 from bohmatom.cli import main
 from bohmatom.schrodinger_states import is_node
 from bohmatom.special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
@@ -237,3 +241,65 @@ def test_field_csv_round_trips_exactly(tmp_path_factory, z, scale, mass, spin, c
     assert same(rows[:, 4:7], current[:, 1:])
     assert same(rows[:, 7:10], velocity)
     assert same(rows[:, 10], np.linalg.norm(velocity, axis=1))
+
+
+B = cli._BLOCK_ROWS
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5e-320, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, -1e16, 123456789.0]
+# A few distinct values per table, so cells repeat within a block and across block boundaries.
+value_pools = st.lists(
+    st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=6
+)
+
+
+def pooled_table(pool, seed, n_rows, n_cols):
+    """An (n_rows, n_cols) table drawn from the pool, with -0.0 beside 0.0 and a row repeated across the first block edge."""
+    table = np.asarray(pool)[np.random.default_rng(seed).integers(len(pool), size=(n_rows, n_cols))]
+    if n_rows >= 2:
+        table[:2, 0] = -0.0, 0.0
+    if n_rows > B:
+        table[B] = table[B - 1]
+    return table
+
+
+def reference_csv(comment, columns, table):
+    lines = [f"# bohmatom {comment}", ",".join(columns)]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
+    return "\n".join(lines + [""])
+
+
+def document(columns, rows):
+    return {"command": "trajectory", "columns": columns, "rows": rows, "summary": {"period": None, "dt": 0.5}}
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@settings(max_examples=20, deadline=None)
+@given(pool=value_pools, seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 4))
+def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_cols):
+    table = pooled_table(pool, seed, n_rows, n_cols)
+    columns = [f"c{k}" for k in range(n_cols)]
+    # Compared line by line: equal lists are equal texts, and a mismatch reports its first line quickly.
+    assert cli._csv_text("table", columns, table).split("\n") == reference_csv("table", columns, table).split("\n")
+    expected = json.dumps(document(columns, table.tolist()), indent=2) + "\n"
+    assert cli._json_text(document(columns, table)).split("\n") == expected.split("\n")
+
+
+@pytest.mark.parametrize("writer", ["csv", "json"])
+@settings(max_examples=20, deadline=None)
+@given(
+    pool=value_pools,
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.sampled_from([1, B, B + 1]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_table_writer_rejects_a_non_finite_cell(writer, pool, seed, n_rows, bad, where):
+    table = pooled_table(pool, seed, n_rows, 3)
+    table.flat[int(where * table.size)] = bad
+    write = {
+        "csv": lambda: cli._csv_text("t", ["a", "b", "c"], table),
+        "json": lambda: cli._json_text(document(["a", "b", "c"], table)),
+    }[writer]
+    result = CliRunner().invoke(click.Command("write", callback=write))
+    assert result.exit_code == 1
+    assert (result.stdout, result.stderr) == ("", f"error: {cli._NOT_FINITE}\n")
