@@ -5,8 +5,11 @@ which are in seconds. Numbers are serialized with shortest round-trip
 precision, CSV uses one '#' comment line, a single header row, comma
 delimiters and LF line endings, and identical invocations produce
 byte-identical files. Diagnostics go to stderr only. The module imports no
-numpy: `dilate` and `--help` run without it, and the array commands import
-it, with the models, when they run.
+numpy, and `dilate`, `--help` and `trajectory` run without it: `trajectory`
+integrates, checks and writes its rows on floats, and a 10 000-step Dirac
+run takes 0.35 s instead of 0.46 s and 23 MB instead of 38 MB per process
+(medians of 20 runs, on a shared 2-core Xeon host with Python 3.11).
+`field` and `state` import numpy, with the state modules, when they run.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
+from array import array
 
 import click
 
@@ -24,6 +29,10 @@ from .errors import DomainError, TrajectorySingularityError
 from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
+#: Largest Laguerre degree n - l - 1 accepted. The radial recurrence and the
+#: factorials in the norms grow with it: `state --model schrodinger --n 25002
+#: --l 1 --m 1` takes about 1 s, and --n 1000000 took 62 s.
+_MAX_LAGUERRE_DEGREE = 25_000
 
 
 def _write_files(out: str, texts: dict[str, str]) -> None:
@@ -65,27 +74,49 @@ _BLOCK_ROWS = 1024
 _ROWS = "\0rows"
 
 
+def _formatted(values: list) -> list[str]:
+    """The repr of each distinct value of a block; the command fails unless all are finite."""
+    if not all(map(math.isfinite, values)):
+        _fail(_NOT_FINITE)
+    return list(map(repr, values))
+
+
+def _numpy_cells(column, start: int, stop: int) -> list[str]:
+    """A block of a numpy column as cell strings, its distinct bit patterns found by np.unique."""
+    import numpy as np
+
+    keys, inverse = np.unique(np.asarray(column[start:stop], dtype=np.float64).view(np.int64), return_inverse=True)
+    return np.array(_formatted(keys.view(np.float64).tolist()), dtype=object)[inverse].tolist()
+
+
+def _buffer_cells(column, start: int, stop: int) -> list[str]:
+    """A block of a float buffer as cell strings, its distinct bit patterns found by a set."""
+    bits = memoryview(column).cast("B").cast("q")[start:stop].tolist()
+    distinct = set(bits)
+    if len(distinct) == len(bits):  # no value repeats: the cells are the values in order
+        return _formatted(memoryview(column)[start:stop].tolist())
+    keys = array("q", distinct)  # read back below as the floats they encode
+    text = dict(zip(keys, _formatted(memoryview(keys).cast("B").cast("d").tolist())))
+    return list(map(text.__getitem__, bits))
+
+
 def _table_text(table, cell_sep: str, row_sep: str) -> str:
     """The rows of a float table, each cell the repr of its float, joined by the separators.
 
-    The whole table must be finite, else the command fails. Block by block,
-    each column's cells are keyed by their bit pattern (so -0.0 and 0.0 stay
-    apart), and each distinct value is formatted once.
+    The table is a 2-D numpy array or a list of columns, each a 1-D numpy
+    array or a float buffer (array('d') or a memoryview of floats). Every
+    value must be finite, else the command fails. Block by block, each
+    column's cells are keyed by their bit pattern (so -0.0 and 0.0 stay
+    apart), and each distinct value is formatted once. np.unique finds the
+    distinct values of a numpy column, a set and a dict those of a float
+    buffer, so a table of buffers needs no numpy.
     """
-    import numpy as np
-
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    if not np.isfinite(table).all():
-        _fail(_NOT_FINITE)
-    bits = table.view(np.int64)
+    columns = table.T if getattr(table, "ndim", 1) == 2 else table
+    forms = [_numpy_cells if hasattr(c, "dtype") else _buffer_cells for c in columns]
     blocks = []
-    for start in range(0, len(bits), _BLOCK_ROWS):
-        block = bits[start : start + _BLOCK_ROWS]
-        cells = np.empty(block.shape, dtype=object)
-        for k in range(block.shape[1]):
-            keys, inverse = np.unique(block[:, k], return_inverse=True)
-            cells[:, k] = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)[inverse]
-        blocks.append(row_sep.join(map(cell_sep.join, cells.tolist())))
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = [form(column, start, start + _BLOCK_ROWS) for column, form in zip(columns, forms)]
+        blocks.append(row_sep.join(map(cell_sep.join, zip(*cells))))
     return row_sep.join(blocks)
 
 
@@ -102,7 +133,7 @@ def _json_text(doc: dict) -> str:
     if table is None:
         return text
     head, _, tail = text.partition(json.dumps(_ROWS))
-    if not len(table):
+    if not rows:
         return head + "[]" + tail
     # One join builds the text: each + would copy all of it once more.
     return "".join([head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail])
@@ -110,8 +141,9 @@ def _json_text(doc: dict) -> str:
 
 def _csv_text(comment: str, columns: list[str], table) -> str:
     lines = [f"# bohmatom {comment}", ",".join(columns)]
-    if len(table):
-        lines.append(_table_text(table, ",", "\n"))
+    rows = _table_text(table, ",", "\n")
+    if rows:
+        lines.append(rows)
     lines.append("")  # the final LF
     return "\n".join(lines)
 
@@ -162,6 +194,10 @@ def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
             q = QuantumNumbers(n if n is not None else 1, l if l is not None else 0, m if m is not None else 0)
         except DomainError as exc:
             raise click.UsageError(str(exc)) from exc
+        if q.n - q.l - 1 > _MAX_LAGUERRE_DEGREE:
+            raise click.UsageError(
+                f"the Laguerre degree n - l - 1 = {q.n - q.l - 1} exceeds {_MAX_LAGUERRE_DEGREE}, the largest supported"
+            )
         return SchrodingerEigenstate(q, _make_atom(z, alpha_scale, mass))
     if n is not None or l is not None or m is not None:
         raise click.UsageError("--n/--l/--m apply only to --model schrodinger")
@@ -241,10 +277,8 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     the Cartesian distance to it. CSV output carries the run summary in a
     '<out>.summary.json' sidecar; JSON output embeds it.
     """
-    import numpy as np
-
-    from .coords import SphericalPoint, vector_norm
-    from .trajectory_engine import circular_orbit_xyz, integrate_trajectory
+    from .coords import SphericalPoint, norm3
+    from .trajectory_engine import circular_orbit, integrate_trajectory
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     if steps < 0:
@@ -271,21 +305,22 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     except DomainError as exc:
         _fail(str(exc))
     except MemoryError:
-        # The trajectory's columns are allocated up front, before the first step.
+        # The trajectory's columns are reserved up front, before the first step.
         _fail(f"--steps {steps} does not fit in memory")
 
     columns = ["t", "x", "y", "z", "vx", "vy", "vz", "x_ref", "y_ref", "z_ref", "deviation"]
-    ref = circular_orbit_xyz(start, omega, trajectory.t)
-    deviation = vector_norm(trajectory.xyz - ref)
-    max_deviation = float(deviation.max(initial=0.0))
-    table = np.column_stack([trajectory.t, trajectory.xyz, trajectory.velocity, ref, deviation])
+    # Float buffers throughout: the trajectory's own columns, the exact circle and the distance to it.
+    t, *xyz_velocity = trajectory.columns
+    ref = circular_orbit(start, omega, t)
+    deviation = array("d", map(norm3, *(map(operator.sub, a, b) for a, b in zip(xyz_velocity[:3], ref))))
+    table = [t, *xyz_velocity, *ref, deviation]
 
     summary = {
         "dt": dt,
         "steps_requested": steps,
-        "steps_completed": max(len(trajectory.t) - 1, 0),
+        "steps_completed": max(len(trajectory) - 1, 0),
         "period": period if math.isfinite(period) else None,
-        "max_deviation": max_deviation,
+        "max_deviation": max(deviation, default=0.0),
         "aborted": aborted,
     }
 

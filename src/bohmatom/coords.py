@@ -2,6 +2,8 @@
 
 All vector components expressed "in the spherical basis" refer to the local
 orthonormal triad (r_hat, theta_hat, phi_hat) at the point in question.
+numpy is imported by the array functions when they run: SphericalPoint,
+its float coordinates and the float branches load no numpy.
 """
 
 from __future__ import annotations
@@ -9,10 +11,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 #: 2**-511, whose square is the smallest normal float.
@@ -37,15 +41,15 @@ class SphericalPoint:
         if not 0.0 <= self.phi < TWO_PI:
             raise DomainError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
-    def to_cartesian(self) -> np.ndarray:
+    def xyz(self) -> tuple[float, float, float]:
+        """Cartesian (x, y, z) as floats."""
         st = math.sin(self.theta)
-        return np.array(
-            [
-                self.r * st * math.cos(self.phi),
-                self.r * st * math.sin(self.phi),
-                self.r * math.cos(self.theta),
-            ]
-        )
+        return (self.r * st * math.cos(self.phi), self.r * st * math.sin(self.phi), self.r * math.cos(self.theta))
+
+    def to_cartesian(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.xyz())
 
     @classmethod
     def from_cartesian(cls, xyz) -> "SphericalPoint":
@@ -69,6 +73,8 @@ class SphericalPoints:
     phi: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("r", "theta", "phi"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         r, theta, phi = self.r, self.theta, self.phi
@@ -80,12 +86,16 @@ class SphericalPoints:
     @classmethod
     def grid(cls, r, theta, phi) -> "SphericalPoints":
         """Every (r, theta, phi) combination, r-major, then theta, then phi."""
+        import numpy as np
+
         return cls(*(c.ravel() for c in np.meshgrid(r, theta, phi, indexing="ij")))
 
 
 def columns(p: SphericalPoint | SphericalPoints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(r, theta, phi) as 1-D arrays. The state functions evaluate these and return row 0 for a
     SphericalPoint, so a point's result equals its row of a batch of points bit for bit."""
+    import numpy as np
+
     return tuple(np.array(c, dtype=float, ndmin=1) for c in (p.r, p.theta, p.phi))
 
 
@@ -96,13 +106,18 @@ def pole_safe_sin(theta):
     the endpoint denotes the south pole, where axial geometry must be exact
     (zero azimuthal speed, singular azimuthal phase).
     """
-    if np.ndim(theta):
-        return np.where(theta == math.pi, 0.0, np.sin(theta))
+    if not isinstance(theta, float):
+        import numpy as np
+
+        if np.ndim(theta):
+            return np.where(theta == math.pi, 0.0, np.sin(theta))
     return 0.0 if theta == math.pi else math.sin(theta)
 
 
 def spherical_basis(point: SphericalPoint | SphericalPoints) -> np.ndarray:
     """Rows r_hat, theta_hat, phi_hat in Cartesian components: (3, 3) at a point, (N, 3, 3) over N points."""
+    import numpy as np
+
     st, ct = np.sin(point.theta), np.cos(point.theta)
     sp, cp = np.sin(point.phi), np.cos(point.phi)
     basis = np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, np.zeros_like(st)]])
@@ -111,12 +126,16 @@ def spherical_basis(point: SphericalPoint | SphericalPoints) -> np.ndarray:
 
 def vector_to_cartesian(point: SphericalPoint | SphericalPoints, components) -> np.ndarray:
     """Map (v_r, v_theta, v_phi) to Cartesian (v_x, v_y, v_z): (3,) at a point, (N, 3) over N points."""
+    import numpy as np
+
     return np.einsum("...ki,...k->...i", spherical_basis(point), np.asarray(components, dtype=float))
 
 
 def azimuthal_to_cartesian(phi, v_phi) -> np.ndarray:
     """Cartesian (v_x, v_y, v_z) of the azimuthal vector v_phi * phi_hat at azimuth phi:
     (N, 3) for 1-D columns, (3,) for scalars."""
+    import numpy as np
+
     # 0.0 - a and a + 0.0 map a signed zero to +0.0, so a flow that vanishes
     # (on the axis, or everywhere for m = 0) is written as 0.0, never -0.0.
     return np.stack([0.0 - v_phi * np.sin(phi), v_phi * np.cos(phi) + 0.0, np.zeros_like(v_phi)], axis=-1)
@@ -125,7 +144,9 @@ def azimuthal_to_cartesian(phi, v_phi) -> np.ndarray:
 def vector_norm(v):
     """np.linalg.norm over the last axis (a float for one vector); where the sum of squares
     overflows, or underflows below the smallest normal float for a nonzero vector, each vector
-    is scaled by its largest component first."""
+    is scaled by its largest component first. norm3 is the float form for one (x, y, z)."""
+    import numpy as np
+
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.linalg.norm(v, axis=-1 if v.ndim > 1 else None)
@@ -134,3 +155,16 @@ def vector_norm(v):
         scale = ((n == math.inf) | ((n < _SQRT_NORMAL_MIN) & (s > 0.0))) & (s < math.inf)
         n = np.where(scale, s * np.linalg.norm(v / s[..., None], axis=-1), n)
     return n if v.ndim > 1 else float(n)
+
+
+def norm3(x: float, y: float, z: float) -> float:
+    """vector_norm of the row (x, y, z), bit for bit, on floats: the squares summed left to right,
+    as numpy reduces a row, and the same rescaling where that sum overflows or underflows."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if _SQRT_NORMAL_MIN <= n < math.inf:  # a normal sum: no rescaling
+        return n
+    s = max(abs(x), abs(y), abs(z))
+    if (n == math.inf or (n < _SQRT_NORMAL_MIN and s > 0.0)) and s < math.inf:
+        x, y, z = x / s, y / s, z / s
+        n = s * math.sqrt(x * x + y * y + z * z)
+    return n

@@ -6,7 +6,8 @@ SchrodingerEigenstate(q, atom) moves at m/(mass*rho) along phi_hat, with
 rho = r sin(theta), so omega = m/(mass*rho^2), which is 0 for m = 0. Each gives
 its grid table, its Cartesian velocity field, the rate of the exact circle
 through a start and the state subcommand's keys; the CLI reaches the states
-through these alone.
+through these alone. The velocity fields and rates run on floats: numpy and
+the Dirac state module load only with table and describe.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, pole_safe_sin, vector_norm
-from .dirac_states import bohm_velocity, dirac_current, dirac_ground_state
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
 from .schrodinger_states import (
@@ -31,12 +30,17 @@ from .schrodinger_states import (
 )
 from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Below the smallest normal float a sum of squares has lost digits.
 _NORMAL_MIN = sys.float_info.min
 
 
 def lorentz_factor(v) -> float:
     """gamma_L = 1 / sqrt(1 - |v|^2) for a velocity 3-vector with |v| < 1."""
+    import numpy as np
+
     v = np.asarray(v, dtype=float)
     speed_sq = float(np.dot(v, v))  # not a float sum: that differs from np.dot in the last bit
     if speed_sq >= 1.0:
@@ -67,6 +71,8 @@ class DiracGroundState:
 
     def table(self, points: SphericalPoints) -> tuple[np.ndarray, np.ndarray]:
         """The (N, 4) current j^mu from the gamma contraction and the (N, 3) Cartesian velocity."""
+        from .dirac_states import bohm_velocity, dirac_current, dirac_ground_state
+
         current = dirac_current(dirac_ground_state(self.spin, self.atom, points))
         return current, bohm_velocity(self.spin, self.atom, points)
 
@@ -94,6 +100,8 @@ class DiracGroundState:
         return _with_finite_period(rate, start.r)
 
     def describe(self, point: SphericalPoint) -> dict:
+        from .dirac_states import bohm_velocity, dirac_current, dirac_ground_state
+
         psi = dirac_ground_state(self.spin, self.atom, point)
         current = dirac_current(psi)
         velocity = bohm_velocity(self.spin, self.atom, point)
@@ -117,6 +125,8 @@ class SchrodingerEigenstate:
 
     def table(self, points: SphericalPoints) -> tuple[np.ndarray, np.ndarray]:
         """The (N, 4) current (density, then density times velocity) and the (N, 3) Cartesian velocity."""
+        import numpy as np
+
         # One psi over the grid gives the density; the current is density times velocity.
         density = np.abs(hydrogen_wavefunction(self.q, self.atom, points)) ** 2
         velocity = azimuthal_to_cartesian(points.phi, bohm_momentum(self.q, self.atom, points)[:, 2] / self.atom.mass)

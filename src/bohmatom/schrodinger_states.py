@@ -9,20 +9,23 @@ The guidance momentum is grad S and the probability current is
 |psi|^2 grad S / mass. Every vector returned by this module is expressed in
 the local spherical basis; use coords.vector_to_cartesian to convert. The
 point functions take a SphericalPoint or SphericalPoints (see coords).
+QuantumNumbers and the float node test load no numpy; the point functions
+import it when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coords import SphericalPoint, SphericalPoints, columns, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig
-from .quadrature import angular_nodes, composite_gauss_legendre
 from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Gauss rule sizes of the state_norm quadrature: nodes per radial panel, and in cos(theta).
 _NORM_RADIAL_NODES = 64
@@ -50,6 +53,8 @@ class QuantumNumbers:
 
 def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
     """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays."""
+    import numpy as np
+
     rs = np.array(r, dtype=float, ndmin=1)
     bad = ~((rs >= 0.0) & (rs < math.inf))
     if bad.any():
@@ -117,6 +122,8 @@ def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
         rho = 2.0 * r / (q.n * atom.bohr_radius)
         laguerre_zero = rho < math.inf and associated_laguerre(degree, order, rho) == 0.0
         return laguerre_zero or assoc_legendre(q.l, m, cos_theta, 1.0) == 0.0
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         rho = 2.0 * r / (q.n * atom.bohr_radius)
         finite = rho < math.inf
@@ -131,6 +138,8 @@ def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | Spher
     the phase S = m*phi is singular on the polar axis, which includes points
     where m/(r sin theta) overflows, and undefined at nodes.
     """
+    import numpy as np
+
     r, theta, _ = columns(p)
     out = np.zeros((len(r), 3))
     if q.m != 0:
@@ -152,6 +161,8 @@ def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint |
     Well defined everywhere: it vanishes at nodes and (for m != 0) on the
     polar axis, where |psi|^2 goes to zero faster than 1/(r sin theta) grows.
     """
+    import numpy as np
+
     r, theta, _ = columns(p)
     out = np.zeros((len(r), 3))
     if q.m != 0:
@@ -170,6 +181,10 @@ def state_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
     Composite Gauss-Legendre panels in r out to 45 n a0 (density tail below
     1e-39 of the peak), Gauss-Legendre in cos(theta), exact 2*pi in phi.
     """
+    import numpy as np
+
+    from .quadrature import angular_nodes, composite_gauss_legendre
+
     a = atom.bohr_radius
     edges = np.array([0.0, 2.0, 8.0, 20.0, 45.0]) * q.n * a
     r_nodes, r_weights = composite_gauss_legendre(edges, _NORM_RADIAL_NODES)

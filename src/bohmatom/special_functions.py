@@ -7,20 +7,31 @@ conventions:
   recurrence in the degree;
 * spherical harmonics: orthonormal over the sphere, Condon-Shortley phase,
   Y_l^{-m} = (-1)^m * conj(Y_l^m).
+
+The polynomials run on a float x without numpy; array arguments import it.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 
 def _float_or_array(x):
     """x as a float where it is one number (np.ndim 0), otherwise as a float array."""
-    return float(x) if isinstance(x, float) or np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if isinstance(x, float):
+        return float(x)
+    import numpy as np
+
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _ones_like(x):
+    """np.ones_like(x), for the array branches."""
+    import numpy as np
+
+    return np.ones_like(x)
 
 
 def associated_laguerre(degree: int, order: int, x):
@@ -37,10 +48,13 @@ def associated_laguerre(degree: int, order: int, x):
     if isinstance(xs, float):
         if not math.isfinite(xs):
             raise DomainError(f"x must be finite, got {xs}")
-    elif not np.isfinite(xs).all():
-        raise DomainError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
+    else:
+        import numpy as np
+
+        if not np.isfinite(xs).all():
+            raise DomainError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
     if degree == 0:
-        return 1.0 if isinstance(xs, float) else np.ones_like(xs)
+        return 1.0 if isinstance(xs, float) else _ones_like(xs)
     prev, curr = 1.0, 1.0 + order - xs
     for n in range(2, degree + 1):
         prev, curr = curr, ((2.0 * n - 1.0 + order - xs) * curr - (n - 1.0 + order) * prev) / n
@@ -55,7 +69,7 @@ def assoc_legendre(l: int, m: int, x, s):
     Float x and s give a float, by the same recurrence.
     """
     x = _float_or_array(x)
-    pmm = 1.0 if isinstance(x, float) else np.ones_like(x)
+    pmm = 1.0 if isinstance(x, float) else _ones_like(x)
     for k in range(1, m + 1):
         pmm = pmm * (-(2.0 * k - 1.0) * s)
     if l == m:
@@ -71,6 +85,8 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 
     Float angles run as one-element arrays and return a complex.
     """
+    import numpy as np
+
     if l < 0:
         raise DomainError("l must be nonnegative")
     if abs(m) > l:

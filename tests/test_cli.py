@@ -515,12 +515,25 @@ def test_written_file_replaces_the_existing_one(runner, tmp_path):
 
 _LOADED_AFTER_MAIN = """
 import runpy, sys
+code = 0
 try:
     runpy.run_module("bohmatom.cli", run_name="__main__")
 except SystemExit as exc:
-    assert not exc.code, exc.code
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+    code = exc.code or 0
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 """
+
+_SCHRODINGER_START = ["--model", "schrodinger", "--n", "2", "--l", "1", "--theta", "1.0"]
+# Trajectory runs of both models, with the exit code each ends with.
+_COLD_TRAJECTORIES = [
+    (["--spin", "up", "--steps", "50"], 0),
+    (["--spin", "down", "--Z", "7", "--r", "12.5", "--theta", "1.1", "--steps", "1025"], 0),
+    ([*_SCHRODINGER_START, "--m", "1", "--steps", "50"], 0),
+    ([*_SCHRODINGER_START, "--m", "-1", "--steps", "50"], 0),
+    ([*_SCHRODINGER_START, "--m", "0", "--steps", "50"], 0),
+    (["--r", "1e-10", "--steps", "3"], 1),  # starts inside the origin guard
+    ([*_SCHRODINGER_START, "--m", "1", "--r", "1e-9", "--dt", "1.0", "--steps", "5"], 1),  # enters it later
+]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -528,12 +541,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=_SUBPROCESS_ENV, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
-    # The cold path: --help and dilate run without numpy too.
-    out = tmp_path / "report.json"
-    for args in (["--help"], ["dilate", "--rest-lifetime", "2e-6", "--out", str(out)]):
+    # The cold path: --help, dilate and trajectory run without numpy too.
+    out = tmp_path / "out"
+    runs = [(["--help"], 0), (["dilate", "--rest-lifetime", "2e-6", "--out", str(out)], 0)]
+    runs += [
+        (["trajectory", *args, "--format", fmt, "--out", str(out)], exit_code)
+        for args, exit_code in _COLD_TRAJECTORIES
+        for fmt in ("csv", "json")
+    ]
+    for args, exit_code in runs:
         result = subprocess.run(
             [sys.executable, "-c", _LOADED_AFTER_MAIN, *args], env=_SUBPROCESS_ENV, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]", args
-    assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0
+        assert result.stdout.splitlines()[-1] == f"{exit_code} []", (args, result.stderr)
+        if args[0] == "dilate":
+            assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0
+        elif args[0] == "trajectory":
+            assert out.stat().st_size > 0

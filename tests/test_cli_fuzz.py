@@ -4,12 +4,15 @@ Either the command exits 0 with a complete, parseable file of finite numbers,
 or it exits 1 with one `error:` line (2 with one usage `Error:` line), and no
 exception or warning escapes. Hypothesis draws each option from typical values,
 and up to two options at a time from the float boundaries 0, +/-subnormal,
-+/-1e308, nan and +/-inf (counts and Z from 0, -1 and a huge value).
++/-1e308, nan and +/-inf (counts and Z from 0, -1 and a huge value). The
+Schrodinger quantum numbers are drawn from their own boundaries, each example
+within a deadline.
 """
 
 import json
 import math
 import warnings
+from datetime import timedelta
 
 import pytest
 from click.testing import CliRunner
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bohmatom import QuantumNumbers, make_atom
-from bohmatom.cli import main
+from bohmatom.cli import _MAX_LAGUERRE_DEGREE, main
 from bohmatom.schrodinger_states import is_node
 
 FLOATS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf", "-inf"]
@@ -53,11 +56,25 @@ MODELS = [
 ]
 
 
+#: n where a factorial norm leaves the float range (87-90, 171, 200), n large, and n at which
+#: l = 0 puts the Laguerre degree n - l - 1 at its limit, and one past it.
+N_EDGES = [1, 2, 87, 88, 89, 90, 171, 200, 10**4, _MAX_LAGUERRE_DEGREE + 1, _MAX_LAGUERRE_DEGREE + 2]
+
+
 @st.composite
-def argv(draw, specs, models=MODELS):
+def boundary_quantum_numbers(draw):
+    """--model schrodinger with n from N_EDGES, l at 0, 1 and n - 1, and m at 0, +/-1 and +/-l."""
+    n = draw(st.sampled_from(N_EDGES))
+    l = draw(st.sampled_from(sorted({0, 1, n - 1} & set(range(n)))))
+    m = draw(st.sampled_from(sorted({0, 1, -1, l, -l} & set(range(-l, l + 1)))))
+    return ["--model", "schrodinger", "--n", str(n), "--l", str(l), "--m", str(m)]
+
+
+@st.composite
+def argv(draw, specs, models=st.sampled_from(MODELS)):
     """Typical values for every option but at most two, which take boundary values."""
     extreme = draw(st.sets(st.sampled_from([i for i, spec in enumerate(specs) if spec[2]]), max_size=2))
-    tokens = list(draw(st.sampled_from(models)))
+    tokens = list(draw(models))
     for i, (flag, typical, boundary) in enumerate(specs):
         value = draw(st.sampled_from(boundary if i in extreme else typical))
         if value is not None:
@@ -106,6 +123,10 @@ FUZZ = settings(max_examples=500, deadline=None, suppress_health_check=[HealthCh
 @FUZZ
 @given(args=argv(FIELD))
 def test_field(tmp_path, args):
+    check_field(tmp_path, args)
+
+
+def check_field(tmp_path, args):
     out = tmp_path / "field.out"
     out.unlink(missing_ok=True)
     result = check(["field", *args, "--out", str(out)])
@@ -128,6 +149,10 @@ def test_field(tmp_path, args):
 @FUZZ
 @given(args=argv(TRAJECTORY))
 def test_trajectory(tmp_path, args):
+    check_trajectory(tmp_path, args)
+
+
+def check_trajectory(tmp_path, args):
     out = tmp_path / "orbit.out"
     summary_path = tmp_path / "orbit.out.summary.json"
     out.unlink(missing_ok=True)
@@ -149,13 +174,41 @@ def test_trajectory(tmp_path, args):
 @FUZZ
 @given(args=argv(STATE))
 def test_state(args):
+    check_state(args)
+
+
+def check_state(args):
     result = check(["state", *args])
     if result.exit_code == 0:
         finite_json(result.stdout)
 
 
+# Each example must end within the deadline: the slowest, at the degree limit, takes about 1 s.
+QUANTUM_FUZZ = settings(
+    max_examples=40, deadline=timedelta(seconds=10), suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@QUANTUM_FUZZ
+@given(args=argv(FIELD, models=boundary_quantum_numbers()))
+def test_field_quantum_numbers(tmp_path, args):
+    check_field(tmp_path, args)
+
+
+@QUANTUM_FUZZ
+@given(args=argv(TRAJECTORY, models=boundary_quantum_numbers()))
+def test_trajectory_quantum_numbers(tmp_path, args):
+    check_trajectory(tmp_path, args)
+
+
+@QUANTUM_FUZZ
+@given(args=argv(STATE, models=boundary_quantum_numbers()))
+def test_state_quantum_numbers(args):
+    check_state(args)
+
+
 @FUZZ
-@given(args=argv(DILATE, models=[[], ["--spin", "down"]]))
+@given(args=argv(DILATE, models=st.sampled_from([[], ["--spin", "down"]])))
 def test_dilate(tmp_path, args):
     out = tmp_path / "report.json"
     out.unlink(missing_ok=True)
@@ -204,6 +257,10 @@ def test_dilate(tmp_path, args):
           "--steps", "2"], 1),
         # Z*alpha/r is subnormal and its period overflowed.
         (["trajectory", "--r", "1e306", "--steps", "2"], 1),
+        # The Laguerre recurrence and the factorial norms ran for a minute and more at this degree.
+        (["state", "--model", "schrodinger", "--n", "1000000", "--l", "1", "--m", "1"], 2),
+        (["field", "--model", "schrodinger", "--n", "1000000", "--l", "1", "--m", "1"], 2),
+        (["trajectory", "--model", "schrodinger", "--n", "1000000", "--l", "1", "--m", "1"], 2),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

@@ -6,11 +6,14 @@ must equal its array rows, the Dirac current must
 be physical (j0 >= 0, timelike up to rounding, |v| < 1), the two spins must be
 mirror images, and the field command's CSV text must parse back to exactly
 the values the library computes. The table writer must produce the same bytes
-as the row-wise repr join and json.dumps(indent=2) it replaces.
+as the row-wise repr join and json.dumps(indent=2) it replaces, from numpy
+columns and from float buffers alike, and the trajectory command's float
+reference circle and deviation must equal their numpy formulas.
 """
 
 import json
 import math
+from array import array
 
 import click
 import numpy as np
@@ -23,12 +26,14 @@ from bohmatom import (
     FINE_STRUCTURE,
     PhaseSingularityError,
     QuantumNumbers,
+    DiracGroundState,
     SchrodingerEigenstate,
     SphericalPoint,
     SphericalPoints,
     SpinOrientation,
     bohm_momentum,
     bohm_velocity,
+    circular_orbit_xyz,
     closed_form_current,
     dirac_current,
     dirac_ground_state,
@@ -41,6 +46,7 @@ from bohmatom import (
 )
 from bohmatom import cli
 from bohmatom.cli import main
+from bohmatom.coords import vector_norm
 from bohmatom.schrodinger_states import is_node
 from bohmatom.special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
 
@@ -284,7 +290,31 @@ def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_col
     assert cli._json_text(document(columns, table)).split("\n") == expected.split("\n")
 
 
-@pytest.mark.parametrize("writer", ["csv", "json"])
+def as_columns(table, kinds):
+    """The table's columns, each as the kind drawn for it: numpy, array('d') or a memoryview of floats."""
+    make = {"numpy": lambda c: c, "array": lambda c: array("d", c.tolist()), "memoryview": lambda c: memoryview(c.copy())}
+    return [make[kind](column) for column, kind in zip(table.T, kinds)]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1])
+@settings(max_examples=20, deadline=None)
+@given(
+    pool=value_pools,
+    seed=st.integers(0, 2**32 - 1),
+    n_cols=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["numpy", "array", "memoryview"]), min_size=5, max_size=5),
+)
+def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds):
+    # A last column cycles through every float edge: signed zeros side by side, subnormals and +/-max.
+    table = np.column_stack([pooled_table(pool, seed, n_rows, n_cols), np.resize(FLOAT_EDGES, n_rows)])
+    # Compared line by line, as above.
+    for columns in (as_columns(table, kinds), as_columns(table, ["array"] * 5)):
+        for separators in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
+            text = cli._table_text(columns, *separators)
+            assert text.split("\n") == cli._table_text(table, *separators).split("\n")
+
+
+@pytest.mark.parametrize("writer", ["csv", "json", "buffers"])
 @settings(max_examples=20, deadline=None)
 @given(
     pool=value_pools,
@@ -299,7 +329,54 @@ def test_table_writer_rejects_a_non_finite_cell(writer, pool, seed, n_rows, bad,
     write = {
         "csv": lambda: cli._csv_text("t", ["a", "b", "c"], table),
         "json": lambda: cli._json_text(document(["a", "b", "c"], table)),
+        "buffers": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["array"] * 3)),
     }[writer]
     result = CliRunner().invoke(click.Command("write", callback=write))
     assert result.exit_code == 1
     assert (result.stdout, result.stderr) == ("", f"error: {cli._NOT_FINITE}\n")
+
+
+def array_circle(start, rate, t):
+    """The exact circle as circular_orbit_xyz computed it on numpy arrays, before its float version."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = (start.phi + rate * np.asarray(t, dtype=float)) % (2.0 * math.pi)
+    phi[phi >= 2.0 * math.pi] = 0.0
+    rho = start.r * math.sin(start.theta)
+    xyz = np.empty((len(phi), 3))
+    xyz[:, 0] = [rho * math.cos(p) for p in phi.tolist()]
+    xyz[:, 1] = [rho * math.sin(p) for p in phi.tolist()]
+    xyz[:, 2] = start.r * math.cos(start.theta)
+    return xyz
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # The mass scales the Bohr radius from about 1e-288 to 1e292, so the distance to the circle
+    # runs through vector_norm's underflow and overflow rescaling as well as its plain sum.
+    exponent=st.integers(-290, 290),
+    radius=st.floats(0.5, 5.0),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    spin=spins,
+    steps_per_period=st.sampled_from([7, 100, 10_000]),
+    steps=st.integers(0, 40),
+)
+def test_trajectory_reference_and_deviation_equal_the_array_formulas(
+    tmp_path_factory, exponent, radius, theta, phi, spin, steps_per_period, steps
+):
+    atom = make_atom(1, FINE_STRUCTURE, 10.0**-exponent)
+    start = SphericalPoint(radius * atom.bohr_radius, theta, phi)
+    rate = DiracGroundState(spin, atom).angular_rate(start)
+    out = tmp_path_factory.mktemp("orbit") / "orbit.csv"
+    args = ["trajectory", "--spin", spin.value, "--mass", repr(atom.mass), "--r", repr(start.r),
+            "--theta", repr(theta), "--phi", repr(phi), "--steps", str(steps), "--out", str(out)]
+    if rate:
+        args += ["--dt", repr(2.0 * math.pi / abs(rate) / steps_per_period)]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    lines = out.read_text(encoding="utf-8").splitlines()[2:]
+    rows = np.array([[float(tok) for tok in line.split(",")] for line in lines])
+    reference = array_circle(start, rate, rows[:, 0])
+    assert same(rows[:, 7:10], reference)
+    assert same(circular_orbit_xyz(start, rate, rows[:, 0]), reference)
+    assert same(rows[:, 10], vector_norm(rows[:, 1:4] - reference))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bohmatom
 from bohmatom import (
     DiracGroundState,
     OriginSingularityError,
@@ -17,7 +22,7 @@ from bohmatom import (
     dirac_ground_state,
     integrate_trajectory,
 )
-from bohmatom.trajectory_engine import ORIGIN_GUARD_RADII
+from bohmatom.trajectory_engine import ORIGIN_GUARD_RADII, circular_orbit
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 
@@ -260,3 +265,48 @@ class TestIntegratorContract:
         assert partial.xyz.shape == (len(partial.t), 3)
         assert np.all(np.linalg.norm(partial.xyz, axis=1) >= 1.0)
         np.testing.assert_array_equal(partial.xyz[0], start.to_cartesian())
+
+    def test_float_buffers_and_array_views_hold_the_same_rows(self, hydrogen):
+        model = DiracGroundState(UP, hydrogen)
+        start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.2)
+        trajectory = integrate_trajectory(model.velocity_field(), start, dt=3.0, steps=9)
+        t, *columns = trajectory.columns
+        assert len(trajectory) == len(t) == 10
+        assert all(c.format == "d" and c.readonly for c in (t, *columns))
+        assert t.tolist() == trajectory.t.tolist()
+        assert np.column_stack([np.asarray(c) for c in columns]).tolist() == np.hstack(
+            [trajectory.xyz, trajectory.velocity]
+        ).tolist()
+        for view in (trajectory.t, trajectory.xyz, trajectory.velocity):
+            assert isinstance(view, np.ndarray) and not view.flags.writeable
+        rate = model.angular_rate(start)
+        reference = circular_orbit_xyz(start, rate, trajectory.t)
+        assert isinstance(reference, np.ndarray) and reference.shape == (10, 3)
+        assert np.column_stack(circular_orbit(start, rate, t.tolist())).tolist() == reference.tolist()
+        assert isinstance(start.to_cartesian(), np.ndarray)
+
+
+_ABORT_EARLY_IN_A_LONG_RUN = """
+import math, resource
+from bohmatom import SphericalPoint, TrajectorySingularityError, VelocityField, integrate_trajectory
+
+def inward(x, y, z):
+    r = math.hypot(x, y, z)
+    return (-x / r, -y / r, -z / r)
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    integrate_trajectory(VelocityField(inward, min_radius=1.0), SphericalPoint(4.0, 1.2, 0.5), 0.3, 10**7)
+except TrajectorySingularityError as exc:
+    print(len(exc.trajectory), (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+"""
+
+
+def test_column_memory_is_touched_only_by_the_steps_that_fill_it():
+    # 10^7 steps reserve 560 MB of columns; a run that aborts within a few steps touches a few pages.
+    env = {**os.environ, "PYTHONPATH": str(Path(bohmatom.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", _ABORT_EARLY_IN_A_LONG_RUN], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    rows, grown_mb = map(int, result.stdout.split())
+    assert 1 < rows < 20
+    assert grown_mb < 20
