@@ -3,7 +3,8 @@
 All vector components expressed "in the spherical basis" refer to the local
 orthonormal triad (r_hat, theta_hat, phi_hat) at the point in question.
 numpy is imported by the array functions when they run: SphericalPoint,
-its float coordinates and the float branches load no numpy.
+its float coordinates and the float branches (azimuthal_to_cartesian of a
+number, norm3) load no numpy.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class SphericalPoints:
 
 
 def columns(p: SphericalPoint | SphericalPoints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, theta, phi) as 1-D arrays. The state functions evaluate these and return row 0 for a
-    SphericalPoint, so a point's result equals its row of a batch of points bit for bit."""
+    """(r, theta, phi) as 1-D arrays, for the array path of SphericalPoints; a SphericalPoint gives
+    one-element columns (closed_form_current runs a point that way). The other state functions
+    run a SphericalPoint on floats instead, with the same arithmetic as the array path."""
     import numpy as np
 
     return tuple(np.array(c, dtype=float, ndmin=1) for c in (p.r, p.theta, p.phi))
@@ -131,25 +133,28 @@ def vector_to_cartesian(point: SphericalPoint | SphericalPoints, components) -> 
     return np.einsum("...ki,...k->...i", spherical_basis(point), np.asarray(components, dtype=float))
 
 
-def azimuthal_to_cartesian(phi, v_phi) -> np.ndarray:
+def azimuthal_to_cartesian(phi, v_phi):
     """Cartesian (v_x, v_y, v_z) of the azimuthal vector v_phi * phi_hat at azimuth phi:
-    (N, 3) for 1-D columns, (3,) for scalars."""
-    import numpy as np
-
+    (N, 3) for 1-D columns, a float triple for a number phi."""
     # 0.0 - a and a + 0.0 map a signed zero to +0.0, so a flow that vanishes
     # (on the axis, or everywhere for m = 0) is written as 0.0, never -0.0.
+    if isinstance(phi, (int, float)):
+        return (0.0 - v_phi * math.sin(phi), v_phi * math.cos(phi) + 0.0, 0.0)
+    import numpy as np
+
     return np.stack([0.0 - v_phi * np.sin(phi), v_phi * np.cos(phi) + 0.0, np.zeros_like(v_phi)], axis=-1)
 
 
 def vector_norm(v):
-    """np.linalg.norm over the last axis (a float for one vector); where the sum of squares
-    overflows, or underflows below the smallest normal float for a nonzero vector, each vector
-    is scaled by its largest component first. norm3 is the float form for one (x, y, z)."""
+    """np.linalg.norm over the last axis (a float for one vector): the squares summed left to
+    right, as numpy reduces a row, also for one vector. Where that sum overflows, or underflows
+    below the smallest normal float for a nonzero vector, each vector is scaled by its largest
+    component first. norm3 is the float form for one (x, y, z)."""
     import numpy as np
 
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        n = np.linalg.norm(v, axis=-1 if v.ndim > 1 else None)
+        n = np.linalg.norm(v, axis=-1)
         s = np.abs(v).max(axis=-1)
         # n < sqrt(min) only where the sum of squares is below min, so a normal sum keeps its bits.
         scale = ((n == math.inf) | ((n < _SQRT_NORMAL_MIN) & (s > 0.0))) & (s < math.inf)
@@ -158,8 +163,8 @@ def vector_norm(v):
 
 
 def norm3(x: float, y: float, z: float) -> float:
-    """vector_norm of the row (x, y, z), bit for bit, on floats: the squares summed left to right,
-    as numpy reduces a row, and the same rescaling where that sum overflows or underflows."""
+    """vector_norm of (x, y, z), one vector or a row of many, bit for bit, on floats: the squares
+    summed left to right, and the same rescaling where that sum overflows or underflows."""
     n = math.sqrt(x * x + y * y + z * z)
     if _SQRT_NORMAL_MIN <= n < math.inf:  # a normal sum: no rescaling
         return n

@@ -21,18 +21,28 @@ The flow v^i = j^i / j^0 is purely azimuthal with speed Z*alpha*sin(theta),
 anticlockwise around +z for spin up and clockwise for spin down. Spatial
 current and velocity components here are Cartesian. The point functions take
 a SphericalPoint or SphericalPoints (see coords).
+
+A SphericalPoint runs on floats: spinor_at, current_of and velocity_at give
+the spinor, the contraction (an explicit loop in numpy's order of products and
+sums) and the flow as Python numbers, and the public functions wrap them in
+arrays. SphericalPoints run on numpy columns. Both paths take exp, log and pow
+from libm, so a point's values equal its row of a grid bit for bit, on any
+host. Importing the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import libm
 from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, columns, pole_safe_sin
 from .errors import DomainError, OriginSingularityError
 from .physics_core import AtomConfig, SpinOrientation
-from .quadrature import axisymmetric_nodes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Gauss rule sizes of the spinor-route quadratures: radial nodes for both, then
 #: polar nodes for ground_state_norm and for mean_lorentz_factor_3d.
@@ -40,29 +50,40 @@ _NORM_RADIAL_NODES = 48
 _NORM_THETA_NODES = 64
 _ORACLE_THETA_NODES = 72
 
+
+def _negated(m):
+    return tuple(tuple(-c for c in row) for row in m)
+
+
+def _block(a, b, c, d):
+    """The 4x4 matrix [[a, b], [c, d]] of 2x2 blocks, as rows."""
+    return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(rc + rd for rc, rd in zip(c, d))
+
+
+_ZERO = ((0j, 0j), (0j, 0j))
+_EYE = ((1 + 0j, 0j), (0j, 1 + 0j))
 _SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    ((0j, 1 + 0j), (1 + 0j, 0j)),
+    ((0j, -1j), (1j, 0j)),
+    ((1 + 0j, 0j), (0j, complex(-1.0))),
 )
+#: (gamma^0, gamma^1, gamma^2, gamma^3) as rows of complex numbers, negated blocks with their signed zeros.
+_GAMMA = (_block(_EYE, _ZERO, _ZERO, _negated(_EYE)), *(_block(_ZERO, s, _negated(s), _ZERO) for s in _SIGMA))
 
 
-def _build_gammas() -> np.ndarray:
-    zero = np.zeros((2, 2), dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    g0 = np.block([[eye, zero], [zero, -eye]])
-    spatial = [np.block([[zero, s], [-s, zero]]) for s in _SIGMA]
-    stack = np.stack([g0, *spatial])
+@cache
+def _gamma_array() -> np.ndarray:
+    import numpy as np
+
+    stack = np.array(_GAMMA, dtype=complex)
     stack.setflags(write=False)
     return stack
-
-_GAMMA = _build_gammas()
-_GAMMA0 = _GAMMA[0]
 
 
 def gamma_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four gamma matrices (gamma^0, gamma^1, gamma^2, gamma^3), read-only."""
-    return _GAMMA[0], _GAMMA[1], _GAMMA[2], _GAMMA[3]
+    gamma = _gamma_array()
+    return gamma[0], gamma[1], gamma[2], gamma[3]
 
 
 def small_component_ratio(atom: AtomConfig) -> float:
@@ -94,70 +115,140 @@ def radial_amplitude(atom: AtomConfig, r):
     with gamma = gamma_exp and Z*alpha used uniformly in the prefactor, the
     power law and the exponential. Diverges mildly as r -> 0 because
     gamma - 1 < 0, so r = 0 is rejected, as is an A(r) beyond the float range.
+    An array maps the float formula over its distinct radii.
     """
-    rs = np.array(r, dtype=float, ndmin=1)
-    bad = ~((rs >= 0.0) & (rs < math.inf))
-    if bad.any():
-        raise DomainError(f"r must be nonnegative and finite, got {rs[bad][0]}")
-    if (rs == 0.0).any():
-        raise OriginSingularityError("origin singularity: A(r) diverges at r = 0")
     c = 2.0 * atom.mass * atom.za
     g1 = atom.gamma_exp - 1.0
     factor, is_log = _amplitude_prefactor(atom)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+
+    def amplitude(x: float) -> float:
         if is_log:  # sum the logarithms, so that a huge factor meets a tiny exponential first
-            amp = np.exp(factor + g1 * np.log(c * rs) - 0.5 * c * rs)
-        else:
-            amp = factor * (c * rs) ** g1 * np.exp(-0.5 * c * rs)
+            return libm.exp(factor + g1 * libm.log(c * x) - 0.5 * c * x)
+        return factor * libm.power(c * x, g1) * libm.exp(-0.5 * c * x)
+
+    x = libm.float_or_array(r)
+    if isinstance(x, float):
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"r must be nonnegative and finite, got {x}")
+        if x == 0.0:
+            raise OriginSingularityError("origin singularity: A(r) diverges at r = 0")
+        amp = amplitude(x)
+        if not math.isfinite(amp):
+            raise DomainError(f"the amplitude A(r) exceeds the float range at r = {x!r}")
+        return amp
+    import numpy as np
+
+    bad = ~((x >= 0.0) & (x < math.inf))
+    if bad.any():
+        raise DomainError(f"r must be nonnegative and finite, got {x[bad][0]}")
+    if (x == 0.0).any():
+        raise OriginSingularityError("origin singularity: A(r) diverges at r = 0")
+    amp = libm.elementwise(amplitude, x)
     if not np.isfinite(amp).all():
-        raise DomainError(f"the amplitude A(r) exceeds the float range at r = {float(rs[np.argmin(np.isfinite(amp))])!r}")
-    return amp if np.ndim(r) else float(amp[0])
+        raise DomainError(f"the amplitude A(r) exceeds the float range at r = {float(x.flat[np.argmin(np.isfinite(amp))])!r}")
+    return amp
+
+
+def _spinor_parts(spin: SpinOrientation, amp, b, d, cos_phi, sin_phi, zero):
+    """The real and the imaginary parts of the four components, from real products alone, for
+    floats and arrays alike. (numpy multiplies complex arrays with fused multiply-adds on some
+    hosts, which give an underflowing or zero part another sign than two roundings do.)"""
+    if spin is SpinOrientation.UP:  # A (1, 0, i B, i D e^{i phi})
+        return (amp, zero, zero, 0.0 - amp * (d * sin_phi)), (zero, zero, amp * b, amp * (d * cos_phi))
+    # A (0, 1, i D e^{-i phi}, -i B)
+    return (zero, amp, amp * (d * sin_phi), zero), (zero, zero, amp * (d * cos_phi), 0.0 - amp * b)
+
+
+def spinor_at(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> tuple[complex, complex, complex, complex]:
+    """The bispinor at one point as four complex numbers: dirac_ground_state's row, on floats."""
+    zeta = small_component_ratio(atom)
+    real, imag = _spinor_parts(
+        spin, radial_amplitude(atom, p.r), zeta * math.cos(p.theta), zeta * pole_safe_sin(p.theta),
+        math.cos(p.phi), math.sin(p.phi), 0.0,
+    )
+    return tuple(map(complex, real, imag))
 
 
 def dirac_ground_state(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
     """Bound 1S_1/2 bispinor: shape (4,) complex at a point, (N, 4) over N points."""
-    r, theta, phi = columns(p)
-    amp = radial_amplitude(atom, r)
+    import numpy as np
+
+    if isinstance(p, SphericalPoint):
+        return np.array(spinor_at(spin, atom, p))
+    amp = radial_amplitude(atom, p.r)
     zeta = small_component_ratio(atom)
-    b = zeta * np.cos(theta)
-    d = zeta * pole_safe_sin(theta)
-    one, zero = np.ones_like(b), np.zeros_like(b)
-    if spin is SpinOrientation.UP:
-        psi = np.stack([one, zero, 1j * b, 1j * d * np.exp(1j * phi)], axis=-1)
-    else:
-        psi = np.stack([zero, one, 1j * d * np.exp(-1j * phi), -1j * b], axis=-1)
-    psi = amp[:, None] * psi
-    return psi if isinstance(p, SphericalPoints) else psi[0]
+    real, imag = _spinor_parts(
+        spin, amp, zeta * np.cos(p.theta), zeta * pole_safe_sin(p.theta), np.cos(p.phi), np.sin(p.phi), np.zeros_like(amp)
+    )
+    psi = np.empty((len(amp), 4), dtype=complex)
+    psi.real, psi.imag = np.stack(real, axis=-1), np.stack(imag, axis=-1)
+    return psi
 
 
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
-    """Adjoint row spinor: conjugate transpose times gamma^0 (row by row for (N, 4))."""
-    return np.conjugate(np.asarray(psi, dtype=complex)) @ _GAMMA0
+    """Adjoint row spinor psi^dagger gamma^0: the conjugate with its lower two components
+    negated (row by row for (N, 4))."""
+    import numpy as np
+
+    adjoint = np.conjugate(np.asarray(psi, dtype=complex))
+    adjoint[..., 2:] = -adjoint[..., 2:]
+    return adjoint
+
+
+def _check_leak(leak: float, scale: float) -> None:
+    if leak > 1e-13 * scale:
+        raise ArithmeticError(f"gamma contraction produced imaginary current {leak} (scale {scale})")
+
+
+def current_of(psi) -> list[float]:
+    """j^mu = Re[psibar gamma^mu psi] of one spinor, four complex numbers, on floats.
+
+    The contraction is an explicit loop, k outer and l inner, each product
+    psibar_k gamma^mu_kl psi_l taken left to right and added to the sum: the
+    order of dirac_current's einsum, so the result has its bits, signed zeros
+    included. The same imaginary-leak check applies.
+    """
+    adjoint = (psi[0].conjugate(), psi[1].conjugate(), -psi[2].conjugate(), -psi[3].conjugate())  # dirac_adjoint
+    j = []
+    for gamma in _GAMMA:
+        total = 0j
+        for k in range(4):
+            for l in range(4):
+                total = adjoint[k] * gamma[k][l] * psi[l] + total
+        j.append(total)
+    _check_leak(max(abs(c.imag) for c in j), max(1.0, abs(j[0].real)))
+    return [c.real for c in j]
 
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:
     """j^mu = Re[psibar gamma^mu psi] from the explicit matrix contraction.
 
     A real array with columns j0, j1, j2, j3 (spatial parts Cartesian): shape
-    (4,) for psi of shape (4,), (N, 4) for (N, 4), from one batched
-    contraction. The imaginary part must cancel; it is checked row by row
-    against 1e-13 relative to the density scale rather than trusted to vanish
-    in floating point.
+    (4,) for psi of shape (4,), through current_of, and (N, 4) for (N, 4),
+    from one batched contraction. The imaginary part must cancel; it is
+    checked row by row against 1e-13 relative to the density scale rather
+    than trusted to vanish in floating point.
     """
-    rows = np.asarray(psi, dtype=complex).reshape(-1, 4)
-    j = np.einsum("nk,mkl,nl->nm", dirac_adjoint(rows), _GAMMA, rows)
+    import numpy as np
+
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim == 1:
+        return np.array(current_of(psi.tolist()))
+    rows = psi.reshape(-1, 4)
+    j = np.einsum("nk,mkl,nl->nm", dirac_adjoint(rows), _gamma_array(), rows)
     scale = np.maximum(1.0, np.abs(j[:, 0].real))
     leak = np.max(np.abs(j.imag), axis=1)
     if (leak > 1e-13 * scale).any():
         i = int(np.argmax(leak / scale))
-        raise ArithmeticError(f"gamma contraction produced imaginary current {leak[i]} (scale {scale[i]})")
-    real = j.real.copy()  # owns its data, so the complex contraction is freed on return
-    return real if np.ndim(psi) > 1 else real[0]
+        _check_leak(float(leak[i]), float(scale[i]))
+    return j.real.copy()  # owns its data, so the complex contraction is freed on return
 
 
 def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
     """Ground-state current from the closed forms, laid out as dirac_current's
     array: (4,) at a point, (N, 4) over N points. The regression target for dirac_current."""
+    import numpy as np
+
     r, theta, phi = columns(p)
     amp2 = radial_amplitude(atom, r) ** 2
     zeta = small_component_ratio(atom)
@@ -167,6 +258,14 @@ def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoi
     flow = sign * 2.0 * amp2 * d
     j = np.stack([amp2 * (1.0 + b * b + d * d), -flow * np.sin(phi), flow * np.cos(phi), np.zeros_like(amp2)], axis=-1)
     return j if isinstance(p, SphericalPoints) else j[0]
+
+
+def velocity_at(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
+    """bohm_velocity at one point, as a float triple."""
+    if p.r == 0.0:
+        raise OriginSingularityError("origin singularity: the flow is undefined at r = 0")
+    speed = atom.za * pole_safe_sin(p.theta)
+    return azimuthal_to_cartesian(p.phi, speed if spin is SpinOrientation.UP else -speed)
 
 
 def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
@@ -179,18 +278,22 @@ def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | S
     defined at every r > 0, including radii where A(r)^2 underflows to zero.
     dirac_current of the spinor remains the reference it is tested against.
     """
-    r, theta, phi = columns(p)
-    if (r == 0.0).any():
+    import numpy as np
+
+    if isinstance(p, SphericalPoint):
+        return np.array(velocity_at(spin, atom, p))
+    if (p.r == 0.0).any():
         raise OriginSingularityError("origin singularity: the flow is undefined at r = 0")
-    speed = atom.za * pole_safe_sin(theta)
+    speed = atom.za * pole_safe_sin(p.theta)
     if spin is SpinOrientation.DOWN:
         speed = -speed
-    v = azimuthal_to_cartesian(phi, speed)
-    return v if isinstance(p, SphericalPoints) else v[0]
+    return azimuthal_to_cartesian(p.phi, speed)
 
 
 def ground_state_norm(spin: SpinOrientation, atom: AtomConfig) -> float:
     """Quadrature value of int j^0 d^3x through the spinor route (should equal 1)."""
+    from .quadrature import axisymmetric_nodes
+
     points, weights = axisymmetric_nodes(atom, _NORM_RADIAL_NODES, _NORM_THETA_NODES)
     return float(weights @ dirac_current(dirac_ground_state(spin, atom, points))[:, 0])
 
@@ -198,6 +301,10 @@ def ground_state_norm(spin: SpinOrientation, atom: AtomConfig) -> float:
 def mean_lorentz_factor_3d(spin: SpinOrientation, atom: AtomConfig) -> float:
     """Full int gamma_L(v) j^0 d^3x through the spinor route; the quadrature
     oracle that the closed form of dilation.mean_lorentz_factor is tested against."""
+    import numpy as np
+
+    from .quadrature import axisymmetric_nodes
+
     points, weights = axisymmetric_nodes(atom, _NORM_RADIAL_NODES, _ORACLE_THETA_NODES)
     j = dirac_current(dirac_ground_state(spin, atom, points))
     v = j[:, 1:] / j[:, :1]

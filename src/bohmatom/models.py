@@ -6,8 +6,8 @@ SchrodingerEigenstate(q, atom) moves at m/(mass*rho) along phi_hat, with
 rho = r sin(theta), so omega = m/(mass*rho^2), which is 0 for m = 0. Each gives
 its grid table, its Cartesian velocity field, the rate of the exact circle
 through a start and the state subcommand's keys; the CLI reaches the states
-through these alone. The velocity fields and rates run on floats: numpy and
-the Dirac state module load only with table and describe.
+through these alone. The velocity fields, the rates and describe run on
+floats; numpy loads only with table.
 """
 
 from __future__ import annotations
@@ -17,16 +17,18 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, pole_safe_sin, vector_norm
+from . import libm
+from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
 from .schrodinger_states import (
     QuantumNumbers,
     bohm_momentum,
+    current_at,
     hydrogen_wavefunction,
     is_node,
+    momentum_at,
     polar_decompose,
-    probability_current,
 )
 from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
 
@@ -38,11 +40,10 @@ _NORMAL_MIN = sys.float_info.min
 
 
 def lorentz_factor(v) -> float:
-    """gamma_L = 1 / sqrt(1 - |v|^2) for a velocity 3-vector with |v| < 1."""
-    import numpy as np
-
-    v = np.asarray(v, dtype=float)
-    speed_sq = float(np.dot(v, v))  # not a float sum: that differs from np.dot in the last bit
+    """gamma_L = 1 / sqrt(1 - |v|^2) for a velocity 3-vector with |v| < 1, the squares summed
+    left to right as norm3 sums them."""
+    x, y, z = map(float, v)
+    speed_sq = x * x + y * y + z * z
     if speed_sq >= 1.0:
         raise DomainError(f"|v| must be < 1, got |v|^2 = {speed_sq}")
     return 1.0 / math.sqrt(1.0 - speed_sq)
@@ -100,16 +101,15 @@ class DiracGroundState:
         return _with_finite_period(rate, start.r)
 
     def describe(self, point: SphericalPoint) -> dict:
-        from .dirac_states import bohm_velocity, dirac_current, dirac_ground_state
+        from .dirac_states import current_of, spinor_at, velocity_at
 
-        psi = dirac_ground_state(self.spin, self.atom, point)
-        current = dirac_current(psi)
-        velocity = bohm_velocity(self.spin, self.atom, point)
+        psi = spinor_at(self.spin, self.atom, point)
+        velocity = velocity_at(self.spin, self.atom, point)
         return {
-            "spinor": [[float(c.real), float(c.imag)] for c in psi],
-            "current": current.tolist(),
-            "velocity": [float(c) for c in velocity],
-            "speed": vector_norm(velocity),
+            "spinor": [[c.real, c.imag] for c in psi],
+            "current": current_of(psi),
+            "velocity": list(velocity),
+            "speed": norm3(*velocity),
             "lorentz_factor": lorentz_factor(velocity),
         }
 
@@ -128,7 +128,7 @@ class SchrodingerEigenstate:
         import numpy as np
 
         # One psi over the grid gives the density; the current is density times velocity.
-        density = np.abs(hydrogen_wavefunction(self.q, self.atom, points)) ** 2
+        density = libm.abs_squared(hydrogen_wavefunction(self.q, self.atom, points))
         velocity = azimuthal_to_cartesian(points.phi, bohm_momentum(self.q, self.atom, points)[:, 2] / self.atom.mass)
         return np.column_stack([density, density[:, None] * velocity]), velocity
 
@@ -173,13 +173,12 @@ class SchrodingerEigenstate:
     def describe(self, point: SphericalPoint) -> dict:
         psi = hydrogen_wavefunction(self.q, self.atom, point)
         amplitude, phase = polar_decompose(psi)
-        current = probability_current(self.q, self.atom, point)
-        velocity = azimuthal_to_cartesian(point.phi, bohm_momentum(self.q, self.atom, point)[2] / self.atom.mass)
+        velocity = azimuthal_to_cartesian(point.phi, momentum_at(self.q, self.atom, point)[2] / self.atom.mass)
         return {
-            "psi": [float(psi.real), float(psi.imag)],
+            "psi": [psi.real, psi.imag],
             "amplitude": amplitude,
             "phase": phase,
-            "current_spherical": [float(c) for c in current],
-            "velocity": [float(c) for c in velocity],
-            "speed": vector_norm(velocity),
+            "current_spherical": list(current_at(self.q, self.atom, point)),
+            "velocity": list(velocity),
+            "speed": norm3(*velocity),
         }

@@ -9,16 +9,22 @@ The guidance momentum is grad S and the probability current is
 |psi|^2 grad S / mass. Every vector returned by this module is expressed in
 the local spherical basis; use coords.vector_to_cartesian to convert. The
 point functions take a SphericalPoint or SphericalPoints (see coords).
-QuantumNumbers and the float node test load no numpy; the point functions
-import it when they run.
+
+A SphericalPoint runs on floats (momentum_at and current_at give its vectors
+as float triples, which the public functions wrap in arrays); SphericalPoints
+run on numpy columns. Both paths take exp, log, pow and |psi| from libm, so a
+point's values equal its row of a grid bit for bit, on any host. Importing
+the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
+from . import libm
 from .coords import SphericalPoint, SphericalPoints, columns, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig
@@ -51,52 +57,71 @@ class QuantumNumbers:
             raise DomainError(f"|m| must not exceed l, got l={self.l}, m={self.m}")
 
 
-def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
-    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays."""
-    import numpy as np
-
-    rs = np.array(r, dtype=float, ndmin=1)
-    bad = ~((rs >= 0.0) & (rs < math.inf))
-    if bad.any():
-        raise DomainError(f"r must be nonnegative and finite, got {rs[bad][0]}")
-    a = atom.bohr_radius
+@cache
+def _radial_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
+    """R_nl's constant factor, once per state: (n + l)! takes a while at large n + l."""
     # The factorial ratio is taken first, as a correctly rounded int division:
     # converting either factorial to float overflows from n + l = 171 on.
     try:
-        norm = math.sqrt(
-            (2.0 / (q.n * a)) ** 3
+        return math.sqrt(
+            (2.0 / (q.n * atom.bohr_radius)) ** 3
             * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l))
             / (2.0 * q.n)
         )
-    except OverflowError:  # (2 / (n a))^3 overflows; the product below is then not finite
-        norm = math.inf
+    except OverflowError:  # (2 / (n a))^3 overflows; the product with it is then not finite
+        return math.inf
+
+
+def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
+    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays,
+    where the float formula is mapped over the distinct radii."""
+    a = atom.bohr_radius
+    norm = _radial_norm(q, atom)
     degree, order = q.n - q.l - 1, 2 * q.l + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = 2.0 * rs / (q.n * a)
+
+    def radial(x: float) -> float:
+        rho = 2.0 * x / (q.n * a)
         # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
-        laguerre = associated_laguerre(degree, order, np.where(rho < math.inf, rho, 0.0))
-        radial = norm * rho**q.l * np.exp(-0.5 * rho) * laguerre
-    underflow = ~np.isfinite(radial) & (rho >= 1.0)
-    if underflow.any() and 0.0 < norm < math.inf:
-        # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
-        # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
-        # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        laguerre = associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
+        value = norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho) * laguerre
+        if not math.isfinite(value) and rho >= 1.0 and 0.0 < norm < math.inf:
+            # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
+            # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
+            # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
             log_bound = (
-                math.log(norm) + (q.n - 1) * np.log(rho) + math.log(associated_laguerre(degree, order, -1.0)) - 0.5 * rho
+                math.log(norm) + (q.n - 1) * libm.log(rho) + libm.log(associated_laguerre(degree, order, -1.0)) - 0.5 * rho
             )
-        radial[underflow & ((rho == math.inf) | (log_bound < _LOG_SMALLEST_SUBNORMAL))] = 0.0
-    if not np.isfinite(radial).all():
-        i = int(np.argmin(np.isfinite(radial)))
-        raise DomainError(f"R_nl(r) leaves the float range at r = {float(rs[i])!r}: a factor overflows")
-    return radial if np.ndim(r) else float(radial[0])
+            if rho == math.inf or log_bound < _LOG_SMALLEST_SUBNORMAL:
+                return 0.0
+        return value
+
+    x = libm.float_or_array(r)
+    if isinstance(x, float):
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"r must be nonnegative and finite, got {x}")
+        value = radial(x)
+        if not math.isfinite(value):
+            raise DomainError(f"R_nl(r) leaves the float range at r = {x!r}: a factor overflows")
+        return value
+    import numpy as np
+
+    bad = ~((x >= 0.0) & (x < math.inf))
+    if bad.any():
+        raise DomainError(f"r must be nonnegative and finite, got {x[bad][0]}")
+    values = libm.elementwise(radial, x)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise DomainError(f"R_nl(r) leaves the float range at r = {float(x.flat[i])!r}: a factor overflows")
+    return values
 
 
 def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints):
     """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a point, shape (N,) over N points."""
-    r, theta, phi = columns(p)
-    psi = radial_function(q, atom, r) * spherical_harmonic(q.l, q.m, theta, phi)
-    return psi if isinstance(p, SphericalPoints) else complex(psi[0])
+    radial = radial_function(q, atom, p.r)
+    harmonic = spherical_harmonic(q.l, q.m, p.theta, p.phi)
+    # + 0.0 maps a signed zero to +0.0: an m = 0 state is real, with imaginary part 0.0.
+    real, imag = radial * harmonic.real, radial * harmonic.imag + 0.0
+    return complex(real, imag) if isinstance(p, SphericalPoint) else libm.complex_array(real, imag)
 
 
 def polar_decompose(psi: complex) -> tuple[float, float | None]:
@@ -131,6 +156,19 @@ def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
         return laguerre_zero | (assoc_legendre(q.l, m, cos_theta, 1.0) == 0.0)
 
 
+def momentum_at(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
+    """bohm_momentum at one point, as a float triple."""
+    if q.m == 0:
+        return (0.0, 0.0, 0.0)
+    rho = p.r * pole_safe_sin(p.theta)
+    rate = q.m / rho if rho != 0.0 else math.inf
+    if not math.isfinite(rate):  # r sin(theta) is 0, or so small that the rate overflows
+        raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined at r={p.r}, theta={p.theta}")
+    if is_node(q, atom, p.r, math.cos(p.theta)):
+        raise PhaseSingularityError("phase singularity: wavefunction node")
+    return (0.0, 0.0, rate)
+
+
 def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
     """Guidance momentum grad S in the spherical basis: (3,) at a point, (N, 3) over N points.
 
@@ -140,6 +178,8 @@ def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | Spher
     """
     import numpy as np
 
+    if isinstance(p, SphericalPoint):
+        return np.array(momentum_at(q, atom, p))
     r, theta, _ = columns(p)
     out = np.zeros((len(r), 3))
     if q.m != 0:
@@ -152,7 +192,17 @@ def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | Spher
         if is_node(q, atom, r, np.cos(theta)).any():
             raise PhaseSingularityError("phase singularity: wavefunction node")
         out[:, 2] = rate
-    return out if isinstance(p, SphericalPoints) else out[0]
+    return out
+
+
+def current_at(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
+    """probability_current at one point, as a float triple."""
+    if q.m == 0:
+        return (0.0, 0.0, 0.0)
+    density = libm.abs_squared(hydrogen_wavefunction(q, atom, p))
+    # On the axis, or so near that this product underflows, j = 0; where it overflows, j = density * m / inf = 0.
+    rho_mass = atom.mass * p.r * pole_safe_sin(p.theta)
+    return (0.0, 0.0, density * q.m / rho_mass if rho_mass > 0.0 else 0.0)
 
 
 def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
@@ -163,16 +213,18 @@ def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint |
     """
     import numpy as np
 
+    if isinstance(p, SphericalPoint):
+        return np.array(current_at(q, atom, p))
     r, theta, _ = columns(p)
     out = np.zeros((len(r), 3))
     if q.m != 0:
         st = pole_safe_sin(theta)
-        density = np.abs(np.atleast_1d(hydrogen_wavefunction(q, atom, p))) ** 2
+        density = libm.abs_squared(hydrogen_wavefunction(q, atom, p))
         # Where the product overflows, j = density * m / inf = 0; on the axis it may read inf * 0 = nan, not > 0.
         with np.errstate(over="ignore", invalid="ignore"):
             off_axis = atom.mass * r * st > 0.0  # on the axis, or so near that this product underflows, j = 0
             out[off_axis, 2] = density[off_axis] * q.m / (atom.mass * r[off_axis] * st[off_axis])
-    return out if isinstance(p, SphericalPoints) else out[0]
+    return out
 
 
 def state_norm(q: QuantumNumbers, atom: AtomConfig) -> float:

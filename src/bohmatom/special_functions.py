@@ -8,23 +8,16 @@ conventions:
 * spherical harmonics: orthonormal over the sphere, Condon-Shortley phase,
   Y_l^{-m} = (-1)^m * conj(Y_l^m).
 
-The polynomials run on a float x without numpy; array arguments import it.
+Float arguments run on floats without numpy; array arguments import it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
+from . import libm
 from .errors import DomainError
-
-
-def _float_or_array(x):
-    """x as a float where it is one number (np.ndim 0), otherwise as a float array."""
-    if isinstance(x, float):
-        return float(x)
-    import numpy as np
-
-    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 def _ones_like(x):
@@ -44,7 +37,7 @@ def associated_laguerre(degree: int, order: int, x):
     """
     if degree < 0 or order < 0:
         raise DomainError("degree and order must be nonnegative integers")
-    xs = _float_or_array(x)
+    xs = libm.float_or_array(x)
     if isinstance(xs, float):
         if not math.isfinite(xs):
             raise DomainError(f"x must be finite, got {xs}")
@@ -68,7 +61,7 @@ def assoc_legendre(l: int, m: int, x, s):
     P_l^m / sin^m(theta), whose zeros are the nodes of P_l^m off the axis.
     Float x and s give a float, by the same recurrence.
     """
-    x = _float_or_array(x)
+    x = libm.float_or_array(x)
     pmm = 1.0 if isinstance(x, float) else _ones_like(x)
     for k in range(1, m + 1):
         pmm = pmm * (-(2.0 * k - 1.0) * s)
@@ -80,28 +73,46 @@ def assoc_legendre(l: int, m: int, x, s):
     return pm1
 
 
+@cache
+def _harmonic_norm(l: int, am: int) -> float:
+    """Y_l^m's constant factor, once per (l, |m|): (l + |m|)! takes a while at large l."""
+    # Factorial ratio first (correctly rounded int division, at most 1): a
+    # float times math.factorial(l + am) overflows from l + am = 171 on.
+    return math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am)))
+
+
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal spherical harmonic Y_l^m(theta, phi) with Condon-Shortley phase, elementwise.
 
-    Float angles run as one-element arrays and return a complex.
+    Float angles run on floats and return a complex, with the bits of the
+    array path: both form the value from its real and imaginary parts.
     """
-    import numpy as np
-
     if l < 0:
         raise DomainError("l must be nonnegative")
     if abs(m) > l:
         raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
     am = abs(m)
-    theta_a, phi_a = np.array(theta, dtype=float, ndmin=1), np.array(phi, dtype=float, ndmin=1)
-    # Factorial ratio first (correctly rounded int division, at most 1): a
-    # float times math.factorial(l + am) overflows from l + am = 171 on.
-    norm = math.sqrt(
-        (2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am))
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = norm * assoc_legendre(l, am, np.cos(theta_a), np.sin(theta_a)) * np.exp(1j * am * phi_a)
-    if not np.isfinite(y).all():
+    norm = _harmonic_norm(l, am)
+    theta_x, phi_x = libm.float_or_array(theta), libm.float_or_array(phi)
+    scalar = isinstance(theta_x, float) and isinstance(phi_x, float)
+    if scalar:
+        x = norm * assoc_legendre(l, am, math.cos(theta_x), math.sin(theta_x))
+        angle = am * phi_x
+        real, imag = x * math.cos(angle), x * math.sin(angle) + 0.0
+        finite = math.isfinite(real) and math.isfinite(imag)
+    else:
+        import numpy as np
+
+        theta_a, phi_a = np.array(theta, dtype=float, ndmin=1), np.array(phi, dtype=float, ndmin=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = norm * assoc_legendre(l, am, np.cos(theta_a), np.sin(theta_a))
+            angle = am * phi_a
+            real, imag = x * np.cos(angle), x * np.sin(angle) + 0.0
+        finite = np.isfinite(real).all() and np.isfinite(imag).all()
+    # x sin(m phi) + 0.0 and 0.0 - a map a signed zero to +0.0: the imaginary part of Y_l^0 is 0.0.
+    if not finite:
         raise DomainError(f"Y_l^m leaves the float range at l={l}, m={m}: P_l^m overflows where its norm underflows")
-    if m < 0:
-        y = (-1.0) ** am * np.conj(y)
-    return y if np.ndim(theta) or np.ndim(phi) else complex(y[0])
+    if m < 0:  # Y_l^{-m} = (-1)^m conj(Y_l^m)
+        sign = (-1.0) ** am
+        real, imag = sign * real, 0.0 - sign * imag
+    return complex(real, imag) if scalar else libm.complex_array(real, imag)

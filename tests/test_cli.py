@@ -206,7 +206,8 @@ class TestFieldCommand:
         q = QuantumNumbers(3, 2, -1)
         for row in rows:
             point = SphericalPoint(row[0], row[1], row[2])
-            density = np.abs(hydrogen_wavefunction(q, atom, point)) ** 2
+            amplitude = abs(hydrogen_wavefunction(q, atom, point))  # hypot from libm
+            density = amplitude * amplitude
             velocity = vector_to_cartesian(point, bohm_momentum(q, atom, point) / atom.mass)
             assert row[3] == density
             assert row[4:7] == (density * velocity).tolist()
@@ -536,14 +537,30 @@ _COLD_TRAJECTORIES = [
 ]
 
 
+# State runs of both models, with the exit code each ends with.
+_COLD_STATES = [
+    (["--spin", "up", "--theta", "1.0", "--phi", "2.0"], 0),
+    (["--spin", "down", "--Z", "92", "--r", "0.01"], 0),
+    (["--r", "1e200"], 0),  # A(r) underflows to 0; the velocity does not
+    (["--model", "schrodinger", "--n", "3", "--l", "1", "--m", "0", "--theta", "2.5"], 0),
+    ([*_SCHRODINGER_START, "--m", "1"], 0),
+    ([*_SCHRODINGER_START, "--m", "-1", "--phi", "4.0"], 0),
+    ([*_SCHRODINGER_START, "--m", "1", "--r", "1e308"], 0),  # R_nl is 0 where rho overflows
+    (["--model", "schrodinger", "--n", "2", "--l", "1", "--m", "-1", "--phi", "3.141592653589793"], 0),
+    (["--model", "schrodinger", "--n", "3", "--l", "1", "--m", "0", "--r", "1644", "--theta", "2.5"], 0),
+    (["--mass", "1e300"], 1),  # A(r) exceeds the float range
+]
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     code = "import sys, bohmatom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], env=_SUBPROCESS_ENV, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
-    # The cold path: --help, dilate and trajectory run without numpy too.
+    # The cold path: --help, dilate, trajectory and state run without numpy too.
     out = tmp_path / "out"
     runs = [(["--help"], 0), (["dilate", "--rest-lifetime", "2e-6", "--out", str(out)], 0)]
+    runs += [(["state", *args], exit_code) for args, exit_code in _COLD_STATES]
     runs += [
         (["trajectory", *args, "--format", fmt, "--out", str(out)], exit_code)
         for args, exit_code in _COLD_TRAJECTORIES
@@ -559,3 +576,5 @@ def test_cli_import_loads_no_scipy(tmp_path):
             assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0
         elif args[0] == "trajectory":
             assert out.stat().st_size > 0
+        elif args[0] == "state" and exit_code == 0:
+            assert json.loads(result.stdout.rpartition("\n}\n")[0] + "}")["command"] == "state"

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bohmatom import QuantumNumbers, make_atom
-from bohmatom.cli import _MAX_LAGUERRE_DEGREE, main
+from bohmatom.cli import _MAX_L, _MAX_LAGUERRE_DEGREE, main
 from bohmatom.schrodinger_states import is_node
 
 FLOATS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf", "-inf"]
@@ -56,9 +56,12 @@ MODELS = [
 ]
 
 
-#: n where a factorial norm leaves the float range (87-90, 171, 200), n large, and n at which
-#: l = 0 puts the Laguerre degree n - l - 1 at its limit, and one past it.
-N_EDGES = [1, 2, 87, 88, 89, 90, 171, 200, 10**4, _MAX_LAGUERRE_DEGREE + 1, _MAX_LAGUERRE_DEGREE + 2]
+#: n where a factorial norm leaves the float range (87-90, 171, 200), n large, n at which
+#: l = 0 puts the Laguerre degree n - l - 1 at its limit, and one past it, and n at which
+#: l = n - 1 puts l at its limit, and one past it.
+N_EDGES = [
+    1, 2, 87, 88, 89, 90, 171, 200, 10**4, _MAX_LAGUERRE_DEGREE + 1, _MAX_LAGUERRE_DEGREE + 2, _MAX_L + 1, _MAX_L + 2,
+]
 
 
 @st.composite
@@ -183,7 +186,7 @@ def check_state(args):
         finite_json(result.stdout)
 
 
-# Each example must end within the deadline: the slowest, at the degree limit, takes about 1 s.
+# Each example must end within the deadline: the slowest, at the degree or the l limit, takes about 2 s.
 QUANTUM_FUZZ = settings(
     max_examples=40, deadline=timedelta(seconds=10), suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -261,6 +264,9 @@ def test_dilate(tmp_path, args):
         (["state", "--model", "schrodinger", "--n", "1000000", "--l", "1", "--m", "1"], 2),
         (["field", "--model", "schrodinger", "--n", "1000000", "--l", "1", "--m", "1"], 2),
         (["trajectory", "--model", "schrodinger", "--n", "1000000", "--l", "1", "--m", "1"], 2),
+        # The factorial norms and the Legendre recurrence ran for 86 s and 6.7 s at these l.
+        (["state", "--model", "schrodinger", "--n", "1000000", "--l", "999999", "--m", "0"], 2),
+        (["state", "--model", "schrodinger", "--n", "200000", "--l", "199999", "--m", "0"], 2),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

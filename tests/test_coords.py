@@ -75,8 +75,9 @@ def test_azimuthal_map_equals_the_basis_route_bit_for_bit(rng):
     want = vector_to_cartesian(points, components)
     got = azimuthal_to_cartesian(points.phi, v_phi)
     assert got.tobytes() == want.tobytes()
-    for i in range(n, len(theta)):  # the one-point path: scalar coordinates and a float speed
+    for i in range(n, len(theta)):  # the one-point path: a float triple from scalar coordinates and a float speed
         p = SphericalPoint(1.0, float(theta[i]), float(phi[i]))
         want = vector_to_cartesian(p, components[i])
-        assert azimuthal_to_cartesian(p.phi, float(v_phi[i])).tobytes() == want.tobytes()
+        one = azimuthal_to_cartesian(p.phi, float(v_phi[i]))
+        assert all(type(c) is float for c in one) and np.array(one).tobytes() == want.tobytes()
     assert not np.signbit(got[v_phi == 0.0]).any()
