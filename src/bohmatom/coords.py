@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import libm
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -102,7 +103,7 @@ def columns(p: SphericalPoint | SphericalPoints) -> tuple[np.ndarray, np.ndarray
 
 
 def pole_safe_sin(theta):
-    """sin(theta) with the theta = pi endpoint mapped to exactly zero; elementwise on arrays.
+    """sin(theta) from libm with the theta = pi endpoint mapped to exactly zero; elementwise on arrays.
 
     math.sin(math.pi) is ~1.2e-16, but within the [0, pi] colatitude domain
     the endpoint denotes the south pole, where axial geometry must be exact
@@ -112,7 +113,7 @@ def pole_safe_sin(theta):
         import numpy as np
 
         if np.ndim(theta):
-            return np.where(theta == math.pi, 0.0, np.sin(theta))
+            return np.where(theta == math.pi, 0.0, libm.sin(theta))
     return 0.0 if theta == math.pi else math.sin(theta)
 
 
@@ -142,7 +143,7 @@ def azimuthal_to_cartesian(phi, v_phi):
         return (0.0 - v_phi * math.sin(phi), v_phi * math.cos(phi) + 0.0, 0.0)
     import numpy as np
 
-    return np.stack([0.0 - v_phi * np.sin(phi), v_phi * np.cos(phi) + 0.0, np.zeros_like(v_phi)], axis=-1)
+    return np.stack([0.0 - v_phi * libm.sin(phi), v_phi * libm.cos(phi) + 0.0, np.zeros_like(v_phi)], axis=-1)
 
 
 def vector_norm(v):

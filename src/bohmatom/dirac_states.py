@@ -25,9 +25,9 @@ a SphericalPoint or SphericalPoints (see coords).
 A SphericalPoint runs on floats: spinor_at, current_of and velocity_at give
 the spinor, the contraction (an explicit loop in numpy's order of products and
 sums) and the flow as Python numbers, and the public functions wrap them in
-arrays. SphericalPoints run on numpy columns. Both paths take exp, log and pow
-from libm, so a point's values equal its row of a grid bit for bit, on any
-host. Importing the module loads no numpy.
+arrays. SphericalPoints run on numpy columns. Both paths take exp, log, pow,
+cos and sin from libm, so a point's values equal its row of a grid bit for
+bit, whatever numpy's CPU dispatch. Importing the module loads no numpy.
 """
 
 from __future__ import annotations
@@ -178,11 +178,10 @@ def dirac_ground_state(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoin
     amp = radial_amplitude(atom, p.r)
     zeta = small_component_ratio(atom)
     real, imag = _spinor_parts(
-        spin, amp, zeta * np.cos(p.theta), zeta * pole_safe_sin(p.theta), np.cos(p.phi), np.sin(p.phi), np.zeros_like(amp)
+        spin, amp, zeta * libm.cos(p.theta), zeta * pole_safe_sin(p.theta),
+        libm.cos(p.phi), libm.sin(p.phi), np.zeros_like(amp),
     )
-    psi = np.empty((len(amp), 4), dtype=complex)
-    psi.real, psi.imag = np.stack(real, axis=-1), np.stack(imag, axis=-1)
-    return psi
+    return libm.complex_array(np.stack(real, axis=-1), np.stack(imag, axis=-1))
 
 
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:

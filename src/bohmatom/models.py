@@ -178,7 +178,7 @@ class SchrodingerEigenstate:
             "psi": [psi.real, psi.imag],
             "amplitude": amplitude,
             "phase": phase,
-            "current_spherical": list(current_at(self.q, self.atom, point)),
+            "current_spherical": list(current_at(self.q, self.atom, point, libm.abs_squared(psi))),
             "velocity": list(velocity),
             "speed": norm3(*velocity),
         }

@@ -12,16 +12,15 @@ point functions take a SphericalPoint or SphericalPoints (see coords).
 
 A SphericalPoint runs on floats (momentum_at and current_at give its vectors
 as float triples, which the public functions wrap in arrays); SphericalPoints
-run on numpy columns. Both paths take exp, log, pow and |psi| from libm, so a
-point's values equal its row of a grid bit for bit, on any host. Importing
-the module loads no numpy.
+run on numpy columns. Both paths take exp, log, pow, cos, sin and |psi| from
+libm, so a point's values equal its row of a grid bit for bit, whatever
+numpy's CPU dispatch. Importing the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import TYPE_CHECKING
 
 from . import libm
@@ -57,50 +56,47 @@ class QuantumNumbers:
             raise DomainError(f"|m| must not exceed l, got l={self.l}, m={self.m}")
 
 
-@cache
-def _radial_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
-    """R_nl's constant factor, once per state: (n + l)! takes a while at large n + l."""
+def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
+    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays.
+
+    R_nl = norm rho^l exp(-rho/2) L(rho) with rho = 2r/(n a0). An array takes its distinct radii,
+    maps the libm factors norm rho^l exp(-rho/2) over them and runs the Laguerre recurrence on
+    them as one array; its +, * and / round as float arithmetic does, so a float r gets the same bits.
+    """
+    a = atom.bohr_radius
     # The factorial ratio is taken first, as a correctly rounded int division:
     # converting either factorial to float overflows from n + l = 171 on.
     try:
-        return math.sqrt(
-            (2.0 / (q.n * atom.bohr_radius)) ** 3
-            * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l))
-            / (2.0 * q.n)
+        norm = math.sqrt(
+            (2.0 / (q.n * a)) ** 3 * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l)) / (2.0 * q.n)
         )
     except OverflowError:  # (2 / (n a))^3 overflows; the product with it is then not finite
-        return math.inf
-
-
-def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
-    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays,
-    where the float formula is mapped over the distinct radii."""
-    a = atom.bohr_radius
-    norm = _radial_norm(q, atom)
+        norm = math.inf
     degree, order = q.n - q.l - 1, 2 * q.l + 1
 
-    def radial(x: float) -> float:
-        rho = 2.0 * x / (q.n * a)
-        # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
-        laguerre = associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
-        value = norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho) * laguerre
-        if not math.isfinite(value) and rho >= 1.0 and 0.0 < norm < math.inf:
-            # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
-            # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
-            # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
-            log_bound = (
-                math.log(norm) + (q.n - 1) * libm.log(rho) + libm.log(associated_laguerre(degree, order, -1.0)) - 0.5 * rho
-            )
-            if rho == math.inf or log_bound < _LOG_SMALLEST_SUBNORMAL:
-                return 0.0
-        return value
+    def envelope(rho: float) -> float:
+        return norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho)
+
+    def vanishes(rho: float, laguerre_at_minus_one: float) -> bool:
+        """Whether R_nl is 0 where norm rho^l exp(-rho/2) L(rho) came out not finite."""
+        # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
+        # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
+        # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
+        if not (rho >= 1.0 and 0.0 < norm < math.inf):
+            return False
+        log_bound = math.log(norm) + (q.n - 1) * libm.log(rho) + libm.log(laguerre_at_minus_one) - 0.5 * rho
+        return rho == math.inf or log_bound < _LOG_SMALLEST_SUBNORMAL
 
     x = libm.float_or_array(r)
     if isinstance(x, float):
         if not 0.0 <= x < math.inf:
             raise DomainError(f"r must be nonnegative and finite, got {x}")
-        value = radial(x)
+        rho = 2.0 * x / (q.n * a)
+        # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
+        value = envelope(rho) * associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
         if not math.isfinite(value):
+            if vanishes(rho, associated_laguerre(degree, order, -1.0)):
+                return 0.0
             raise DomainError(f"R_nl(r) leaves the float range at r = {x!r}: a factor overflows")
         return value
     import numpy as np
@@ -108,7 +104,16 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
     bad = ~((x >= 0.0) & (x < math.inf))
     if bad.any():
         raise DomainError(f"r must be nonnegative and finite, got {x[bad][0]}")
-    values = libm.elementwise(radial, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho, inverse = libm.distinct(2.0 * x / (q.n * a))
+        values = np.array([envelope(v) for v in rho.tolist()]) * associated_laguerre(
+            degree, order, np.where(rho < math.inf, rho, 0.0)
+        )
+    overflow = np.flatnonzero(~np.isfinite(values))
+    if overflow.size:
+        at_minus_one = associated_laguerre(degree, order, -1.0)
+        values[[i for i in overflow.tolist() if vanishes(float(rho[i]), at_minus_one)]] = 0.0
+    values = values[inverse]
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
         raise DomainError(f"R_nl(r) leaves the float range at r = {float(x.flat[i])!r}: a factor overflows")
@@ -189,17 +194,16 @@ def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | Spher
         if axis.any():
             i = int(np.argmax(axis))
             raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined at r={r[i]}, theta={theta[i]}")
-        if is_node(q, atom, r, np.cos(theta)).any():
+        if is_node(q, atom, r, libm.cos(theta)).any():
             raise PhaseSingularityError("phase singularity: wavefunction node")
         out[:, 2] = rate
     return out
 
 
-def current_at(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
-    """probability_current at one point, as a float triple."""
+def current_at(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint, density: float) -> tuple[float, float, float]:
+    """probability_current at one point, as a float triple, from the density |psi|^2 there."""
     if q.m == 0:
         return (0.0, 0.0, 0.0)
-    density = libm.abs_squared(hydrogen_wavefunction(q, atom, p))
     # On the axis, or so near that this product underflows, j = 0; where it overflows, j = density * m / inf = 0.
     rho_mass = atom.mass * p.r * pole_safe_sin(p.theta)
     return (0.0, 0.0, density * q.m / rho_mass if rho_mass > 0.0 else 0.0)
@@ -214,7 +218,8 @@ def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint |
     import numpy as np
 
     if isinstance(p, SphericalPoint):
-        return np.array(current_at(q, atom, p))
+        density = libm.abs_squared(hydrogen_wavefunction(q, atom, p)) if q.m != 0 else 0.0
+        return np.array(current_at(q, atom, p, density))
     r, theta, _ = columns(p)
     out = np.zeros((len(r), 3))
     if q.m != 0:

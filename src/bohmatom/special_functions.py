@@ -14,7 +14,6 @@ Float arguments run on floats without numpy; array arguments import it.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from . import libm
 from .errors import DomainError
@@ -73,14 +72,6 @@ def assoc_legendre(l: int, m: int, x, s):
     return pm1
 
 
-@cache
-def _harmonic_norm(l: int, am: int) -> float:
-    """Y_l^m's constant factor, once per (l, |m|): (l + |m|)! takes a while at large l."""
-    # Factorial ratio first (correctly rounded int division, at most 1): a
-    # float times math.factorial(l + am) overflows from l + am = 171 on.
-    return math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am)))
-
-
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal spherical harmonic Y_l^m(theta, phi) with Condon-Shortley phase, elementwise.
 
@@ -92,7 +83,9 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     if abs(m) > l:
         raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
     am = abs(m)
-    norm = _harmonic_norm(l, am)
+    # Factorial ratio first (correctly rounded int division, at most 1): a
+    # float times math.factorial(l + am) overflows from l + am = 171 on.
+    norm = math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am)))
     theta_x, phi_x = libm.float_or_array(theta), libm.float_or_array(phi)
     scalar = isinstance(theta_x, float) and isinstance(phi_x, float)
     if scalar:
@@ -105,9 +98,9 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 
         theta_a, phi_a = np.array(theta, dtype=float, ndmin=1), np.array(phi, dtype=float, ndmin=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = norm * assoc_legendre(l, am, np.cos(theta_a), np.sin(theta_a))
+            x = norm * assoc_legendre(l, am, libm.cos(theta_a), libm.sin(theta_a))
             angle = am * phi_a
-            real, imag = x * np.cos(angle), x * np.sin(angle) + 0.0
+            real, imag = x * libm.cos(angle), x * libm.sin(angle) + 0.0
         finite = np.isfinite(real).all() and np.isfinite(imag).all()
     # x sin(m phi) + 0.0 and 0.0 - a map a signed zero to +0.0: the imaginary part of Y_l^0 is 0.0.
     if not finite:

@@ -1,12 +1,15 @@
 """Output bytes do not depend on numpy's CPU dispatch or on OpenBLAS's core type.
 
-numpy picks SIMD kernels for exp, log, power, hypot and complex products by
-the CPU it runs on, and those round differently from libm and from one
-another; np.dot follows OpenBLAS's core type. Each command below runs twice in
-a fresh interpreter: as it is, and with numpy's AVX-512 kernels switched off
-(NPY_DISABLE_CPU_FEATURES) and OpenBLAS held to its Haswell kernels. The
-written bytes must be the same. Where numpy finds no AVX-512 kernel, the two
-runs would be the same process, and the test is skipped.
+numpy picks SIMD kernels for exp, log, power, complex absolute value and
+complex products by the CPU it runs on, and those round differently from libm
+and from one another; its sin and cos may be vectorised too, and np.dot
+follows OpenBLAS's core type. Each command below runs in a fresh interpreter:
+as it is, with numpy's AVX-512 kernels switched off (NPY_DISABLE_CPU_FEATURES)
+and OpenBLAS held to its Haswell kernels, and with every kernel above numpy's
+baseline switched off and OpenBLAS held to Nehalem (SSE only). The written
+bytes must be the same. A restriction that switches off nothing numpy found
+would rerun the same process and is left out; where none is left, the test
+is skipped.
 """
 
 import hashlib
@@ -24,20 +27,33 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-#: The AVX-512 dispatch targets numpy reports as found on this CPU (np.show_runtime lists them too).
-AVX512_FOUND = [f for f in __cpu_dispatch__ if __cpu_features__.get(f) and (f.startswith("AVX512") or f == "X86_V4")]
+#: The dispatch targets numpy reports as found on this CPU (np.show_runtime lists them too).
+FOUND = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+AVX512_FOUND = [f for f in FOUND if f.startswith("AVX512") or f == "X86_V4"]
 
 _ENV = {**os.environ, "PYTHONPATH": str(Path(bohmatom.__file__).resolve().parents[1])}
+RESTRICTED = {
+    name: {**_ENV, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "OPENBLAS_CORETYPE": coretype}
+    for name, disabled, coretype in (("no-avx512", AVX512_FOUND, "Haswell"), ("baseline", FOUND, "Nehalem"))
+    if disabled
+}
+
 _GRID = ["--Z", "40", "--r-count", "40", "--theta-count", "3", "--phi-count", "2"]
-COMMANDS = [
-    ["field", "--model", "dirac", *_GRID],
-    ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", *_GRID, "--format", "json"],
-    ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "-1", *_GRID, "--format", "json"],
-    ["field", "--model", "schrodinger", "--n", "4", "--l", "3", "--m", "2", *_GRID, "--format", "json"],
-    ["field", "--model", "schrodinger", "--n", "4", "--l", "3", "--m", "-2", *_GRID, "--format", "json"],
-    ["state", "--model", "dirac", "--spin", "down", "--Z", "40", "--r", "0.1", "--theta", "1.0", "--phi", "2.0"],
-    ["state", "--model", "schrodinger", "--n", "4", "--l", "3", "--m", "2", "--Z", "40", "--r", "0.5", "--theta", "1.0"],
-]
+#: Many distinct angles, so that the cos and sin of theta and phi are exercised too.
+_ANGLES = ["--Z", "40", "--r-count", "10", "--theta-count", "9", "--phi-count", "7"]
+COMMANDS = {
+    "field-dirac": ["field", "--model", "dirac", *_GRID],
+    "field-321": ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", *_GRID, "--format", "json"],
+    "field-32-1": ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "-1", *_GRID, "--format", "json"],
+    "field-432": ["field", "--model", "schrodinger", "--n", "4", "--l", "3", "--m", "2", *_GRID, "--format", "json"],
+    "field-43-2": ["field", "--model", "schrodinger", "--n", "4", "--l", "3", "--m", "-2", *_GRID, "--format", "json"],
+    "field-dirac-angles": ["field", "--model", "dirac", "--spin", "down", *_ANGLES],
+    "field-533-angles": ["field", "--model", "schrodinger", "--n", "5", "--l", "3", "--m", "3", *_ANGLES],
+    "state-dirac": ["state", "--model", "dirac", "--spin", "down", "--Z", "40", "--r", "0.1", "--theta", "1.0",
+                    "--phi", "2.0"],
+    "state-432": ["state", "--model", "schrodinger", "--n", "4", "--l", "3", "--m", "2", "--Z", "40", "--r", "0.5",
+                  "--theta", "1.0"],
+}
 
 
 def output_digest(args, tmp_path, env):
@@ -47,11 +63,9 @@ def output_digest(args, tmp_path, env):
     return hashlib.sha256(out.read_bytes() if args[0] == "field" else result.stdout).hexdigest()
 
 
-@pytest.mark.skipif(not AVX512_FOUND, reason="numpy finds no AVX-512 kernel on this CPU")
-@pytest.mark.parametrize(
-    "args", COMMANDS, ids=["field-dirac", "field-321", "field-32-1", "field-432", "field-43-2", "state-dirac", "state-432"]
-)
+@pytest.mark.skipif(not RESTRICTED, reason="numpy finds no SIMD kernel above its baseline on this CPU")
+@pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS.keys())
 def test_output_bytes_do_not_depend_on_cpu_dispatch(args, tmp_path):
-    without_avx512 = {**_ENV, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_FOUND), "OPENBLAS_CORETYPE": "Haswell"}
-    assert output_digest(args, tmp_path, _ENV) == output_digest(args, tmp_path, without_avx512)
-
+    plain = output_digest(args, tmp_path, _ENV)
+    restricted = {name: output_digest(args, tmp_path, env) for name, env in RESTRICTED.items()}
+    assert restricted == dict.fromkeys(RESTRICTED, plain)

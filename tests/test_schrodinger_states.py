@@ -17,6 +17,8 @@ from bohmatom import (
     radial_function,
     state_norm,
 )
+from bohmatom import schrodinger_states
+from bohmatom.special_functions import associated_laguerre
 
 GROUND = QuantumNumbers(1, 0, 0)
 
@@ -104,6 +106,24 @@ class TestWavefunction:
         assert got[1] > 0.0
         with pytest.raises(DomainError, match="leaves the float range"):  # the norm itself overflows
             radial_function(q, make_atom(1, mass=1e300), np.array([1e-298, 1e-200]))
+
+    def test_laguerre_recurrence_runs_once_over_the_distinct_radii(self, hydrogen, monkeypatch):
+        # A grid repeats each radius once per angle; the O(degree) recurrence runs on the distinct
+        # radii as one array (and once more at x = -1 where a factor overflows, as at r = 1e200).
+        shapes = []
+
+        def spy(degree, order, x):
+            shapes.append(np.shape(x))
+            return associated_laguerre(degree, order, x)
+
+        monkeypatch.setattr(schrodinger_states, "associated_laguerre", spy)
+        q = QuantumNumbers(40, 5, 3)
+        r = np.tile([3.0, 1.0, 1e200, 2.0, 1e-3], 60) * hydrogen.bohr_radius
+        got = radial_function(q, hydrogen, r)
+        assert shapes == [(5,), ()]
+        floats = np.array([radial_function(q, hydrogen, x) for x in r.tolist()])
+        assert got.view(np.int64).tolist() == floats.view(np.int64).tolist()
+        assert got[2] == 0.0 and (got[[0, 1, 3, 4]] != 0.0).all()
 
     @pytest.mark.parametrize("q", ALL_N_LE_3, ids=lambda q: f"{q.n}{q.l}{q.m}")
     def test_normalization(self, hydrogen, q):
