@@ -4,14 +4,15 @@ All file values are in natural units (hbar = c = 1) except lifetime fields,
 which are in seconds. Numbers are serialized with shortest round-trip
 precision, CSV uses one '#' comment line, a single header row, comma
 delimiters and LF line endings, and identical invocations produce
-byte-identical files. Diagnostics go to stderr only. The module imports no
-numpy, and `dilate`, `--help`, `trajectory` and `state` run without it:
-`trajectory` integrates, checks and writes its rows on floats, and a 10 000-step
-Dirac run takes 0.35 s instead of 0.46 s and 23 MB instead of 38 MB per
-process (medians of 20 runs, on a shared 2-core Xeon host with Python 3.11);
-`state` evaluates its point on floats, with the bits of the same point's
-`field` row, in 0.13 s instead of 0.22 s and 18 MB instead of 31 MB per
-process. Only `field` imports numpy, with the state modules, when it runs.
+byte-identical files. Diagnostics go to stderr only. No command imports
+numpy: `trajectory` integrates, checks and writes its rows on floats, and a
+10 000-step Dirac run takes 0.35 s instead of 0.46 s and 23 MB instead of
+38 MB per process (medians of 20 runs, on a shared 2-core Xeon host with
+Python 3.11); `state` evaluates its point on floats, with the bits of the same
+point's `field` row, in 0.13 s instead of 0.22 s and 18 MB instead of 31 MB
+per process; `field` evaluates each factor once per value of its own grid
+axis and writes each row from strings formatted once per axis value or once
+per r slab.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import operator
 import os
 import sys
 from array import array
+from functools import partial
+from itertools import repeat
 
 import click
 
@@ -87,43 +90,70 @@ def _formatted(values: list) -> list[str]:
     return list(map(repr, values))
 
 
-def _numpy_cells(column, start: int, stop: int) -> list[str]:
-    """A block of a numpy column as cell strings, its distinct bit patterns found by np.unique."""
-    import numpy as np
-
-    keys, inverse = np.unique(np.asarray(column[start:stop], dtype=np.float64).view(np.int64), return_inverse=True)
-    return np.array(_formatted(keys.view(np.float64).tolist()), dtype=object)[inverse].tolist()
-
-
-def _buffer_cells(column, start: int, stop: int) -> list[str]:
-    """A block of a float buffer as cell strings, its distinct bit patterns found by a set."""
-    bits = memoryview(column).cast("B").cast("q")[start:stop].tolist()
+def _cells(column: memoryview, start: int, stop: int) -> list[str]:
+    """Rows start to stop of a float column as cell strings, each distinct bit pattern formatted once."""
+    bits = column.cast("B").cast("q")[start:stop].tolist()
     distinct = set(bits)
     if len(distinct) == len(bits):  # no value repeats: the cells are the values in order
-        return _formatted(memoryview(column)[start:stop].tolist())
+        return _formatted(column[start:stop].tolist())
     keys = array("q", distinct)  # read back below as the floats they encode
     text = dict(zip(keys, _formatted(memoryview(keys).cast("B").cast("d").tolist())))
     return list(map(text.__getitem__, bits))
 
 
+def _floats(column) -> memoryview:
+    """A 1-D float column (array('d'), a memoryview of floats, a numpy column or a list) as a
+    contiguous memoryview of floats; a list or a strided column is copied."""
+    if isinstance(column, list):
+        return memoryview(array("d", column))
+    view = memoryview(column)
+    return view if view.c_contiguous else memoryview(array("d", view.tolist()))
+
+
 def _table_text(table, cell_sep: str, row_sep: str) -> str:
     """The rows of a float table, each cell the repr of its float, joined by the separators.
 
-    The table is a 2-D numpy array or a list of columns, each a 1-D numpy
-    array or a float buffer (array('d') or a memoryview of floats). Every
-    value must be finite, else the command fails. Block by block, each
-    column's cells are keyed by their bit pattern (so -0.0 and 0.0 stay
-    apart), and each distinct value is formatted once. np.unique finds the
-    distinct values of a numpy column, a set and a dict those of a float
-    buffer, so a table of buffers needs no numpy.
+    The table is a list of 1-D float columns (see _floats) or a 2-D numpy array,
+    or a function of the two separators that returns the rows itself (the field
+    table, see _grid_rows). Every value must be finite, else the command fails.
+    Block by block, each column's cells are keyed by their bit pattern (so -0.0
+    and 0.0 stay apart), and each distinct value is formatted once.
     """
-    columns = table.T if getattr(table, "ndim", 1) == 2 else table
-    forms = [_numpy_cells if hasattr(c, "dtype") else _buffer_cells for c in columns]
+    if callable(table):
+        return table(cell_sep, row_sep)
+    columns = [_floats(c) for c in (table.T if getattr(table, "ndim", 1) == 2 else table)]
     blocks = []
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = [form(column, start, start + _BLOCK_ROWS) for column, form in zip(columns, forms)]
+        cells = [_cells(column, start, start + _BLOCK_ROWS) for column in columns]
         blocks.append(row_sep.join(map(cell_sep.join, zip(*cells))))
     return row_sep.join(blocks)
+
+
+def _grid_rows(grid, columns: list, cell_sep: str, row_sep: str) -> str:
+    """The rows of a field table on a SphericalGrid: r, theta and phi, then the model's columns.
+
+    A column holds one value per grid point, or one per angle pair of an r slab, the
+    same at every radius. r, theta, phi and the per-angle columns are formatted once
+    for the grid, and each run of them is joined into one string per angle pair; the
+    per-point columns are formatted once per distinct bit pattern of each r slab.
+    """
+    slab = grid.theta_count * grid.phi_count
+    phi = _formatted(grid.phi)
+    parts = [[cell_sep.join((t, p)) for t in _formatted(grid.theta) for p in phi]]
+    for column in columns:
+        if len(column) != slab:  # one value per point
+            parts.append(_floats(column))
+            continue
+        cells = _cells(_floats(column), 0, slab)
+        if isinstance(parts[-1], list):
+            parts[-1] = list(map(cell_sep.join, zip(parts[-1], cells)))
+        else:
+            parts.append(cells)
+    slabs = []
+    for i, r in enumerate(_formatted(grid.r)):
+        cells = [p if isinstance(p, list) else _cells(p, i * slab, (i + 1) * slab) for p in parts]
+        slabs.append(row_sep.join(map(cell_sep.join, zip(repeat(r, slab), *cells))))
+    return row_sep.join(slabs)
 
 
 def _json_text(doc: dict) -> str:
@@ -234,9 +264,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     Rows are ordered r-major, then theta, then phi. Columns: r, theta, phi,
     j0, j1, j2, j3, vx, vy, vz, speed (spatial components Cartesian).
     """
-    import numpy as np
-
-    from .coords import SphericalPoints, vector_norm
+    from .grid import SphericalGrid
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     a0 = model.atom.bohr_radius
@@ -244,26 +272,21 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     r_hi = 5.0 * a0 if r_max is None else r_max
     if not 0.0 < r_lo <= r_hi < math.inf or r_count < 1 or theta_count < 1 or phi_count < 1:
         raise click.UsageError("invalid grid: need 0 < r-min <= r-max and positive counts")
-    if 8 * r_count * theta_count * phi_count > sys.maxsize:  # numpy refuses a column that large
-        _fail(f"a grid of {r_count * theta_count * phi_count} points does not fit in memory")
 
     columns = ["r", "theta", "phi", "j0", "j1", "j2", "j3", "vx", "vy", "vz", "speed"]
+    grid = SphericalGrid(r_lo, r_hi, r_count, theta_count, phi_count)
     try:
-        points = SphericalPoints.grid(
-            np.linspace(r_lo, r_hi, r_count),
-            np.pi * (np.arange(theta_count) + 0.5) / theta_count,
-            2.0 * np.pi * np.arange(phi_count) / phi_count,
-        )
-        j, velocity = model.table(points)
-    except (DomainError, MemoryError) as exc:  # numpy names the allocation that failed
+        # The model reserves its per-point columns before it builds the axes or the first point.
+        rows = partial(_grid_rows, grid, model.field_table(grid))
+    except DomainError as exc:
         _fail(str(exc))
-    speed = vector_norm(velocity)
-    table = np.column_stack([points.r, points.theta, points.phi, j, velocity, speed])
+    except MemoryError:
+        _fail(f"a grid of {grid.size} points does not fit in memory")
 
     if fmt == "csv":
-        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, table)
+        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, rows)
     else:
-        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=columns, rows=table))
+        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=columns, rows=rows))
     _write_files(out, {out: text})
 
 

@@ -22,12 +22,14 @@ anticlockwise around +z for spin up and clockwise for spin down. Spatial
 current and velocity components here are Cartesian. The point functions take
 a SphericalPoint or SphericalPoints (see coords).
 
-A SphericalPoint runs on floats: spinor_at, current_of and velocity_at give
-the spinor, the contraction (an explicit loop in numpy's order of products and
-sums) and the flow as Python numbers, and the public functions wrap them in
-arrays. SphericalPoints run on numpy columns. Both paths take exp, log, pow,
-cos and sin from libm, so a point's values equal its row of a grid bit for
-bit, whatever numpy's CPU dispatch. Importing the module loads no numpy.
+A SphericalPoint runs on floats: spinor_at, four_current_at and velocity_at
+give the spinor, the contraction and the flow as Python numbers, and the
+public functions wrap them in arrays. The contraction on floats is
+ground_current, the sums of dirac_current's einsum with their zero terms left
+out; the field table evaluates it over an r slab of a grid. SphericalPoints
+run on numpy columns. Both paths take exp, log, pow, cos and sin from libm, so
+a point's values equal its row of a grid bit for bit, whatever numpy's CPU
+dispatch. Importing the module loads no numpy.
 """
 
 from __future__ import annotations
@@ -159,13 +161,16 @@ def _spinor_parts(spin: SpinOrientation, amp, b, d, cos_phi, sin_phi, zero):
     return (zero, amp, amp * (d * sin_phi), zero), (zero, zero, amp * (d * cos_phi), 0.0 - amp * b)
 
 
+def _point_factors(atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float, float, float]:
+    """A(r), B = zeta cos(theta), D = zeta sin(theta), cos(phi) and sin(phi) at one point."""
+    zeta = small_component_ratio(atom)
+    return (radial_amplitude(atom, p.r), zeta * math.cos(p.theta), zeta * pole_safe_sin(p.theta),
+            math.cos(p.phi), math.sin(p.phi))
+
+
 def spinor_at(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> tuple[complex, complex, complex, complex]:
     """The bispinor at one point as four complex numbers: dirac_ground_state's row, on floats."""
-    zeta = small_component_ratio(atom)
-    real, imag = _spinor_parts(
-        spin, radial_amplitude(atom, p.r), zeta * math.cos(p.theta), zeta * pole_safe_sin(p.theta),
-        math.cos(p.phi), math.sin(p.phi), 0.0,
-    )
+    real, imag = _spinor_parts(spin, *_point_factors(atom, p), 0.0)
     return tuple(map(complex, real, imag))
 
 
@@ -194,53 +199,61 @@ def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
     return adjoint
 
 
-def _check_leak(leak: float, scale: float) -> None:
-    if leak > 1e-13 * scale:
-        raise ArithmeticError(f"gamma contraction produced imaginary current {leak} (scale {scale})")
+def ground_current(spin: SpinOrientation, amp: float, b, d_sin, d_cos) -> tuple[list[float], list[float], list[float]]:
+    """j0, j1 and j2 of the ground-state spinor with A(r) = amp at each angle k, where
+    B = b[k], D sin(phi) = d_sin[k] and D cos(phi) = d_cos[k]; j3 is 0.0 at every angle.
 
+    These are the sums of dirac_current's contraction, bit for bit, with only their
+    nonzero terms. Each sum starts at +0.0, and under round-to-nearest a sum that starts
+    at +0.0 never becomes -0.0, so the terms of a zero gamma entry or a zero spinor
+    component change no bit. With X = A (D sin phi), Y = A (D cos phi) and AB = A B, the
+    terms left, in the contraction's order, are real products:
 
-def current_of(psi) -> list[float]:
-    """j^mu = Re[psibar gamma^mu psi] of one spinor, four complex numbers, on floats.
+        spin up:   j0 = (X^2 + Y^2) + (AB^2 + A^2),  j1 = -2 A X,  j2 = 2 A Y;
+        spin down: j0 = AB^2 + ((X^2 + Y^2) + A^2),  j1 = 2 A X,   j2 = -2 A Y.
 
-    The contraction is an explicit loop, k outer and l inner, each product
-    psibar_k gamma^mu_kl psi_l taken left to right and added to the sum: the
-    order of dirac_current's einsum, so the result has its bits, signed zeros
-    included. The same imaginary-leak check applies.
+    Their imaginary parts cancel exactly. A vanishing component is +0.0, as the sums
+    give it (0.0 - a and a + 0.0 map a signed zero to +0.0).
     """
-    adjoint = (psi[0].conjugate(), psi[1].conjugate(), -psi[2].conjugate(), -psi[3].conjugate())  # dirac_adjoint
-    j = []
-    for gamma in _GAMMA:
-        total = 0j
-        for k in range(4):
-            for l in range(4):
-                total = adjoint[k] * gamma[k][l] * psi[l] + total
-        j.append(total)
-    _check_leak(max(abs(c.imag) for c in j), max(1.0, abs(j[0].real)))
-    return [c.real for c in j]
+    aa = amp * amp
+    ab = [amp * v for v in b]
+    x = [amp * v for v in d_sin]
+    y = [amp * v for v in d_cos]
+    if spin is SpinOrientation.UP:
+        j0 = [(u * u + w * w) + (c * c + aa) for c, u, w in zip(ab, x, y)]
+        return j0, [0.0 - 2.0 * (amp * u) for u in x], [2.0 * (amp * w) + 0.0 for w in y]
+    j0 = [c * c + ((u * u + w * w) + aa) for c, u, w in zip(ab, x, y)]
+    return j0, [2.0 * (amp * u) + 0.0 for u in x], [0.0 - 2.0 * (amp * w) for w in y]
+
+
+def four_current_at(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> list[float]:
+    """dirac_current of the spinor at one point, [j0, j1, j2, j3], on floats."""
+    amp, b, d, cos_phi, sin_phi = _point_factors(atom, p)
+    j0, j1, j2 = ground_current(spin, amp, [b], [d * sin_phi], [d * cos_phi])
+    return [j0[0], j1[0], j2[0], 0.0]
 
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:
     """j^mu = Re[psibar gamma^mu psi] from the explicit matrix contraction.
 
     A real array with columns j0, j1, j2, j3 (spatial parts Cartesian): shape
-    (4,) for psi of shape (4,), through current_of, and (N, 4) for (N, 4),
-    from one batched contraction. The imaginary part must cancel; it is
-    checked row by row against 1e-13 relative to the density scale rather
-    than trusted to vanish in floating point.
+    (4,) for psi of shape (4,) and (N, 4) for (N, 4), from one batched
+    contraction. The imaginary part must cancel; it is checked row by row
+    against 1e-13 relative to the density scale rather than trusted to vanish
+    in floating point.
     """
     import numpy as np
 
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim == 1:
-        return np.array(current_of(psi.tolist()))
     rows = psi.reshape(-1, 4)
     j = np.einsum("nk,mkl,nl->nm", dirac_adjoint(rows), _gamma_array(), rows)
     scale = np.maximum(1.0, np.abs(j[:, 0].real))
     leak = np.max(np.abs(j.imag), axis=1)
     if (leak > 1e-13 * scale).any():
         i = int(np.argmax(leak / scale))
-        _check_leak(float(leak[i]), float(scale[i]))
-    return j.real.copy()  # owns its data, so the complex contraction is freed on return
+        raise ArithmeticError(f"gamma contraction produced imaginary current {float(leak[i])} (scale {float(scale[i])})")
+    j = j.real.copy()  # owns its data, so the complex contraction is freed on return
+    return j[0] if psi.ndim == 1 else j
 
 
 def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
@@ -259,12 +272,18 @@ def closed_form_current(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoi
     return j if isinstance(p, SphericalPoints) else j[0]
 
 
+def azimuthal_speed(spin: SpinOrientation, atom: AtomConfig, theta):
+    """The flow's phi component +/-Z*alpha*sin(theta) at colatitude theta (upper sign: spin up);
+    elementwise on an array."""
+    speed = atom.za * pole_safe_sin(theta)
+    return speed if spin is SpinOrientation.UP else -speed
+
+
 def velocity_at(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
     """bohm_velocity at one point, as a float triple."""
     if p.r == 0.0:
         raise OriginSingularityError("origin singularity: the flow is undefined at r = 0")
-    speed = atom.za * pole_safe_sin(p.theta)
-    return azimuthal_to_cartesian(p.phi, speed if spin is SpinOrientation.UP else -speed)
+    return azimuthal_to_cartesian(p.phi, azimuthal_speed(spin, atom, p.theta))
 
 
 def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | SphericalPoints) -> np.ndarray:
@@ -283,10 +302,7 @@ def bohm_velocity(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint | S
         return np.array(velocity_at(spin, atom, p))
     if (p.r == 0.0).any():
         raise OriginSingularityError("origin singularity: the flow is undefined at r = 0")
-    speed = atom.za * pole_safe_sin(p.theta)
-    if spin is SpinOrientation.DOWN:
-        speed = -speed
-    return azimuthal_to_cartesian(p.phi, speed)
+    return azimuthal_to_cartesian(p.phi, azimuthal_speed(spin, atom, p.theta))
 
 
 def ground_state_norm(spin: SpinOrientation, atom: AtomConfig) -> float:

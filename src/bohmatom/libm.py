@@ -87,7 +87,10 @@ def abs_squared(psi) -> float | np.ndarray:
     """|psi|^2 as hypot(re, im)^2, elementwise on a complex array (np.hypot calls libm's hypot,
     as abs of a complex does)."""
     if isinstance(psi, complex):
-        a = abs(psi)
+        try:
+            a = abs(psi)
+        except OverflowError:  # hypot overflowed, where numpy gives inf
+            return math.inf
         return a * a
     import numpy as np
 

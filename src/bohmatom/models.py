@@ -4,10 +4,9 @@ DiracGroundState(spin, atom) circulates at Z*alpha*sin(theta), so a start at
 radius r turns at omega = +/-Z*alpha/r (upper sign: spin up).
 SchrodingerEigenstate(q, atom) moves at m/(mass*rho) along phi_hat, with
 rho = r sin(theta), so omega = m/(mass*rho^2), which is 0 for m = 0. Each gives
-its grid table, its Cartesian velocity field, the rate of the exact circle
-through a start and the state subcommand's keys; the CLI reaches the states
-through these alone. The velocity fields, the rates and describe run on
-floats; numpy loads only with table.
+its field table on a grid, its Cartesian velocity field, the rate of the exact
+circle through a start and the state subcommand's keys; the CLI reaches the
+states through these alone. All of them run on floats, without numpy.
 """
 
 from __future__ import annotations
@@ -18,12 +17,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import libm
-from .coords import SphericalPoint, SphericalPoints, azimuthal_to_cartesian, norm3, pole_safe_sin
+from .coords import SphericalPoint, azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
 from .schrodinger_states import (
     QuantumNumbers,
-    bohm_momentum,
     current_at,
     hydrogen_wavefunction,
     is_node,
@@ -33,7 +31,7 @@ from .schrodinger_states import (
 from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .grid import SphericalGrid
 
 #: Below the smallest normal float a sum of squares has lost digits.
 _NORMAL_MIN = sys.float_info.min
@@ -70,12 +68,11 @@ class DiracGroundState:
     def header(self) -> dict:
         return {"model": "dirac", "spin": self.spin.value, "quantum_numbers": None}
 
-    def table(self, points: SphericalPoints) -> tuple[np.ndarray, np.ndarray]:
-        """The (N, 4) current j^mu from the gamma contraction and the (N, 3) Cartesian velocity."""
-        from .dirac_states import bohm_velocity, dirac_current, dirac_ground_state
+    def field_table(self, grid: SphericalGrid) -> list:
+        """The columns j0, j1, j2, j3, vx, vy, vz, speed of the field table on the grid (grid.dirac_table)."""
+        from .grid import dirac_table
 
-        current = dirac_current(dirac_ground_state(self.spin, self.atom, points))
-        return current, bohm_velocity(self.spin, self.atom, points)
+        return dirac_table(self.spin, self.atom, grid)
 
     def velocity_field(self) -> VelocityField:
         """v = j/j0, which in Cartesian form reads +/-Z*alpha*(-y, x, 0)/r."""
@@ -101,13 +98,13 @@ class DiracGroundState:
         return _with_finite_period(rate, start.r)
 
     def describe(self, point: SphericalPoint) -> dict:
-        from .dirac_states import current_of, spinor_at, velocity_at
+        from .dirac_states import four_current_at, spinor_at, velocity_at
 
         psi = spinor_at(self.spin, self.atom, point)
         velocity = velocity_at(self.spin, self.atom, point)
         return {
             "spinor": [[c.real, c.imag] for c in psi],
-            "current": current_of(psi),
+            "current": four_current_at(self.spin, self.atom, point),
             "velocity": list(velocity),
             "speed": norm3(*velocity),
             "lorentz_factor": lorentz_factor(velocity),
@@ -123,14 +120,11 @@ class SchrodingerEigenstate:
     def header(self) -> dict:
         return {"model": "schrodinger", "spin": None, "quantum_numbers": [self.q.n, self.q.l, self.q.m]}
 
-    def table(self, points: SphericalPoints) -> tuple[np.ndarray, np.ndarray]:
-        """The (N, 4) current (density, then density times velocity) and the (N, 3) Cartesian velocity."""
-        import numpy as np
+    def field_table(self, grid: SphericalGrid) -> list:
+        """The columns j0, j1, j2, j3, vx, vy, vz, speed of the field table on the grid (grid.schrodinger_table)."""
+        from .grid import schrodinger_table
 
-        # One psi over the grid gives the density; the current is density times velocity.
-        density = libm.abs_squared(hydrogen_wavefunction(self.q, self.atom, points))
-        velocity = azimuthal_to_cartesian(points.phi, bohm_momentum(self.q, self.atom, points)[:, 2] / self.atom.mass)
-        return np.column_stack([density, density[:, None] * velocity]), velocity
+        return schrodinger_table(self.q, self.atom, grid)
 
     def velocity_field(self) -> VelocityField:
         """grad(S)/mass = (m/mass)(-y, x, 0)/(x^2 + y^2); exact zeros for m = 0, so those

@@ -12,7 +12,8 @@ point functions take a SphericalPoint or SphericalPoints (see coords).
 
 A SphericalPoint runs on floats (momentum_at and current_at give its vectors
 as float triples, which the public functions wrap in arrays); SphericalPoints
-run on numpy columns. Both paths take exp, log, pow, cos, sin and |psi| from
+run on numpy columns; on a grid.SphericalGrid, hydrogen_wavefunction gives
+each factor of psi once per value of its own axis. All paths take exp, log, pow, cos, sin and |psi| from
 libm, so a point's values equal its row of a grid bit for bit, whatever
 numpy's CPU dispatch. Importing the module loads no numpy.
 """
@@ -31,6 +32,8 @@ from .special_functions import assoc_legendre, associated_laguerre, spherical_ha
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .grid import SphericalGrid
 
 #: Gauss rule sizes of the state_norm quadrature: nodes per radial panel, and in cos(theta).
 _NORM_RADIAL_NODES = 64
@@ -56,6 +59,34 @@ class QuantumNumbers:
             raise DomainError(f"|m| must not exceed l, got l={self.l}, m={self.m}")
 
 
+def _radial_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
+    """The constant factor of R_nl: sqrt((2 / (n a0))^3 (n - l - 1)! / ((n + l)! 2n)), inf where it overflows."""
+    # The factorial ratio is taken first, as a correctly rounded int division:
+    # converting either factorial to float overflows from n + l = 171 on.
+    try:
+        return math.sqrt(
+            (2.0 / (q.n * atom.bohr_radius)) ** 3 * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l)) / (2.0 * q.n)
+        )
+    except OverflowError:  # (2 / (n a))^3 overflows; the product with it is then not finite
+        return math.inf
+
+
+def _envelope(q: QuantumNumbers, norm: float, rho: float) -> float:
+    """norm rho^l exp(-rho/2), the factor of R_nl beside the Laguerre polynomial."""
+    return norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho)
+
+
+def _vanishes(q: QuantumNumbers, norm: float, rho: float, laguerre_at_minus_one: float) -> bool:
+    """Whether R_nl is 0 where norm rho^l exp(-rho/2) L(rho) came out not finite."""
+    # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
+    # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
+    # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
+    if not (rho >= 1.0 and 0.0 < norm < math.inf):
+        return False
+    log_bound = math.log(norm) + (q.n - 1) * libm.log(rho) + libm.log(laguerre_at_minus_one) - 0.5 * rho
+    return rho == math.inf or log_bound < _LOG_SMALLEST_SUBNORMAL
+
+
 def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
     """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1; elementwise on arrays.
 
@@ -64,28 +95,8 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
     them as one array; its +, * and / round as float arithmetic does, so a float r gets the same bits.
     """
     a = atom.bohr_radius
-    # The factorial ratio is taken first, as a correctly rounded int division:
-    # converting either factorial to float overflows from n + l = 171 on.
-    try:
-        norm = math.sqrt(
-            (2.0 / (q.n * a)) ** 3 * (math.factorial(q.n - q.l - 1) / math.factorial(q.n + q.l)) / (2.0 * q.n)
-        )
-    except OverflowError:  # (2 / (n a))^3 overflows; the product with it is then not finite
-        norm = math.inf
+    norm = _radial_norm(q, atom)
     degree, order = q.n - q.l - 1, 2 * q.l + 1
-
-    def envelope(rho: float) -> float:
-        return norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho)
-
-    def vanishes(rho: float, laguerre_at_minus_one: float) -> bool:
-        """Whether R_nl is 0 where norm rho^l exp(-rho/2) L(rho) came out not finite."""
-        # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
-        # sign, so for rho >= 1, |R_nl| <= norm rho^(n-1) L(-1) exp(-rho/2); where that bound is below
-        # the smallest subnormal, or rho itself overflows (its logarithm is then inf - inf), R_nl is 0.
-        if not (rho >= 1.0 and 0.0 < norm < math.inf):
-            return False
-        log_bound = math.log(norm) + (q.n - 1) * libm.log(rho) + libm.log(laguerre_at_minus_one) - 0.5 * rho
-        return rho == math.inf or log_bound < _LOG_SMALLEST_SUBNORMAL
 
     x = libm.float_or_array(r)
     if isinstance(x, float):
@@ -93,9 +104,9 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
             raise DomainError(f"r must be nonnegative and finite, got {x}")
         rho = 2.0 * x / (q.n * a)
         # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
-        value = envelope(rho) * associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
+        value = _envelope(q, norm, rho) * associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
         if not math.isfinite(value):
-            if vanishes(rho, associated_laguerre(degree, order, -1.0)):
+            if _vanishes(q, norm, rho, associated_laguerre(degree, order, -1.0)):
                 return 0.0
             raise DomainError(f"R_nl(r) leaves the float range at r = {x!r}: a factor overflows")
         return value
@@ -106,13 +117,13 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
         raise DomainError(f"r must be nonnegative and finite, got {x[bad][0]}")
     with np.errstate(over="ignore", invalid="ignore"):
         rho, inverse = libm.distinct(2.0 * x / (q.n * a))
-        values = np.array([envelope(v) for v in rho.tolist()]) * associated_laguerre(
+        values = np.array([_envelope(q, norm, v) for v in rho.tolist()]) * associated_laguerre(
             degree, order, np.where(rho < math.inf, rho, 0.0)
         )
     overflow = np.flatnonzero(~np.isfinite(values))
     if overflow.size:
         at_minus_one = associated_laguerre(degree, order, -1.0)
-        values[[i for i in overflow.tolist() if vanishes(float(rho[i]), at_minus_one)]] = 0.0
+        values[[i for i in overflow.tolist() if _vanishes(q, norm, float(rho[i]), at_minus_one)]] = 0.0
     values = values[inverse]
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
@@ -120,8 +131,14 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r):
     return values
 
 
-def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints):
-    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a point, shape (N,) over N points."""
+def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalPoints | SphericalGrid):
+    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a point, shape (N,) over N
+    points, and on a grid.SphericalGrid its factors (grid.SeparatedWavefunction), each evaluated
+    once per value of its own axis."""
+    if not isinstance(p, (SphericalPoint, SphericalPoints)):
+        from .grid import separated_wavefunction
+
+        return separated_wavefunction(q, atom, p)
     radial = radial_function(q, atom, p.r)
     harmonic = spherical_harmonic(q.l, q.m, p.theta, p.phi)
     # + 0.0 maps a signed zero to +0.0: an m = 0 state is real, with imaginary part 0.0.
@@ -161,14 +178,21 @@ def is_node(q: QuantumNumbers, atom: AtomConfig, r, cos_theta):
         return laguerre_zero | (assoc_legendre(q.l, m, cos_theta, 1.0) == 0.0)
 
 
+def phase_gradient(q: QuantumNumbers, r: float, theta: float) -> float:
+    """m / (r sin theta), the phi component of grad S at (r, theta), for m != 0. PhaseSingularityError
+    where it is not finite: r sin(theta) is 0, or so small that the rate overflows."""
+    rho = r * pole_safe_sin(theta)
+    rate = q.m / rho if rho != 0.0 else math.inf
+    if not math.isfinite(rate):
+        raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined at r={r}, theta={theta}")
+    return rate
+
+
 def momentum_at(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
     """bohm_momentum at one point, as a float triple."""
     if q.m == 0:
         return (0.0, 0.0, 0.0)
-    rho = p.r * pole_safe_sin(p.theta)
-    rate = q.m / rho if rho != 0.0 else math.inf
-    if not math.isfinite(rate):  # r sin(theta) is 0, or so small that the rate overflows
-        raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined at r={p.r}, theta={p.theta}")
+    rate = phase_gradient(q, p.r, p.theta)
     if is_node(q, atom, p.r, math.cos(p.theta)):
         raise PhaseSingularityError("phase singularity: wavefunction node")
     return (0.0, 0.0, rate)

@@ -9,6 +9,8 @@ conventions:
   Y_l^{-m} = (-1)^m * conj(Y_l^m).
 
 Float arguments run on floats without numpy; array arguments import it.
+spherical_harmonic_table evaluates a product grid of angles on floats, and
+the float form of spherical_harmonic is its one-pair case.
 """
 
 from __future__ import annotations
@@ -72,40 +74,63 @@ def assoc_legendre(l: int, m: int, x, s):
     return pm1
 
 
+def _harmonic_norm(l: int, am: int) -> float:
+    # Factorial ratio first (correctly rounded int division, at most 1): a
+    # float times math.factorial(l + am) overflows from l + am = 171 on.
+    return math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am)))
+
+
+def _harmonic_overflow(l: int, m: int):
+    raise DomainError(f"Y_l^m leaves the float range at l={l}, m={m}: P_l^m overflows where its norm underflows")
+
+
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal spherical harmonic Y_l^m(theta, phi) with Condon-Shortley phase, elementwise.
 
-    Float angles run on floats and return a complex, with the bits of the
-    array path: both form the value from its real and imaginary parts.
+    Float angles run on floats (spherical_harmonic_table of one pair) and return a
+    complex, with the bits of the array path: both form the value from its real and
+    imaginary parts.
     """
     if l < 0:
         raise DomainError("l must be nonnegative")
     if abs(m) > l:
         raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
-    am = abs(m)
-    # Factorial ratio first (correctly rounded int division, at most 1): a
-    # float times math.factorial(l + am) overflows from l + am = 171 on.
-    norm = math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am)))
     theta_x, phi_x = libm.float_or_array(theta), libm.float_or_array(phi)
-    scalar = isinstance(theta_x, float) and isinstance(phi_x, float)
-    if scalar:
-        x = norm * assoc_legendre(l, am, math.cos(theta_x), math.sin(theta_x))
-        angle = am * phi_x
-        real, imag = x * math.cos(angle), x * math.sin(angle) + 0.0
-        finite = math.isfinite(real) and math.isfinite(imag)
-    else:
-        import numpy as np
+    if isinstance(theta_x, float) and isinstance(phi_x, float):
+        (real,), (imag,) = spherical_harmonic_table(l, m, [theta_x], [phi_x])
+        return complex(real, imag)
+    import numpy as np
 
-        theta_a, phi_a = np.array(theta, dtype=float, ndmin=1), np.array(phi, dtype=float, ndmin=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = norm * assoc_legendre(l, am, libm.cos(theta_a), libm.sin(theta_a))
-            angle = am * phi_a
-            real, imag = x * libm.cos(angle), x * libm.sin(angle) + 0.0
-        finite = np.isfinite(real).all() and np.isfinite(imag).all()
+    am = abs(m)
+    theta_a, phi_a = np.array(theta, dtype=float, ndmin=1), np.array(phi, dtype=float, ndmin=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _harmonic_norm(l, am) * assoc_legendre(l, am, libm.cos(theta_a), libm.sin(theta_a))
+        angle = am * phi_a
+        real, imag = x * libm.cos(angle), x * libm.sin(angle) + 0.0
     # x sin(m phi) + 0.0 and 0.0 - a map a signed zero to +0.0: the imaginary part of Y_l^0 is 0.0.
-    if not finite:
-        raise DomainError(f"Y_l^m leaves the float range at l={l}, m={m}: P_l^m overflows where its norm underflows")
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        _harmonic_overflow(l, m)
     if m < 0:  # Y_l^{-m} = (-1)^m conj(Y_l^m)
         sign = (-1.0) ** am
         real, imag = sign * real, 0.0 - sign * imag
-    return complex(real, imag) if scalar else libm.complex_array(real, imag)
+    return libm.complex_array(real, imag)
+
+
+def spherical_harmonic_table(l: int, m: int, theta: list[float], phi: list[float]) -> tuple[list[float], list[float]]:
+    """spherical_harmonic at every pair (theta[i], phi[k]), theta-major, as the lists of its real
+    and its imaginary parts, with the float path's bits: P_l^m runs once per theta, and cos(|m| phi)
+    and sin(|m| phi) are taken once per phi."""
+    # x sin(m phi) + 0.0 and 0.0 - a map a signed zero to +0.0: the imaginary part of Y_l^0 is 0.0.
+    am = abs(m)
+    norm = _harmonic_norm(l, am)
+    legendre = [norm * assoc_legendre(l, am, math.cos(t), math.sin(t)) for t in theta]
+    if not all(map(math.isfinite, legendre)):  # x cos(m phi) and x sin(m phi) are finite where x is
+        _harmonic_overflow(l, m)
+    cos_m = [math.cos(am * p) for p in phi]
+    sin_m = [math.sin(am * p) for p in phi]
+    real = [x * c for x in legendre for c in cos_m]
+    imag = [x * s + 0.0 for x in legendre for s in sin_m]
+    if m < 0:  # Y_l^{-m} = (-1)^m conj(Y_l^m)
+        sign = (-1.0) ** am
+        real, imag = [sign * v for v in real], [0.0 - sign * v for v in imag]
+    return real, imag

@@ -105,20 +105,19 @@ class Trajectory:
         return self._table()[4:7].T
 
 
-def _reserve(rows: int) -> memoryview:
-    """A buffer of _COLUMNS * rows floats in an anonymous private memory map.
+def reserve_floats(count: int) -> memoryview:
+    """A buffer of count floats in an anonymous private memory map.
 
     The map reserves the memory at once but touches none of it: each page is
-    allocated when a step first writes to it. MemoryError if it cannot be
-    reserved.
+    allocated when it is first written. MemoryError if it cannot be reserved.
     """
-    size = 8 * _COLUMNS * rows
+    size = 8 * count
     if size > sys.maxsize:
-        raise MemoryError(f"{rows} rows do not fit in memory")
+        raise MemoryError(f"{count} floats do not fit in memory")
     try:
         return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)).cast("d")
     except OSError as exc:  # ENOMEM: larger than the address space or the commit limit
-        raise MemoryError(f"{rows} rows do not fit in memory") from exc
+        raise MemoryError(f"{count} floats do not fit in memory") from exc
 
 
 def integrate_trajectory(
@@ -138,7 +137,7 @@ def integrate_trajectory(
         raise DomainError(f"the end time dt * steps = {dt} * {steps} exceeds the float range")
 
     rows = steps + 1
-    buffer = _reserve(rows)
+    buffer = reserve_floats(_COLUMNS * rows)
     T, X, Y, Z, VX, VY, VZ = (buffer[k * rows : (k + 1) * rows] for k in range(_COLUMNS))
 
     # `done` is the number of complete rows; inside the loop it is also the

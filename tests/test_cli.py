@@ -149,12 +149,12 @@ class TestFieldCommand:
         assert result.exit_code == 2
 
     def test_grid_beyond_memory_is_a_one_line_error(self, runner, tmp_path):
-        # 10^17 points need over 10^18 bytes per column, so building the grid fails at once.
+        # 10^17 points need over 10^18 bytes per column, so reserving the table fails at once.
         out = tmp_path / "x.csv"
         counts = ["--r-count", str(10**6), "--theta-count", str(10**6), "--phi-count", str(10**5)]
         result = runner.invoke(main, ["field", *counts, "--out", str(out)])
         assert result.exit_code == 1
-        assert result.output.startswith("error: Unable to allocate")
+        assert result.output == f"error: a grid of {10**17} points does not fit in memory\n"
         assert result.output.count("\n") == 1
         assert not out.exists()
 
@@ -552,18 +552,33 @@ _COLD_STATES = [
 ]
 
 
+# Field runs of both models, with the exit code each ends with.
+_COLD_FIELDS = [
+    (["--spin", "up"], 0),
+    (["--spin", "down", "--Z", "92", "--r-count", "9", "--theta-count", "4", "--phi-count", "3"], 0),
+    (["--model", "schrodinger", "--n", "3", "--l", "2", "--m", "-1", "--r-count", "4"], 0),
+    (["--model", "schrodinger", "--n", "3", "--l", "1", "--m", "0"], 0),
+    (["--mass", "1e300"], 1),  # A(r) exceeds the float range
+]
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     code = "import sys, bohmatom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], env=_SUBPROCESS_ENV, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
-    # The cold path: --help, dilate, trajectory and state run without numpy too.
+    # No command loads numpy: --help, dilate, field, trajectory and state run without it.
     out = tmp_path / "out"
     runs = [(["--help"], 0), (["dilate", "--rest-lifetime", "2e-6", "--out", str(out)], 0)]
     runs += [(["state", *args], exit_code) for args, exit_code in _COLD_STATES]
     runs += [
         (["trajectory", *args, "--format", fmt, "--out", str(out)], exit_code)
         for args, exit_code in _COLD_TRAJECTORIES
+        for fmt in ("csv", "json")
+    ]
+    runs += [
+        (["field", *args, "--format", fmt, "--out", str(out)], exit_code)
+        for args, exit_code in _COLD_FIELDS
         for fmt in ("csv", "json")
     ]
     for args, exit_code in runs:
@@ -574,7 +589,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         assert result.stdout.splitlines()[-1] == f"{exit_code} []", (args, result.stderr)
         if args[0] == "dilate":
             assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0
-        elif args[0] == "trajectory":
+        elif args[0] in ("trajectory", "field") and exit_code == 0:
             assert out.stat().st_size > 0
         elif args[0] == "state" and exit_code == 0:
             assert json.loads(result.stdout.rpartition("\n}\n")[0] + "}")["command"] == "state"

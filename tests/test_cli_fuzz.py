@@ -245,6 +245,8 @@ def test_dilate(tmp_path, args):
         (["trajectory", "--steps", str(10**20)], 1),
         (["field", "--r-count", str(10**20)], 1),
         (["field", "--r-min", "nan"], 2),
+        # 10^12 points: numpy's allocation failed; the reserved table now does, before the axes are built.
+        (["field", "--r-count", "1000000", "--theta-count", "1000000", "--phi-count", "1"], 1),
         # rho**l or the Laguerre factor overflowed where exp(-rho/2) underflowed, and R_nl was inf * 0.
         (["state", "--model", "schrodinger", "--n", "3", "--l", "0", "--m", "0", "--r", "1e200"], 0),
         (["state", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", "--r", "1e200"], 0),
