@@ -5,18 +5,19 @@ which are in seconds. Numbers are serialized with shortest round-trip
 precision, CSV uses one '#' comment line, a single header row, comma
 delimiters and LF line endings, and identical invocations produce
 byte-identical files. Diagnostics go to stderr only. No command imports
-numpy: `trajectory` integrates, checks and writes its rows on floats, and a
-10 000-step Dirac run takes 0.35 s instead of 0.46 s and 23 MB instead of
-38 MB per process (medians of 20 runs, on a shared 2-core Xeon host with
-Python 3.11); `state` evaluates its point on floats, with the bits of the same
-point's `field` row, in 0.13 s instead of 0.22 s and 18 MB instead of 31 MB
-per process; `field` evaluates each factor once per value of its own grid
-axis and writes each row from strings formatted once per axis value or once
-per r slab.
+numpy, and each imports only the modules it runs: `trajectory` integrates,
+checks and writes its rows on floats; `state` evaluates its point on floats,
+with the bits of the same point's `field` row; `field` evaluates each factor
+once per value of its own grid axis. The table writer (`writer`) formats a
+large table in two processes. The program entry `run` ends the process as
+soon as its output is flushed. Per process, a 10 000-step Dirac `trajectory`
+takes 0.28 s, a Dirac 30^3 `field` 0.25 s and a `state` 0.11 s (medians of
+11 runs, on a shared 2-core Xeon host with Python 3.11).
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import math
@@ -25,11 +26,9 @@ import os
 import sys
 from array import array
 from functools import partial
-from itertools import repeat
 
 import click
 
-from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
 from .errors import DomainError, TrajectorySingularityError
 from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
 
@@ -77,90 +76,25 @@ def _fail(message: str) -> None:
 
 _NOT_FINITE = "the result is not finite: a value overflowed or is undefined"
 
-#: Rows formatted at a time: bounds the cell strings alive at once.
-_BLOCK_ROWS = 1024
 #: The "rows" value _json_text stands in for a table; no other value of a document is this string.
 _ROWS = "\0rows"
 
 
-def _formatted(values: list) -> list[str]:
-    """The repr of each distinct value of a block; the command fails unless all are finite."""
-    if not all(map(math.isfinite, values)):
+def _table_pieces(table, cell_sep: str, row_sep: str) -> list[str]:
+    """writer.table_text; the command fails unless every value of the table is finite."""
+    from .writer import NotFiniteError, table_text
+
+    try:
+        return table_text(table, cell_sep, row_sep)
+    except NotFiniteError:
         _fail(_NOT_FINITE)
-    return list(map(repr, values))
-
-
-def _cells(column: memoryview, start: int, stop: int) -> list[str]:
-    """Rows start to stop of a float column as cell strings, each distinct bit pattern formatted once."""
-    bits = column.cast("B").cast("q")[start:stop].tolist()
-    distinct = set(bits)
-    if len(distinct) == len(bits):  # no value repeats: the cells are the values in order
-        return _formatted(column[start:stop].tolist())
-    keys = array("q", distinct)  # read back below as the floats they encode
-    text = dict(zip(keys, _formatted(memoryview(keys).cast("B").cast("d").tolist())))
-    return list(map(text.__getitem__, bits))
-
-
-def _floats(column) -> memoryview:
-    """A 1-D float column (array('d'), a memoryview of floats, a numpy column or a list) as a
-    contiguous memoryview of floats; a list or a strided column is copied."""
-    if isinstance(column, list):
-        return memoryview(array("d", column))
-    view = memoryview(column)
-    return view if view.c_contiguous else memoryview(array("d", view.tolist()))
-
-
-def _table_text(table, cell_sep: str, row_sep: str) -> str:
-    """The rows of a float table, each cell the repr of its float, joined by the separators.
-
-    The table is a list of 1-D float columns (see _floats) or a 2-D numpy array,
-    or a function of the two separators that returns the rows itself (the field
-    table, see _grid_rows). Every value must be finite, else the command fails.
-    Block by block, each column's cells are keyed by their bit pattern (so -0.0
-    and 0.0 stay apart), and each distinct value is formatted once.
-    """
-    if callable(table):
-        return table(cell_sep, row_sep)
-    columns = [_floats(c) for c in (table.T if getattr(table, "ndim", 1) == 2 else table)]
-    blocks = []
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = [_cells(column, start, start + _BLOCK_ROWS) for column in columns]
-        blocks.append(row_sep.join(map(cell_sep.join, zip(*cells))))
-    return row_sep.join(blocks)
-
-
-def _grid_rows(grid, columns: list, cell_sep: str, row_sep: str) -> str:
-    """The rows of a field table on a SphericalGrid: r, theta and phi, then the model's columns.
-
-    A column holds one value per grid point, or one per angle pair of an r slab, the
-    same at every radius. r, theta, phi and the per-angle columns are formatted once
-    for the grid, and each run of them is joined into one string per angle pair; the
-    per-point columns are formatted once per distinct bit pattern of each r slab.
-    """
-    slab = grid.theta_count * grid.phi_count
-    phi = _formatted(grid.phi)
-    parts = [[cell_sep.join((t, p)) for t in _formatted(grid.theta) for p in phi]]
-    for column in columns:
-        if len(column) != slab:  # one value per point
-            parts.append(_floats(column))
-            continue
-        cells = _cells(_floats(column), 0, slab)
-        if isinstance(parts[-1], list):
-            parts[-1] = list(map(cell_sep.join, zip(parts[-1], cells)))
-        else:
-            parts.append(cells)
-    slabs = []
-    for i, r in enumerate(_formatted(grid.r)):
-        cells = [p if isinstance(p, list) else _cells(p, i * slab, (i + 1) * slab) for p in parts]
-        slabs.append(row_sep.join(map(cell_sep.join, zip(repeat(r, slab), *cells))))
-    return row_sep.join(slabs)
 
 
 def _json_text(doc: dict) -> str:
     """The document as indent-2 JSON; a "rows" table is written as its list of row lists would be."""
     table = doc.get("rows")
     if table is not None:
-        rows = _table_text(table, ",\n      ", "\n    ],\n    [\n      ")
+        rows = _table_pieces(table, ",\n      ", "\n    ],\n    [\n      ")
         doc = {**doc, "rows": _ROWS}
     try:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -172,16 +106,13 @@ def _json_text(doc: dict) -> str:
     if not rows:
         return head + "[]" + tail
     # One join builds the text: each + would copy all of it once more.
-    return "".join([head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail])
+    return "".join([head, "[\n    [\n      ", *rows, "\n    ]\n  ]", tail])
 
 
 def _csv_text(comment: str, columns: list[str], table) -> str:
-    lines = [f"# bohmatom {comment}", ",".join(columns)]
-    rows = _table_text(table, ",", "\n")
-    if rows:
-        lines.append(rows)
-    lines.append("")  # the final LF
-    return "\n".join(lines)
+    rows = _table_pieces(table, ",", "\n")
+    header = f"# bohmatom {comment}\n{','.join(columns)}\n"
+    return "".join([header, *rows, "\n" if rows else ""])
 
 
 def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
@@ -221,9 +152,10 @@ def _make_atom(z: int, alpha_scale: float, mass: float):
 def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
     """Enforce the model-conditional flags, then build the model on its atom."""
     from .models import DiracGroundState, SchrodingerEigenstate
-    from .schrodinger_states import QuantumNumbers
 
     if model == "schrodinger":
+        from .schrodinger_states import QuantumNumbers
+
         if spin is not None:
             raise click.UsageError("--spin applies only to --model dirac")
         try:
@@ -265,6 +197,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     j0, j1, j2, j3, vx, vy, vz, speed (spatial components Cartesian).
     """
     from .grid import SphericalGrid
+    from .writer import grid_rows
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     a0 = model.atom.bohr_radius
@@ -277,7 +210,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     grid = SphericalGrid(r_lo, r_hi, r_count, theta_count, phi_count)
     try:
         # The model reserves its per-point columns before it builds the axes or the first point.
-        rows = partial(_grid_rows, grid, model.field_table(grid))
+        rows = partial(grid_rows, grid, model.field_table(grid))
     except DomainError as exc:
         _fail(str(exc))
     except MemoryError:
@@ -378,6 +311,8 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     table (scales 1, 0.5, 0.1, 0.01 on top of --alpha-scale) used to check
     the non-relativistic limit, where mean_gamma must approach 1.
     """
+    from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
+
     if not (rest_lifetime > 0.0 and math.isfinite(rest_lifetime)):
         raise click.UsageError(f"--rest-lifetime must be positive and finite, got {rest_lifetime}")
     spin_o = SpinOrientation(spin)
@@ -428,5 +363,42 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
         _write_files(out, {out: text})
 
 
+def _traced() -> bool:
+    """Whether a trace or profile function, or a sys.monitoring tool, watches this process."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, where cProfile and coverage may use it
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
+
+
+def run() -> None:
+    """The program entry: main(), then an exit without tearing the interpreter down.
+
+    The exit status is that of the SystemExit main() ends with, read as sys.exit
+    reads it. The atexit handlers run and stdout and stderr are flushed; then
+    os._exit ends the process, which skips freeing every object and module one by
+    one (8-33 ms per process). Where a tracer, profiler or debugger watches the
+    process, or the exit is not a plain status, or a flush fails, the interpreter
+    exits as usual instead, so those report as they always do.
+    """
+    if _traced():
+        main()
+        return
+    status = 0
+    try:
+        main()
+    except SystemExit as exc:
+        status = 0 if exc.code is None else exc.code
+        if not isinstance(status, int):
+            raise
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -9,7 +9,8 @@ into float columns reserved before the first point. Every value has the bits
 of the state modules' array functions at the same point.
 
 Only `field` imports this module (through the models' field_table), so the
-other commands start without loading it.
+other commands start without loading it; the Schrodinger modules load only
+for a Schrodinger table.
 """
 
 from __future__ import annotations
@@ -19,21 +20,16 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import TYPE_CHECKING
 
 from . import libm
 from .coords import azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
-from .schrodinger_states import (
-    QuantumNumbers,
-    _envelope,
-    _radial_norm,
-    _vanishes,
-    hydrogen_wavefunction,
-    phase_gradient,
-)
-from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic_table
 from .trajectory_engine import reserve_floats
+
+if TYPE_CHECKING:
+    from .schrodinger_states import QuantumNumbers
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -103,6 +99,9 @@ def _radial_axis(q: QuantumNumbers, atom: AtomConfig, radii: list[float]) -> tup
     """R_nl at each radius of a grid axis, with radial_function's bits, and whether the Laguerre
     factor is exactly 0 there (is_node's radial test). The recurrence runs once, in lockstep over
     the distinct values of rho = 2r/(n a0), and serves both."""
+    from .schrodinger_states import _envelope, _radial_norm, _vanishes
+    from .special_functions import associated_laguerre
+
     norm = _radial_norm(q, atom)
     rho_of = [2.0 * x / (q.n * atom.bohr_radius) for x in radii]
     rhos = list(dict.fromkeys(rho_of))
@@ -140,6 +139,8 @@ class SeparatedWavefunction:
 
 def separated_wavefunction(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> SeparatedWavefunction:
     """hydrogen_wavefunction on a grid: its radial and angular factors, each once per axis value."""
+    from .special_functions import assoc_legendre, spherical_harmonic_table
+
     radial, radial_node = _radial_axis(q, atom, grid.r)
     real, imag = spherical_harmonic_table(q.l, q.m, grid.theta, grid.phi)
     angular_node = [assoc_legendre(q.l, abs(q.m), math.cos(t), 1.0) == 0.0 for t in grid.theta]
@@ -191,6 +192,8 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
     grad(S)/mass. j0 holds one value per point, and so do j1, j2, vx, vy and speed for m != 0;
     the others hold one value per angle pair of an r slab, the same at every radius.
     PhaseSingularityError for m != 0 where the grid meets the axis or a node."""
+    from .schrodinger_states import hydrogen_wavefunction, phase_gradient
+
     columns = _point_columns(grid, 1 if q.m == 0 else 6)
     slab = grid.theta_count * grid.phi_count
     psi = hydrogen_wavefunction(q, atom, grid)

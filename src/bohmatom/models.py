@@ -20,18 +20,11 @@ from . import libm
 from .coords import SphericalPoint, azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
-from .schrodinger_states import (
-    QuantumNumbers,
-    current_at,
-    hydrogen_wavefunction,
-    is_node,
-    momentum_at,
-    polar_decompose,
-)
-from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
 
 if TYPE_CHECKING:
     from .grid import SphericalGrid
+    from .schrodinger_states import QuantumNumbers
+    from .trajectory_engine import VelocityField
 
 #: Below the smallest normal float a sum of squares has lost digits.
 _NORMAL_MIN = sys.float_info.min
@@ -76,6 +69,8 @@ class DiracGroundState:
 
     def velocity_field(self) -> VelocityField:
         """v = j/j0, which in Cartesian form reads +/-Z*alpha*(-y, x, 0)/r."""
+        from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
+
         k = self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za
 
         def fn(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -90,6 +85,8 @@ class DiracGroundState:
     def angular_rate(self, start: SphericalPoint) -> float:
         """+/-Z*alpha/r; 0 on the axis, where the flow vanishes, and inside the origin guard.
         DomainError where the rate or its period 2*pi/|rate| leaves the float range."""
+        from .trajectory_engine import ORIGIN_GUARD_RADII
+
         if pole_safe_sin(start.theta) == 0.0 or start.r < ORIGIN_GUARD_RADII * self.atom.bohr_radius:
             return 0.0
         rate = (self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za) / start.r
@@ -130,6 +127,9 @@ class SchrodingerEigenstate:
         """grad(S)/mass = (m/mass)(-y, x, 0)/(x^2 + y^2); exact zeros for m = 0, so those
         trajectories are fixed points bit for bit. PhaseSingularityError on the axis
         (including where the rate overflows) and at nodes."""
+        from .schrodinger_states import is_node
+        from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
+
         if self.q.m == 0:
             return VelocityField(lambda x, y, z: (0.0, 0.0, 0.0))
         q, atom = self.q, self.atom
@@ -153,6 +153,9 @@ class SchrodingerEigenstate:
         """(m/mass)/rho^2; 0 where the flow is zero or undefined: for m = 0, on the
         axis (including where the rate overflows), at a node and inside the origin guard.
         DomainError where the start moves but the rate underflows or its period overflows."""
+        from .schrodinger_states import is_node
+        from .trajectory_engine import ORIGIN_GUARD_RADII
+
         rho = start.r * pole_safe_sin(start.theta)
         if (
             self.q.m == 0
@@ -165,6 +168,8 @@ class SchrodingerEigenstate:
         return _with_finite_period(rate, start.r) if abs(rate) < math.inf else 0.0
 
     def describe(self, point: SphericalPoint) -> dict:
+        from .schrodinger_states import current_at, hydrogen_wavefunction, momentum_at, polar_decompose
+
         psi = hydrogen_wavefunction(self.q, self.atom, point)
         amplitude, phase = polar_decompose(psi)
         velocity = azimuthal_to_cartesian(point.phi, momentum_at(self.q, self.atom, point)[2] / self.atom.mass)

@@ -15,9 +15,10 @@ reserved before the first step and written one row at a time, and the exact
 circle is computed on floats too: integrating, checking and writing a
 trajectory (the CLI's `trajectory` command) imports no numpy. numpy loads
 only when a caller reads a Trajectory's array views or calls
-circular_orbit_xyz. Without numpy, a 10 000-step Dirac `trajectory` process
-takes 0.35 s instead of 0.46 s and peaks at 23 MB instead of 38 MB (medians
-of 20 runs, on a shared 2-core Xeon host with Python 3.11).
+circular_orbit_xyz. A 10 000-step Dirac `trajectory` process takes 0.28 s
+(0.46 s with numpy, 0.34 s without it but with the table formatted on one
+core and the interpreter torn down at exit) and peaks at 23 MB (medians of
+11-20 runs, on a shared 2-core Xeon host with Python 3.11).
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from bohmatom import (
     radial_function,
     vector_to_cartesian,
 )
-from bohmatom import cli
+from bohmatom import cli, writer
 from bohmatom.cli import main
 from bohmatom.coords import vector_norm
 from bohmatom.schrodinger_states import is_node
@@ -249,7 +249,7 @@ def test_field_csv_round_trips_exactly(tmp_path_factory, z, scale, mass, spin, c
     assert same(rows[:, 10], np.linalg.norm(velocity, axis=1))
 
 
-B = cli._BLOCK_ROWS
+B = writer._BLOCK_ROWS
 FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1.5e-320, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, -1e16, 123456789.0]
 # A few distinct values per table, so cells repeat within a block and across block boundaries.
@@ -310,8 +310,8 @@ def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds)
     # Compared line by line, as above.
     for columns in (as_columns(table, kinds), as_columns(table, ["array"] * 5)):
         for separators in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
-            text = cli._table_text(columns, *separators)
-            assert text.split("\n") == cli._table_text(table, *separators).split("\n")
+            text = "".join(writer.table_text(columns, *separators))
+            assert text.split("\n") == "".join(writer.table_text(table, *separators)).split("\n")
 
 
 @pytest.mark.parametrize("writer", ["csv", "json", "buffers"])
