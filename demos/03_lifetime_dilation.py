@@ -19,7 +19,6 @@ from bohmatom import (
     make_atom,
     make_report,
     mean_lorentz_factor,
-    mean_lorentz_factor_3d,
 )
 
 MUON_REST_LIFETIME_S = 2.196981e-6  # free-muon value, used as a plain input
@@ -36,10 +35,14 @@ print(f"fractional lengthening   : {report.mean_gamma - 1.0:.6e}"
       f"  (alpha^2 / 3 = {atom.za**2 / 3.0:.6e})")
 
 print()
-print("cross-check: the closed form atanh(Z*alpha) / (Z*alpha) against the")
-print("three-dimensional quadrature of gamma_L j^0 through the spinor")
-print(f"closed form: {report.mean_gamma:.15f}")
-print(f"quadrature : {mean_lorentz_factor_3d(SpinOrientation.UP, atom):.15f}")
+print("the mean is the closed form artanh(k) / k with k = Z*alpha; its excess over 1")
+print("in units of k^2 is (artanh(k) - k) / k^3 = 1/3 + k^2/5 + ..., summed as a series")
+print("at small k, where the difference form loses digits")
+k = atom.za
+print(f"artanh(k) / k            : {math.atanh(k) / k:.15f}")
+print(f"report.mean_gamma        : {report.mean_gamma:.15f}")
+print(f"(artanh(k) / k - 1) / k^2: {(math.atanh(k) / k - 1.0) / k**2:.12f}")
+print(f"excess_over_za_sq        : {excess_over_za_sq(atom):.12f}")
 
 print()
 print("== non-relativistic limit: scale the coupling down ==")

@@ -8,9 +8,9 @@ the relativistic ground-state flow circulates azimuthally at speed
 Z*alpha*sin(theta), so a bound unstable particle picks up a computable
 lifetime dilation.
 
-The public names are imported from their submodules on first access
-(PEP 562), so importing the package, or a submodule that needs no numpy such
-as dilation, does not import numpy.
+Everything runs on Python floats; the only runtime dependency is click, for
+the command line. The public names are imported from their submodules on
+first access (PEP 562), so importing the package loads only what is used.
 """
 
 import importlib
@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 
 #: Submodule -> the public names it defines.
 _SUBMODULE_EXPORTS = {
-    "coords": ["SphericalPoint", "SphericalPoints", "vector_to_cartesian"],
+    "coords": ["SphericalPoint"],
     "dilation": ["DilationReport", "dilated_lifetime", "excess_over_za_sq", "make_report", "mean_lorentz_factor"],
     "dirac_states": [
-        "bohm_velocity", "closed_form_current", "dirac_adjoint", "dirac_current", "dirac_ground_state",
-        "gamma_matrices", "ground_state_norm", "mean_lorentz_factor_3d", "radial_amplitude", "small_component_ratio",
+        "bohm_velocity", "dirac_ground_state", "four_current_at", "radial_amplitude", "small_component_ratio",
     ],
     "errors": [
         "DomainError", "OriginSingularityError", "PhaseSingularityError", "SupercriticalCouplingError",
@@ -33,9 +32,9 @@ _SUBMODULE_EXPORTS = {
     "physics_core": ["FINE_STRUCTURE", "AtomConfig", "SpinOrientation", "make_atom"],
     "schrodinger_states": [
         "QuantumNumbers", "bohm_momentum", "hydrogen_wavefunction", "polar_decompose", "probability_current",
-        "radial_function", "state_norm",
+        "radial_function",
     ],
-    "trajectory_engine": ["Trajectory", "VelocityField", "circular_orbit_xyz", "integrate_trajectory"],
+    "trajectory_engine": ["Trajectory", "VelocityField", "integrate_trajectory"],
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 

@@ -10,9 +10,8 @@ trajectories is visible.
 Because the speed depends only on theta and the density factorizes, the mean
 is a one-dimensional theta average against the marginal weight sin(theta)/2,
 which has the closed form artanh(Z*alpha) / (Z*alpha). That closed form is
-the only runtime path, and it needs nothing but the math module; the full
-three-dimensional quadrature through the spinor, dirac_states.mean_lorentz_factor_3d,
-is kept as the oracle it is tested against.
+the only path, and it needs nothing but the math module; the tests check it
+against the full three-dimensional quadrature through the spinor.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ per radius, zeta cos(theta), zeta sin(theta), P_l^m and the Legendre node test
 per colatitude, and sines and cosines per azimuth. Only the current (for
 Schrodinger also psi, the density and the velocity) is computed per point,
 into float columns reserved before the first point. Every value has the bits
-of the state modules' array functions at the same point.
+of the state modules' point functions at the same point.
 
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import libm
 from .coords import SphericalPoint, azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
@@ -95,10 +94,10 @@ class DiracGroundState:
         return _with_finite_period(rate, start.r)
 
     def describe(self, point: SphericalPoint) -> dict:
-        from .dirac_states import four_current_at, spinor_at, velocity_at
+        from .dirac_states import bohm_velocity, dirac_ground_state, four_current_at
 
-        psi = spinor_at(self.spin, self.atom, point)
-        velocity = velocity_at(self.spin, self.atom, point)
+        psi = dirac_ground_state(self.spin, self.atom, point)
+        velocity = bohm_velocity(self.spin, self.atom, point)
         return {
             "spinor": [[c.real, c.imag] for c in psi],
             "current": four_current_at(self.spin, self.atom, point),
@@ -168,16 +167,16 @@ class SchrodingerEigenstate:
         return _with_finite_period(rate, start.r) if abs(rate) < math.inf else 0.0
 
     def describe(self, point: SphericalPoint) -> dict:
-        from .schrodinger_states import current_at, hydrogen_wavefunction, momentum_at, polar_decompose
+        from .schrodinger_states import bohm_momentum, hydrogen_wavefunction, polar_decompose, probability_current
 
         psi = hydrogen_wavefunction(self.q, self.atom, point)
         amplitude, phase = polar_decompose(psi)
-        velocity = azimuthal_to_cartesian(point.phi, momentum_at(self.q, self.atom, point)[2] / self.atom.mass)
+        velocity = azimuthal_to_cartesian(point.phi, bohm_momentum(self.q, self.atom, point)[2] / self.atom.mass)
         return {
             "psi": [psi.real, psi.imag],
             "amplitude": amplitude,
             "phase": phase,
-            "current_spherical": list(current_at(self.q, self.atom, point, libm.abs_squared(psi))),
+            "current_spherical": list(probability_current(self.q, self.atom, point)),
             "velocity": list(velocity),
             "speed": norm3(*velocity),
         }

@@ -12,13 +12,10 @@ against the exact circle returned by circular_orbit.
 
 The rows go straight into one flat float buffer, an anonymous memory map
 reserved before the first step and written one row at a time, and the exact
-circle is computed on floats too: integrating, checking and writing a
-trajectory (the CLI's `trajectory` command) imports no numpy. numpy loads
-only when a caller reads a Trajectory's array views or calls
-circular_orbit_xyz. A 10 000-step Dirac `trajectory` process takes 0.28 s
-(0.46 s with numpy, 0.34 s without it but with the table formatted on one
-core and the interpreter torn down at exit) and peaks at 23 MB (medians of
-11-20 runs, on a shared 2-core Xeon host with Python 3.11).
+circle is computed on floats too. A 10 000-step Dirac `trajectory` process
+takes 0.28 s (0.46 s with numpy, 0.34 s without it but with the table
+formatted on one core and the interpreter torn down at exit) and peaks at
+23 MB (medians of 11-20 runs, on a shared 2-core Xeon host with Python 3.11).
 """
 
 from __future__ import annotations
@@ -28,14 +25,10 @@ import mmap
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .coords import SphericalPoint
 from .errors import DomainError, OriginSingularityError, TrajectorySingularityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Trajectories are aborted when they come this close to the nucleus, in units
 #: of the Bohr radius. Ground-state circles never do; the guard protects
@@ -66,12 +59,10 @@ _COLUMNS = 7
 class Trajectory:
     """Uniform-step trajectory in one flat float buffer, read-only.
 
-    Row k holds the state at time t[k]: position xyz[k] and velocity
-    velocity[k], Cartesian. The buffer holds the columns t, x, y, z, vx, vy,
-    vz one after another, each `capacity` floats long, of which the first
-    len(self) are filled. `columns` gives the seven filled columns as
-    memoryviews of floats; t, xyz and velocity are numpy views of the same
-    memory, made on first access.
+    Row k holds the state at time t[k]: the Cartesian position and
+    velocity. The buffer holds the columns t, x, y, z, vx, vy, vz one after
+    another, each `capacity` floats long, of which the first len(self) are
+    filled. `columns` gives the seven filled columns as memoryviews of floats.
     """
 
     def __init__(self, buffer: memoryview, rows: int):
@@ -87,23 +78,6 @@ class Trajectory:
         """t, x, y, z, vx, vy, vz, each a memoryview of len(self) floats."""
         c, n = self._capacity, self._rows
         return tuple(self._buffer[k * c : k * c + n] for k in range(_COLUMNS))
-
-    def _table(self) -> np.ndarray:
-        import numpy as np
-
-        return np.frombuffer(self._buffer, dtype=float).reshape(_COLUMNS, self._capacity)[:, : self._rows]
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        return self._table()[0]
-
-    @cached_property
-    def xyz(self) -> np.ndarray:
-        return self._table()[1:4].T
-
-    @cached_property
-    def velocity(self) -> np.ndarray:
-        return self._table()[4:7].T
 
 
 def reserve_floats(count: int) -> memoryview:
@@ -186,11 +160,3 @@ def circular_orbit(start: SphericalPoint, angular_rate: float, t) -> tuple[array
         x.append(rho * math.cos(phi))
         y.append(rho * math.sin(phi))
     return x, y, array("d", [start.r * math.cos(start.theta)]) * len(x)
-
-
-def circular_orbit_xyz(start: SphericalPoint, angular_rate: float, t) -> np.ndarray:
-    """circular_orbit at the 1-D times t, as a (N, 3) array of positions."""
-    import numpy as np
-
-    columns = circular_orbit(start, angular_rate, np.asarray(t, dtype=float).tolist())
-    return np.column_stack([np.frombuffer(c, dtype=float) for c in columns])

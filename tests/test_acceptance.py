@@ -19,20 +19,24 @@ from bohmatom import (
     SpinOrientation,
     bohm_momentum,
     bohm_velocity,
-    closed_form_current,
-    dirac_current,
-    circular_orbit_xyz,
     dirac_ground_state,
-    gamma_matrices,
-    ground_state_norm,
+    four_current_at,
     integrate_trajectory,
     make_atom,
     mean_lorentz_factor,
-    mean_lorentz_factor_3d,
     probability_current,
-    state_norm,
 )
 from bohmatom.cli import main as cli_main
+from oracles import (
+    circular_orbit_xyz,
+    closed_form_current,
+    dirac_current,
+    gamma_matrices,
+    ground_state_norm,
+    mean_lorentz_factor_3d,
+    state_norm,
+    trajectory_arrays,
+)
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 
@@ -64,17 +68,18 @@ def test_criterion_01_schrodinger_stationarity(hydrogen, rng):
         points = random_points(rng, hydrogen, 1000)
         for q in states:
             for p in points:
-                assert np.all(bohm_momentum(q, hydrogen, p) == 0.0)
-                assert np.all(probability_current(q, hydrogen, p) == 0.0)
+                assert bohm_momentum(q, hydrogen, p) == (0.0, 0.0, 0.0)
+                assert probability_current(q, hydrogen, p) == (0.0, 0.0, 0.0)
 
 
 def test_criterion_02_closed_form_dirac_current(hydrogen, rng):
     with criterion(2, "gamma contraction reproduces the closed-form current to 1e-12"):
         for spin in (UP, DOWN):
             for p in random_points(rng, hydrogen, 1000):
-                got = dirac_current(dirac_ground_state(spin, hydrogen, p))
+                got = four_current_at(spin, hydrogen, p)
                 want = closed_form_current(spin, hydrogen, p)
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18 * want[0])
+                for reference in (dirac_current(dirac_ground_state(spin, hydrogen, p)), want):
+                    np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-18 * want[0])
 
 
 def test_criterion_03_rotation_sense(hydrogen, rng):
@@ -89,7 +94,7 @@ def test_criterion_03_rotation_sense(hydrogen, rng):
                 model = DiracGroundState(spin, hydrogen)
                 period = 2.0 * math.pi / abs(model.angular_rate(start))
                 trajectory = integrate_trajectory(model.velocity_field(), start, period / 600.0, 150)
-                xy = trajectory.xyz[:, :2]
+                xy = trajectory_arrays(trajectory)[1][:, :2]
                 area = 0.5 * float(
                     np.sum(xy[:-1, 0] * xy[1:, 1] - xy[1:, 0] * xy[:-1, 1])
                 )
@@ -100,7 +105,7 @@ def test_criterion_04_orbit_closure_and_rk4_order(hydrogen, equatorial_closure):
     with criterion(4, "one-period closure at dt = T/1e4 and fourth-order convergence"):
         start, period, trajectory = equatorial_closure
         a0 = hydrogen.bohr_radius
-        positions = trajectory.xyz
+        positions = trajectory_arrays(trajectory)[1]
         assert np.linalg.norm(positions[-1] - positions[0]) <= 1e-8 * a0
         radii = np.linalg.norm(positions, axis=1)
         thetas = np.arccos(np.clip(positions[:, 2] / radii, -1.0, 1.0))
@@ -110,9 +115,9 @@ def test_criterion_04_orbit_closure_and_rk4_order(hydrogen, equatorial_closure):
         model = DiracGroundState(UP, hydrogen)
         errors = []
         for n_steps in (500, 1000, 2000):
-            run = integrate_trajectory(model.velocity_field(), start, period / n_steps, n_steps)
-            reference = circular_orbit_xyz(start, model.angular_rate(start), run.t[-1:])[0]
-            errors.append(float(np.linalg.norm(run.xyz[-1] - reference)))
+            t, xyz, _ = trajectory_arrays(integrate_trajectory(model.velocity_field(), start, period / n_steps, n_steps))
+            reference = circular_orbit_xyz(start, model.angular_rate(start), t[-1:])[0]
+            errors.append(float(np.linalg.norm(xyz[-1] - reference)))
         orders = [math.log2(a / b) for a, b in zip(errors[:-1], errors[1:])]
         assert all(3.8 <= order <= 4.2 for order in orders)
 
@@ -160,19 +165,15 @@ def test_criterion_08_current_conservation(hydrogen, rng):
         h = 1e-5 * hydrogen.bohr_radius
         for spin in (UP, DOWN):
             for p in random_points(rng, hydrogen, 100, theta_margin=0.1):
-                xyz = p.to_cartesian()
+                xyz = np.array(p.xyz())
                 terms = []
                 for i in range(3):
                     step = np.zeros(3)
                     step[i] = h
-                    plus = dirac_current(
-                        dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian(xyz + step))
-                    )[1 + i]
-                    minus = dirac_current(
-                        dirac_ground_state(spin, hydrogen, SphericalPoint.from_cartesian(xyz - step))
-                    )[1 + i]
+                    plus = four_current_at(spin, hydrogen, SphericalPoint.from_cartesian(xyz + step))[1 + i]
+                    minus = four_current_at(spin, hydrogen, SphericalPoint.from_cartesian(xyz - step))[1 + i]
                     terms.append((plus - minus) / (2.0 * h))
-                current = dirac_current(dirac_ground_state(spin, hydrogen, p))
+                current = np.array(four_current_at(spin, hydrogen, p))
                 scale = max(sum(abs(t) for t in terms), float(np.linalg.norm(current[1:])) / p.r)
                 assert abs(sum(terms)) <= 1e-6 * scale
 
@@ -223,8 +224,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         assert rows
         for row in rows:
             point = SphericalPoint(row[0], row[1], row[2])
-            current = dirac_current(dirac_ground_state(Spin.UP, atom, point))
-            for parsed, computed in zip(row[3:7], current.tolist()):
+            current = four_current_at(Spin.UP, atom, point)
+            for parsed, computed in zip(row[3:7], current):
                 if computed == 0.0:
                     assert parsed == 0.0
                 else:

@@ -15,8 +15,8 @@ from bohmatom import (
     make_atom,
     make_report,
     mean_lorentz_factor,
-    mean_lorentz_factor_3d,
 )
+from oracles import mean_lorentz_factor_3d
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 MUON_REST_LIFETIME = 2.196981e-6  # seconds; used as a plain input value

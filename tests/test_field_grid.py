@@ -1,10 +1,11 @@
 """The field table on floats equals the array route it replaced, bit for bit.
 
 `field` evaluates each factor once per value of its own grid axis and each
-point's current on floats. These tests rebuild the same table from the public
-array functions (dirac_current of dirac_ground_state, hydrogen_wavefunction,
-bohm_momentum, vector_norm) on numpy columns, and check the reduced gamma
-contraction of dirac_states.ground_current against the full 64-term loop.
+point's current on floats. These tests rebuild the same table as numpy
+columns from the package's point functions, called point by point, with the
+current from the einsum contraction of each point's spinor and the speed
+from np.linalg.norm (see oracles), and check the reduced gamma contraction of
+dirac_states.ground_current against the full 64-term loop.
 """
 
 import math
@@ -22,20 +23,19 @@ from bohmatom import (
     QuantumNumbers,
     SchrodingerEigenstate,
     SphericalPoint,
-    SphericalPoints,
     SpinOrientation,
     bohm_momentum,
     bohm_velocity,
-    dirac_current,
     dirac_ground_state,
-    gamma_matrices,
+    four_current_at,
     hydrogen_wavefunction,
     make_atom,
 )
 from bohmatom import libm
-from bohmatom.coords import azimuthal_to_cartesian, vector_norm
-from bohmatom.dirac_states import _spinor_parts, four_current_at, ground_current, spinor_at
+from bohmatom.coords import azimuthal_to_cartesian
+from bohmatom.dirac_states import _spinor_parts, ground_current
 from bohmatom.grid import SphericalGrid, linspace
+from oracles import dirac_current, gamma_matrices, spinors, vector_norm
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 GAMMA = [g.tolist() for g in gamma_matrices()]
@@ -68,7 +68,7 @@ unit = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-160, 1.0, -1.0, 
 @settings(max_examples=2000, deadline=None)
 @given(spin=st.sampled_from([UP, DOWN]), amp=amplitudes, b=unit, d=unit.map(abs), cos_phi=unit, sin_phi=unit)
 def test_ground_current_is_the_full_contraction(spin, amp, b, d, cos_phi, sin_phi):
-    real, imag = _spinor_parts(spin, amp, b, d, cos_phi, sin_phi, 0.0)
+    real, imag = _spinor_parts(spin, amp, b, d, cos_phi, sin_phi)
     want = full_contraction(tuple(map(complex, real, imag)))
     got = [c[0] for c in ground_current(spin, amp, [b], [d * sin_phi], [d * cos_phi])] + [0.0]
     if all(map(math.isfinite, want)):
@@ -95,31 +95,31 @@ atoms = st.builds(
 )
 def test_point_current_is_the_full_contraction_and_the_einsum(atom, spin, r, theta, phi):
     p = SphericalPoint(r * atom.bohr_radius, theta, phi)
-    psi = spinor_at(spin, atom, p)
+    psi = dirac_ground_state(spin, atom, p)
     got = four_current_at(spin, atom, p)
     assert bits(got) == bits(full_contraction(psi))
     assert bits(got) == dirac_current(np.array(psi)).tobytes()
 
 
-def array_grid(grid: SphericalGrid) -> SphericalPoints:
-    """The grid as the field command built it on numpy arrays."""
+def array_grid(grid: SphericalGrid) -> list[SphericalPoint]:
+    """The grid's points, r-major, from the axes as the field command built them on numpy arrays."""
     n_theta, n_phi = grid.theta_count, grid.phi_count
-    return SphericalPoints.grid(
-        np.linspace(grid.r_min, grid.r_max, grid.r_count),
-        np.pi * (np.arange(n_theta) + 0.5) / n_theta,
-        2.0 * np.pi * np.arange(n_phi) / n_phi,
-    )
+    r = np.linspace(grid.r_min, grid.r_max, grid.r_count)
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    return [SphericalPoint(a, b, c) for a in r.tolist() for b in theta.tolist() for c in phi.tolist()]
 
 
-def array_table(model, points: SphericalPoints) -> np.ndarray:
-    """The (N, 8) columns j0..j3, vx, vy, vz, speed from the public array functions."""
+def array_table(model, points: list[SphericalPoint]) -> np.ndarray:
+    """The (N, 8) columns j0..j3, vx, vy, vz, speed from the point functions, called point by point."""
     atom = model.atom
     if isinstance(model, DiracGroundState):
-        j = dirac_current(dirac_ground_state(model.spin, atom, points))
-        velocity = bohm_velocity(model.spin, atom, points)
+        j = dirac_current(spinors(model.spin, atom, points))
+        velocity = np.array([bohm_velocity(model.spin, atom, p) for p in points])
     else:
-        density = libm.abs_squared(hydrogen_wavefunction(model.q, atom, points))
-        velocity = azimuthal_to_cartesian(points.phi, bohm_momentum(model.q, atom, points)[:, 2] / atom.mass)
+        density = np.array([libm.abs_squared(hydrogen_wavefunction(model.q, atom, p)) for p in points])
+        rates = [bohm_momentum(model.q, atom, p)[2] / atom.mass for p in points]
+        velocity = np.array([azimuthal_to_cartesian(p.phi, rate) for p, rate in zip(points, rates)])
         with np.errstate(over="ignore", invalid="ignore"):
             j = np.column_stack([density, density[:, None] * velocity])
     with np.errstate(over="ignore", invalid="ignore"):

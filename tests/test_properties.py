@@ -1,11 +1,10 @@
 """Property tests over random atoms, states and points.
 
-The array path (SphericalPoints in, one row per point out) must equal the
-scalar API (one SphericalPoint at a time) bit for bit, as the float node test
-must equal its array rows, the Dirac current must
-be physical (j0 >= 0, timelike up to rounding, |v| < 1), the two spins must be
-mirror images, and the field command's CSV text must parse back to exactly
-the values the library computes. The table writer must produce the same bytes
+The node test at a point must equal the grid's node flags and its Laguerre
+recurrence run in lockstep, the Dirac current must be physical (j0 >= 0,
+timelike up to rounding, |v| < 1), the two spins must be mirror images, and
+the field command's CSV text must parse back to exactly the values the
+library computes. The table writer must produce the same bytes
 as the row-wise repr join and json.dumps(indent=2) it replaces, from numpy
 columns and from float buffers alike, and the trajectory command's float
 reference circle and deviation must equal their numpy formulas.
@@ -29,26 +28,18 @@ from bohmatom import (
     DiracGroundState,
     SchrodingerEigenstate,
     SphericalPoint,
-    SphericalPoints,
     SpinOrientation,
     bohm_momentum,
     bohm_velocity,
-    circular_orbit_xyz,
-    closed_form_current,
-    dirac_current,
-    dirac_ground_state,
-    hydrogen_wavefunction,
+    four_current_at,
     make_atom,
-    probability_current,
-    radial_amplitude,
-    radial_function,
-    vector_to_cartesian,
 )
 from bohmatom import cli, writer
 from bohmatom.cli import main
-from bohmatom.coords import vector_norm
+from bohmatom.grid import _radial_axis, laguerre_lockstep
 from bohmatom.schrodinger_states import is_node
-from bohmatom.special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
+from bohmatom.special_functions import assoc_legendre, associated_laguerre
+from oracles import circular_orbit_xyz, vector_norm, vector_to_cartesian
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 
@@ -73,61 +64,15 @@ points = st.lists(
 
 
 def batch(atom, raw):
-    """The sampled points (radii scaled by the Bohr radius) as SphericalPoints and as SphericalPoint list."""
+    """The sampled points, radii scaled by the Bohr radius."""
     a0 = atom.bohr_radius
-    singles = [SphericalPoint(r * a0, theta, phi) for r, theta, phi in raw]
-    columns = SphericalPoints([p.r for p in singles], [p.theta for p in singles], [p.phi for p in singles])
-    return columns, singles
+    return [SphericalPoint(r * a0, theta, phi) for r, theta, phi in raw]
 
 
 def same(a, b) -> bool:
     """Bit-for-bit equality, signed zeros included."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=150, deadline=None)
-@given(atom=atoms, spin=spins, raw=points)
-def test_dirac_array_path_equals_the_scalar_api(atom, spin, raw):
-    columns, singles = batch(atom, raw)
-    psi = dirac_ground_state(spin, atom, columns)
-    current = dirac_current(psi)
-    closed = closed_form_current(spin, atom, columns)
-    velocity = bohm_velocity(spin, atom, columns)
-    amplitude = radial_amplitude(atom, columns.r)
-    for i, p in enumerate(singles):
-        single_psi = dirac_ground_state(spin, atom, p)
-        assert same(psi[i], single_psi)
-        one = dirac_current(single_psi)
-        assert same(current[i], one)
-        ref = closed_form_current(spin, atom, p)
-        assert same(closed[i], ref)
-        assert same(velocity[i], bohm_velocity(spin, atom, p))
-        assert amplitude[i] == radial_amplitude(atom, p.r)
-
-
-@settings(max_examples=150, deadline=None)
-@given(atom=atoms, q=quantum_numbers, raw=points)
-def test_schrodinger_array_path_equals_the_scalar_api(atom, q, raw):
-    columns, singles = batch(atom, raw)
-    psi = hydrogen_wavefunction(q, atom, columns)
-    current = probability_current(q, atom, columns)
-    radial = radial_function(q, atom, columns.r)
-    harmonic = spherical_harmonic(q.l, q.m, columns.theta, columns.phi)
-    rho = 2.0 * columns.r / (q.n * atom.bohr_radius)
-    laguerre = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho)
-    try:
-        momentum = bohm_momentum(q, atom, columns)
-    except PhaseSingularityError:  # a point on the axis or at a node
-        momentum = None
-    for i, p in enumerate(singles):
-        assert same(psi[i], hydrogen_wavefunction(q, atom, p))
-        assert same(current[i], probability_current(q, atom, p))
-        assert radial[i] == radial_function(q, atom, p.r)
-        assert same(harmonic[i], spherical_harmonic(q.l, q.m, p.theta, p.phi))
-        assert laguerre[i] == associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, float(rho[i]))
-        if momentum is not None:
-            assert same(momentum[i], bohm_momentum(q, atom, p))
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,26 +91,26 @@ def test_schrodinger_array_path_equals_the_scalar_api(atom, q, raw):
     ),
 )
 def test_float_node_test_equals_the_array_path(atom, q, raw):
-    """is_node and its two recurrences give on floats, as floats, the bits of their array rows."""
+    """is_node at each point gives, as a bool, the grid's node flags there: the radial flag of
+    grid._radial_axis over all the radii, from the Laguerre recurrence run in lockstep over them
+    (which gives associated_laguerre's bits at each value), or a zero of P_l^|m| / sin^|m|."""
     a0 = atom.bohr_radius
-    r = np.array([f * (q.n * a0) for f, _ in raw])
-    cos_theta = np.array([c for _, c in raw])
-    rho = 2.0 * r / (q.n * a0)
+    r = [f * (q.n * a0) for f, _ in raw]
+    cos_theta = [c for _, c in raw]
     degree, order, m = q.n - q.l - 1, 2 * q.l + 1, abs(q.m)
-    nodes = is_node(q, atom, r, cos_theta)
-    laguerre = associated_laguerre(degree, order, rho)
-    legendre = assoc_legendre(q.l, m, cos_theta, 1.0)
-    for i in range(len(raw)):
-        assert is_node(q, atom, float(r[i]), float(cos_theta[i])) == bool(nodes[i])
-        one = associated_laguerre(degree, order, float(rho[i]))
-        assert type(one) is float and same(laguerre[i], one)
-        one = assoc_legendre(q.l, m, float(cos_theta[i]), 1.0)
-        assert type(one) is float and same(legendre[i], one)
-    # Exact nodes on both paths: the equator of (3, 2, +/-1) and rho = 4 for (3, 1, 1).
-    for node_q, node_r, node_cos in ((QuantumNumbers(3, 2, 1), a0, 0.0), (QuantumNumbers(3, 2, -1), a0, 0.0),
-                                     (QuantumNumbers(3, 1, 1), 2.0 * (3 * a0), 0.5)):
+    rho = [2.0 * x / (q.n * a0) for x in r]
+    _, radial_nodes = _radial_axis(q, atom, r)
+    for x, c, radial_node in zip(r, cos_theta, radial_nodes):
+        node = is_node(q, atom, x, c)
+        assert type(node) is bool and node == (radial_node or assoc_legendre(q.l, m, c, 1.0) == 0.0)
+    lockstep = laguerre_lockstep(degree, order, rho)
+    assert same(lockstep, [associated_laguerre(degree, order, x) for x in rho])
+    # Exact nodes: the equator of (3, 2, +/-1), and rho = 4 for (3, 1, 1), a radial one.
+    for node_q, node_r, node_cos, radial in ((QuantumNumbers(3, 2, 1), a0, 0.0, False),
+                                             (QuantumNumbers(3, 2, -1), a0, 0.0, False),
+                                             (QuantumNumbers(3, 1, 1), 2.0 * (3 * a0), 0.5, True)):
         assert is_node(node_q, atom, node_r, node_cos) is True
-        assert is_node(node_q, atom, np.array([node_r]), np.array([node_cos])).tolist() == [True]
+        assert _radial_axis(node_q, atom, [node_r])[1] == [radial]
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,24 +130,24 @@ def test_float_node_test_equals_the_array_path(atom, q, raw):
 def test_cartesian_schrodinger_field_matches_bohm_momentum(atom, q, raw):
     """The trajectory field evaluates bohm_momentum / mass in Cartesian form."""
     field = SchrodingerEigenstate(q, atom).velocity_field()
-    for p in batch(atom, raw)[1]:
+    for p in batch(atom, raw):
         if p.theta in (0.0, math.pi):
             with pytest.raises(PhaseSingularityError):
-                field(*p.to_cartesian().tolist())
+                field(*p.xyz())
             continue
         try:
-            want = vector_to_cartesian(p, bohm_momentum(q, atom, p) / atom.mass)
+            want = vector_to_cartesian(p, np.array(bohm_momentum(q, atom, p)) / atom.mass)
         except PhaseSingularityError:  # a node: rounded coordinates may miss it on the other side
             continue
-        np.testing.assert_allclose(field(*p.to_cartesian().tolist()), want, rtol=0.0, atol=1e-13 * np.linalg.norm(want))
+        np.testing.assert_allclose(field(*p.xyz()), want, rtol=0.0, atol=1e-13 * np.linalg.norm(want))
 
 
 @settings(max_examples=150, deadline=None)
 @given(atom=atoms, raw=points)
 def test_dirac_current_is_physical_and_the_spins_mirror(atom, raw):
-    columns, _ = batch(atom, raw)
-    up = dirac_current(dirac_ground_state(UP, atom, columns))
-    down = dirac_current(dirac_ground_state(DOWN, atom, columns))
+    singles = batch(atom, raw)
+    up = np.array([four_current_at(UP, atom, p) for p in singles])
+    down = np.array([four_current_at(DOWN, atom, p) for p in singles])
     for current in (up, down):
         j0, j1, j2, j3 = current.T
         assert np.all(j0 >= 0.0)
@@ -210,8 +155,8 @@ def test_dirac_current_is_physical_and_the_spins_mirror(atom, raw):
         assert np.all(j3 == 0.0)
     np.testing.assert_allclose(down[:, 0], up[:, 0], rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(down[:, 1:], -up[:, 1:], rtol=1e-13, atol=0.0)
-    v_up = bohm_velocity(UP, atom, columns)
-    v_down = bohm_velocity(DOWN, atom, columns)
+    v_up = np.array([bohm_velocity(UP, atom, p) for p in singles])
+    v_down = np.array([bohm_velocity(DOWN, atom, p) for p in singles])
     np.testing.assert_array_equal(v_down, -v_up)
     assert np.all(np.linalg.norm(v_up, axis=1) < 1.0)
     # Where j0 is representable the closed-form velocity is the ratio j / j0.
@@ -239,10 +184,10 @@ def test_field_csv_round_trips_exactly(tmp_path_factory, z, scale, mass, spin, c
     rows = np.array([[float(tok) for tok in line.split(",")] for line in lines])
     assert rows.shape == (counts[0] * counts[1] * counts[2], 11)
     atom = make_atom(z, FINE_STRUCTURE * scale, mass)
-    columns = SphericalPoints(rows[:, 0], rows[:, 1], rows[:, 2])
+    singles = [SphericalPoint(*row) for row in rows[:, :3].tolist()]
     spin_o = SpinOrientation(spin)
-    current = dirac_current(dirac_ground_state(spin_o, atom, columns))
-    velocity = bohm_velocity(spin_o, atom, columns)
+    current = np.array([four_current_at(spin_o, atom, p) for p in singles])
+    velocity = np.array([bohm_velocity(spin_o, atom, p) for p in singles])
     assert same(rows[:, 3], current[:, 0])
     assert same(rows[:, 4:7], current[:, 1:])
     assert same(rows[:, 7:10], velocity)

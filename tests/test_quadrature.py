@@ -5,7 +5,7 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 from bohmatom import make_atom
-from bohmatom.quadrature import gauss_genlaguerre
+from oracles import gauss_genlaguerre
 
 
 @pytest.mark.parametrize("n", [8, 48])

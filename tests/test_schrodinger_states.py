@@ -15,10 +15,10 @@ from bohmatom import (
     polar_decompose,
     probability_current,
     radial_function,
-    state_norm,
 )
-from bohmatom import schrodinger_states
-from bohmatom.special_functions import associated_laguerre
+from bohmatom import grid, special_functions
+from bohmatom.grid import SphericalGrid
+from oracles import state_norm
 
 GROUND = QuantumNumbers(1, 0, 0)
 
@@ -99,32 +99,36 @@ class TestWavefunction:
     @pytest.mark.parametrize("q", [QuantumNumbers(3, 0, 0), QuantumNumbers(3, 2, 1)], ids=["300", "321"])
     def test_radial_factor_underflows_to_zero_where_a_factor_overflows(self, hydrogen, q):
         # rho**l or the Laguerre factor overflows while exp(-rho/2) underflows: inf * 0 there.
-        r = np.array([0.0, hydrogen.bohr_radius, 1e200, 1e308])
-        got = radial_function(q, hydrogen, r)
-        assert got[2:].tolist() == [0.0, 0.0]
-        assert got[:2].tolist() == [radial_function(q, hydrogen, float(x)) for x in r[:2]]
+        got = [radial_function(q, hydrogen, x) for x in (0.0, hydrogen.bohr_radius, 1e200, 1e308)]
+        assert got[2:] == [0.0, 0.0]
         assert got[1] > 0.0
         with pytest.raises(DomainError, match="leaves the float range"):  # the norm itself overflows
-            radial_function(q, make_atom(1, mass=1e300), np.array([1e-298, 1e-200]))
+            radial_function(q, make_atom(1, mass=1e300), 1e-298)
 
     def test_laguerre_recurrence_runs_once_over_the_distinct_radii(self, hydrogen, monkeypatch):
-        # A grid repeats each radius once per angle; the O(degree) recurrence runs on the distinct
-        # radii as one array (and once more at x = -1 where a factor overflows, as at r = 1e200).
-        shapes = []
+        # On a grid the O(degree) recurrence runs once, in lockstep over the radii (and once more at
+        # x = -1 where a factor overflows, as at r = 1e200); each radius keeps radial_function's bits.
+        lockstep, laguerre = [], []
+        run_lockstep, run_laguerre = grid.laguerre_lockstep, special_functions.associated_laguerre
 
-        def spy(degree, order, x):
-            shapes.append(np.shape(x))
-            return associated_laguerre(degree, order, x)
+        def lockstep_spy(degree, order, xs):
+            lockstep.append(len(xs))
+            return run_lockstep(degree, order, xs)
 
-        monkeypatch.setattr(schrodinger_states, "associated_laguerre", spy)
+        def laguerre_spy(degree, order, x):
+            laguerre.append(x)
+            return run_laguerre(degree, order, x)
+
+        monkeypatch.setattr(grid, "laguerre_lockstep", lockstep_spy)
+        monkeypatch.setattr(special_functions, "associated_laguerre", laguerre_spy)
         q = QuantumNumbers(40, 5, 3)
-        r = np.tile([3.0, 1.0, 1e200, 2.0, 1e-3], 60) * hydrogen.bohr_radius
-        got = radial_function(q, hydrogen, r)
-        assert shapes == [(5,), ()]
-        floats = np.array([radial_function(q, hydrogen, x) for x in r.tolist()])
-        assert got.view(np.int64).tolist() == floats.view(np.int64).tolist()
-        assert got[2] == 0.0 and (got[[0, 1, 3, 4]] != 0.0).all()
-
+        a0 = hydrogen.bohr_radius
+        points = SphericalGrid(1e-3 * a0, 1e200 * a0, 5, 2, 3)
+        got = hydrogen_wavefunction(q, hydrogen, points).radial
+        assert (lockstep, laguerre) == ([5], [-1.0])
+        monkeypatch.undo()
+        assert got == [radial_function(q, hydrogen, r) for r in points.r]
+        assert got[0] != 0.0 and got[1:] == [0.0] * 4
     @pytest.mark.parametrize("q", ALL_N_LE_3, ids=lambda q: f"{q.n}{q.l}{q.m}")
     def test_normalization(self, hydrogen, q):
         assert abs(state_norm(q, hydrogen) - 1.0) <= 1e-6
@@ -161,7 +165,7 @@ class TestBohmMomentum:
     @pytest.mark.parametrize("q", [GROUND, QuantumNumbers(3, 0, 0)], ids=("100", "300"))
     def test_s_states_at_rest(self, hydrogen, q, sample_points):
         for p in sample_points(hydrogen, 100):
-            assert np.all(bohm_momentum(q, hydrogen, p) == 0.0)
+            assert bohm_momentum(q, hydrogen, p) == (0.0, 0.0, 0.0)
 
     def test_211_equatorial_value(self, hydrogen):
         a = hydrogen.bohr_radius
@@ -180,14 +184,14 @@ class TestProbabilityCurrent:
     @pytest.mark.parametrize("q", [GROUND, QuantumNumbers(2, 0, 0)], ids=("100", "200"))
     def test_s_states_carry_no_current(self, hydrogen, q, sample_points):
         for p in sample_points(hydrogen, 100):
-            assert np.all(probability_current(q, hydrogen, p) == 0.0)
+            assert probability_current(q, hydrogen, p) == (0.0, 0.0, 0.0)
 
     def test_m_zero_states_exact_zero(self, hydrogen, sample_points):
         points = sample_points(hydrogen, 100)
         for q in M_ZERO_N_LE_3:
             for p in points:
-                assert np.all(probability_current(q, hydrogen, p) == 0.0)
-                assert np.all(bohm_momentum(q, hydrogen, p) == 0.0)
+                assert probability_current(q, hydrogen, p) == (0.0, 0.0, 0.0)
+                assert bohm_momentum(q, hydrogen, p) == (0.0, 0.0, 0.0)
 
     def test_211_equatorial_value(self, hydrogen):
         a = hydrogen.bohr_radius
@@ -202,13 +206,13 @@ class TestProbabilityCurrent:
                 density = abs(hydrogen_wavefunction(q, hydrogen, p)) ** 2
                 if density <= 1e-12:
                     continue
-                want = density * bohm_momentum(q, hydrogen, p) / hydrogen.mass
+                want = density * np.array(bohm_momentum(q, hydrogen, p)) / hydrogen.mass
                 got = probability_current(q, hydrogen, p)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_vanishes_on_axis_without_error(self, hydrogen):
         got = probability_current(QuantumNumbers(2, 1, 1), hydrogen, SphericalPoint(1.0, 0.0, 0.0))
-        assert np.all(got == 0.0)
+        assert got == (0.0, 0.0, 0.0)
 
     def test_matches_finite_difference_gradient(self, hydrogen, sample_points):
         # central differences of psi with step 1e-5 a0, spherical components

@@ -17,12 +17,11 @@ from bohmatom import (
     SpinOrientation,
     TrajectorySingularityError,
     VelocityField,
-    circular_orbit_xyz,
-    dirac_current,
     dirac_ground_state,
     integrate_trajectory,
 )
 from bohmatom.trajectory_engine import ORIGIN_GUARD_RADII, circular_orbit
+from oracles import circular_orbit_xyz, dirac_current, trajectory_arrays
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 
@@ -51,7 +50,7 @@ def array_rk4(field, start, dt, steps):
 
     xyz, velocity = np.empty((steps + 1, 3)), np.empty((steps + 1, 3))
     done = 0
-    x = start.to_cartesian()
+    x = np.array(start.xyz())
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             v = v_of(x)
@@ -83,30 +82,31 @@ class TestSchrodingerFixedPoints:
     def test_m_zero_states_do_not_move(self, hydrogen, q):
         field = SchrodingerEigenstate(q, hydrogen).velocity_field()
         start = SphericalPoint(hydrogen.bohr_radius, 1.0, 2.0)
-        trajectory = integrate_trajectory(field, start, dt=10.0, steps=100)
-        assert np.array_equal(trajectory.xyz, np.broadcast_to(trajectory.xyz[0], trajectory.xyz.shape))
-        assert np.all(trajectory.velocity == 0.0)
+        _, xyz, velocity = trajectory_arrays(integrate_trajectory(field, start, dt=10.0, steps=100))
+        assert np.array_equal(xyz, np.broadcast_to(xyz[0], xyz.shape))
+        assert np.all(velocity == 0.0)
 
     def test_m_nonzero_state_circulates(self, hydrogen):
         q = QuantumNumbers(2, 1, 1)
         field = SchrodingerEigenstate(q, hydrogen).velocity_field()
         start = SphericalPoint(hydrogen.bohr_radius, math.pi / 2.0, 0.0)
-        speed = math.hypot(*field(*start.to_cartesian().tolist()))
+        speed = math.hypot(*field(*start.xyz()))
         period = 2.0 * math.pi * start.r / speed
         trajectory = integrate_trajectory(field, start, period / 400.0, 100)
-        assert signed_area_xy(trajectory.xyz) > 0.0
+        assert signed_area_xy(trajectory_arrays(trajectory)[1]) > 0.0
 
 
 class TestDiracOrbits:
     def test_one_period_closure(self, hydrogen, equatorial_closure):
         start, period, trajectory = equatorial_closure
         a0 = hydrogen.bohr_radius
-        assert np.linalg.norm(trajectory.xyz[-1] - trajectory.xyz[0]) <= 1e-8 * a0
-        assert trajectory.t[-1] == pytest.approx(period, rel=1e-12)
+        t, xyz, _ = trajectory_arrays(trajectory)
+        assert np.linalg.norm(xyz[-1] - xyz[0]) <= 1e-8 * a0
+        assert t[-1] == pytest.approx(period, rel=1e-12)
 
     def test_radius_and_colatitude_conserved(self, equatorial_closure):
         start, _, trajectory = equatorial_closure
-        positions = trajectory.xyz
+        positions = trajectory_arrays(trajectory)[1]
         radii = np.linalg.norm(positions, axis=1)
         colatitudes = np.arccos(np.clip(positions[:, 2] / radii, -1.0, 1.0))
         assert np.max(np.abs(radii - start.r)) / start.r < 1e-8
@@ -114,7 +114,7 @@ class TestDiracOrbits:
 
     def test_speed_constant_along_trajectory(self, equatorial_closure):
         _, _, trajectory = equatorial_closure
-        speeds = np.linalg.norm(trajectory.velocity, axis=1)
+        speeds = np.linalg.norm(trajectory_arrays(trajectory)[2], axis=1)
         assert np.max(np.abs(speeds - speeds[0])) < 1e-10
 
     def test_spin_down_traverses_same_circle_clockwise(self, hydrogen):
@@ -122,7 +122,7 @@ class TestDiracOrbits:
         period = period_of(DOWN, hydrogen, start)
         field = DiracGroundState(DOWN, hydrogen).velocity_field()
         trajectory = integrate_trajectory(field, start, period / 2000.0, 2000)
-        positions = trajectory.xyz
+        positions = trajectory_arrays(trajectory)[1]
         assert signed_area_xy(positions) < 0.0
         radii = np.linalg.norm(positions, axis=1)
         assert np.max(np.abs(radii - start.r)) / start.r < 1e-8
@@ -134,9 +134,9 @@ class TestDiracOrbits:
         field = DiracGroundState(UP, hydrogen).velocity_field()
         errors = []
         for n_steps in (500, 1000, 2000):
-            trajectory = integrate_trajectory(field, start, period / n_steps, n_steps)
-            reference = exact_orbit(UP, hydrogen, start, float(trajectory.t[-1]))
-            errors.append(float(np.linalg.norm(trajectory.xyz[-1] - reference)))
+            t, xyz, _ = trajectory_arrays(integrate_trajectory(field, start, period / n_steps, n_steps))
+            reference = exact_orbit(UP, hydrogen, start, float(t[-1]))
+            errors.append(float(np.linalg.norm(xyz[-1] - reference)))
         for e_coarse, e_fine in zip(errors[:-1], errors[1:]):
             ratio = e_coarse / e_fine
             assert 12.0 < ratio < 20.0
@@ -157,8 +157,10 @@ class TestDiracOrbits:
         dt = period_of(spin, hydrogen, start) / 2000
         reference = integrate_trajectory(reference_field, start, dt, 2000)
         closed_form = integrate_trajectory(DiracGroundState(spin, hydrogen).velocity_field(), start, dt, 2000)
-        assert np.max(np.abs(closed_form.xyz - reference.xyz)) <= 1e-12 * start.r
-        assert np.max(np.abs(closed_form.velocity - reference.velocity)) <= 1e-12 * hydrogen.za
+        _, xyz, velocity = trajectory_arrays(closed_form)
+        _, want_xyz, want_velocity = trajectory_arrays(reference)
+        assert np.max(np.abs(xyz - want_xyz)) <= 1e-12 * start.r
+        assert np.max(np.abs(velocity - want_velocity)) <= 1e-12 * hydrogen.za
 
 
 class TestFloatKernel:
@@ -169,39 +171,39 @@ class TestFloatKernel:
         model = DiracGroundState(spin, hydrogen)
         start = SphericalPoint(3.1 * hydrogen.bohr_radius, 1.1, 0.4)
         dt = period_of(spin, hydrogen, start) / 2000
-        run = integrate_trajectory(model.velocity_field(), start, dt, 2000)
+        _, run_xyz, run_velocity = trajectory_arrays(integrate_trajectory(model.velocity_field(), start, dt, 2000))
         xyz, velocity = array_rk4(model.velocity_field(), start, dt, 2000)
-        assert np.array_equal(run.xyz, xyz) and np.array_equal(run.velocity, velocity)
+        assert np.array_equal(run_xyz, xyz) and np.array_equal(run_velocity, velocity)
 
     @pytest.mark.parametrize("m", [1, -1])
     def test_schrodinger_rows_equal_the_array_loop(self, hydrogen, m):
         model = SchrodingerEigenstate(QuantumNumbers(2, 1, m), hydrogen)
         start = SphericalPoint(2.3 * hydrogen.bohr_radius, 1.0, 0.3)
         dt = 2.0 * math.pi / abs(model.angular_rate(start)) / 400
-        run = integrate_trajectory(model.velocity_field(), start, dt, 400)
+        _, run_xyz, run_velocity = trajectory_arrays(integrate_trajectory(model.velocity_field(), start, dt, 400))
         xyz, velocity = array_rk4(model.velocity_field(), start, dt, 400)
-        assert np.array_equal(run.xyz, xyz) and np.array_equal(run.velocity, velocity)
+        assert np.array_equal(run_xyz, xyz) and np.array_equal(run_velocity, velocity)
 
     def test_an_aborted_run_keeps_the_array_loop_rows(self):
         field = VelocityField(inward, min_radius=1.0)
         start = SphericalPoint(4.0, 1.2, 0.5)
         with pytest.raises(TrajectorySingularityError) as excinfo:
             integrate_trajectory(field, start, dt=0.3, steps=50)
-        partial = excinfo.value.trajectory
+        _, partial_xyz, partial_velocity = trajectory_arrays(excinfo.value.trajectory)
         xyz, velocity = array_rk4(field, start, 0.3, 50)
         assert 1 < len(xyz) < 51
-        assert np.array_equal(partial.xyz, xyz) and np.array_equal(partial.velocity, velocity)
+        assert np.array_equal(partial_xyz, xyz) and np.array_equal(partial_velocity, velocity)
 
 
 class TestAnalyticOrbit:
     def test_identity_at_time_zero(self, hydrogen):
         start = SphericalPoint(2.0 * hydrogen.bohr_radius, 1.0, 0.5)
-        np.testing.assert_array_equal(exact_orbit(UP, hydrogen, start, 0.0), start.to_cartesian())
+        np.testing.assert_array_equal(exact_orbit(UP, hydrogen, start, 0.0), start.xyz())
 
     def test_half_period_is_antipodal(self, hydrogen):
         start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.5)
         halfway = exact_orbit(UP, hydrogen, start, period_of(UP, hydrogen, start) / 2.0)
-        x0 = start.to_cartesian()
+        x0 = np.array(start.xyz())
         assert halfway[2] == x0[2]  # r and theta fixed
         # phi advanced by pi to 1e-12 relative
         np.testing.assert_allclose(halfway[:2], -x0[:2], rtol=0.0, atol=1e-12 * (start.phi + math.pi) * start.r)
@@ -224,16 +226,16 @@ class TestAnalyticOrbit:
         for theta in (0.0, math.pi):
             pole = SphericalPoint(hydrogen.bohr_radius, theta, 0.0)
             assert DiracGroundState(UP, hydrogen).angular_rate(pole) == 0.0
-            np.testing.assert_array_equal(exact_orbit(UP, hydrogen, pole, 123.0), pole.to_cartesian())
+            np.testing.assert_array_equal(exact_orbit(UP, hydrogen, pole, 123.0), pole.xyz())
 
 
 class TestIntegratorContract:
     def test_zero_steps_returns_start_only(self, hydrogen):
         field = DiracGroundState(UP, hydrogen).velocity_field()
         start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.0)
-        trajectory = integrate_trajectory(field, start, dt=1.0, steps=0)
-        assert len(trajectory.t) == 1
-        np.testing.assert_array_equal(trajectory.xyz[0], start.to_cartesian())
+        t, xyz, _ = trajectory_arrays(integrate_trajectory(field, start, dt=1.0, steps=0))
+        assert len(t) == 1
+        np.testing.assert_array_equal(xyz[0], start.xyz())
 
     def test_invalid_step_arguments(self, hydrogen):
         field = DiracGroundState(UP, hydrogen).velocity_field()
@@ -247,11 +249,10 @@ class TestIntegratorContract:
         field = DiracGroundState(UP, hydrogen).velocity_field()
         start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.0)
         trajectory = integrate_trajectory(field, start, dt=3.0, steps=7)
-        assert trajectory.t.shape == (8,)
-        assert trajectory.xyz.shape == trajectory.velocity.shape == (8, 3)
-        assert trajectory.t.tolist() == [k * 3.0 for k in range(8)]
-        for column in (trajectory.t, trajectory.xyz, trajectory.velocity):
-            with pytest.raises(ValueError):
+        assert len(trajectory) == 8 and [len(c) for c in trajectory.columns] == [8] * 7
+        assert trajectory.columns[0].tolist() == [k * 3.0 for k in range(8)]
+        for column in trajectory.columns:
+            with pytest.raises(TypeError):
                 column[0] = 1.0
 
     def test_origin_guard_aborts_with_partial_trajectory(self):
@@ -261,10 +262,11 @@ class TestIntegratorContract:
             integrate_trajectory(field, start, dt=1.0, steps=10)
         partial = excinfo.value.trajectory
         assert partial is not None
-        assert 1 <= len(partial.t) < 11
-        assert partial.xyz.shape == (len(partial.t), 3)
-        assert np.all(np.linalg.norm(partial.xyz, axis=1) >= 1.0)
-        np.testing.assert_array_equal(partial.xyz[0], start.to_cartesian())
+        t, xyz, _ = trajectory_arrays(partial)
+        assert 1 <= len(t) == len(partial) < 11
+        assert xyz.shape == (len(t), 3)
+        assert np.all(np.linalg.norm(xyz, axis=1) >= 1.0)
+        np.testing.assert_array_equal(xyz[0], start.xyz())
 
     def test_float_buffers_and_array_views_hold_the_same_rows(self, hydrogen):
         model = DiracGroundState(UP, hydrogen)
@@ -273,17 +275,13 @@ class TestIntegratorContract:
         t, *columns = trajectory.columns
         assert len(trajectory) == len(t) == 10
         assert all(c.format == "d" and c.readonly for c in (t, *columns))
-        assert t.tolist() == trajectory.t.tolist()
-        assert np.column_stack([np.asarray(c) for c in columns]).tolist() == np.hstack(
-            [trajectory.xyz, trajectory.velocity]
-        ).tolist()
-        for view in (trajectory.t, trajectory.xyz, trajectory.velocity):
-            assert isinstance(view, np.ndarray) and not view.flags.writeable
+        times, xyz, velocity = trajectory_arrays(trajectory)
+        assert t.tolist() == times.tolist()
+        assert [list(row) for row in zip(*columns)] == np.hstack([xyz, velocity]).tolist()
         rate = model.angular_rate(start)
-        reference = circular_orbit_xyz(start, rate, trajectory.t)
+        reference = circular_orbit_xyz(start, rate, times)
         assert isinstance(reference, np.ndarray) and reference.shape == (10, 3)
         assert np.column_stack(circular_orbit(start, rate, t.tolist())).tolist() == reference.tolist()
-        assert isinstance(start.to_cartesian(), np.ndarray)
 
 
 _ABORT_EARLY_IN_A_LONG_RUN = """
