@@ -176,7 +176,7 @@ class SchrodingerEigenstate:
             "psi": [psi.real, psi.imag],
             "amplitude": amplitude,
             "phase": phase,
-            "current_spherical": list(probability_current(self.q, self.atom, point)),
+            "current_spherical": list(probability_current(self.q, self.atom, point, psi)),
             "velocity": list(velocity),
             "speed": norm3(*velocity),
         }

@@ -161,15 +161,19 @@ def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tup
     return (0.0, 0.0, rate)
 
 
-def probability_current(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
+def probability_current(
+    q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint, psi: complex | None = None
+) -> tuple[float, float, float]:
     """Probability current |psi|^2 grad S / mass at one point, in the spherical basis.
 
+    psi is hydrogen_wavefunction(q, atom, p), computed here unless given: at large
+    n and l its norm's factorials take most of the time of a point.
     Well defined everywhere: it vanishes at nodes and (for m != 0) on the
     polar axis, where |psi|^2 goes to zero faster than 1/(r sin theta) grows.
     """
     if q.m == 0:
         return (0.0, 0.0, 0.0)
-    density = libm.abs_squared(hydrogen_wavefunction(q, atom, p))
+    density = libm.abs_squared(hydrogen_wavefunction(q, atom, p) if psi is None else psi)
     # On the axis, or so near that this product underflows, j = 0; where it overflows, j = density * m / inf = 0.
     rho_mass = atom.mass * p.r * pole_safe_sin(p.theta)
     return (0.0, 0.0, density * q.m / rho_mass if rho_mass > 0.0 else 0.0)

@@ -3,16 +3,14 @@
 Each cell is the repr of its float, the shortest text that reads back as the
 same float. A table is written in pieces: blocks of _BLOCK_ROWS rows, or the
 r slabs of a field grid. Within a piece each distinct bit pattern of a column
-is formatted once. Where the process may run on at least two CPUs, a table
-of at least two blocks is split once, at the piece boundary nearest half its
-rows: a forked child formats the back half and sends its text through a pipe,
-while this process formats the front half. Formatting is most of the time of
-a 10 000-step `trajectory` process (about 95 ms of 0.3 s); on two cores the
-halves take about 1.6 times less wall time than one core takes for both, but
-on one CPU the fork, the pipe and the shared core make it slower (0.099
-against 0.078 s for a 10 001-row table; shared 2-core Xeon host, Python
-3.11). Every piece is formatted on its own, so the text is the same wherever
-the split falls and whether or not the fork happens or succeeds.
+is formatted once. A table of at least two blocks is split once, at the piece
+boundary nearest half its rows: a forked child formats the back half and
+sends its text through a pipe, while this process formats the front half.
+Formatting is most of the time of a 10 000-step `trajectory` process (about
+95 ms of 0.3 s); on two cores the halves take about 1.6 times less wall time
+than one core takes for both (shared 2-core Xeon host, Python 3.11). Every
+piece is formatted on its own, so the text is the same wherever the split
+falls and whether or not the fork succeeds.
 
 Only `field` and `trajectory` import this module, so the other commands start
 without compiling it.
@@ -107,21 +105,15 @@ def _in_two_processes(front: Callable[[], str], back: Callable[[], str]) -> tupl
     return head, data.decode() if status == 0 else back()
 
 
-def _two_cpus() -> bool:
-    """Whether this process may run on at least two CPUs; False where the platform does not say."""
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    return getaffinity is not None and len(getaffinity(0)) >= 2
-
-
 def _pieces_text(rows: int, pieces: int, piece_rows: int, text: Callable[[int, int], str], row_sep: str) -> list[str]:
     """The rows of a table of `pieces` pieces, `piece_rows` rows each but the last, as strings to
     concatenate; text(i, j) gives the rows of pieces i to j - 1, joined by row_sep.
 
     A table of at least two blocks and two pieces is formatted in two processes, split at the
-    piece boundary nearest half its rows, where this process may run on two CPUs."""
+    piece boundary nearest half its rows."""
     if rows == 0:
         return []
-    if rows < 2 * _BLOCK_ROWS or pieces < 2 or not _two_cpus():
+    if rows < 2 * _BLOCK_ROWS or pieces < 2:
         return [text(0, pieces)]
     split = min(max(round(rows / 2 / piece_rows), 1), pieces - 1)
     head, tail = _in_two_processes(partial(text, 0, split), partial(text, split, pieces))

@@ -67,3 +67,15 @@ def test_schrodinger_field_agrees_with_bohm_momentum_beyond_the_squares_range(r0
     p = SphericalPoint(r0, 1.0, 0.7)
     want = vector_to_cartesian(p, np.array(bohm_momentum(q, atom, p)) / atom.mass)
     np.testing.assert_allclose(SchrodingerEigenstate(q, atom).velocity_field()(*p.xyz()), want, rtol=1e-15)
+
+
+def test_schrodinger_describe_evaluates_psi_once(hydrogen, monkeypatch):
+    # psi's norm holds (n + l)! and (l + |m|)!, most of a point's time at large n and l.
+    from bohmatom import schrodinger_states
+
+    calls = []
+    real = schrodinger_states.hydrogen_wavefunction
+    monkeypatch.setattr(schrodinger_states, "hydrogen_wavefunction", lambda *a: calls.append(a) or real(*a))
+    got = SchrodingerEigenstate(QuantumNumbers(3, 2, 1), hydrogen).describe(SphericalPoint(hydrogen.bohr_radius, 1.0, 0.3))
+    assert len(calls) == 1
+    assert got["current_spherical"][2] > 0.0

@@ -203,12 +203,14 @@ class TestProbabilityCurrent:
     def test_current_is_density_times_velocity(self, hydrogen, sample_points):
         for q in M_NONZERO_N_LE_3:
             for p in sample_points(hydrogen, 20, theta_margin=0.05):
-                density = abs(hydrogen_wavefunction(q, hydrogen, p)) ** 2
+                psi = hydrogen_wavefunction(q, hydrogen, p)
+                density = abs(psi) ** 2
                 if density <= 1e-12:
                     continue
                 want = density * np.array(bohm_momentum(q, hydrogen, p)) / hydrogen.mass
                 got = probability_current(q, hydrogen, p)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
+                assert probability_current(q, hydrogen, p, psi) == got  # a given psi is the one it would compute
 
     def test_vanishes_on_axis_without_error(self, hydrogen):
         got = probability_current(QuantumNumbers(2, 1, 1), hydrogen, SphericalPoint(1.0, 0.0, 0.0))

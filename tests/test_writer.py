@@ -48,13 +48,11 @@ def serial_text(rows, cell_sep, row_sep):
 
 
 class ForkSpy:
-    """Counts the forks the writer asks for, and makes each fail where told to; the process may
-    run on two CPUs, as the writer needs for a split."""
+    """Counts the forks the writer asks for, and makes each fail where told to."""
 
     def __init__(self, monkeypatch, fail):
         self.calls, self.fail, self.fork = 0, fail, os.fork
         monkeypatch.setattr(writer.os, "fork", self)
-        monkeypatch.setattr(writer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def __call__(self):
         self.calls += 1
@@ -169,26 +167,3 @@ def test_an_ignored_sigchld_costs_the_split_not_the_text():
     assert text == "\n".join(map(repr, columns[0]))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("affinity", [{0}, None], ids=("one-cpu", "no-affinity-call"))
-def test_one_usable_cpu_formats_in_this_process(monkeypatch, affinity):
-    # On one CPU the child would share the core and add the fork and the pipe: no fork, the same text.
-    if affinity is None:
-        monkeypatch.delattr(writer.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(writer.os, "sched_getaffinity", lambda pid: affinity)
-
-    def no_fork():
-        raise AssertionError("the writer forked where one CPU is usable")
-
-    monkeypatch.setattr(writer.os, "fork", no_fork)
-    columns = [[float(i) for i in range(3 * B)], pooled([0.5, -0.0, 1e300], 7, 3 * B)]
-    for separators in SEPARATORS.values():
-        assert "".join(writer.table_text(columns, *separators)) == serial_text(list(zip(*columns)), *separators)
-    grid = SphericalGrid(0.5, 3.0, 4, 32, 32)
-    slab = 32 * 32
-    grid_columns = [pooled([0.25, 2.0, -3.5], 11, grid.size), pooled([1.0, 0.0], 12, slab)]
-    assert "".join(writer.grid_rows(grid, grid_columns, ",", "\n")) == serial_text(
-        grid_reference(grid, grid_columns, slab), ",", "\n"
-    )
