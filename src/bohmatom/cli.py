@@ -35,11 +35,13 @@ from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 #: Largest Laguerre degree n - l - 1 accepted. The radial recurrence and the
 #: factorials in the norms grow with it: `field --model schrodinger --n 25002
-#: --l 1 --m 1` takes about 0.5 s, and `state` with --n 1000000 took 62 s.
+#: --l 1 --m 1` takes about 0.17 s and its `state` 0.16 s (medians of 11
+#: runs), and `state` with --n 1000000 took 62 s.
 _MAX_LAGUERRE_DEGREE = 25_000
 #: Largest l accepted. The Legendre recurrence and the factorials (n + l)! and
 #: (l + |m|)! grow with it: the slowest `state` at this limit, such as
-#: `--n 60001 --l 60000 --m 1`, takes about 0.8 s, and --l 999999 took 86 s.
+#: `--n 60001 --l 60000 --m 1`, takes about 0.6 s (median of 9 runs), and
+#: --l 999999 took 86 s.
 _MAX_L = 60_000
 
 

@@ -1,12 +1,14 @@
-"""The field command's grid and the field tables of both models on it, on floats.
+"""The field command's grid, and the assembly of both models' field tables on it, on floats.
 
 A SphericalGrid is a product of three float axes. On it each factor of a state
 runs once per value of its own axis: A(r), R_nl(r) and the Laguerre node test
 per radius, zeta cos(theta), zeta sin(theta), P_l^m and the Legendre node test
-per colatitude, and sines and cosines per azimuth. Only the current (for
-Schrodinger also psi, the density and the velocity) is computed per point,
-into float columns reserved before the first point. Every value has the bits
-of the state modules' point functions at the same point.
+per colatitude, and sines and cosines per azimuth. The state modules compute
+the factors (schrodinger_states.hydrogen_wavefunction gives psi's on a grid);
+this module computes only the current (for Schrodinger also psi, the density
+and the velocity) per point, into float columns reserved before the first
+point. Every value has the bits of the state modules' point functions at the
+same point.
 
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from . import libm
 from .coords import azimuthal_to_cartesian, norm3, pole_safe_sin
-from .errors import DomainError, PhaseSingularityError
+from .errors import PhaseSingularityError
 from .physics_core import AtomConfig, SpinOrientation
 from .trajectory_engine import reserve_floats
 
@@ -83,70 +85,6 @@ class SphericalGrid:
         return [2.0 * math.pi * k / self.phi_count for k in range(self.phi_count)]
 
 
-def laguerre_lockstep(degree: int, order: int, xs: list[float]) -> list[float]:
-    """associated_laguerre at each finite float of xs, as a list: one recurrence, run in
-    lockstep over the list, with the float path's arithmetic at every value."""
-    if degree == 0:
-        return [1.0] * len(xs)
-    prev, curr = [1.0] * len(xs), [1.0 + order - x for x in xs]
-    for n in range(2, degree + 1):
-        a, b, d = 2.0 * n - 1.0 + order, n - 1.0 + order, float(n)
-        prev, curr = curr, [((a - x) * c - b * p) / d for x, c, p in zip(xs, curr, prev)]
-    return curr
-
-
-def _radial_axis(q: QuantumNumbers, atom: AtomConfig, radii: list[float]) -> tuple[list[float], list[bool]]:
-    """R_nl at each radius of a grid axis, with radial_function's bits, and whether the Laguerre
-    factor is exactly 0 there (is_node's radial test). The recurrence runs once, in lockstep over
-    the distinct values of rho = 2r/(n a0), and serves both."""
-    from .schrodinger_states import _envelope, _radial_norm, _vanishes
-    from .special_functions import associated_laguerre
-
-    norm = _radial_norm(q, atom)
-    rho_of = [2.0 * x / (q.n * atom.bohr_radius) for x in radii]
-    rhos = list(dict.fromkeys(rho_of))
-    laguerre = laguerre_lockstep(q.n - q.l - 1, 2 * q.l + 1, [rho if rho < math.inf else 0.0 for rho in rhos])
-    at_minus_one = None
-    factor = {}
-    for rho, lag in zip(rhos, laguerre):
-        value = _envelope(q, norm, rho) * lag
-        if not math.isfinite(value):
-            if at_minus_one is None:
-                at_minus_one = associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, -1.0)
-            if _vanishes(q, norm, rho, at_minus_one):
-                value = 0.0
-        factor[rho] = (value, rho < math.inf and lag == 0.0)
-    values, nodes = zip(*map(factor.__getitem__, rho_of))
-    for x, value in zip(radii, values):
-        if not math.isfinite(value):
-            raise DomainError(f"R_nl(r) leaves the float range at r = {x!r}: a factor overflows")
-    return list(values), list(nodes)
-
-
-@dataclass(frozen=True)
-class SeparatedWavefunction:
-    """psi_nlm on a SphericalGrid as its two factors: at radius i and angle pair k (theta-major),
-    psi = radial[i] * harmonic_real[k] + i (radial[i] * harmonic_imag[k] + 0.0), the bits of
-    hydrogen_wavefunction at that point. radial_node[i] and angular_node[t] tell whether the
-    Laguerre factor at radius i, or P_l^|m| / sin^|m| at colatitude t, is exactly 0: is_node on the axes."""
-
-    radial: list[float]
-    radial_node: list[bool]
-    harmonic_real: list[float]
-    harmonic_imag: list[float]
-    angular_node: list[bool]
-
-
-def separated_wavefunction(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> SeparatedWavefunction:
-    """hydrogen_wavefunction on a grid: its radial and angular factors, each once per axis value."""
-    from .special_functions import assoc_legendre, spherical_harmonic_table
-
-    radial, radial_node = _radial_axis(q, atom, grid.r)
-    real, imag = spherical_harmonic_table(q.l, q.m, grid.theta, grid.phi)
-    angular_node = [assoc_legendre(q.l, abs(q.m), math.cos(t), 1.0) == 0.0 for t in grid.theta]
-    return SeparatedWavefunction(radial, radial_node, real, imag, angular_node)
-
-
 def _point_columns(grid: SphericalGrid, count: int) -> list[memoryview]:
     """count float columns of one value per grid point, reserved at once in one buffer before
     the first point (MemoryError if they cannot be)."""
@@ -196,17 +134,17 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
 
     columns = _point_columns(grid, 1 if q.m == 0 else 6)
     slab = grid.theta_count * grid.phi_count
-    psi = hydrogen_wavefunction(q, atom, grid)
+    radial, radial_node, harmonic_real, harmonic_imag, angular_node = hydrogen_wavefunction(q, atom, grid)
     if q.m != 0:
         rates = [[phase_gradient(q, r, t) / atom.mass for t in grid.theta] for r in grid.r]
-        if any(psi.radial_node) or any(psi.angular_node):
+        if any(radial_node) or any(angular_node):
             raise PhaseSingularityError("phase singularity: wavefunction node")
         sin_phi = _by_phi(grid, [math.sin(p) for p in grid.phi])
         cos_phi = _by_phi(grid, [math.cos(p) for p in grid.phi])
     zeros = [0.0] * slab
-    for i, radial in enumerate(psi.radial):
-        density = [libm.abs_squared(complex(radial * re, radial * im + 0.0))
-                   for re, im in zip(psi.harmonic_real, psi.harmonic_imag)]
+    for i, factor in enumerate(radial):
+        density = [libm.abs_squared(complex(factor * re, factor * im + 0.0))
+                   for re, im in zip(harmonic_real, harmonic_imag)]
         rows = [density]
         if q.m != 0:
             v = _by_theta(grid, rates[i])

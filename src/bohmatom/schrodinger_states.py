@@ -13,22 +13,20 @@ component, which coords.azimuthal_to_cartesian converts.
 Everything runs on floats. The point functions take a SphericalPoint; on a
 grid.SphericalGrid, hydrogen_wavefunction gives each factor of psi once per
 value of its own axis, with the bits of the point functions at every point.
+R_nl has one body, radial_axis, which runs the Laguerre recurrence once per
+distinct rho = 2r/(n a0); radial_function is its one-radius case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import libm
 from .coords import SphericalPoint, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .physics_core import AtomConfig
-from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic
-
-if TYPE_CHECKING:
-    from .grid import SphericalGrid
+from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic, spherical_harmonic_table
 
 #: log(5e-324): an R_nl bounded below this rounds to 0.
 _LOG_SMALLEST_SUBNORMAL = math.log(5e-324)
@@ -63,11 +61,6 @@ def _radial_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
         return math.inf
 
 
-def _envelope(q: QuantumNumbers, norm: float, rho: float) -> float:
-    """norm rho^l exp(-rho/2), the factor of R_nl beside the Laguerre polynomial."""
-    return norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho)
-
-
 def _vanishes(q: QuantumNumbers, norm: float, rho: float, laguerre_at_minus_one: float) -> bool:
     """Whether R_nl is 0 where norm rho^l exp(-rho/2) L(rho) came out not finite."""
     # A factor overflowed where exp(-rho/2) underflowed. The Laguerre coefficients alternate in
@@ -79,34 +72,55 @@ def _vanishes(q: QuantumNumbers, norm: float, rho: float, laguerre_at_minus_one:
     return rho == math.inf or log_bound < _LOG_SMALLEST_SUBNORMAL
 
 
-def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
-    """Normalized radial factor R_nl(r) with int_0^inf R^2 r^2 dr = 1.
+def radial_axis(q: QuantumNumbers, atom: AtomConfig, radii: list[float]) -> tuple[list[float], list[bool]]:
+    """The normalized radial factor R_nl at each of the radii (floats, each >= 0 and finite), with
+    int_0^inf R^2 r^2 dr = 1, and whether its Laguerre factor is exactly 0 there (is_node's radial
+    test): R_nl = norm rho^l exp(-rho/2) L(rho) with rho = 2r/(n a0), the Laguerre recurrence run
+    once per distinct rho."""
+    norm = _radial_norm(q, atom)
+    degree, order = q.n - q.l - 1, 2 * q.l + 1
+    rho_of = [2.0 * x / (q.n * atom.bohr_radius) for x in radii]
+    at_minus_one = None
+    factor = {}
+    for rho in dict.fromkeys(rho_of):
+        # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
+        laguerre = associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
+        value = norm * libm.power(rho, q.l) * libm.exp(-0.5 * rho) * laguerre
+        if not math.isfinite(value):
+            if at_minus_one is None:
+                at_minus_one = associated_laguerre(degree, order, -1.0)
+            if _vanishes(q, norm, rho, at_minus_one):
+                value = 0.0
+        factor[rho] = (value, rho < math.inf and laguerre == 0.0)
+    values, nodes = zip(*map(factor.__getitem__, rho_of))
+    for x, value in zip(radii, values):
+        if not math.isfinite(value):
+            raise DomainError(f"R_nl(r) leaves the float range at r = {x!r}: a factor overflows")
+    return list(values), list(nodes)
 
-    R_nl = norm rho^l exp(-rho/2) L(rho) with rho = 2r/(n a0).
-    """
+
+def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
+    """Normalized radial factor R_nl(r): radial_axis at one radius."""
     x = float(r)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"r must be nonnegative and finite, got {x}")
-    norm = _radial_norm(q, atom)
-    degree, order = q.n - q.l - 1, 2 * q.l + 1
-    rho = 2.0 * x / (q.n * atom.bohr_radius)
-    # Where rho overflows, exp(-rho/2) is 0; the Laguerre factor is taken at 0 there, not rejected.
-    value = _envelope(q, norm, rho) * associated_laguerre(degree, order, rho if rho < math.inf else 0.0)
-    if not math.isfinite(value):
-        if _vanishes(q, norm, rho, associated_laguerre(degree, order, -1.0)):
-            return 0.0
-        raise DomainError(f"R_nl(r) leaves the float range at r = {x!r}: a factor overflows")
-    return value
+    return radial_axis(q, atom, [x])[0][0]
 
 
-def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint | SphericalGrid):
-    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a point, and on a
-    grid.SphericalGrid its factors (grid.SeparatedWavefunction), each evaluated once per value
-    of its own axis."""
+def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p):
+    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a SphericalPoint p.
+
+    On a grid.SphericalGrid p, its factors, each evaluated once per value of its own axis, as the
+    tuple (radial, radial_node, harmonic_real, harmonic_imag, angular_node): at radius i and angle
+    pair k (theta-major) psi = complex(radial[i] * harmonic_real[k], radial[i] * harmonic_imag[k]
+    + 0.0), the bits at that point, and radial_node[i] and angular_node[t] tell whether the
+    Laguerre factor at radius i, or P_l^|m| / sin^|m| at colatitude t, is exactly 0 (is_node on
+    the axes)."""
     if not isinstance(p, SphericalPoint):
-        from .grid import separated_wavefunction
-
-        return separated_wavefunction(q, atom, p)
+        radial, radial_node = radial_axis(q, atom, p.r)
+        real, imag = spherical_harmonic_table(q.l, q.m, p.theta, p.phi)
+        angular_node = [assoc_legendre(q.l, abs(q.m), math.cos(t), 1.0) == 0.0 for t in p.theta]
+        return radial, radial_node, real, imag, angular_node
     radial = radial_function(q, atom, p.r)
     harmonic = spherical_harmonic(q.l, q.m, p.theta, p.phi)
     # + 0.0 maps a signed zero to +0.0: an m = 0 state is real, with imaginary part 0.0.

@@ -8,8 +8,10 @@ conventions:
 * spherical harmonics: orthonormal over the sphere, Condon-Shortley phase,
   Y_l^{-m} = (-1)^m * conj(Y_l^m).
 
-All of them run on floats. spherical_harmonic_table evaluates a product grid
-of angles, and spherical_harmonic is its one-pair case.
+All of them run on floats. associated_laguerre takes one x at a time (the
+radial factor of a state calls it once per distinct rho);
+spherical_harmonic_table evaluates a product grid of angles, and
+spherical_harmonic is its one-pair case.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ def associated_laguerre(degree: int, order: int, x: float) -> float:
     if degree == 0:
         return 1.0
     prev, curr = 1.0, 1.0 + order - xs
+    # a = 2n - 1 + k and b = n - 1 + k by exact increments: integers below 2**53.
+    a, b = 1.0 + order, float(order)
     for n in range(2, degree + 1):
-        prev, curr = curr, ((2.0 * n - 1.0 + order - xs) * curr - (n - 1.0 + order) * prev) / n
+        a += 2.0
+        b += 1.0
+        prev, curr = curr, ((a - xs) * curr - b * prev) / n
     return curr
 
 

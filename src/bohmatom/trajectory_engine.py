@@ -13,9 +13,8 @@ against the exact circle returned by circular_orbit.
 The rows go straight into one flat float buffer, an anonymous memory map
 reserved before the first step and written one row at a time, and the exact
 circle is computed on floats too. A 10 000-step Dirac `trajectory` process
-takes 0.28 s (0.46 s with numpy, 0.34 s without it but with the table
-formatted on one core and the interpreter torn down at exit) and peaks at
-23 MB (medians of 11-20 runs, on a shared 2-core Xeon host with Python 3.11).
+takes 0.28 s and peaks at 23 MB (medians of 11-20 runs, on a shared 2-core
+Xeon host with Python 3.11).
 """
 
 from __future__ import annotations

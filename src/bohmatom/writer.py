@@ -53,12 +53,9 @@ def _cells(column: memoryview, start: int, stop: int) -> list[str]:
 
 
 def _floats(column) -> memoryview:
-    """A 1-D float column (array('d'), a memoryview of floats, a numpy column or a list) as a
-    contiguous memoryview of floats; a list or a strided column is copied."""
-    if isinstance(column, list):
-        return memoryview(array("d", column))
-    view = memoryview(column)
-    return view if view.c_contiguous else memoryview(array("d", view.tolist()))
+    """A float column (array('d'), a contiguous memoryview of floats or a list) as a memoryview
+    of floats; a list is copied."""
+    return memoryview(array("d", column) if isinstance(column, list) else column)
 
 
 def _in_two_processes(front: Callable[[], str], back: Callable[[], str]) -> tuple[str, str]:
@@ -124,15 +121,15 @@ def table_text(table, cell_sep: str, row_sep: str) -> list[str]:
     """The rows of a float table, each cell the repr of its float, joined by the separators,
     as strings to concatenate (none for a table without rows).
 
-    The table is a list of 1-D float columns (see _floats) or a 2-D numpy array,
-    or a function of the two separators that returns the rows itself (the field
-    table, see grid_rows). Every value must be finite, else NotFiniteError.
-    Block by block, each column's cells are keyed by their bit pattern (so -0.0
-    and 0.0 stay apart), and each distinct value is formatted once.
+    The table is a list of float columns (see _floats), or a function of the two
+    separators that returns the rows itself (the field table, see grid_rows).
+    Every value must be finite, else NotFiniteError. Block by block, each
+    column's cells are keyed by their bit pattern (so -0.0 and 0.0 stay apart),
+    and each distinct value is formatted once.
     """
     if callable(table):
         return table(cell_sep, row_sep)
-    columns = [_floats(c) for c in (table.T if getattr(table, "ndim", 1) == 2 else table)]
+    columns = list(map(_floats, table))
     rows = len(columns[0])
 
     def text(first: int, stop: int) -> str:

@@ -6,7 +6,8 @@ functions, called point by point: the full gamma-matrix contraction (einsum)
 and the closed-form current of the Dirac ground state, the spinor-route and
 Schrodinger quadratures with their Gauss rules, the spherical basis and the
 Cartesian map of vectors, np.linalg.norm with rescaling, the exact circle as
-an (N, 3) array, and a Trajectory's rows as arrays.
+an (N, 3) array, and a Trajectory's rows as arrays. Beside them stands the
+textbook Laguerre recurrence, on floats, as the package first wrote it.
 """
 
 from __future__ import annotations
@@ -235,6 +236,20 @@ def vector_norm(v):
         scale = ((n == math.inf) | ((n < _SQRT_NORMAL_MIN) & (s > 0.0))) & (s < math.inf)
         n = np.where(scale, s * np.linalg.norm(v / s[..., None], axis=-1), n)
     return n if v.ndim > 1 else float(n)
+
+
+# -- special functions
+
+
+def laguerre_recurrence(degree: int, order: int, x: float) -> float:
+    """L_degree^order(x) by the three-term recurrence with its coefficients formed at each step,
+    n L_n = (2n - 1 + k - x) L_{n-1} - (n - 1 + k) L_{n-2}: associated_laguerre's reference."""
+    if degree == 0:
+        return 1.0
+    prev, curr = 1.0, 1.0 + order - x
+    for n in range(2, degree + 1):
+        prev, curr = curr, ((2.0 * n - 1.0 + order - x) * curr - (n - 1.0 + order) * prev) / n
+    return curr
 
 
 # -- orbits

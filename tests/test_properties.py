@@ -1,13 +1,12 @@
 """Property tests over random atoms, states and points.
 
-The node test at a point must equal the grid's node flags and its Laguerre
-recurrence run in lockstep, the Dirac current must be physical (j0 >= 0,
-timelike up to rounding, |v| < 1), the two spins must be mirror images, and
-the field command's CSV text must parse back to exactly the values the
-library computes. The table writer must produce the same bytes
-as the row-wise repr join and json.dumps(indent=2) it replaces, from numpy
-columns and from float buffers alike, and the trajectory command's float
-reference circle and deviation must equal their numpy formulas.
+The node test at a point must equal the grid's node flags, the Dirac current
+must be physical (j0 >= 0, timelike up to rounding, |v| < 1), the two spins
+must be mirror images, and the field command's CSV text must parse back to
+exactly the values the library computes. The table writer must produce the
+same bytes as the row-wise repr join and json.dumps(indent=2) it replaces,
+from lists, float arrays and memoryviews alike, and the trajectory command's
+float reference circle and deviation must equal their numpy formulas.
 """
 
 import json
@@ -36,9 +35,8 @@ from bohmatom import (
 )
 from bohmatom import cli, writer
 from bohmatom.cli import main
-from bohmatom.grid import _radial_axis, laguerre_lockstep
-from bohmatom.schrodinger_states import is_node
-from bohmatom.special_functions import assoc_legendre, associated_laguerre
+from bohmatom.schrodinger_states import is_node, radial_axis
+from bohmatom.special_functions import assoc_legendre
 from oracles import circular_orbit_xyz, vector_norm, vector_to_cartesian
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
@@ -92,25 +90,21 @@ def same(a, b) -> bool:
 )
 def test_float_node_test_equals_the_array_path(atom, q, raw):
     """is_node at each point gives, as a bool, the grid's node flags there: the radial flag of
-    grid._radial_axis over all the radii, from the Laguerre recurrence run in lockstep over them
-    (which gives associated_laguerre's bits at each value), or a zero of P_l^|m| / sin^|m|."""
+    schrodinger_states.radial_axis over all the radii (the Laguerre recurrence once per distinct
+    rho), or a zero of P_l^|m| / sin^|m|."""
     a0 = atom.bohr_radius
     r = [f * (q.n * a0) for f, _ in raw]
     cos_theta = [c for _, c in raw]
-    degree, order, m = q.n - q.l - 1, 2 * q.l + 1, abs(q.m)
-    rho = [2.0 * x / (q.n * a0) for x in r]
-    _, radial_nodes = _radial_axis(q, atom, r)
+    _, radial_nodes = radial_axis(q, atom, r)
     for x, c, radial_node in zip(r, cos_theta, radial_nodes):
         node = is_node(q, atom, x, c)
-        assert type(node) is bool and node == (radial_node or assoc_legendre(q.l, m, c, 1.0) == 0.0)
-    lockstep = laguerre_lockstep(degree, order, rho)
-    assert same(lockstep, [associated_laguerre(degree, order, x) for x in rho])
+        assert type(node) is bool and node == (radial_node or assoc_legendre(q.l, abs(q.m), c, 1.0) == 0.0)
     # Exact nodes: the equator of (3, 2, +/-1), and rho = 4 for (3, 1, 1), a radial one.
     for node_q, node_r, node_cos, radial in ((QuantumNumbers(3, 2, 1), a0, 0.0, False),
                                              (QuantumNumbers(3, 2, -1), a0, 0.0, False),
                                              (QuantumNumbers(3, 1, 1), 2.0 * (3 * a0), 0.5, True)):
         assert is_node(node_q, atom, node_r, node_cos) is True
-        assert _radial_axis(node_q, atom, [node_r])[1] == [radial]
+        assert radial_axis(node_q, atom, [node_r])[1] == [radial]
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,15 +223,17 @@ def document(columns, rows):
 def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_cols):
     table = pooled_table(pool, seed, n_rows, n_cols)
     columns = [f"c{k}" for k in range(n_cols)]
+    data = as_columns(table, ["array"] * n_cols)
     # Compared line by line: equal lists are equal texts, and a mismatch reports its first line quickly.
-    assert cli._csv_text("table", columns, table).split("\n") == reference_csv("table", columns, table).split("\n")
+    assert cli._csv_text("table", columns, data).split("\n") == reference_csv("table", columns, table).split("\n")
     expected = json.dumps(document(columns, table.tolist()), indent=2) + "\n"
-    assert cli._json_text(document(columns, table)).split("\n") == expected.split("\n")
+    assert cli._json_text(document(columns, data)).split("\n") == expected.split("\n")
 
 
 def as_columns(table, kinds):
-    """The table's columns, each as the kind drawn for it: numpy, array('d') or a memoryview of floats."""
-    make = {"numpy": lambda c: c, "array": lambda c: array("d", c.tolist()), "memoryview": lambda c: memoryview(c.copy())}
+    """The table's columns, each as the kind drawn for it: a list, array('d') or a memoryview of floats."""
+    make = {"list": lambda c: c.tolist(), "array": lambda c: array("d", c.tolist()),
+            "memoryview": lambda c: memoryview(c.copy())}
     return [make[kind](column) for column, kind in zip(table.T, kinds)]
 
 
@@ -247,16 +243,16 @@ def as_columns(table, kinds):
     pool=value_pools,
     seed=st.integers(0, 2**32 - 1),
     n_cols=st.integers(1, 4),
-    kinds=st.lists(st.sampled_from(["numpy", "array", "memoryview"]), min_size=5, max_size=5),
+    kinds=st.lists(st.sampled_from(["list", "array", "memoryview"]), min_size=5, max_size=5),
 )
 def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds):
     # A last column cycles through every float edge: signed zeros side by side, subnormals and +/-max.
     table = np.column_stack([pooled_table(pool, seed, n_rows, n_cols), np.resize(FLOAT_EDGES, n_rows)])
-    # Compared line by line, as above.
+    # Compared line by line with the row-wise repr join, as above.
     for columns in (as_columns(table, kinds), as_columns(table, ["array"] * 5)):
-        for separators in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
-            text = "".join(writer.table_text(columns, *separators))
-            assert text.split("\n") == "".join(writer.table_text(table, *separators)).split("\n")
+        for cell_sep, row_sep in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
+            text = "".join(writer.table_text(columns, cell_sep, row_sep))
+            assert text.split("\n") == row_sep.join(cell_sep.join(map(repr, row)) for row in table.tolist()).split("\n")
 
 
 @pytest.mark.parametrize("writer", ["csv", "json", "buffers"])
@@ -272,8 +268,8 @@ def test_table_writer_rejects_a_non_finite_cell(writer, pool, seed, n_rows, bad,
     table = pooled_table(pool, seed, n_rows, 3)
     table.flat[int(where * table.size)] = bad
     write = {
-        "csv": lambda: cli._csv_text("t", ["a", "b", "c"], table),
-        "json": lambda: cli._json_text(document(["a", "b", "c"], table)),
+        "csv": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["list"] * 3)),
+        "json": lambda: cli._json_text(document(["a", "b", "c"], as_columns(table, ["memoryview"] * 3))),
         "buffers": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["array"] * 3)),
     }[writer]
     result = CliRunner().invoke(click.Command("write", callback=write))

@@ -16,7 +16,7 @@ from bohmatom import (
     probability_current,
     radial_function,
 )
-from bohmatom import grid, special_functions
+from bohmatom import schrodinger_states
 from bohmatom.grid import SphericalGrid
 from oracles import state_norm
 
@@ -106,26 +106,26 @@ class TestWavefunction:
             radial_function(q, make_atom(1, mass=1e300), 1e-298)
 
     def test_laguerre_recurrence_runs_once_over_the_distinct_radii(self, hydrogen, monkeypatch):
-        # On a grid the O(degree) recurrence runs once, in lockstep over the radii (and once more at
-        # x = -1 where a factor overflows, as at r = 1e200); each radius keeps radial_function's bits.
-        lockstep, laguerre = [], []
-        run_lockstep, run_laguerre = grid.laguerre_lockstep, special_functions.associated_laguerre
-
-        def lockstep_spy(degree, order, xs):
-            lockstep.append(len(xs))
-            return run_lockstep(degree, order, xs)
+        # The O(degree) recurrence runs once per distinct rho = 2r/(n a0) (and once more at x = -1
+        # where a factor overflows, as at r = 1e200); each radius keeps radial_function's bits.
+        laguerre = []
+        run_laguerre = schrodinger_states.associated_laguerre
 
         def laguerre_spy(degree, order, x):
             laguerre.append(x)
             return run_laguerre(degree, order, x)
 
-        monkeypatch.setattr(grid, "laguerre_lockstep", lockstep_spy)
-        monkeypatch.setattr(special_functions, "associated_laguerre", laguerre_spy)
+        monkeypatch.setattr(schrodinger_states, "associated_laguerre", laguerre_spy)
         q = QuantumNumbers(40, 5, 3)
         a0 = hydrogen.bohr_radius
         points = SphericalGrid(1e-3 * a0, 1e200 * a0, 5, 2, 3)
-        got = hydrogen_wavefunction(q, hydrogen, points).radial
-        assert (lockstep, laguerre) == ([5], [-1.0])
+        got = hydrogen_wavefunction(q, hydrogen, points)[0]
+        rho = [2.0 * r / (q.n * a0) for r in points.r]
+        assert sorted(laguerre) == sorted([*rho, -1.0])
+        laguerre.clear()
+        repeated = [points.r[0], points.r[1], points.r[0], points.r[1]]
+        assert schrodinger_states.radial_axis(q, hydrogen, repeated)[0] == [got[0], got[1]] * 2
+        assert sorted(laguerre) == sorted([rho[0], rho[1], -1.0])
         monkeypatch.undo()
         assert got == [radial_function(q, hydrogen, r) for r in points.r]
         assert got[0] != 0.0 and got[1:] == [0.0] * 4

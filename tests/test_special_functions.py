@@ -1,12 +1,16 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sps
 
 from bohmatom import DomainError
 from bohmatom.special_functions import associated_laguerre, spherical_harmonic
+from oracles import laguerre_recurrence
 
 
 def laguerre_series(n, k, x):
@@ -51,6 +55,18 @@ class TestAssociatedLaguerre:
             want = laguerre_series(n, k, x)
             got = associated_laguerre(n, k, x)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        degree=st.integers(0, 400) | st.just(25_000),
+        # 2l + 1 for every l the CLI accepts.
+        order=st.integers(0, 60_000).map(lambda l: 2 * l + 1) | st.just(120_001),
+        x=st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 4.0, 1e300]) | st.floats(0.0, 1e4),
+    )
+    def test_equals_the_textbook_recurrence_bit_for_bit(self, degree, order, x):
+        # The coefficients by exact increments round as the ones formed at each step; NaN equals NaN.
+        got, want = associated_laguerre(degree, order, x), laguerre_recurrence(degree, order, x)
+        assert (math.isnan(got) and math.isnan(want)) or struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_rejects_invalid_arguments(self):
         with pytest.raises(DomainError):
