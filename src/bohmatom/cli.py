@@ -4,38 +4,44 @@ All file values are in natural units (hbar = c = 1) except lifetime fields,
 which are in seconds. Numbers are serialized with shortest round-trip
 precision, CSV uses one '#' comment line, a single header row, comma
 delimiters and LF line endings, and identical invocations produce
-byte-identical files. Diagnostics go to stderr only. No command imports
-numpy, and each imports only the modules it runs: `trajectory` integrates,
-checks and writes its rows on floats; `state` evaluates its point on floats,
-with the bits of the same point's `field` row; `field` evaluates each factor
-once per value of its own grid axis. The table writer (`writer`) formats a
-large table in two processes. The program entry `run` ends the process as
-soon as its output is flushed. Per process, a 10 000-step Dirac `trajectory`
-takes 0.28 s, a Dirac 30^3 `field` 0.25 s and a `state` 0.11 s (medians of
-11 runs, on a shared 2-core Xeon host with Python 3.11).
+byte-identical files. Diagnostics go to stderr only.
+
+Each command's options are declared once, as data, in _COMMANDS. The program
+entry `run` parses a well-formed argv against that table and calls the
+command itself, so such a run imports neither click nor dataclasses; help,
+usage errors and any other argv go to the click group `main`, which is built
+from the same table the first time it is read. No command imports numpy, and
+each imports only the modules it runs: `trajectory` integrates, checks and
+writes its rows on floats; `state` evaluates its point on floats, with the
+bits of the same point's `field` row; `field` evaluates each factor once per
+value of its own grid axis. The table writer (`writer`) formats a large table
+in two processes. `run` ends the process as soon as its output is flushed.
+Per process, a 10 000-step Dirac `trajectory` takes 0.13 s, a Dirac 30^3
+`field` 0.12 s, a `state` 0.05 s and `--help` 0.06 s (medians of 11 runs, on
+a shared 2-core Xeon host with Python 3.11; 0.14, 0.14, 0.07 and 0.06 s when
+every run imported click).
 """
 
 from __future__ import annotations
 
 import atexit
-import dataclasses
+import errno
 import json
 import math
 import operator
 import os
+import stat
 import sys
 from array import array
 from functools import partial
 
-import click
-
-from .errors import DomainError, TrajectorySingularityError
+from .errors import DomainError, TrajectorySingularityError, UsageError
 from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 #: Largest Laguerre degree n - l - 1 accepted. The radial recurrence and the
 #: factorials in the norms grow with it: `field --model schrodinger --n 25002
-#: --l 1 --m 1` takes about 0.17 s and its `state` 0.16 s (medians of 11
+#: --l 1 --m 1` takes about 0.09 s and its `state` 0.07 s (medians of 11
 #: runs), and `state` with --n 1000000 took 62 s.
 _MAX_LAGUERRE_DEGREE = 25_000
 #: Largest l accepted. The Legendre recurrence and the factorials (n + l)! and
@@ -72,7 +78,7 @@ def _write_files(out: str, texts: dict[str, str]) -> None:
 
 
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -122,33 +128,11 @@ def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
     return {"command": command, **model.header, "Z": z, "alpha_scale": alpha_scale, "mass": mass, **fields}
 
 
-def _atom_options(fn):
-    fn = click.option("--Z", "z", type=int, default=1, show_default=True, help="Nuclear charge.")(fn)
-    fn = click.option(
-        "--alpha-scale",
-        type=float,
-        default=1.0,
-        show_default=True,
-        help="Multiplier on the physical fine-structure constant.",
-    )(fn)
-    fn = click.option("--mass", type=float, default=1.0, show_default=True, help="Bound-particle mass in natural units.")(fn)
-    return fn
-
-
-def _model_options(fn):
-    fn = click.option("--model", type=click.Choice(["schrodinger", "dirac"]), default="dirac", show_default=True)(fn)
-    fn = click.option("--spin", type=click.Choice(["up", "down"]), default=None, help="Dirac only.")(fn)
-    fn = click.option("--n", type=int, default=None, help="Schrodinger only.")(fn)
-    fn = click.option("--l", type=int, default=None, help="Schrodinger only.")(fn)
-    fn = click.option("--m", type=int, default=None, help="Schrodinger only.")(fn)
-    return fn
-
-
 def _make_atom(z: int, alpha_scale: float, mass: float):
     try:
         return make_atom(z, FINE_STRUCTURE * alpha_scale, mass)
     except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
@@ -159,39 +143,23 @@ def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
         from .schrodinger_states import QuantumNumbers
 
         if spin is not None:
-            raise click.UsageError("--spin applies only to --model dirac")
+            raise UsageError("--spin applies only to --model dirac")
         try:
             q = QuantumNumbers(n if n is not None else 1, l if l is not None else 0, m if m is not None else 0)
         except DomainError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
         if q.l > _MAX_L:
-            raise click.UsageError(f"l = {q.l} exceeds {_MAX_L}, the largest supported")
+            raise UsageError(f"l = {q.l} exceeds {_MAX_L}, the largest supported")
         if q.n - q.l - 1 > _MAX_LAGUERRE_DEGREE:
-            raise click.UsageError(
+            raise UsageError(
                 f"the Laguerre degree n - l - 1 = {q.n - q.l - 1} exceeds {_MAX_LAGUERRE_DEGREE}, the largest supported"
             )
         return SchrodingerEigenstate(q, _make_atom(z, alpha_scale, mass))
     if n is not None or l is not None or m is not None:
-        raise click.UsageError("--n/--l/--m apply only to --model schrodinger")
+        raise UsageError("--n/--l/--m apply only to --model schrodinger")
     return DiracGroundState(SpinOrientation(spin if spin is not None else "up"), _make_atom(z, alpha_scale, mass))
 
 
-@click.group()
-def main():
-    """Velocity fields, probability currents, trajectories and time-dilation
-    reports for hydrogen-like atoms in the pilot-wave picture."""
-
-
-@main.command("field")
-@_model_options
-@_atom_options
-@click.option("--r-min", type=float, default=None, help="Grid start radius (natural units); default 0.2 Bohr radii.")
-@click.option("--r-max", type=float, default=None, help="Grid end radius (natural units); default 5 Bohr radii.")
-@click.option("--r-count", type=int, default=5, show_default=True)
-@click.option("--theta-count", type=int, default=7, show_default=True, help="Cell-centered; odd counts include the equator.")
-@click.option("--phi-count", type=int, default=8, show_default=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count, theta_count, phi_count, out, fmt):
     """Tabulate density, current and velocity on an (r, theta, phi) grid.
 
@@ -206,7 +174,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     r_lo = 0.2 * a0 if r_min is None else r_min
     r_hi = 5.0 * a0 if r_max is None else r_max
     if not 0.0 < r_lo <= r_hi < math.inf or r_count < 1 or theta_count < 1 or phi_count < 1:
-        raise click.UsageError("invalid grid: need 0 < r-min <= r-max and positive counts")
+        raise UsageError("invalid grid: need 0 < r-min <= r-max and positive counts")
 
     columns = ["r", "theta", "phi", "j0", "j1", "j2", "j3", "vx", "vy", "vz", "speed"]
     grid = SphericalGrid(r_lo, r_hi, r_count, theta_count, phi_count)
@@ -225,16 +193,6 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     _write_files(out, {out: text})
 
 
-@main.command("trajectory")
-@_model_options
-@_atom_options
-@click.option("--r", "r0", type=float, default=None, help="Start radius (natural units); default one Bohr radius.")
-@click.option("--theta", "theta0", type=float, default=math.pi / 2, show_default="pi/2")
-@click.option("--phi", "phi0", type=float, default=0.0, show_default=True)
-@click.option("--dt", type=float, default=None, help="Time step (natural units); default period/10000.")
-@click.option("--steps", type=int, default=10000, show_default=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, dt, steps, out, fmt):
     """Integrate dx/dt = v(x) with fixed-step RK4 from a starting point.
 
@@ -248,13 +206,13 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     if steps < 0:
-        raise click.UsageError("--steps must be nonnegative")
+        raise UsageError("--steps must be nonnegative")
     if dt is not None and not (dt > 0.0 and math.isfinite(dt)):
-        raise click.UsageError(f"--dt must be positive and finite, got {dt}")
+        raise UsageError(f"--dt must be positive and finite, got {dt}")
     try:
         start = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
     except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
     aborted = False
     try:
@@ -265,7 +223,7 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
             dt = period / 10000.0 if math.isfinite(period) else 1.0
         trajectory = integrate_trajectory(model.velocity_field(), start, dt, steps)
     except TrajectorySingularityError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         trajectory = exc.trajectory
         aborted = True
     except DomainError as exc:
@@ -301,11 +259,6 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
         sys.exit(1)
 
 
-@main.command("dilate")
-@click.option("--spin", type=click.Choice(["up", "down"]), default="up", show_default=True)
-@_atom_options
-@click.option("--rest-lifetime", type=float, required=True, help="Rest-frame lifetime in seconds.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
 def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     """Write the JSON lifetime-dilation report for the relativistic ground state.
 
@@ -316,7 +269,7 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
 
     if not (rest_lifetime > 0.0 and math.isfinite(rest_lifetime)):
-        raise click.UsageError(f"--rest-lifetime must be positive and finite, got {rest_lifetime}")
+        raise UsageError(f"--rest-lifetime must be positive and finite, got {rest_lifetime}")
     spin_o = SpinOrientation(spin)
     atom = _make_atom(z, alpha_scale, mass)
     report = make_report(spin_o, atom, rest_lifetime)
@@ -331,16 +284,9 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
             {"scale": s, "alpha": atom_s.alpha, "mean_gamma": mg, "excess_over_za_sq": excess_over_za_sq(atom_s)}
         )
 
-    _write_files(out, {out: _json_text({**dataclasses.asdict(report), "alpha_scaling": scaling})})
+    _write_files(out, {out: _json_text({**report._asdict(), "alpha_scaling": scaling})})
 
 
-@main.command("state")
-@_model_options
-@_atom_options
-@click.option("--r", "r0", type=float, default=None, help="Radius (natural units); default one Bohr radius.")
-@click.option("--theta", "theta0", type=float, default=math.pi / 2, show_default="pi/2")
-@click.option("--phi", "phi0", type=float, default=0.0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
 def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out):
     """Print the wavefunction or spinor (and local flow data) at one point."""
     from .coords import SphericalPoint
@@ -349,7 +295,7 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
     try:
         point = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
     except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
     xyz = list(point.xyz())
     point_doc = {"r": point.r, "theta": point.theta, "phi": point.phi, "xyz": xyz}
@@ -360,9 +306,195 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
 
     text = _json_text(doc)
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()  # here, so that a closed pipe ends the command as _main ends it
     else:
         _write_files(out, {out: text})
+
+
+#: The type of --out: a path that is not a directory, which click.Path(dir_okay=False) also takes.
+_PATH = "path"
+
+
+def _option(flag, kind, default=None, *, name=None, required=False, help=None, show_default=None):
+    """One option of a command: its flag, parameter name (the flag's, as click derives it, unless
+    given), type (int, float, a tuple of choices or _PATH), default, whether it is required, and
+    its help text and [default: ...] note."""
+    return flag, name or flag[2:].replace("-", "_").lower(), kind, default, required, help, show_default
+
+
+_MODEL_OPTIONS = (
+    _option("--m", int, help="Schrodinger only."),
+    _option("--l", int, help="Schrodinger only."),
+    _option("--n", int, help="Schrodinger only."),
+    _option("--spin", ("up", "down"), help="Dirac only."),
+    _option("--model", ("schrodinger", "dirac"), "dirac", show_default=True),
+)
+_ATOM_OPTIONS = (
+    _option("--mass", float, 1.0, show_default=True, help="Bound-particle mass in natural units."),
+    _option("--alpha-scale", float, 1.0, show_default=True, help="Multiplier on the physical fine-structure constant."),
+    _option("--Z", int, 1, show_default=True, help="Nuclear charge."),
+)
+_ANGLE_OPTIONS = (
+    _option("--theta", float, math.pi / 2, name="theta0", show_default="pi/2"),
+    _option("--phi", float, 0.0, name="phi0", show_default=True),
+)
+_OUT = _option("--out", _PATH, required=True)
+_FORMAT = _option("--format", ("csv", "json"), "csv", name="fmt", show_default=True)
+
+#: Each command's body and options, in the order --help lists them.
+_COMMANDS = {
+    "field": (field_cmd, (
+        *_MODEL_OPTIONS,
+        *_ATOM_OPTIONS,
+        _option("--r-min", float, help="Grid start radius (natural units); default 0.2 Bohr radii."),
+        _option("--r-max", float, help="Grid end radius (natural units); default 5 Bohr radii."),
+        _option("--r-count", int, 5, show_default=True),
+        _option("--theta-count", int, 7, show_default=True, help="Cell-centered; odd counts include the equator."),
+        _option("--phi-count", int, 8, show_default=True),
+        _OUT,
+        _FORMAT,
+    )),
+    "trajectory": (trajectory_cmd, (
+        *_MODEL_OPTIONS,
+        *_ATOM_OPTIONS,
+        _option("--r", float, name="r0", help="Start radius (natural units); default one Bohr radius."),
+        *_ANGLE_OPTIONS,
+        _option("--dt", float, help="Time step (natural units); default period/10000."),
+        _option("--steps", int, 10000, show_default=True),
+        _OUT,
+        _FORMAT,
+    )),
+    "dilate": (dilate_cmd, (
+        _option("--spin", ("up", "down"), "up", show_default=True),
+        *_ATOM_OPTIONS,
+        _option("--rest-lifetime", float, required=True, help="Rest-frame lifetime in seconds."),
+        _OUT,
+    )),
+    "state": (state_cmd, (
+        *_MODEL_OPTIONS,
+        *_ATOM_OPTIONS,
+        _option("--r", float, name="r0", help="Radius (natural units); default one Bohr radius."),
+        *_ANGLE_OPTIONS,
+        _option("--out", _PATH, help="Write JSON here instead of stdout."),
+    )),
+}
+
+_HELP = (
+    "Velocity fields, probability currents, trajectories and time-dilation reports for hydrogen-like atoms "
+    "in the pilot-wave picture."
+)
+
+
+def _convert(kind, value: str):
+    """The value as click converts it to the option's type; ValueError where click rejects it."""
+    if kind is _PATH:
+        try:
+            mode = os.stat(value).st_mode
+        except OSError:  # no such file yet
+            return value
+        if stat.S_ISDIR(mode) or not os.access(value, os.R_OK):
+            raise ValueError(value)
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(value)
+        return value
+    return kind(value)
+
+
+def _parse(args: list[str]):
+    """The body and keyword arguments that click would call for a well-formed argv; None for any other.
+
+    A well-formed argv is a command name followed by --flag value pairs of that command's options,
+    each value one that click converts, with every required flag present; where a flag repeats, its
+    last value counts, as in click. Anything else, such as --help, --flag=value, an unknown flag, a
+    flag without its value, '--' or a value click rejects, is left to click to parse and report.
+    """
+    if not args or args[0] not in _COMMANDS or len(args) % 2 == 0:
+        return None
+    body, options = _COMMANDS[args[0]]
+    given = dict(zip(args[1::2], args[2::2]))
+    params = {}
+    for flag, name, kind, default, required, _, _ in options:
+        if flag in given:
+            try:
+                params[name] = _convert(kind, given.pop(flag))
+            except ValueError:
+                return None
+        elif required:
+            return None
+        else:
+            params[name] = default
+    return None if given else (body, params)
+
+
+def __getattr__(name: str):
+    """`main`, the click group of the commands, built from _COMMANDS on first access (PEP 562). It
+    prints help and reports usage errors; click is imported only for it."""
+    if name != "main":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global main
+    import click
+
+    def command(command_name, body, options):
+        def callback(**params):
+            try:
+                body(**params)
+            except UsageError as exc:
+                raise click.UsageError(str(exc)) from exc
+
+        params = [
+            click.Option(
+                [flag, param],
+                type=(
+                    click.Path(dir_okay=False) if kind is _PATH
+                    else click.Choice(kind) if isinstance(kind, tuple)
+                    else kind
+                ),
+                required=required,
+                help=help_text,
+                show_default=show_default,
+                # A required option has no default at all: click then reports it as missing.
+                **({} if required else {"default": default}),
+            )
+            for flag, param, kind, default, required, help_text, show_default in options
+        ]
+        return click.Command(command_name, callback=callback, params=params, help=body.__doc__)
+
+    main = click.Group("main", commands=[command(name, *spec) for name, spec in _COMMANDS.items()], help=_HELP)
+    return main
+
+
+def _main() -> None:
+    """Run the command of a well-formed sys.argv directly, and any other argv through the click group.
+
+    A usage error the command raises goes to the group too, which runs the command again and reports
+    the error as it reports its own, and so does a shell-completion request (a _<PROG>_COMPLETE
+    environment variable), which click answers before it parses. An interrupt and a broken pipe end
+    the command as they end it in click's standalone mode.
+    """
+    completion = any(key.startswith("_") and key.endswith("_COMPLETE") for key in os.environ)
+    call = None if completion else _parse(sys.argv[1:])
+    if call is not None:
+        body, params = call
+        try:
+            body(**params)
+            return
+        except UsageError:
+            pass
+        except (EOFError, KeyboardInterrupt):
+            print("\nAborted!", file=sys.stderr)
+            sys.exit(1)
+        except OSError as exc:
+            if exc.errno != errno.EPIPE:
+                raise
+            from click.utils import PacifyFlushWrapper  # the last flushes then ignore the broken pipe
+
+            sys.stdout, sys.stderr = PacifyFlushWrapper(sys.stdout), PacifyFlushWrapper(sys.stderr)
+            sys.exit(1)
+    group = globals().get("main") or __getattr__("main")  # built on first use
+    group()
 
 
 def _traced() -> bool:
@@ -374,21 +506,21 @@ def _traced() -> bool:
 
 
 def run() -> None:
-    """The program entry: main(), then an exit without tearing the interpreter down.
+    """The program entry: _main(), then an exit without tearing the interpreter down.
 
-    The exit status is that of the SystemExit main() ends with, read as sys.exit
-    reads it. The atexit handlers run and stdout and stderr are flushed; then
-    os._exit ends the process, which skips freeing every object and module one by
-    one (8-33 ms per process). Where a tracer, profiler or debugger watches the
+    The exit status is that of the SystemExit _main() ends with (0 where it
+    returns), read as sys.exit reads it. The atexit handlers run and stdout and
+    stderr are flushed; then os._exit ends the process, which skips freeing
+    every object and module one by one (8-33 ms per process). Where a tracer, profiler or debugger watches the
     process, or the exit is not a plain status, or a flush fails, the interpreter
     exits as usual instead, so those report as they always do.
     """
     if _traced():
-        main()
+        _main()
         return
     status = 0
     try:
-        main()
+        _main()
     except SystemExit as exc:
         status = 0 if exc.code is None else exc.code
         if not isinstance(status, int):

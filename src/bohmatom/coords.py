@@ -8,32 +8,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .frozen import Frozen
 
 TWO_PI = 2.0 * math.pi
 #: 2**-511, whose square is the smallest normal float.
 _SQRT_NORMAL_MIN = math.sqrt(sys.float_info.min)
 
 
-@dataclass(frozen=True)
-class SphericalPoint:
+class SphericalPoint(Frozen):
     """Position (r, theta, phi) with r >= 0, theta in [0, pi], phi in [0, 2*pi)."""
 
-    r: float
-    theta: float
-    phi: float
+    _fields = ("r", "theta", "phi")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta) and math.isfinite(self.phi)):
+    def __init__(self, r: float, theta: float, phi: float):
+        if not (math.isfinite(r) and math.isfinite(theta) and math.isfinite(phi)):
             raise DomainError("spherical coordinates must be finite")
-        if self.r < 0.0:
-            raise DomainError(f"r must be nonnegative, got {self.r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise DomainError(f"phi must lie in [0, 2*pi), got {self.phi}")
+        if r < 0.0:
+            raise DomainError(f"r must be nonnegative, got {r}")
+        if not 0.0 <= theta <= math.pi:
+            raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        if not 0.0 <= phi < TWO_PI:
+            raise DomainError(f"phi must lie in [0, 2*pi), got {phi}")
+        self._set(r, theta, phi)
 
     def xyz(self) -> tuple[float, float, float]:
         """Cartesian (x, y, z) as floats."""

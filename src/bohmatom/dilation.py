@@ -17,9 +17,9 @@ against the full three-dimensional quadrature through the spinor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
 
 
@@ -54,23 +54,21 @@ def dilated_lifetime(rest_lifetime: float, mean_gamma: float) -> float:
     return rest_lifetime * mean_gamma
 
 
-@dataclass(frozen=True)
-class DilationReport:
-    """Lifetime-dilation summary; lifetimes in seconds, everything else dimensionless."""
+class DilationReport(Frozen):
+    """Lifetime-dilation summary; lifetimes in seconds, everything else dimensionless. Its fields,
+    in order, are the leading keys of the dilate command's JSON report."""
 
-    mean_gamma: float
-    pointwise_max_gamma: float
-    rest_lifetime: float
-    dilated_lifetime: float
+    _fields = ("mean_gamma", "pointwise_max_gamma", "rest_lifetime", "dilated_lifetime")
 
-    def __post_init__(self):
-        if not 1.0 <= self.mean_gamma <= self.pointwise_max_gamma:
+    def __init__(self, mean_gamma: float, pointwise_max_gamma: float, rest_lifetime: float, dilated_lifetime: float):
+        if not 1.0 <= mean_gamma <= pointwise_max_gamma:
             raise DomainError(
                 f"need 1 <= mean_gamma <= pointwise_max_gamma, got "
-                f"{self.mean_gamma}, {self.pointwise_max_gamma}"
+                f"{mean_gamma}, {pointwise_max_gamma}"
             )
-        if self.rest_lifetime <= 0.0 or self.dilated_lifetime <= 0.0:
+        if rest_lifetime <= 0.0 or dilated_lifetime <= 0.0:
             raise DomainError("lifetimes must be positive")
+        self._set(mean_gamma, pointwise_max_gamma, rest_lifetime, dilated_lifetime)
 
 
 def make_report(spin: SpinOrientation, atom: AtomConfig, rest_lifetime: float) -> DilationReport:

@@ -28,3 +28,8 @@ class TrajectorySingularityError(RuntimeError):
     def __init__(self, message: str, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class UsageError(Exception):
+    """A command-line value a command cannot run with: the CLI reports it as a usage error, with exit
+    status 2, as it reports a malformed command line."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING
@@ -27,6 +26,7 @@ from typing import TYPE_CHECKING
 from . import libm
 from .coords import azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import PhaseSingularityError
+from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
 from .trajectory_engine import reserve_floats
 
@@ -50,8 +50,7 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class SphericalGrid:
+class SphericalGrid(Frozen):
     """The product grid of the field table: r_count radii from r_min to r_max in equal steps
     (linspace), theta_count cell-centred colatitudes pi (k + 1/2) / theta_count and phi_count
     azimuths 2 pi k / phi_count, with 0 < r_min <= r_max < inf. Points run r-major, then
@@ -61,11 +60,10 @@ class SphericalGrid:
     can so be refused before its axes are built. One r slab is the theta_count * phi_count
     points at one radius, and the angle pairs of a slab run theta-major."""
 
-    r_min: float
-    r_max: float
-    r_count: int
-    theta_count: int
-    phi_count: int
+    _fields = ("r_min", "r_max", "r_count", "theta_count", "phi_count")
+
+    def __init__(self, r_min: float, r_max: float, r_count: int, theta_count: int, phi_count: int):
+        self._set(r_min, r_max, r_count, theta_count, phi_count)
 
     @property
     def size(self) -> int:

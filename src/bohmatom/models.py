@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .coords import SphericalPoint, azimuthal_to_cartesian, norm3, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
+from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
 
 if TYPE_CHECKING:
@@ -51,10 +51,11 @@ def _rotation(w: float, x: float, y: float) -> tuple[float, float, float]:
     return (0.0 - w * y, w * x + 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class DiracGroundState:
-    spin: SpinOrientation
-    atom: AtomConfig
+class DiracGroundState(Frozen):
+    _fields = ("spin", "atom")
+
+    def __init__(self, spin: SpinOrientation, atom: AtomConfig):
+        self._set(spin, atom)
 
     @property
     def header(self) -> dict:
@@ -107,10 +108,11 @@ class DiracGroundState:
         }
 
 
-@dataclass(frozen=True)
-class SchrodingerEigenstate:
-    q: QuantumNumbers
-    atom: AtomConfig
+class SchrodingerEigenstate(Frozen):
+    _fields = ("q", "atom")
+
+    def __init__(self, q: QuantumNumbers, atom: AtomConfig):
+        self._set(q, atom)
 
     @property
     def header(self) -> dict:
@@ -167,11 +169,16 @@ class SchrodingerEigenstate:
         return _with_finite_period(rate, start.r) if abs(rate) < math.inf else 0.0
 
     def describe(self, point: SphericalPoint) -> dict:
-        from .schrodinger_states import bohm_momentum, hydrogen_wavefunction, polar_decompose, probability_current
+        from .schrodinger_states import (
+            bohm_momentum, hydrogen_wavefunction, polar_decompose, probability_current, radial_axis,
+        )
 
-        psi = hydrogen_wavefunction(self.q, self.atom, point)
+        # One radial_axis call gives R_nl and its node flag: the Laguerre recurrence runs once.
+        (radial,), (radial_node,) = radial_axis(self.q, self.atom, [point.r])
+        psi = hydrogen_wavefunction(self.q, self.atom, point, radial)
         amplitude, phase = polar_decompose(psi)
-        velocity = azimuthal_to_cartesian(point.phi, bohm_momentum(self.q, self.atom, point)[2] / self.atom.mass)
+        momentum = bohm_momentum(self.q, self.atom, point, radial_node)
+        velocity = azimuthal_to_cartesian(point.phi, momentum[2] / self.atom.mass)
         return {
             "psi": [psi.real, psi.imag],
             "amplitude": amplitude,

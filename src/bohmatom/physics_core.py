@@ -9,10 +9,10 @@ seconds and never pass through a unit conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, SupercriticalCouplingError
+from .frozen import Frozen
 
 #: CODATA fine-structure constant.
 FINE_STRUCTURE = 0.0072973525693
@@ -23,32 +23,30 @@ class SpinOrientation(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class AtomConfig:
+class AtomConfig(Frozen):
     """Hydrogen-like atom: nuclear charge Z, coupling alpha, bound-particle mass.
 
     alpha is an explicit input rather than a baked-in constant so the
     non-relativistic limit can be probed by scaling it toward zero.
     """
 
-    Z: int
-    alpha: float = FINE_STRUCTURE
-    mass: float = 1.0
+    _fields = ("Z", "alpha", "mass")
 
-    def __post_init__(self):
-        if self.Z < 1 or self.Z != int(self.Z):
-            raise DomainError(f"Z must be a positive integer, got {self.Z}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise DomainError(f"mass must be positive and finite, got {self.mass}")
-        scale = self.mass * self.Z * self.alpha
+    def __init__(self, Z: int, alpha: float = FINE_STRUCTURE, mass: float = 1.0):
+        if Z < 1 or Z != int(Z):
+            raise DomainError(f"Z must be a positive integer, got {Z}")
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise DomainError(f"alpha must be positive and finite, got {alpha}")
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise DomainError(f"mass must be positive and finite, got {mass}")
+        scale = mass * Z * alpha
         if not (0.0 < scale and 2.0 * scale < math.inf and 1.0 / scale < math.inf):
             raise DomainError(f"mass * Z * alpha = {scale!r} puts the Bohr radius out of the float range")
-        if self.Z * self.alpha >= 1.0:
+        if Z * alpha >= 1.0:
             raise SupercriticalCouplingError(
-                f"supercritical coupling: Z*alpha = {self.Z * self.alpha} >= 1"
+                f"supercritical coupling: Z*alpha = {Z * alpha} >= 1"
             )
+        self._set(Z, alpha, mass)
 
     @property
     def za(self) -> float:

@@ -20,11 +20,11 @@ distinct rho = 2r/(n a0); radial_function is its one-radius case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import libm
 from .coords import SphericalPoint, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
+from .frozen import Frozen
 from .physics_core import AtomConfig
 from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic, spherical_harmonic_table
 
@@ -32,21 +32,19 @@ from .special_functions import assoc_legendre, associated_laguerre, spherical_ha
 _LOG_SMALLEST_SUBNORMAL = math.log(5e-324)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(Frozen):
     """(n, l, m) with n >= 1, 0 <= l <= n - 1, |m| <= l."""
 
-    n: int
-    l: int
-    m: int
+    _fields = ("n", "l", "m")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.l <= self.n - 1:
-            raise DomainError(f"l must lie in [0, n-1], got n={self.n}, l={self.l}")
-        if abs(self.m) > self.l:
-            raise DomainError(f"|m| must not exceed l, got l={self.l}, m={self.m}")
+    def __init__(self, n: int, l: int, m: int):
+        if n < 1:
+            raise DomainError(f"n must be >= 1, got {n}")
+        if not 0 <= l <= n - 1:
+            raise DomainError(f"l must lie in [0, n-1], got n={n}, l={l}")
+        if abs(m) > l:
+            raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
+        self._set(n, l, m)
 
 
 def _radial_norm(q: QuantumNumbers, atom: AtomConfig) -> float:
@@ -107,8 +105,9 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
     return radial_axis(q, atom, [x])[0][0]
 
 
-def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p):
-    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a SphericalPoint p.
+def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p, radial: float | None = None):
+    """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a SphericalPoint p, where
+    radial is R_nl(p.r) (radial_axis's value), computed here unless given.
 
     On a grid.SphericalGrid p, its factors, each evaluated once per value of its own axis, as the
     tuple (radial, radial_node, harmonic_real, harmonic_imag, angular_node): at radius i and angle
@@ -121,7 +120,8 @@ def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p):
         real, imag = spherical_harmonic_table(q.l, q.m, p.theta, p.phi)
         angular_node = [assoc_legendre(q.l, abs(q.m), math.cos(t), 1.0) == 0.0 for t in p.theta]
         return radial, radial_node, real, imag, angular_node
-    radial = radial_function(q, atom, p.r)
+    if radial is None:
+        radial = radial_function(q, atom, p.r)
     harmonic = spherical_harmonic(q.l, q.m, p.theta, p.phi)
     # + 0.0 maps a signed zero to +0.0: an m = 0 state is real, with imaginary part 0.0.
     return complex(radial * harmonic.real, radial * harmonic.imag + 0.0)
@@ -141,13 +141,17 @@ def polar_decompose(psi: complex) -> tuple[float, float | None]:
     return amplitude, (math.pi if phase == -math.pi else phase + 0.0)
 
 
-def is_node(q: QuantumNumbers, atom: AtomConfig, r: float, cos_theta: float) -> bool:
+def is_node(
+    q: QuantumNumbers, atom: AtomConfig, r: float, cos_theta: float, radial_node: bool | None = None
+) -> bool:
     """Whether psi_nlm vanishes at (r > 0, cos theta) off the axis: a zero of the Laguerre factor
     or of P_l^|m| / sin^|m|. The other factors are positive, so an underflowed psi is no node, and
-    a factor beyond the float range is no zero; so is the Laguerre factor where rho = 2r/(n a0) is."""
-    rho = 2.0 * r / (q.n * atom.bohr_radius)
-    laguerre_zero = rho < math.inf and associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho) == 0.0
-    return laguerre_zero or assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0
+    a factor beyond the float range is no zero; so is the Laguerre factor where rho = 2r/(n a0) is.
+    radial_node is the Laguerre test at r (radial_axis's node flag), computed here unless given."""
+    if radial_node is None:
+        rho = 2.0 * r / (q.n * atom.bohr_radius)
+        radial_node = rho < math.inf and associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho) == 0.0
+    return radial_node or assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0
 
 
 def phase_gradient(q: QuantumNumbers, r: float, theta: float) -> float:
@@ -160,17 +164,20 @@ def phase_gradient(q: QuantumNumbers, r: float, theta: float) -> float:
     return rate
 
 
-def bohm_momentum(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float, float]:
+def bohm_momentum(
+    q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint, radial_node: bool | None = None
+) -> tuple[float, float, float]:
     """Guidance momentum grad S at one point, in the spherical basis.
 
     Identically zero for m = 0 states (real wavefunction, S = 0). For m != 0
     the phase S = m*phi is singular on the polar axis, which includes points
-    where m/(r sin theta) overflows, and undefined at nodes.
+    where m/(r sin theta) overflows, and undefined at nodes. radial_node is
+    radial_axis's node flag at p.r, computed here unless given.
     """
     if q.m == 0:
         return (0.0, 0.0, 0.0)
     rate = phase_gradient(q, p.r, p.theta)
-    if is_node(q, atom, p.r, math.cos(p.theta)):
+    if is_node(q, atom, p.r, math.cos(p.theta), radial_node):
         raise PhaseSingularityError("phase singularity: wavefunction node")
     return (0.0, 0.0, rate)
 

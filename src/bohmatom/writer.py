@@ -6,8 +6,8 @@ r slabs of a field grid. Within a piece each distinct bit pattern of a column
 is formatted once. A table of at least two blocks is split once, at the piece
 boundary nearest half its rows: a forked child formats the back half and
 sends its text through a pipe, while this process formats the front half.
-Formatting is most of the time of a 10 000-step `trajectory` process (about
-95 ms of 0.3 s); on two cores the halves take about 1.6 times less wall time
+Formatting is the largest part of a 10 000-step `trajectory` process (about
+50 ms of 0.13 s); on two cores the halves take about 1.6 times less wall time
 than one core takes for both (shared 2-core Xeon host, Python 3.11). Every
 piece is formatted on its own, so the text is the same wherever the split
 falls and whether or not the fork succeeds.

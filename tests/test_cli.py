@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,11 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bohmatom
+from bohmatom import cli, schrodinger_states
 from bohmatom import (
     FINE_STRUCTURE,
     QuantumNumbers,
@@ -23,6 +29,7 @@ from bohmatom import (
     make_atom,
 )
 from bohmatom.cli import main
+from bohmatom.coords import azimuthal_to_cartesian
 from oracles import vector_to_cartesian
 
 
@@ -436,6 +443,23 @@ class TestStateCommand:
         assert doc["amplitude"] == 0.0 and doc["phase"] is None
         assert doc["velocity"] == pytest.approx([0.0, 1.0 / (1e6 * math.sin(1.0)), 0.0], rel=1e-15, abs=0.0)
 
+    def test_schrodinger_state_runs_the_laguerre_recurrence_once(self, runner, monkeypatch):
+        # R_nl and its node flag come from one radial_axis call, with the bits of the point functions.
+        q, atom = QuantumNumbers(25002, 1, 1), make_atom()
+        point = SphericalPoint(atom.bohr_radius, math.pi / 2, 0.0)
+        psi = hydrogen_wavefunction(q, atom, point)
+        velocity = azimuthal_to_cartesian(point.phi, bohm_momentum(q, atom, point)[2] / atom.mass)
+        calls = []
+        laguerre = schrodinger_states.associated_laguerre
+        spy = lambda *args: calls.append(args) or laguerre(*args)  # noqa: E731
+        monkeypatch.setattr(schrodinger_states, "associated_laguerre", spy)
+        result = invoke(runner, ["state", "--model", "schrodinger", "--n", "25002", "--l", "1", "--m", "1"])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+        doc = json.loads(result.output)
+        assert doc["psi"] == [psi.real, psi.imag]
+        assert doc["velocity"] == list(velocity)
+
     def test_write_to_file(self, runner, tmp_path):
         out = tmp_path / "state.json"
         assert invoke(runner, ["state", "--out", str(out)]).exit_code == 0
@@ -526,7 +550,7 @@ def run_cold(args):
 
 
 #: The package modules each command imports: only what it runs.
-_BASE_MODULES = {"bohmatom", "bohmatom.errors", "bohmatom.physics_core"}
+_BASE_MODULES = {"bohmatom", "bohmatom.errors", "bohmatom.frozen", "bohmatom.physics_core"}
 _STATE_MODULES = _BASE_MODULES | {"bohmatom.coords", "bohmatom.models"}
 _MODEL_MODULES = {
     "dirac": {"bohmatom.dirac_states", "bohmatom.libm"},
@@ -595,9 +619,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=_SUBPROCESS_ENV, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
-    # No command loads numpy, and each loads only the package modules it runs.
+    # No command loads numpy, and each loads only the package modules it runs. A well-formed command
+    # runs without click (and the dataclasses and inspect modules); help and usage errors need click.
     out = tmp_path / "out"
     runs = [(["--help"], 0), (["dilate", "--rest-lifetime", "2e-6", "--out", str(out)], 0)]
+    runs += [(["dilate", "--rest-lifetime", "0", "--out", str(out)], 2)]
     runs += [(["state", *args], exit_code) for args, exit_code in _COLD_STATES]
     runs += [
         (["trajectory", *args, "--format", fmt, "--out", str(out)], exit_code)
@@ -614,7 +640,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
         assert result.returncode == exit_code, (args, result.stderr)
         assert not {m for m in modules if m.split(".")[0] in ("numpy", "scipy")}, args
         assert {m for m in modules if m.split(".")[0] == "bohmatom"} == expected_modules(args), args
-        if args[0] == "dilate":
+        if args[0] == "--help" or exit_code == 2:
+            assert "click" in modules, args
+        else:
+            assert not {m for m in modules if m.split(".")[0] in ("click", "dataclasses", "inspect")}, args
+        if args[0] == "dilate" and exit_code == 0:
             assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0
         elif args[0] in ("trajectory", "field") and exit_code == 0:
             assert out.stat().st_size > 0
@@ -629,6 +659,13 @@ _EXIT_PATHS = {
     "fail": (["state", "--mass", "1e300"], 1),
     "aborted-trajectory": (["trajectory", "--r", "1e-10", "--steps", "3", "--out", "{out}"], 1),
     "state-to-stdout": (["state", "--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1"], 0),
+    "dirac-state-to-stdout": (["state"], 0),
+    "repeated-flag": (["dilate", "--rest-lifetime", "-1", "--rest-lifetime", "2e-6", "--out", "{out}"], 0),
+    "negative-radius": (["state", "--r", "-1"], 2),
+    "negative-radius-with-equals": (["state", "--r=-1"], 2),
+    "spin-with-schrodinger": (["state", "--model", "schrodinger", "--spin", "up"], 2),
+    "zero-step": (["trajectory", "--dt", "0", "--out", "{out}"], 2),
+    "directory-out": (["dilate", "--rest-lifetime", "2e-6", "--out", "{dir}"], 2),
     "help": (["--help"], 0),
     "command-help": (["trajectory", "--help"], 0),
     "two-process-table": (["trajectory", "--steps", "3000", "--format", "json", "--out", "{out}"], 0),
@@ -644,7 +681,7 @@ _MAIN_WITH_TEARDOWN = (
 @pytest.mark.parametrize("args, exit_code", _EXIT_PATHS.values(), ids=_EXIT_PATHS.keys())
 def test_program_exit_matches_main(tmp_path, args, exit_code):
     out = tmp_path / "out"
-    args = [str(out) if a == "{out}" else a for a in args]
+    args = [{"{out}": str(out), "{dir}": str(tmp_path)}.get(a, a) for a in args]
     env = {k: v for k, v in _SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}  # stdout as a pipe buffers it
     ends = []
     for entry in (["-m", "bohmatom.cli"], ["-c", _MAIN_WITH_TEARDOWN]):
@@ -690,3 +727,78 @@ def test_program_exit_runs_the_atexit_handlers():
     assert result.returncode == 0
     assert result.stdout.startswith("Usage: ")
     assert result.stdout.endswith("  trajectory  Integrate dx/dt = v(x) with fixed-step RK4 from a starting...\nbye\n")
+
+
+#: Option values by type: ones click converts (' 7', '1_0' and the Arabic-Indic '٣' are ints, 'nan' a
+#: float) and ones it rejects ('UP' is not a choice, '.' is a directory); any may go to any flag.
+_PARSER_VALUES = {
+    int: [" 7", "1_0", "٣", "-1", "2", "1.5"],
+    float: [" 7", "1_0", "٣", "nan", "-1", "0.5", "1e-3", "abc"],
+    cli._PATH: ["x.csv", "", ".", "--help", "--"],
+}
+_CHOICE_VALUES = ["UP", "Dirac", "--help"]
+_ANY_VALUE = st.sampled_from(sorted({v for values in _PARSER_VALUES.values() for v in values} | {*_CHOICE_VALUES}))
+
+
+@st.composite
+def _argvs(draw):
+    """A command and flags for it: mostly --flag value pairs, with its required flags most of the time,
+    and now and then --flag=value, a repeated or unknown flag or a lone token such as --help or --."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[name][1]
+
+    def values(kind):
+        typed = list(kind) + _CHOICE_VALUES if isinstance(kind, tuple) else _PARSER_VALUES[kind]
+        return st.one_of(st.sampled_from(typed), st.sampled_from(typed), _ANY_VALUE)
+
+    pair = st.sampled_from(options).flatmap(lambda o: values(o[2]).map(lambda value: [o[0], value]))
+    joined = pair.map(lambda pair: ["=".join(pair)])
+    lone = st.sampled_from(["--help", "--", "--out", "--nope", "x"]).map(lambda token: [token])
+    pieces = draw(st.lists(st.one_of(pair, pair, pair, pair, pair, pair, joined, lone), max_size=5))
+    if draw(st.integers(0, 9)):
+        pieces += [draw(values(o[2]).map(lambda value: [o[0], value])) for o in options if o[4]]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def _typed(params):
+    """The parameters with their types and reprs, so that nan equals nan and 1 differs from 1.0."""
+    return {name: (type(value), repr(value)) for name, value in params.items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_direct_parser_declines_or_agrees_with_click(argv):
+    call = cli._parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):  # a --help prints its page
+            params = main.commands[argv[0]].make_context(argv[0], argv[1:]).params
+    except (click.exceptions.ClickException, click.exceptions.Exit):
+        params = None
+    if call is None:
+        # Declined: click parses it. An argv of --flag value pairs that click takes is never declined.
+        known = {option[0] for option in cli._COMMANDS[argv[0]][1]}
+        assert params is None or len(argv) % 2 == 0 or not set(argv[1::2]) <= known, argv
+    else:
+        body, direct = call
+        assert params is not None, argv
+        assert body is cli._COMMANDS[argv[0]][0]
+        assert _typed(direct) == _typed(params), argv
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, EOFError, BrokenPipeError])
+def test_direct_run_ends_an_interrupt_as_click_does(monkeypatch, capsys, interrupt):
+    def body(**params):
+        raise interrupt(32, "Broken pipe") if interrupt is BrokenPipeError else interrupt()
+
+    monkeypatch.setattr(cli, "_COMMANDS", {"state": (body, ())})
+    monkeypatch.setattr(sys, "argv", ["bohmatom", "state"])
+    ends = []
+    for run in (cli._main, lambda: click.Command("state", callback=body).main([])):
+        with monkeypatch.context() as streams:  # a broken pipe wraps both streams
+            streams.setattr(sys, "stdout", sys.stdout)
+            streams.setattr(sys, "stderr", sys.stderr)
+            with pytest.raises(SystemExit) as exit_:
+                run()
+        ends.append((exit_.value.code, capsys.readouterr()))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == 1
