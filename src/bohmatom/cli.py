@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import atexit
 import errno
-import json
 import math
 import operator
 import os
@@ -100,6 +99,8 @@ def _table_pieces(table, cell_sep: str, row_sep: str) -> list[str]:
 
 def _json_text(doc: dict) -> str:
     """The document as indent-2 JSON; a "rows" table is written as its list of row lists would be."""
+    import json  # here, so that a CSV field table loads neither json nor re
+
     table = doc.get("rows")
     if table is not None:
         rows = _table_pieces(table, ",\n      ", "\n    ],\n    [\n      ")

@@ -24,9 +24,10 @@ current and velocity components here are Cartesian.
 Everything runs on floats: dirac_ground_state, four_current_at and
 bohm_velocity give the spinor, the contraction and the flow at a
 SphericalPoint as Python numbers. The contraction is ground_current, the sums
-of the full 64-term matrix contraction with their zero terms left out; the
-field table evaluates it over an r slab of a grid, so a point's values equal
-its row of a grid bit for bit.
+of the full 64-term matrix contraction with their zero terms left out. j^0
+does not depend on phi, so ground_current sums it once per colatitude, at
+phi = 0, and j^1 and j^2 at every angle; the field table evaluates it over an
+r slab of a grid, so a point's values equal its row of a grid bit for bit.
 """
 
 from __future__ import annotations
@@ -109,9 +110,12 @@ def dirac_ground_state(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoin
     return tuple(map(complex, real, imag))
 
 
-def ground_current(spin: SpinOrientation, amp: float, b, d_sin, d_cos) -> tuple[list[float], list[float], list[float]]:
-    """j0, j1 and j2 of the ground-state spinor with A(r) = amp at each angle k, where
-    B = b[k], D sin(phi) = d_sin[k] and D cos(phi) = d_cos[k]; j3 is 0.0 at every angle.
+def ground_current(
+    spin: SpinOrientation, amp: float, b, d, d_sin, d_cos
+) -> tuple[list[float], list[float], list[float]]:
+    """j0 at each colatitude k, where B = b[k] and D = d[k], and j1 and j2 at each angle k, where
+    D sin(phi) = d_sin[k] and D cos(phi) = d_cos[k], of the ground-state spinor with A(r) = amp;
+    j3 is 0.0 at every angle.
 
     These are the sums of the contraction Re[psibar gamma^mu psi], bit for bit, with only
     their nonzero terms: the 64 terms taken k outer and l inner, each added to a sum that
@@ -123,17 +127,19 @@ def ground_current(spin: SpinOrientation, amp: float, b, d_sin, d_cos) -> tuple[
         spin up:   j0 = (X^2 + Y^2) + (AB^2 + A^2),  j1 = -2 A X,  j2 = 2 A Y;
         spin down: j0 = AB^2 + ((X^2 + Y^2) + A^2),  j1 = 2 A X,   j2 = -2 A Y.
 
-    Their imaginary parts cancel exactly. A vanishing component is +0.0, as the sums
-    give it (0.0 - a and a + 0.0 map a signed zero to +0.0).
+    j0 is the sum at phi = 0, where X = 0.0 and Y = A D, so that X^2 + Y^2 is (A D)^2 exactly:
+    one value for every phi. Their imaginary parts cancel exactly. A vanishing component is
+    +0.0, as the sums give it (0.0 - a and a + 0.0 map a signed zero to +0.0).
     """
     aa = amp * amp
     ab = [amp * v for v in b]
+    ad = [amp * v for v in d]
     x = [amp * v for v in d_sin]
     y = [amp * v for v in d_cos]
     if spin is SpinOrientation.UP:
-        j0 = [(u * u + w * w) + (c * c + aa) for c, u, w in zip(ab, x, y)]
+        j0 = [w * w + (c * c + aa) for c, w in zip(ab, ad)]
         return j0, [0.0 - 2.0 * (amp * u) for u in x], [2.0 * (amp * w) + 0.0 for w in y]
-    j0 = [c * c + ((u * u + w * w) + aa) for c, u, w in zip(ab, x, y)]
+    j0 = [c * c + (w * w + aa) for c, w in zip(ab, ad)]
     return j0, [2.0 * (amp * u) + 0.0 for u in x], [0.0 - 2.0 * (amp * w) for w in y]
 
 
@@ -141,7 +147,7 @@ def four_current_at(spin: SpinOrientation, atom: AtomConfig, p: SphericalPoint) 
     """j^mu = Re[psibar gamma^mu psi] of the spinor at one point, [j0, j1, j2, j3], spatial
     parts Cartesian (ground_current at the point)."""
     amp, b, d, cos_phi, sin_phi = _point_factors(atom, p)
-    j0, j1, j2 = ground_current(spin, amp, [b], [d * sin_phi], [d * cos_phi])
+    j0, j1, j2 = ground_current(spin, amp, [b], [d], [d * sin_phi], [d * cos_phi])
     return [j0[0], j1[0], j2[0], 0.0]
 
 

@@ -2,13 +2,14 @@
 
 A SphericalGrid is a product of three float axes. On it each factor of a state
 runs once per value of its own axis: A(r), R_nl(r) and the Laguerre node test
-per radius, zeta cos(theta), zeta sin(theta), P_l^m and the Legendre node test
-per colatitude, and sines and cosines per azimuth. The state modules compute
-the factors (schrodinger_states.hydrogen_wavefunction gives psi's on a grid);
-this module computes only the current (for Schrodinger also psi, the density
-and the velocity) per point, into float columns reserved before the first
-point. Every value has the bits of the state modules' point functions at the
-same point.
+per radius, zeta cos(theta), zeta sin(theta), the colatitude factor of Y_l^m
+and the Legendre node test per colatitude, and sines and cosines per azimuth.
+The state modules compute the factors. Both flows are rigid rotations about
+z, so j0, j3 and the speed do not depend on phi: each is computed once per
+(r, theta), by the arithmetic of the point at phi = 0, and every azimuth of
+that ring carries its bits. Only j1, j2, vx and vy are computed per point,
+into float columns reserved before the first point. Every value has the bits
+of the state modules' point functions at the same point.
 
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only
@@ -21,17 +22,12 @@ import math
 from array import array
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING
 
-from . import libm
-from .coords import azimuthal_to_cartesian, norm3, pole_safe_sin
+from .coords import azimuthal_to_cartesian, pole_safe_sin
 from .errors import PhaseSingularityError
 from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
 from .trajectory_engine import reserve_floats
-
-if TYPE_CHECKING:
-    from .schrodinger_states import QuantumNumbers
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -104,35 +100,38 @@ def _by_phi(grid: SphericalGrid, per_phi: list) -> list:
 def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) -> list:
     """The columns j0, j1, j2, j3, vx, vy, vz, speed of the Dirac field table on the grid: the
     current j^mu of the gamma contraction and the Cartesian velocity. j0, j1 and j2 hold one value
-    per point; the others one value per angle pair of an r slab, the same at every radius."""
+    per point; the others one value per angle pair of an r slab, the same at every radius. j0 is
+    summed once per (r, theta), and the speed is |Z*alpha*sin(theta)|, once per colatitude."""
     from .dirac_states import azimuthal_speed, ground_current, radial_amplitude, small_component_ratio
 
     current = _point_columns(grid, 3)
     slab = grid.theta_count * grid.phi_count
     zeta = small_component_ratio(atom)
-    b = _by_theta(grid, [zeta * math.cos(t) for t in grid.theta])
-    d = _by_theta(grid, [zeta * pole_safe_sin(t) for t in grid.theta])
-    d_sin = list(map(mul, d, _by_phi(grid, [math.sin(p) for p in grid.phi])))
-    d_cos = list(map(mul, d, _by_phi(grid, [math.cos(p) for p in grid.phi])))
+    b = [zeta * math.cos(t) for t in grid.theta]
+    d = [zeta * pole_safe_sin(t) for t in grid.theta]
+    d_sin = list(map(mul, _by_theta(grid, d), _by_phi(grid, [math.sin(p) for p in grid.phi])))
+    d_cos = list(map(mul, _by_theta(grid, d), _by_phi(grid, [math.cos(p) for p in grid.phi])))
     for i, r in enumerate(grid.r):
-        for column, values in zip(current, ground_current(spin, radial_amplitude(atom, r), b, d_sin, d_cos)):
+        j0, j1, j2 = ground_current(spin, radial_amplitude(atom, r), b, d, d_sin, d_cos)
+        for column, values in zip(current, (_by_theta(grid, j0), j1, j2)):
             column[i * slab : (i + 1) * slab] = array("d", values)
-    velocity = [azimuthal_to_cartesian(p, azimuthal_speed(spin, atom, t)) for t in grid.theta for p in grid.phi]
-    vx, vy, vz = map(list, zip(*velocity))
-    return [*current, [0.0] * slab, vx, vy, vz, list(map(norm3, vx, vy, vz))]
+    rates = [azimuthal_speed(spin, atom, t) for t in grid.theta]
+    vx, vy, vz = map(list, zip(*(azimuthal_to_cartesian(p, v) for v in rates for p in grid.phi)))
+    return [*current, [0.0] * slab, vx, vy, vz, _by_theta(grid, list(map(abs, rates)))]
 
 
 def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> list:
     """The columns j0, j1, j2, j3, vx, vy, vz, speed of the Schrodinger field table on the grid:
     the density |psi|^2, the current density times velocity and the Cartesian velocity
     grad(S)/mass. j0 holds one value per point, and so do j1, j2, vx, vy and speed for m != 0;
-    the others hold one value per angle pair of an r slab, the same at every radius.
+    the others hold one value per angle pair of an r slab, the same at every radius. The density
+    (R_nl Theta)^2 and the speed |m / (mass r sin(theta))| are taken once per (r, theta).
     PhaseSingularityError for m != 0 where the grid meets the axis or a node."""
     from .schrodinger_states import hydrogen_wavefunction, phase_gradient
 
     columns = _point_columns(grid, 1 if q.m == 0 else 6)
     slab = grid.theta_count * grid.phi_count
-    radial, radial_node, harmonic_real, harmonic_imag, angular_node = hydrogen_wavefunction(q, atom, grid)
+    radial, radial_node, colatitude, angular_node = hydrogen_wavefunction(q, atom, grid)
     if q.m != 0:
         rates = [[phase_gradient(q, r, t) / atom.mass for t in grid.theta] for r in grid.r]
         if any(radial_node) or any(angular_node):
@@ -141,16 +140,15 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
         cos_phi = _by_phi(grid, [math.cos(p) for p in grid.phi])
     zeros = [0.0] * slab
     for i, factor in enumerate(radial):
-        density = [libm.abs_squared(complex(factor * re, factor * im + 0.0))
-                   for re, im in zip(harmonic_real, harmonic_imag)]
+        density = _by_theta(grid, [a * a for a in (factor * x for x in colatitude)])
         rows = [density]
         if q.m != 0:
             v = _by_theta(grid, rates[i])
             # azimuthal_to_cartesian of v_phi = m / (mass r sin(theta)), and density times it.
             vx = [0.0 - w * s for w, s in zip(v, sin_phi)]
             vy = [w * c + 0.0 for w, c in zip(v, cos_phi)]
-            rows += [list(map(mul, density, vx)), list(map(mul, density, vy)),
-                     vx, vy, list(map(norm3, vx, vy, zeros))]
+            speed = _by_theta(grid, list(map(abs, rates[i])))
+            rows += [list(map(mul, density, vx)), list(map(mul, density, vy)), vx, vy, speed]
         for column, values in zip(columns, rows):
             column[i * slab : (i + 1) * slab] = array("d", values)
     if q.m == 0:  # the flow and the current are 0.0 everywhere

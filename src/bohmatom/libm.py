@@ -1,10 +1,9 @@
-"""exp, log, pow and |z|^2 on floats, with the IEEE result where the C library signals.
+"""exp, log and pow on floats, with the IEEE result where the C library signals.
 
 The state functions take exp, log, pow, cos, sin and hypot from Python's math
 module, which calls the C library (libm), so their bits follow libm alone.
 Where libm signals overflow or a pole, math raises; these return the IEEE
-result (inf or -inf) instead. |z| is hypot(re, im), as abs of a complex takes
-it.
+result (inf or -inf) instead.
 """
 
 from __future__ import annotations
@@ -31,11 +30,3 @@ def power(x: float, y: float) -> float:
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
-
-def abs_squared(psi: complex) -> float:
-    """|psi|^2 as hypot(re, im)^2, with inf where hypot overflows."""
-    try:
-        a = abs(psi)
-    except OverflowError:
-        return math.inf
-    return a * a

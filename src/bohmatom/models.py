@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
-from .coords import SphericalPoint, azimuthal_to_cartesian, norm3, pole_safe_sin
+from .coords import SphericalPoint, azimuthal_to_cartesian, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
-
-if TYPE_CHECKING:
-    from .grid import SphericalGrid
-    from .schrodinger_states import QuantumNumbers
-    from .trajectory_engine import VelocityField
 
 #: Below the smallest normal float a sum of squares has lost digits.
 _NORMAL_MIN = sys.float_info.min
@@ -95,16 +89,17 @@ class DiracGroundState(Frozen):
         return _with_finite_period(rate, start.r)
 
     def describe(self, point: SphericalPoint) -> dict:
-        from .dirac_states import bohm_velocity, dirac_ground_state, four_current_at
+        from .dirac_states import azimuthal_speed, bohm_velocity, dirac_ground_state, four_current_at
 
         psi = dirac_ground_state(self.spin, self.atom, point)
-        velocity = bohm_velocity(self.spin, self.atom, point)
+        # The speed and the Lorentz factor come from the azimuthal rate: the same at every phi.
+        speed = abs(azimuthal_speed(self.spin, self.atom, point.theta))
         return {
             "spinor": [[c.real, c.imag] for c in psi],
             "current": four_current_at(self.spin, self.atom, point),
-            "velocity": list(velocity),
-            "speed": norm3(*velocity),
-            "lorentz_factor": lorentz_factor(velocity),
+            "velocity": list(bohm_velocity(self.spin, self.atom, point)),
+            "speed": speed,
+            "lorentz_factor": lorentz_factor((speed, 0.0, 0.0)),
         }
 
 
@@ -172,18 +167,20 @@ class SchrodingerEigenstate(Frozen):
         from .schrodinger_states import (
             bohm_momentum, hydrogen_wavefunction, polar_decompose, probability_current, radial_axis,
         )
+        from .special_functions import colatitude_factors
 
-        # One radial_axis call gives R_nl and its node flag: the Laguerre recurrence runs once.
+        # One radial_axis call gives R_nl and its node flag, and one colatitude_factors call Theta:
+        # the Laguerre recurrence and the norms' factorials run once.
         (radial,), (radial_node,) = radial_axis(self.q, self.atom, [point.r])
-        psi = hydrogen_wavefunction(self.q, self.atom, point, radial)
+        factors = (radial, colatitude_factors(self.q.l, self.q.m, [float(point.theta)])[0])
+        psi = hydrogen_wavefunction(self.q, self.atom, point, factors)
         amplitude, phase = polar_decompose(psi)
-        momentum = bohm_momentum(self.q, self.atom, point, radial_node)
-        velocity = azimuthal_to_cartesian(point.phi, momentum[2] / self.atom.mass)
+        rate = bohm_momentum(self.q, self.atom, point, radial_node)[2] / self.atom.mass
         return {
             "psi": [psi.real, psi.imag],
             "amplitude": amplitude,
             "phase": phase,
-            "current_spherical": list(probability_current(self.q, self.atom, point, psi)),
-            "velocity": list(velocity),
-            "speed": norm3(*velocity),
+            "current_spherical": list(probability_current(self.q, self.atom, point, factors)),
+            "velocity": list(azimuthal_to_cartesian(point.phi, rate)),
+            "speed": abs(rate),
         }

@@ -10,10 +10,11 @@ The guidance momentum is grad S and the probability current is
 triple in the local spherical basis; its only nonzero component is the phi
 component, which coords.azimuthal_to_cartesian converts.
 
-Everything runs on floats. The point functions take a SphericalPoint; on a
-grid.SphericalGrid, hydrogen_wavefunction gives each factor of psi once per
-value of its own axis, with the bits of the point functions at every point.
-R_nl has one body, radial_axis, which runs the Laguerre recurrence once per
+Everything runs on floats. psi = R_nl(r) Theta(theta) e^{i m phi}, so the
+density (R_nl Theta)^2 does not depend on phi. The point functions take a
+SphericalPoint; on a grid.SphericalGrid, hydrogen_wavefunction gives R_nl per
+radius and Theta per colatitude, with the bits of the point functions. R_nl
+has one body, radial_axis, which runs the Laguerre recurrence once per
 distinct rho = 2r/(n a0); radial_function is its one-radius case.
 """
 
@@ -26,7 +27,7 @@ from .coords import SphericalPoint, pole_safe_sin
 from .errors import DomainError, PhaseSingularityError
 from .frozen import Frozen
 from .physics_core import AtomConfig
-from .special_functions import assoc_legendre, associated_laguerre, spherical_harmonic, spherical_harmonic_table
+from .special_functions import assoc_legendre, associated_laguerre, colatitude_factors, with_azimuth
 
 #: log(5e-324): an R_nl bounded below this rounds to 0.
 _LOG_SMALLEST_SUBNORMAL = math.log(5e-324)
@@ -105,24 +106,28 @@ def radial_function(q: QuantumNumbers, atom: AtomConfig, r: float) -> float:
     return radial_axis(q, atom, [x])[0][0]
 
 
-def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p, radial: float | None = None):
+def _point_factors(q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint) -> tuple[float, float]:
+    """(R_nl(p.r), Theta(p.theta)): the radial factor, and the colatitude factor of Y_l^m, at one point."""
+    return radial_function(q, atom, p.r), colatitude_factors(q.l, q.m, [float(p.theta)])[0]
+
+
+def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p, factors: tuple[float, float] | None = None):
     """psi_nlm, normalized so that int |psi|^2 d^3x = 1: a complex at a SphericalPoint p, where
-    radial is R_nl(p.r) (radial_axis's value), computed here unless given.
+    factors are (R_nl(p.r), Theta(p.theta)), the radial factor and the colatitude factor of Y_l^m
+    (special_functions.colatitude_factors), computed here unless given.
 
     On a grid.SphericalGrid p, its factors, each evaluated once per value of its own axis, as the
-    tuple (radial, radial_node, harmonic_real, harmonic_imag, angular_node): at radius i and angle
-    pair k (theta-major) psi = complex(radial[i] * harmonic_real[k], radial[i] * harmonic_imag[k]
-    + 0.0), the bits at that point, and radial_node[i] and angular_node[t] tell whether the
-    Laguerre factor at radius i, or P_l^|m| / sin^|m| at colatitude t, is exactly 0 (is_node on
-    the axes)."""
+    tuple (radial, radial_node, colatitude, angular_node): at radius i, colatitude t and azimuth
+    phi, psi = R_nl Y_l^m with R_nl = radial[i] and Y_l^m = with_azimuth(m, colatitude[t], phi),
+    and radial_node[i] and angular_node[t] tell whether the Laguerre factor at radius i, or
+    P_l^|m| / sin^|m| at colatitude t, is exactly 0 (is_node on the axes)."""
     if not isinstance(p, SphericalPoint):
         radial, radial_node = radial_axis(q, atom, p.r)
-        real, imag = spherical_harmonic_table(q.l, q.m, p.theta, p.phi)
+        colatitude = colatitude_factors(q.l, q.m, p.theta)
         angular_node = [assoc_legendre(q.l, abs(q.m), math.cos(t), 1.0) == 0.0 for t in p.theta]
-        return radial, radial_node, real, imag, angular_node
-    if radial is None:
-        radial = radial_function(q, atom, p.r)
-    harmonic = spherical_harmonic(q.l, q.m, p.theta, p.phi)
+        return radial, radial_node, colatitude, angular_node
+    radial, colatitude = _point_factors(q, atom, p) if factors is None else factors
+    harmonic = with_azimuth(q.m, colatitude, float(p.phi))
     # + 0.0 maps a signed zero to +0.0: an m = 0 state is real, with imaginary part 0.0.
     return complex(radial * harmonic.real, radial * harmonic.imag + 0.0)
 
@@ -183,18 +188,21 @@ def bohm_momentum(
 
 
 def probability_current(
-    q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint, psi: complex | None = None
+    q: QuantumNumbers, atom: AtomConfig, p: SphericalPoint, factors: tuple[float, float] | None = None
 ) -> tuple[float, float, float]:
     """Probability current |psi|^2 grad S / mass at one point, in the spherical basis.
 
-    psi is hydrogen_wavefunction(q, atom, p), computed here unless given: at large
-    n and l its norm's factorials take most of the time of a point.
+    |psi|^2 is (R_nl Theta)^2, the same at every phi, with factors = (R_nl(p.r), Theta(p.theta))
+    as hydrogen_wavefunction takes them, computed here unless given: at large n and l their
+    norms' factorials take most of the time of a point.
     Well defined everywhere: it vanishes at nodes and (for m != 0) on the
     polar axis, where |psi|^2 goes to zero faster than 1/(r sin theta) grows.
     """
     if q.m == 0:
         return (0.0, 0.0, 0.0)
-    density = libm.abs_squared(hydrogen_wavefunction(q, atom, p) if psi is None else psi)
+    radial, colatitude = _point_factors(q, atom, p) if factors is None else factors
+    amplitude = radial * colatitude  # |psi| up to its sign
+    density = amplitude * amplitude
     # On the axis, or so near that this product underflows, j = 0; where it overflows, j = density * m / inf = 0.
     rho_mass = atom.mass * p.r * pole_safe_sin(p.theta)
     return (0.0, 0.0, density * q.m / rho_mass if rho_mass > 0.0 else 0.0)

@@ -9,9 +9,10 @@ conventions:
   Y_l^{-m} = (-1)^m * conj(Y_l^m).
 
 All of them run on floats. associated_laguerre takes one x at a time (the
-radial factor of a state calls it once per distinct rho);
-spherical_harmonic_table evaluates a product grid of angles, and
-spherical_harmonic is its one-pair case.
+radial factor of a state calls it once per distinct rho). Y_l^m is a
+colatitude factor times e^{i m phi}: colatitude_factors gives the first once
+per colatitude, with_azimuth multiplies one by e^{i m phi}, and
+spherical_harmonic is the two at one pair of angles.
 """
 
 from __future__ import annotations
@@ -69,31 +70,28 @@ def _harmonic_norm(l: int, am: int) -> float:
 
 
 def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
-    """Orthonormal spherical harmonic Y_l^m(theta, phi) with Condon-Shortley phase:
-    spherical_harmonic_table of one pair."""
+    """Orthonormal spherical harmonic Y_l^m(theta, phi) with Condon-Shortley phase: the
+    colatitude factor at theta times e^{i m phi} (with_azimuth)."""
     if l < 0:
         raise DomainError("l must be nonnegative")
     if abs(m) > l:
         raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
-    (real,), (imag,) = spherical_harmonic_table(l, m, [float(theta)], [float(phi)])
-    return complex(real, imag)
+    return with_azimuth(m, colatitude_factors(l, m, [float(theta)])[0], float(phi))
 
 
-def spherical_harmonic_table(l: int, m: int, theta: list[float], phi: list[float]) -> tuple[list[float], list[float]]:
-    """spherical_harmonic at every pair (theta[i], phi[k]), theta-major, as the lists of its real
-    and its imaginary parts: P_l^m runs once per theta, and cos(|m| phi) and sin(|m| phi) are
-    taken once per phi."""
-    # x sin(m phi) + 0.0 and 0.0 - a map a signed zero to +0.0: the imaginary part of Y_l^0 is 0.0.
+def colatitude_factors(l: int, m: int, theta: list[float]) -> list[float]:
+    """The factor N_lm P_l^|m|(cos theta) of Y_l^m = factor * e^{i m phi} at each colatitude, with
+    the (-1)^m of Y_l^{-m} = (-1)^m conj(Y_l^m) included for m < 0: P_l^|m| runs once per theta."""
     am = abs(m)
-    norm = _harmonic_norm(l, am)
-    legendre = [norm * assoc_legendre(l, am, math.cos(t), math.sin(t)) for t in theta]
-    if not all(map(math.isfinite, legendre)):  # x cos(m phi) and x sin(m phi) are finite where x is
+    norm = _harmonic_norm(l, am) * (-1.0 if m < 0 and am % 2 else 1.0)
+    factors = [norm * assoc_legendre(l, am, math.cos(t), math.sin(t)) for t in theta]
+    if not all(map(math.isfinite, factors)):
         raise DomainError(f"Y_l^m leaves the float range at l={l}, m={m}: P_l^m overflows where its norm underflows")
-    cos_m = [math.cos(am * p) for p in phi]
-    sin_m = [math.sin(am * p) for p in phi]
-    real = [x * c for x in legendre for c in cos_m]
-    imag = [x * s + 0.0 for x in legendre for s in sin_m]
-    if m < 0:  # Y_l^{-m} = (-1)^m conj(Y_l^m)
-        sign = (-1.0) ** am
-        real, imag = [sign * v for v in real], [0.0 - sign * v for v in imag]
-    return real, imag
+    return factors
+
+
+def with_azimuth(m: int, factor: float, phi: float) -> complex:
+    """factor * e^{i m phi}, as factor cos(|m| phi) and +/- factor sin(|m| phi) (minus for m < 0)."""
+    c, s = math.cos(abs(m) * phi), math.sin(abs(m) * phi)
+    # x + 0.0 and 0.0 - x map a signed zero to +0.0: the imaginary part of Y_l^0 is 0.0.
+    return complex(factor * c, factor * s + 0.0 if m >= 0 else 0.0 - factor * s)

@@ -23,7 +23,6 @@ import math
 import mmap
 import sys
 from array import array
-from typing import Callable
 
 from .coords import SphericalPoint
 from .errors import DomainError, OriginSingularityError, TrajectorySingularityError

@@ -24,7 +24,6 @@ import signal
 from array import array
 from functools import partial
 from itertools import repeat
-from typing import Callable
 
 #: Rows formatted at a time: bounds the cell strings alive at once.
 _BLOCK_ROWS = 1024

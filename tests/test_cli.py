@@ -213,7 +213,8 @@ class TestFieldCommand:
         q = QuantumNumbers(3, 2, -1)
         for row in rows:
             point = SphericalPoint(row[0], row[1], row[2])
-            amplitude = abs(hydrogen_wavefunction(q, atom, point))  # hypot from libm
+            # |psi|^2 does not depend on phi: the row carries its value at phi = 0.
+            amplitude = abs(hydrogen_wavefunction(q, atom, SphericalPoint(row[0], row[1], 0.0)))
             density = amplitude * amplitude
             velocity = vector_to_cartesian(point, np.array(bohm_momentum(q, atom, point)) / atom.mass)
             assert row[3] == density
@@ -538,11 +539,11 @@ def test_written_file_replaces_the_existing_one(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
-def run_cold(args):
-    """`python -X importtime -m bohmatom.cli ARGS`, the program's own entry: the finished process
-    and the names of the modules it imported."""
+def run_cold(args, *flags):
+    """`python FLAGS -X importtime -m bohmatom.cli ARGS`, the program's own entry: the finished
+    process and the names of the modules it imported."""
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "bohmatom.cli", *args],
+        [sys.executable, *flags, "-X", "importtime", "-m", "bohmatom.cli", *args],
         env=_SUBPROCESS_ENV, capture_output=True, text=True,
     )
     imports = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
@@ -650,6 +651,24 @@ def test_cli_import_loads_no_scipy(tmp_path):
             assert out.stat().st_size > 0
         elif args[0] == "state" and exit_code == 0:
             assert json.loads(result.stdout)["command"] == "state"
+
+
+def test_well_formed_commands_import_no_typing_and_csv_tables_no_json(tmp_path):
+    # -S leaves out site, whose .pth files may import both modules before the program starts.
+    out = str(tmp_path / "out")
+    schrodinger = ["--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1"]
+    runs = [
+        (["state"], {"typing"}),
+        (["state", *schrodinger], {"typing"}),
+        (["trajectory", "--steps", "10", "--out", out], {"typing"}),
+        (["trajectory", *schrodinger, "--theta", "1", "--steps", "10", "--format", "json", "--out", out], {"typing"}),
+        (["field", "--out", out], {"typing", "json"}),
+        (["field", *schrodinger, "--format", "json", "--out", out], {"typing"}),
+    ]
+    for args, absent in runs:
+        result, modules = run_cold(args, "-S")
+        assert result.returncode == 0, (args, result.stderr)
+        assert not modules & absent, args
 
 
 # The program's entry ends each process with os._exit: its exit code, stdout, stderr and files are those of main().

@@ -1,11 +1,13 @@
 """The field table on floats equals the array route it replaced, bit for bit.
 
-`field` evaluates each factor once per value of its own grid axis and each
-point's current on floats. These tests rebuild the same table as numpy
-columns from the package's point functions, called point by point, with the
-current from the einsum contraction of each point's spinor and the speed
-from np.linalg.norm (see oracles), and check the reduced gamma contraction of
-dirac_states.ground_current against the full 64-term loop.
+`field` evaluates each factor once per value of its own grid axis, j0 and the
+speed once per (r, theta), and j1, j2, vx and vy per point, on floats. These
+tests rebuild the same table as numpy columns from the package's point
+functions, called point by point, with the current from the einsum
+contraction of each point's spinor (see oracles), j0 from the point at
+phi = 0 of the same (r, theta) and the speed as the absolute azimuthal rate,
+and check the reduced gamma contraction of dirac_states.ground_current
+against the full 64-term loop.
 """
 
 import math
@@ -31,11 +33,11 @@ from bohmatom import (
     hydrogen_wavefunction,
     make_atom,
 )
-from bohmatom import libm
 from bohmatom.coords import azimuthal_to_cartesian
-from bohmatom.dirac_states import _spinor_parts, ground_current
+from bohmatom.dirac_states import _spinor_parts, azimuthal_speed, ground_current
 from bohmatom.grid import SphericalGrid, linspace
-from oracles import dirac_current, gamma_matrices, spinors, vector_norm
+from bohmatom.schrodinger_states import phase_gradient
+from oracles import dirac_current, gamma_matrices, spinors
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
 GAMMA = [g.tolist() for g in gamma_matrices()]
@@ -70,7 +72,9 @@ unit = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-160, 1.0, -1.0, 
 def test_ground_current_is_the_full_contraction(spin, amp, b, d, cos_phi, sin_phi):
     real, imag = _spinor_parts(spin, amp, b, d, cos_phi, sin_phi)
     want = full_contraction(tuple(map(complex, real, imag)))
-    got = [c[0] for c in ground_current(spin, amp, [b], [d * sin_phi], [d * cos_phi])] + [0.0]
+    # j0 is the contraction at phi = 0, whatever the angle of j1 and j2.
+    want[0] = full_contraction(tuple(map(complex, *_spinor_parts(spin, amp, b, d, 1.0, 0.0))))[0]
+    got = [c[0] for c in ground_current(spin, amp, [b], [d], [d * sin_phi], [d * cos_phi])] + [0.0]
     if all(map(math.isfinite, want)):
         assert bits(got) == bits(want)
     else:  # where a product overflows the loop gives nan; the command fails on either
@@ -96,9 +100,11 @@ atoms = st.builds(
 def test_point_current_is_the_full_contraction_and_the_einsum(atom, spin, r, theta, phi):
     p = SphericalPoint(r * atom.bohr_radius, theta, phi)
     psi = dirac_ground_state(spin, atom, p)
+    psi0 = dirac_ground_state(spin, atom, SphericalPoint(p.r, theta, 0.0))  # j0 is its value at phi = 0
     got = four_current_at(spin, atom, p)
-    assert bits(got) == bits(full_contraction(psi))
-    assert bits(got) == dirac_current(np.array(psi)).tobytes()
+    assert bits(got) == bits(full_contraction(psi0)[:1] + full_contraction(psi)[1:])
+    einsum = np.concatenate([dirac_current(np.array(psi0))[:1], dirac_current(np.array(psi))[1:]])
+    assert bits(got) == einsum.tobytes()
 
 
 def array_grid(grid: SphericalGrid) -> list[SphericalPoint]:
@@ -111,19 +117,22 @@ def array_grid(grid: SphericalGrid) -> list[SphericalPoint]:
 
 
 def array_table(model, points: list[SphericalPoint]) -> np.ndarray:
-    """The (N, 8) columns j0..j3, vx, vy, vz, speed from the point functions, called point by point."""
+    """The (N, 8) columns j0..j3, vx, vy, vz, speed from the point functions, called point by
+    point: j0 at the point with phi = 0 of the same (r, theta), and the speed |v_phi|."""
     atom = model.atom
-    if isinstance(model, DiracGroundState):
-        j = dirac_current(spinors(model.spin, atom, points))
-        velocity = np.array([bohm_velocity(model.spin, atom, p) for p in points])
-    else:
-        density = np.array([libm.abs_squared(hydrogen_wavefunction(model.q, atom, p)) for p in points])
-        rates = [bohm_momentum(model.q, atom, p)[2] / atom.mass for p in points]
-        velocity = np.array([azimuthal_to_cartesian(p.phi, rate) for p, rate in zip(points, rates)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            j = np.column_stack([density, density[:, None] * velocity])
+    rings = [SphericalPoint(p.r, p.theta, 0.0) for p in points]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.column_stack([j, velocity, vector_norm(velocity)])
+        if isinstance(model, DiracGroundState):
+            j = dirac_current(spinors(model.spin, atom, points))
+            j[:, 0] = dirac_current(spinors(model.spin, atom, rings))[:, 0]
+            velocity = np.array([bohm_velocity(model.spin, atom, p) for p in points])
+            rates = [azimuthal_speed(model.spin, atom, p.theta) for p in points]
+        else:
+            density = np.abs([hydrogen_wavefunction(model.q, atom, p) for p in rings]) ** 2
+            rates = [bohm_momentum(model.q, atom, p)[2] / atom.mass for p in points]
+            velocity = np.array([azimuthal_to_cartesian(p.phi, rate) for p, rate in zip(points, rates)])
+            j = np.column_stack([density, density[:, None] * velocity])
+        return np.column_stack([j, velocity, np.abs(rates)])
 
 
 def float_table(model, grid: SphericalGrid) -> np.ndarray:
@@ -173,6 +182,41 @@ def quantum_numbers(draw):
 def test_schrodinger_grid_table_equals_the_array_route(atom, q, radii, counts):
     a0 = atom.bohr_radius * q.n
     assert_tables_agree(SchrodingerEigenstate(q, atom), SphericalGrid(radii[0] * a0, radii[1] * a0, *counts))
+
+
+def ring_bits(column, grid: SphericalGrid) -> np.ndarray:
+    """A table column as the int64 bit patterns of its values, shaped (r, theta, phi)."""
+    return column.view(np.int64).reshape(grid.r_count, grid.theta_count, grid.phi_count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atom=atoms, spin=st.sampled_from([UP, DOWN]), q=quantum_numbers(), radii=radii, counts=counts)
+def test_phi_independent_values_hold_one_value_per_ring(atom, spin, q, radii, counts):
+    # Both flows are rigid rotations about z: j0, j3 and the speed of a table and of `state` are
+    # the same bits at every azimuth of an (r, theta) ring, and the speed is the absolute rate.
+    for model in (DiracGroundState(spin, atom), SchrodingerEigenstate(q, atom)):
+        a0 = atom.bohr_radius * (q.n if isinstance(model, SchrodingerEigenstate) else 1)
+        grid = SphericalGrid(radii[0] * a0, radii[1] * a0, *counts)
+        try:
+            table = float_table(model, grid)
+        except DomainError:
+            continue
+        for k in (0, 3, 7):  # j0, j3, speed
+            column = ring_bits(table[:, k], grid)
+            assert (column == column[:, :, :1]).all()
+        if isinstance(model, DiracGroundState):
+            rates = [[azimuthal_speed(spin, atom, t) for t in grid.theta] for _ in grid.r]
+            keys = ("current", "speed", "lorentz_factor")
+        else:
+            rates = [[phase_gradient(q, r, t) / atom.mass if q.m else 0.0 for t in grid.theta] for r in grid.r]
+            keys = ("current_spherical", "speed")
+        speed = ring_bits(table[:, 7], grid)[:, :, 0]
+        assert (speed == np.abs(rates).view(np.int64)).all()
+        for p in array_grid(grid):
+            got, ring = model.describe(p), model.describe(SphericalPoint(p.r, p.theta, 0.0))
+            if isinstance(model, DiracGroundState):  # of the Dirac current, j0 alone
+                got["current"], ring["current"] = got["current"][:1], ring["current"][:1]
+            assert np.hstack([got[key] for key in keys]).tobytes() == np.hstack([ring[key] for key in keys]).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -70,12 +70,25 @@ def test_schrodinger_field_agrees_with_bohm_momentum_beyond_the_squares_range(r0
 
 
 def test_schrodinger_describe_evaluates_psi_once(hydrogen, monkeypatch):
-    # psi's norm holds (n + l)! and (l + |m|)!, most of a point's time at large n and l.
-    from bohmatom import schrodinger_states
+    # psi's norm holds (n + l)! and (l + |m|)!, most of a point's time at large n and l; the
+    # Laguerre recurrence runs once, and the Legendre one for Theta and for the node test only.
+    from bohmatom import schrodinger_states, special_functions
 
-    calls = []
-    real = schrodinger_states.hydrogen_wavefunction
-    monkeypatch.setattr(schrodinger_states, "hydrogen_wavefunction", lambda *a: calls.append(a) or real(*a))
+    calls = {"psi": 0, "laguerre": 0, "legendre": 0}
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(schrodinger_states, "hydrogen_wavefunction", "psi")
+    spy(schrodinger_states, "associated_laguerre", "laguerre")
+    spy(schrodinger_states, "assoc_legendre", "legendre")
+    spy(special_functions, "assoc_legendre", "legendre")
     got = SchrodingerEigenstate(QuantumNumbers(3, 2, 1), hydrogen).describe(SphericalPoint(hydrogen.bohr_radius, 1.0, 0.3))
-    assert len(calls) == 1
+    assert calls == {"psi": 1, "laguerre": 1, "legendre": 2}
     assert got["current_spherical"][2] > 0.0

@@ -35,6 +35,7 @@ from bohmatom import (
 )
 from bohmatom import cli, writer
 from bohmatom.cli import main
+from bohmatom.dirac_states import azimuthal_speed
 from bohmatom.schrodinger_states import is_node, radial_axis
 from bohmatom.special_functions import assoc_legendre
 from oracles import circular_orbit_xyz, vector_norm, vector_to_cartesian
@@ -185,7 +186,8 @@ def test_field_csv_round_trips_exactly(tmp_path_factory, z, scale, mass, spin, c
     assert same(rows[:, 3], current[:, 0])
     assert same(rows[:, 4:7], current[:, 1:])
     assert same(rows[:, 7:10], velocity)
-    assert same(rows[:, 10], np.linalg.norm(velocity, axis=1))
+    # The speed is the absolute azimuthal rate, the same at every phi.
+    assert same(rows[:, 10], np.abs([azimuthal_speed(spin_o, atom, p.theta) for p in singles]))
 
 
 B = writer._BLOCK_ROWS

@@ -210,7 +210,6 @@ class TestProbabilityCurrent:
                 want = density * np.array(bohm_momentum(q, hydrogen, p)) / hydrogen.mass
                 got = probability_current(q, hydrogen, p)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
-                assert probability_current(q, hydrogen, p, psi) == got  # a given psi is the one it would compute
 
     def test_vanishes_on_axis_without_error(self, hydrogen):
         got = probability_current(QuantumNumbers(2, 1, 1), hydrogen, SphericalPoint(1.0, 0.0, 0.0))
