@@ -14,8 +14,10 @@ from the same table the first time it is read. No command imports numpy, and
 each imports only the modules it runs: `trajectory` integrates, checks and
 writes its rows on floats; `state` evaluates its point on floats, with the
 bits of the same point's `field` row; `field` evaluates each factor once per
-value of its own grid axis. The table writer (`writer`) formats a large table
-in two processes. `run` ends the process as soon as its output is flushed.
+value of its own grid axis. The table writer (`writer`) writes the rows into
+the output's temp file one piece at a time, a large table's back half from a
+forked child's file, so a table takes one piece of memory, not its whole
+text. `run` ends the process as soon as its output is flushed.
 Per process, a 10 000-step Dirac `trajectory` takes 0.13 s, a Dirac 30^3
 `field` 0.12 s, a `state` 0.05 s and `--help` 0.06 s (medians of 11 runs, on
 a shared 2-core Xeon host with Python 3.11; 0.14, 0.14, 0.07 and 0.06 s when
@@ -34,7 +36,7 @@ import sys
 from array import array
 from functools import partial
 
-from .errors import DomainError, TrajectorySingularityError, UsageError
+from .errors import DomainError, NotFiniteError, TrajectorySingularityError, UsageError
 from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
@@ -50,26 +52,31 @@ _MAX_LAGUERRE_DEGREE = 25_000
 _MAX_L = 60_000
 
 
-def _write_files(out: str, texts: dict[str, str]) -> None:
-    """Write each text to its path, or report the failure for --out and exit 1.
+def _write_files(out: str, texts: dict[str, list]) -> None:
+    """Write each text, a list of strings and writer.Rows, to its path, or report the failure for
+    --out (or a value that is not finite) and exit 1.
 
-    Every text first goes to a new temporary file beside its path, and only
-    once all of them are complete are they moved into place with os.replace:
-    a failed write leaves no partial file and no existing file changed. A
-    device or pipe, such as /dev/null, cannot be replaced and is written in place.
+    Every text first goes to a new temporary file beside its path, part by part, and only once
+    all of them are complete are they moved into place with os.replace: a failed write leaves no
+    partial file and no existing file changed. A device or pipe, such as /dev/null, cannot be
+    replaced: its whole text is built first, then written in place.
     """
     temps = {}
     try:
-        for path, text in texts.items():
+        for path, parts in texts.items():
             in_place = os.path.exists(path) and not os.path.isfile(path)
             temps[path] = path if in_place else f"{path}.{os.getpid()}.tmp"
+            parts = ["".join(map(str, parts))] if in_place else parts
             with open(temps[path], "w" if in_place else "x", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                for part in parts:
+                    fh.write(part) if isinstance(part, str) else part.write(fh)
         for path, temp in temps.items():
             if temp != path:
                 os.replace(temp, path)
     except OSError as exc:
         _fail(f"cannot write {out}: {exc}")
+    except NotFiniteError:
+        _fail(_NOT_FINITE)
     finally:
         for path, temp in temps.items():
             if temp != path and os.path.exists(temp):
@@ -87,41 +94,32 @@ _NOT_FINITE = "the result is not finite: a value overflowed or is undefined"
 _ROWS = "\0rows"
 
 
-def _table_pieces(table, cell_sep: str, row_sep: str) -> list[str]:
-    """writer.table_text; the command fails unless every value of the table is finite."""
-    from .writer import NotFiniteError, table_text
-
-    try:
-        return table_text(table, cell_sep, row_sep)
-    except NotFiniteError:
-        _fail(_NOT_FINITE)
-
-
-def _json_text(doc: dict) -> str:
-    """The document as indent-2 JSON; a "rows" table is written as its list of row lists would be."""
+def _json_text(doc: dict) -> list:
+    """The document as indent-2 JSON, as the parts _write_files takes; a "rows" table is written as
+    its list of row lists would be."""
     import json  # here, so that a CSV field table loads neither json nor re
 
     table = doc.get("rows")
     if table is not None:
-        rows = _table_pieces(table, ",\n      ", "\n    ],\n    [\n      ")
+        from .writer import table_text
+
+        rows = table_text(table, ",\n      ", "\n    ],\n    [\n      ")
         doc = {**doc, "rows": _ROWS}
     try:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError:  # NaN or Infinity, which JSON cannot carry
         _fail(_NOT_FINITE)
     if table is None:
-        return text
+        return [text]
     head, _, tail = text.partition(json.dumps(_ROWS))
-    if not rows:
-        return head + "[]" + tail
-    # One join builds the text: each + would copy all of it once more.
-    return "".join([head, "[\n    [\n      ", *rows, "\n    ]\n  ]", tail])
+    return [head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail] if rows else [head + "[]" + tail]
 
 
-def _csv_text(comment: str, columns: list[str], table) -> str:
-    rows = _table_pieces(table, ",", "\n")
-    header = f"# bohmatom {comment}\n{','.join(columns)}\n"
-    return "".join([header, *rows, "\n" if rows else ""])
+def _csv_text(comment: str, columns: list[str], table) -> list:
+    from .writer import table_text
+
+    rows = table_text(table, ",", "\n")
+    return [f"# bohmatom {comment}\n{','.join(columns)}\n", rows, "\n" if rows else ""]
 
 
 def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
@@ -307,7 +305,7 @@ def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out)
 
     text = _json_text(doc)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         sys.stdout.flush()  # here, so that a closed pipe ends the command as _main ends it
     else:
         _write_files(out, {out: text})

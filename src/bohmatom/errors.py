@@ -18,6 +18,10 @@ class OriginSingularityError(DomainError):
     undefined, or a trajectory field evaluation inside the origin guard radius."""
 
 
+class NotFiniteError(ValueError):
+    """A value of a table is NaN or infinite, which the text formats cannot carry."""
+
+
 class TrajectorySingularityError(RuntimeError):
     """Integration approached the origin guard radius.
 

@@ -27,7 +27,7 @@ from .coords import azimuthal_to_cartesian, pole_safe_sin
 from .errors import PhaseSingularityError
 from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
-from .trajectory_engine import reserve_floats
+from .writer import reserve_floats
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

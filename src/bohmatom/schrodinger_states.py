@@ -124,7 +124,7 @@ def hydrogen_wavefunction(q: QuantumNumbers, atom: AtomConfig, p, factors: tuple
     if not isinstance(p, SphericalPoint):
         radial, radial_node = radial_axis(q, atom, p.r)
         colatitude = colatitude_factors(q.l, q.m, p.theta)
-        angular_node = [assoc_legendre(q.l, abs(q.m), math.cos(t), 1.0) == 0.0 for t in p.theta]
+        angular_node = [legendre_node(q, math.cos(t)) for t in p.theta]
         return radial, radial_node, colatitude, angular_node
     radial, colatitude = _point_factors(q, atom, p) if factors is None else factors
     harmonic = with_azimuth(q.m, colatitude, float(p.phi))
@@ -146,17 +146,27 @@ def polar_decompose(psi: complex) -> tuple[float, float | None]:
     return amplitude, (math.pi if phase == -math.pi else phase + 0.0)
 
 
+def laguerre_node(q: QuantumNumbers, atom: AtomConfig, r: float) -> bool:
+    """Whether the Laguerre factor of R_nl is exactly 0 at r: never where rho = 2r/(n a0) leaves the float range."""
+    rho = 2.0 * r / (q.n * atom.bohr_radius)
+    return rho < math.inf and associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho) == 0.0
+
+
+def legendre_node(q: QuantumNumbers, cos_theta: float) -> bool:
+    """Whether P_l^|m| / sin^|m| is exactly 0 at cos theta: the same at -cos theta, by parity."""
+    return assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0
+
+
 def is_node(
     q: QuantumNumbers, atom: AtomConfig, r: float, cos_theta: float, radial_node: bool | None = None
 ) -> bool:
     """Whether psi_nlm vanishes at (r > 0, cos theta) off the axis: a zero of the Laguerre factor
-    or of P_l^|m| / sin^|m|. The other factors are positive, so an underflowed psi is no node, and
-    a factor beyond the float range is no zero; so is the Laguerre factor where rho = 2r/(n a0) is.
-    radial_node is the Laguerre test at r (radial_axis's node flag), computed here unless given."""
+    (laguerre_node) or of P_l^|m| / sin^|m| (legendre_node). The other factors are positive, so an
+    underflowed psi is no node, and a factor beyond the float range is no zero. radial_node is
+    the Laguerre test at r (radial_axis's node flag), computed here unless given."""
     if radial_node is None:
-        rho = 2.0 * r / (q.n * atom.bohr_radius)
-        radial_node = rho < math.inf and associated_laguerre(q.n - q.l - 1, 2 * q.l + 1, rho) == 0.0
-    return radial_node or assoc_legendre(q.l, abs(q.m), cos_theta, 1.0) == 0.0
+        radial_node = laguerre_node(q, atom, r)
+    return radial_node or legendre_node(q, cos_theta)
 
 
 def phase_gradient(q: QuantumNumbers, r: float, theta: float) -> float:

@@ -20,13 +20,12 @@ host with Python 3.11).
 from __future__ import annotations
 
 import math
-import mmap
-import sys
 from array import array
 
 from .coords import SphericalPoint
 from .errors import DomainError, OriginSingularityError, TrajectorySingularityError
 from .frozen import Frozen
+from .writer import reserve_floats
 
 #: Trajectories are aborted when they come this close to the nucleus, in units
 #: of the Bohr radius. Ground-state circles never do; the guard protects
@@ -77,21 +76,6 @@ class Trajectory:
         """t, x, y, z, vx, vy, vz, each a memoryview of len(self) floats."""
         c, n = self._capacity, self._rows
         return tuple(self._buffer[k * c : k * c + n] for k in range(_COLUMNS))
-
-
-def reserve_floats(count: int) -> memoryview:
-    """A buffer of count floats in an anonymous private memory map.
-
-    The map reserves the memory at once but touches none of it: each page is
-    allocated when it is first written. MemoryError if it cannot be reserved.
-    """
-    size = 8 * count
-    if size > sys.maxsize:
-        raise MemoryError(f"{count} floats do not fit in memory")
-    try:
-        return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)).cast("d")
-    except OSError as exc:  # ENOMEM: larger than the address space or the commit limit
-        raise MemoryError(f"{count} floats do not fit in memory") from exc
 
 
 def integrate_trajectory(

@@ -3,34 +3,55 @@
 Each cell is the repr of its float, the shortest text that reads back as the
 same float. A table is written in pieces: blocks of _BLOCK_ROWS rows, or the
 r slabs of a field grid. Within a piece each distinct bit pattern of a column
-is formatted once. A table of at least two blocks is split once, at the piece
-boundary nearest half its rows: a forked child formats the back half and
-sends its text through a pipe, while this process formats the front half.
+is formatted once, and each piece goes into the open output file as soon as
+it is formatted, so the memory a table takes beyond its float columns is one
+piece, not the text of the table. A table of at least two blocks is split
+once, at the piece boundary nearest half its rows: a forked child formats the
+back half into a sibling file beside the output, while this process formats
+the front half, then appends the child's file with os.copy_file_range.
 Formatting is the largest part of a 10 000-step `trajectory` process (about
 50 ms of 0.13 s); on two cores the halves take about 1.6 times less wall time
 than one core takes for both (shared 2-core Xeon host, Python 3.11). Every
 piece is formatted on its own, so the text is the same wherever the split
 falls and whether or not the fork succeeds.
 
-Only `field` and `trajectory` import this module, so the other commands start
+The float columns of a table are reserved here too (reserve_floats). Only
+`field` and `trajectory` import this module, so the other commands start
 without compiling it.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
+import sys
 from array import array
-from functools import partial
 from itertools import repeat
+
+from .errors import NotFiniteError
 
 #: Rows formatted at a time: bounds the cell strings alive at once.
 _BLOCK_ROWS = 1024
 
+#: Bytes copied at a time where os.copy_file_range cannot append the child's half.
+_COPY_CHUNK = 1 << 20
 
-class NotFiniteError(ValueError):
-    """A value of the table is NaN or infinite, which the text formats cannot carry."""
+
+def reserve_floats(count: int) -> memoryview:
+    """A buffer of count floats in an anonymous private memory map.
+
+    The map reserves the memory at once but touches none of it: each page is
+    allocated when it is first written. MemoryError if it cannot be reserved.
+    """
+    size = 8 * count
+    if size > sys.maxsize:
+        raise MemoryError(f"{count} floats do not fit in memory")
+    try:
+        return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)).cast("d")
+    except OSError as exc:  # ENOMEM: larger than the address space or the commit limit
+        raise MemoryError(f"{count} floats do not fit in memory") from exc
 
 
 def _formatted(values: list) -> list[str]:
@@ -57,93 +78,137 @@ def _floats(column) -> memoryview:
     return memoryview(array("d", column) if isinstance(column, list) else column)
 
 
-def _in_two_processes(front: Callable[[], str], back: Callable[[], str]) -> tuple[str, str]:
-    """(front(), back()), with back() run in a forked child while this process runs front().
+def _append(dst: int, src: int) -> None:
+    """Append all of the file src at the offset of dst, advancing it."""
+    size, done = os.fstat(src).st_size, 0
+    while done < size:
+        try:
+            copied = os.copy_file_range(src, dst, size - done, done)
+        except (AttributeError, OSError):  # no copy_file_range on this system, or not between these files
+            copied = 0
+        if not copied:  # the rest goes through memory, a chunk at a time; a write error is raised here
+            copied = os.write(dst, os.pread(src, min(size - done, _COPY_CHUNK), done))
+        done += copied
 
-    Where the pipe or the fork cannot be made, or the child is not seen to end
-    with its whole text, back() runs here after front(): the results and the
-    exceptions are those of the two calls in turn. The child is reaped
-    before this returns or raises, and killed first if front() raised.
+
+class Rows:
+    """The rows of a float table, written piece by piece into a text file: `count` rows in
+    `pieces` pieces of `piece_rows` rows each but the last, each cell the repr of its float.
+
+    piece_text() prepares what the pieces share and returns the function that gives the rows of
+    one piece, joined by row_sep; it and that function raise NotFiniteError where a value is NaN
+    or infinite. Nothing is formatted before the rows are written, so that error is raised while
+    writing. A Rows is true where it has rows.
     """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return front(), back()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return front(), back()
-    if pid == 0:  # the child: send back()'s text and end without running any of the parent's exit code
-        status = 1
+
+    def __init__(self, count: int, pieces: int, piece_rows: int, piece_text, row_sep: str):
+        self.count, self.pieces, self.piece_rows = count, pieces, piece_rows
+        self.piece_text, self.row_sep = piece_text, row_sep
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+    def __str__(self) -> str:
+        """The whole text of the rows, formatted in this process."""
+        if not self:
+            return ""
+        return self.row_sep.join(map(self.piece_text(), range(self.pieces)))
+
+    def _write(self, fh, text, first: int, stop: int) -> None:
+        # Each piece but the table's first is preceded by row_sep, so that the halves meet without a join.
+        for i in range(first, stop):
+            if i:
+                fh.write(self.row_sep)
+            fh.write(text(i))
+
+    def write(self, fh) -> None:
+        """Write the rows into fh, a text file opened on a path beside which `<path>.back` can be made.
+
+        A table of at least two blocks and two pieces is split at the piece boundary nearest half
+        its rows. A forked child writes the back half into `<path>.back` while this process writes
+        the front half into fh; the child's file is then appended to fh. Where that file or the
+        fork cannot be made, or the child is not seen to end with status 0, this process writes
+        the back half after the front half: the bytes and the exceptions are those of one process.
+        The child is reaped before this returns or raises, and killed first if the front half
+        raised; `<path>.back` is removed on every path.
+        """
+        if not self:
+            return
+        text = self.piece_text()
+        if self.count < 2 * _BLOCK_ROWS or self.pieces < 2:
+            self._write(fh, text, 0, self.pieces)
+            return
+        split = min(max(round(self.count / 2 / self.piece_rows), 1), self.pieces - 1)
+        path = f"{fh.name}.back"
+        back = pid = status = None
         try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(back().encode())
-            status = 0
+            back = open(path, "x+", encoding="utf-8", newline="\n")
+            pid = os.fork()
+        except OSError:
+            pass
+        if pid == 0:  # the child: write the back half and end without running any of the parent's exit code
+            status = 1
+            try:
+                self._write(back, text, split, self.pieces)
+                back.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            self._write(fh, text, 0, split)
+            if pid is not None:
+                try:
+                    status = os.waitpid(pid, 0)[1]
+                except ChildProcessError:  # SIGCHLD is ignored, so the child was reaped unseen: its file is not trusted
+                    pass
+                pid = None
+            if status == 0:
+                fh.flush()
+                _append(fh.fileno(), back.fileno())
+                fh.seek(0, os.SEEK_END)
+            else:
+                self._write(fh, text, split, self.pieces)
         finally:
-            os._exit(status)
-    os.close(write_fd)
-    received = False
-    try:
-        with open(read_fd, "rb") as pipe:
-            head = front()
-            data = pipe.read()
-        received = True
-    finally:
-        if not received:
-            os.kill(pid, signal.SIGKILL)
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # SIGCHLD is ignored, so the child was reaped unseen: its text is not trusted
-            status = None
-    return head, data.decode() if status == 0 else back()
+            if pid is not None:  # the front half raised: the child's half is not wanted
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # SIGCHLD is ignored: the child was reaped unseen
+                    pass
+            if back is not None:
+                back.close()
+                os.remove(path)
 
 
-def _pieces_text(rows: int, pieces: int, piece_rows: int, text: Callable[[int, int], str], row_sep: str) -> list[str]:
-    """The rows of a table of `pieces` pieces, `piece_rows` rows each but the last, as strings to
-    concatenate; text(i, j) gives the rows of pieces i to j - 1, joined by row_sep.
-
-    A table of at least two blocks and two pieces is formatted in two processes, split at the
-    piece boundary nearest half its rows."""
-    if rows == 0:
-        return []
-    if rows < 2 * _BLOCK_ROWS or pieces < 2:
-        return [text(0, pieces)]
-    split = min(max(round(rows / 2 / piece_rows), 1), pieces - 1)
-    head, tail = _in_two_processes(partial(text, 0, split), partial(text, split, pieces))
-    return [head, row_sep, tail]
-
-
-def table_text(table, cell_sep: str, row_sep: str) -> list[str]:
-    """The rows of a float table, each cell the repr of its float, joined by the separators,
-    as strings to concatenate (none for a table without rows).
+def table_text(table, cell_sep: str, row_sep: str) -> Rows:
+    """The rows of a float table, each cell the repr of its float, joined by the separators.
 
     The table is a list of float columns (see _floats), or a function of the two
-    separators that returns the rows itself (the field table, see grid_rows).
-    Every value must be finite, else NotFiniteError. Block by block, each
-    column's cells are keyed by their bit pattern (so -0.0 and 0.0 stay apart),
-    and each distinct value is formatted once.
+    separators that returns the Rows itself (the field table, see grid_rows).
+    Every value must be finite, else NotFiniteError when the rows are written.
+    Block by block, each column's cells are keyed by their bit pattern (so -0.0
+    and 0.0 stay apart), and each distinct value is formatted once.
     """
     if callable(table):
         return table(cell_sep, row_sep)
-    columns = list(map(_floats, table))
-    rows = len(columns[0])
+    rows = len(table[0])
 
-    def text(first: int, stop: int) -> str:
-        blocks = []
-        for start in range(first * _BLOCK_ROWS, min(stop * _BLOCK_ROWS, rows), _BLOCK_ROWS):
+    def piece_text():
+        columns = list(map(_floats, table))
+
+        def text(i: int) -> str:
+            start = i * _BLOCK_ROWS
             cells = [_cells(column, start, start + _BLOCK_ROWS) for column in columns]
-            blocks.append(row_sep.join(map(cell_sep.join, zip(*cells))))
-        return row_sep.join(blocks)
+            return row_sep.join(map(cell_sep.join, zip(*cells)))
 
-    return _pieces_text(rows, -(-rows // _BLOCK_ROWS), _BLOCK_ROWS, text, row_sep)
+        return text
+
+    return Rows(rows, -(-rows // _BLOCK_ROWS), _BLOCK_ROWS, piece_text, row_sep)
 
 
-def grid_rows(grid, columns: list, cell_sep: str, row_sep: str) -> list[str]:
+def grid_rows(grid, columns: list, cell_sep: str, row_sep: str) -> Rows:
     """The rows of a field table on a SphericalGrid: r, theta and phi, then the model's columns,
-    as table_text gives them.
+    as table_text gives them, one r slab per piece.
 
     A column holds one value per grid point, or one per angle pair of an r slab, the
     same at every radius. r, theta, phi and the per-angle columns are formatted once
@@ -151,24 +216,25 @@ def grid_rows(grid, columns: list, cell_sep: str, row_sep: str) -> list[str]:
     per-point columns are formatted once per distinct bit pattern of each r slab.
     """
     slab = grid.theta_count * grid.phi_count
-    phi = _formatted(grid.phi)
-    parts = [[cell_sep.join((t, p)) for t in _formatted(grid.theta) for p in phi]]
-    for column in columns:
-        if len(column) != slab:  # one value per point
-            parts.append(_floats(column))
-            continue
-        cells = _cells(_floats(column), 0, slab)
-        if isinstance(parts[-1], list):
-            parts[-1] = list(map(cell_sep.join, zip(parts[-1], cells)))
-        else:
-            parts.append(cells)
-    radii = _formatted(grid.r)
 
-    def text(first: int, stop: int) -> str:
-        slabs = []
-        for i in range(first, stop):
+    def piece_text():
+        phi = _formatted(grid.phi)
+        parts = [[cell_sep.join((t, p)) for t in _formatted(grid.theta) for p in phi]]
+        for column in columns:
+            if len(column) != slab:  # one value per point
+                parts.append(_floats(column))
+                continue
+            cells = _cells(_floats(column), 0, slab)
+            if isinstance(parts[-1], list):
+                parts[-1] = list(map(cell_sep.join, zip(parts[-1], cells)))
+            else:
+                parts.append(cells)
+        radii = _formatted(grid.r)
+
+        def text(i: int) -> str:
             cells = [p if isinstance(p, list) else _cells(p, i * slab, (i + 1) * slab) for p in parts]
-            slabs.append(row_sep.join(map(cell_sep.join, zip(repeat(radii[i], slab), *cells))))
-        return row_sep.join(slabs)
+            return row_sep.join(map(cell_sep.join, zip(repeat(radii[i], slab), *cells)))
 
-    return _pieces_text(grid.r_count * slab, grid.r_count, slab, text, row_sep)
+        return text
+
+    return Rows(grid.r_count * slab, grid.r_count, slab, piece_text, row_sep)

@@ -562,7 +562,7 @@ _COMMAND_MODULES = {
     "dilate": _BASE_MODULES | {"bohmatom.dilation"},
     "state": _STATE_MODULES,
     "trajectory": _STATE_MODULES | {"bohmatom.trajectory_engine", "bohmatom.writer"},
-    "field": _STATE_MODULES | {"bohmatom.grid", "bohmatom.trajectory_engine", "bohmatom.writer"},
+    "field": _STATE_MODULES | {"bohmatom.grid", "bohmatom.writer"},
 }
 
 

@@ -92,3 +92,27 @@ def test_schrodinger_describe_evaluates_psi_once(hydrogen, monkeypatch):
     got = SchrodingerEigenstate(QuantumNumbers(3, 2, 1), hydrogen).describe(SphericalPoint(hydrogen.bohr_radius, 1.0, 0.3))
     assert calls == {"psi": 1, "laguerre": 1, "legendre": 2}
     assert got["current_spherical"][2] > 0.0
+
+
+@pytest.mark.parametrize("qn", [(2, 1, 1), (3, 2, 1), (5, 2, -2)])
+def test_a_schrodinger_orbit_runs_each_node_test_once_per_distinct_value(hydrogen, monkeypatch, qn):
+    # Each of the orbit's 4 * steps + 1 evaluations asks whether it stands on a node, but the orbit
+    # meets few distinct radii: the Laguerre recurrence runs once per radius, and the rows are those
+    # of the field that runs it at every evaluation.
+    import functools
+
+    from bohmatom import integrate_trajectory, schrodinger_states
+
+    model = SchrodingerEigenstate(QuantumNumbers(*qn), hydrogen)
+    start = SphericalPoint(3.0 * hydrogen.bohr_radius, 1.0, 0.5)
+    dt, steps = 2.0 * math.pi / abs(model.angular_rate(start)) / 2000, 2000
+    laguerre, calls = schrodinger_states.associated_laguerre, []
+    monkeypatch.setattr(schrodinger_states, "associated_laguerre", lambda *args: calls.append(args) or laguerre(*args))
+    memo = integrate_trajectory(model.velocity_field(), start, dt, steps).columns
+    memo_calls, calls[:] = list(calls), []
+    with monkeypatch.context() as patch:
+        patch.setattr(functools, "lru_cache", lambda maxsize: lambda fn: fn)
+        every = integrate_trajectory(model.velocity_field(), start, dt, steps).columns
+    assert len(calls) == 4 * steps + 1
+    assert len(memo_calls) < len(calls) / 20
+    assert [column.tobytes() for column in memo] == [column.tobytes() for column in every]

@@ -11,6 +11,8 @@ float reference circle and deviation must equal their numpy formulas.
 
 import json
 import math
+import os
+import tempfile
 from array import array
 
 import click
@@ -219,6 +221,15 @@ def document(columns, rows):
     return {"command": "trajectory", "columns": columns, "rows": rows, "summary": {"period": None, "dt": 0.5}}
 
 
+def file_text(parts):
+    """The text cli._write_files writes for the parts, read back from a file in a new directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        cli._write_files(path, {path: parts})
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
 @settings(max_examples=20, deadline=None)
 @given(pool=value_pools, seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 4))
@@ -227,9 +238,10 @@ def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_col
     columns = [f"c{k}" for k in range(n_cols)]
     data = as_columns(table, ["array"] * n_cols)
     # Compared line by line: equal lists are equal texts, and a mismatch reports its first line quickly.
-    assert cli._csv_text("table", columns, data).split("\n") == reference_csv("table", columns, table).split("\n")
+    csv_text = file_text(cli._csv_text("table", columns, data))
+    assert csv_text.split("\n") == reference_csv("table", columns, table).split("\n")
     expected = json.dumps(document(columns, table.tolist()), indent=2) + "\n"
-    assert cli._json_text(document(columns, data)).split("\n") == expected.split("\n")
+    assert file_text(cli._json_text(document(columns, data))).split("\n") == expected.split("\n")
 
 
 def as_columns(table, kinds):
@@ -253,7 +265,7 @@ def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds)
     # Compared line by line with the row-wise repr join, as above.
     for columns in (as_columns(table, kinds), as_columns(table, ["array"] * 5)):
         for cell_sep, row_sep in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
-            text = "".join(writer.table_text(columns, cell_sep, row_sep))
+            text = str(writer.table_text(columns, cell_sep, row_sep))
             assert text.split("\n") == row_sep.join(cell_sep.join(map(repr, row)) for row in table.tolist()).split("\n")
 
 
@@ -269,12 +281,15 @@ def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds)
 def test_table_writer_rejects_a_non_finite_cell(writer, pool, seed, n_rows, bad, where):
     table = pooled_table(pool, seed, n_rows, 3)
     table.flat[int(where * table.size)] = bad
-    write = {
+    parts = {
         "csv": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["list"] * 3)),
         "json": lambda: cli._json_text(document(["a", "b", "c"], as_columns(table, ["memoryview"] * 3))),
         "buffers": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["array"] * 3)),
     }[writer]
-    result = CliRunner().invoke(click.Command("write", callback=write))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        result = CliRunner().invoke(click.Command("write", callback=lambda: cli._write_files(path, {path: parts()})))
+        assert os.listdir(tmp) == []  # no output, temp or sibling file
     assert result.exit_code == 1
     assert (result.stdout, result.stderr) == ("", f"error: {cli._NOT_FINITE}\n")
 

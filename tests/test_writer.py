@@ -1,15 +1,21 @@
-"""The table writer in two processes: the same text as one process, the same error, and no child left."""
+"""The table writer in two processes: the same text as one process, in memory or in a file, the
+same error, no child left and no file left beside the output."""
 
 import math
 import os
 import random
 import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmatom import writer
+import bohmatom
+from bohmatom import cli, writer
 from bohmatom.grid import SphericalGrid
 
 B = writer._BLOCK_ROWS
@@ -61,17 +67,38 @@ class ForkSpy:
         return self.fork()
 
 
-def written(write, fail_fork):
-    """write()'s concatenated text, or the NotFiniteError class; the forks it asked for; no child left."""
-    with pytest.MonkeyPatch.context() as patch:
-        spy = ForkSpy(patch, fail_fork)
-        try:
-            text = "".join(write())
-        except writer.NotFiniteError:
-            text = writer.NotFiniteError
+def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def file_rows(rows, directory):
+    """The rows as Rows.write puts them into a new file "rows" in the directory, read back."""
+    path = os.path.join(directory, "rows")
+    with open(path, "x", encoding="utf-8", newline="\n") as fh:
+        rows.write(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def written(write, fail_fork, to_file):
+    """The text of the rows write() returns, as str() gives it or written into a file, or the
+    NotFiniteError class; the forks it asked for. No child is left, and no file beside the rows."""
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        spy = ForkSpy(patch, fail_fork)
+        try:
+            text = file_rows(write(), tmp) if to_file else str(write())
+        except writer.NotFiniteError:
+            text = writer.NotFiniteError
+        assert os.listdir(tmp) == (["rows"] if to_file else [])
+    assert_no_child()
     return text, spy.calls
+
+
+def all_texts(write):
+    """The rows written into a file in two processes, into a file in one (the fork fails) and by
+    str(): each text with its forks."""
+    return written(write, False, True), written(write, True, True), written(write, False, False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,10 +120,10 @@ def test_column_table_in_two_processes_equals_one(rows, n_cols, pool, seed, fmt,
         expected = serial_text(list(zip(*columns)), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    forked, forks = written(lambda: writer.table_text(columns, *separators), False)
-    in_process, _ = written(lambda: writer.table_text(columns, *separators), True)
-    assert forked == in_process == expected
+    (forked, forks), (in_process, _), (text, text_forks) = all_texts(lambda: writer.table_text(columns, *separators))
+    assert forked == in_process == text == expected
     assert forks == (rows >= 2 * B)
+    assert text_forks == 0
 
 
 def grid_reference(grid, columns, slab):
@@ -132,38 +159,153 @@ def test_grid_table_in_two_processes_equals_one(shape, per_point, pool, seed, fm
         expected = serial_text(grid_reference(grid, columns, slab), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    forked, forks = written(lambda: writer.grid_rows(grid, columns, *separators), False)
-    in_process, _ = written(lambda: writer.grid_rows(grid, columns, *separators), True)
-    assert forked == in_process == expected
+    texts = all_texts(lambda: writer.grid_rows(grid, columns, *separators))
+    (forked, forks), (in_process, _), (text, text_forks) = texts
+    assert forked == in_process == text == expected
     if expected is not writer.NotFiniteError:  # a bad per-angle value fails before the split
         assert forks == (grid.size >= 2 * B and r_count >= 2)
+    assert text_forks == 0
 
 
-def test_a_child_that_fails_leaves_its_half_to_this_process(monkeypatch):
-    # The child is killed before it sends a byte: this process formats the back half itself.
-    columns = [[float(i) for i in range(3 * B)]]
-    fork = os.fork
+# Split after three blocks, so that the child writes three; each block's text (about 25 kB) is
+# larger than a file's buffer, so that it reaches the disk as it is written.
+COLUMNS = [[float(i) for i in range(6 * B)], [0.1 * i for i in range(6 * B)]]
+ONE_PROCESS = "\n".join(f"{a!r},{b!r}" for a, b in zip(*COLUMNS))
+
+
+def spoiled(rows, fails):
+    """The rows, with each piece i formatted by fails(i, text), where text is the real formatter."""
+    prepare = rows.piece_text
+
+    def piece_text():
+        text = prepare()
+        return lambda i: fails(i, text)
+
+    rows.piece_text = piece_text
+    return rows
+
+
+def failing_child(monkeypatch, how):
+    """Rows whose child fails as told: killed before it writes a byte, or killed or raising once
+    it has written its first piece, so that a part of its file is on disk."""
+    fork, parent, seen = os.fork, os.getpid(), []
 
     def doomed_child():
         pid = fork()
-        if pid == 0:
-            os.kill(os.getpid(), 9)
+        if pid == 0 and how == "killed at once":
+            os.kill(os.getpid(), signal.SIGKILL)
         return pid
 
+    def fails(i, text):
+        if os.getpid() != parent:
+            if seen:
+                if how == "killed midway":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("the child fails")
+            seen.append(i)
+        return text(i)
+
     monkeypatch.setattr(writer.os, "fork", doomed_child)
-    assert "".join(writer.table_text(columns, ",", "\n")) == "\n".join(map(repr, columns[0]))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return spoiled(writer.table_text(COLUMNS, ",", "\n"), fails)
 
 
-def test_an_ignored_sigchld_costs_the_split_not_the_text():
-    # With SIGCHLD ignored the child is reaped unseen: its status is unknown, so this process formats its half.
-    columns = [[float(i) for i in range(3 * B)]]
+def assert_written_here(rows, directory):
+    """The rows' file holds the one-process text, and nothing is left beside it: no file, no child."""
+    assert file_rows(rows, directory) == ONE_PROCESS
+    assert os.listdir(directory) == ["rows"]
+    assert_no_child()
+
+
+def test_a_child_that_fails_leaves_its_half_to_this_process(monkeypatch, tmp_path):
+    # The child is killed before it writes a byte: this process writes the back half itself.
+    assert_written_here(failing_child(monkeypatch, "killed at once"), tmp_path)
+
+
+@pytest.mark.parametrize("how", ["killed midway", "exits 1"])
+def test_a_child_that_fails_midway_leaves_its_half_to_this_process(monkeypatch, tmp_path, how):
+    # The child's file holds a part of its half and is not trusted: this process writes the back half, and
+    # the child's file is removed.
+    assert_written_here(failing_child(monkeypatch, how), tmp_path)
+
+
+def test_an_ignored_sigchld_costs_the_split_not_the_text(tmp_path):
+    # With SIGCHLD ignored the child is reaped unseen: its status is unknown, so this process writes its half.
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        text = "".join(writer.table_text(columns, ",", "\n"))
+        assert_written_here(writer.table_text(COLUMNS, ",", "\n"), tmp_path)
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert text == "\n".join(map(repr, columns[0]))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_sibling_file_is_appended_through_memory_where_copy_file_range_fails(monkeypatch, tmp_path):
+    def refused(*args):
+        raise OSError(95, "copy_file_range refused")
+
+    monkeypatch.setattr(writer, "_COPY_CHUNK", 1000)  # several chunks
+    monkeypatch.setattr(writer.os, "copy_file_range", refused, raising=False)
+    assert_written_here(writer.table_text(COLUMNS, ",", "\n"), tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "failure", ["not finite in the front half", "not finite in the back half", "interrupt", "append fails"]
+)
+def test_a_failed_table_leaves_no_file(monkeypatch, capsys, tmp_path, fmt, failure):
+    # Whatever fails, the output, its temp file and the child's file are all gone, and no child is left.
+    column = [float(i) for i in range(3 * B)]
+    if failure == "not finite in the front half":
+        column[0] = math.nan
+    elif failure == "not finite in the back half":
+        column[-1] = math.inf
+    elif failure == "append fails":
+        def no_space(dst, src):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(writer, "_append", no_space)
+    out = str(tmp_path / f"table.{fmt}")
+    if fmt == "csv":
+        texts = {out: cli._csv_text("t", ["a"], [column]), out + ".summary.json": cli._json_text({"a": 1})}
+    else:
+        texts = {out: cli._json_text({"command": "t", "columns": ["a"], "rows": [column]})}
+    if failure == "interrupt":  # raised in the first piece this process formats, once the child is forked
+        parent = os.getpid()
+
+        def interrupted(i, text):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return text(i)
+
+        spoiled(next(part for part in texts[out] if isinstance(part, writer.Rows)), interrupted)
+    with pytest.raises(KeyboardInterrupt if failure == "interrupt" else SystemExit):
+        cli._write_files(out, texts)
+    assert os.listdir(tmp_path) == []
+    assert_no_child()
+    message = {"interrupt": "", "append fails": f"error: cannot write {out}: [Errno 28] No space left on device\n"}
+    assert capsys.readouterr().err == message.get(failure, f"error: {cli._NOT_FINITE}\n")
+
+
+#: Runs `bohmatom ARGS` and prints its exit code and peak resident size in kB. A small parent reads it,
+#: since a process forked from pytest would count pytest's own resident size in its ru_maxrss.
+_PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bohmatom.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_a_large_table_peaks_well_below_its_file_size(tmp_path):
+    # The rows go into the file piece by piece: the process peaks at half the file's size, where building the
+    # whole text first took 2.5 times it.
+    out = tmp_path / "field.json"
+    grid = ["--r-count", "60", "--theta-count", "60", "--phi-count", "60"]
+    args = ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", *grid, "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(bohmatom.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *args, "--out", str(out)], env=env, capture_output=True, text=True
+    )
+    status, peak_kb = map(int, result.stdout.split())
+    size = out.stat().st_size
+    assert status == 0 and size > 40e6
+    assert peak_kb * 1024 < 0.75 * size
+    assert os.listdir(tmp_path) == ["field.json"]
