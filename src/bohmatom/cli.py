@@ -18,10 +18,9 @@ value of its own grid axis. The table writer (`writer`) writes the rows into
 the output's temp file one piece at a time, a large table's back half from a
 forked child's file, so a table takes one piece of memory, not its whole
 text. `run` ends the process as soon as its output is flushed.
-Per process, a 10 000-step Dirac `trajectory` takes 0.13 s, a Dirac 30^3
-`field` 0.12 s, a `state` 0.05 s and `--help` 0.06 s (medians of 11 runs, on
-a shared 2-core Xeon host with Python 3.11; 0.14, 0.14, 0.07 and 0.06 s when
-every run imported click).
+Per process, a 10 000-step Dirac `trajectory` takes 0.068 s, a Dirac 30^3
+`field` 0.063 s, a `state` 0.031 s and `--help` 0.039 s (medians of 11 to 21
+runs on a shared 2-core Xeon host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -47,9 +46,14 @@ _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 _MAX_LAGUERRE_DEGREE = 25_000
 #: Largest l accepted. The Legendre recurrence and the factorials (n + l)! and
 #: (l + |m|)! grow with it: the slowest `state` at this limit, such as
-#: `--n 60001 --l 60000 --m 1`, takes about 0.6 s (median of 9 runs), and
+#: `--n 60001 --l 60000 --m 1`, takes about 0.25 s (median of 9 runs), and
 #: --l 999999 took 86 s.
 _MAX_L = 60_000
+
+
+def _in_place(path: str) -> bool:
+    """Whether path exists but is not a regular file (a device or a pipe): it is written in place."""
+    return os.path.exists(path) and not os.path.isfile(path)
 
 
 def _write_files(out: str, texts: dict[str, list]) -> None:
@@ -64,7 +68,7 @@ def _write_files(out: str, texts: dict[str, list]) -> None:
     temps = {}
     try:
         for path, parts in texts.items():
-            in_place = os.path.exists(path) and not os.path.isfile(path)
+            in_place = _in_place(path)
             temps[path] = path if in_place else f"{path}.{os.getpid()}.tmp"
             parts = ["".join(map(str, parts))] if in_place else parts
             with open(temps[path], "w" if in_place else "x", encoding="utf-8", newline="\n") as fh:
@@ -73,8 +77,8 @@ def _write_files(out: str, texts: dict[str, list]) -> None:
         for path, temp in temps.items():
             if temp != path:
                 os.replace(temp, path)
-    except OSError as exc:
-        _fail(f"cannot write {out}: {exc}")
+    except OSError as exc:  # its message may name the temp path, which holds the pid
+        _fail(f"cannot write {out}: {exc.strerror}")
     except NotFiniteError:
         _fail(_NOT_FINITE)
     finally:
@@ -212,6 +216,8 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
         start = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
+    if fmt == "csv" and _in_place(out):
+        raise UsageError(f"--out {out} is not a regular file, so no summary can go beside it: use --format json")
 
     aborted = False
     try:

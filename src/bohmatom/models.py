@@ -15,7 +15,7 @@ import math
 import sys
 
 from .coords import SphericalPoint, azimuthal_to_cartesian, pole_safe_sin
-from .errors import DomainError, PhaseSingularityError
+from .errors import DomainError, OriginSingularityError, PhaseSingularityError
 from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
 
@@ -40,9 +40,21 @@ def _with_finite_period(rate: float, r: float) -> float:
     return rate
 
 
-def _rotation(w: float, x: float, y: float) -> tuple[float, float, float]:
-    # 0.0 - a and a + 0.0 map a signed zero to +0.0, as coords.azimuthal_to_cartesian does.
-    return (0.0 - w * y, w * x + 0.0, 0.0)
+def _origin_guard(atom: AtomConfig):
+    """The guard radius ORIGIN_GUARD_RADII * a0; a bound on x*x + y*y + z*z above which a point lies outside
+    it, (2*guard)^2 taken as a product (inf, not OverflowError, for a huge guard) but at least the smallest
+    normal float; and the exact test on hypot(x, y, z), which raises OriginSingularityError inside."""
+    from .trajectory_engine import ORIGIN_GUARD_RADII
+
+    guard = ORIGIN_GUARD_RADII * atom.bohr_radius
+
+    def outside(x: float, y: float, z: float) -> float:
+        r = math.hypot(x, y, z)  # scaled rather than squared: no radius leaves the float range
+        if r < guard:
+            raise OriginSingularityError(f"trajectory entered guard radius {guard} around the origin")
+        return r
+
+    return guard, max(_NORMAL_MIN, (2.0 * guard) * (2.0 * guard)), outside
 
 
 class DiracGroundState(Frozen):
@@ -63,25 +75,27 @@ class DiracGroundState(Frozen):
 
     def velocity_field(self) -> VelocityField:
         """v = j/j0, which in Cartesian form reads +/-Z*alpha*(-y, x, 0)/r."""
-        from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
+        from .trajectory_engine import VelocityField
 
         k = self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za
+        _, clear, outside_guard = _origin_guard(self.atom)
 
-        def fn(x: float, y: float, z: float) -> tuple[float, float, float]:
+        def planar(x: float, y: float, z: float) -> tuple[float, float]:
+            # 0.0 - a and a + 0.0 map a signed zero to +0.0, as coords.azimuthal_to_cartesian does.
             r_sq = x * x + y * y + z * z
-            if _NORMAL_MIN <= r_sq < math.inf:
-                return _rotation(k / math.sqrt(r_sq), x, y)
-            r = math.hypot(x, y, z)  # the sum left the float range: scale by r instead of squaring it
-            return _rotation(k, x / r, y / r)
+            if not clear < r_sq < math.inf:
+                r = outside_guard(x, y, z)
+                if not _NORMAL_MIN <= r_sq < math.inf:  # the sum left the float range: scale by r instead
+                    return (0.0 - k * (y / r), k * (x / r) + 0.0)
+            w = k / math.sqrt(r_sq)
+            return (0.0 - w * y, w * x + 0.0)
 
-        return VelocityField(fn, min_radius=ORIGIN_GUARD_RADII * self.atom.bohr_radius)
+        return VelocityField(planar)
 
     def angular_rate(self, start: SphericalPoint) -> float:
         """+/-Z*alpha/r; 0 on the axis, where the flow vanishes, and inside the origin guard.
         DomainError where the rate or its period 2*pi/|rate| leaves the float range."""
-        from .trajectory_engine import ORIGIN_GUARD_RADII
-
-        if pole_safe_sin(start.theta) == 0.0 or start.r < ORIGIN_GUARD_RADII * self.atom.bohr_radius:
+        if pole_safe_sin(start.theta) == 0.0 or start.r < _origin_guard(self.atom)[0]:
             return 0.0
         rate = (self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za) / start.r
         if not abs(rate) < math.inf:
@@ -120,26 +134,29 @@ class SchrodingerEigenstate(Frozen):
         return schrodinger_table(self.q, self.atom, grid)
 
     def velocity_field(self) -> VelocityField:
-        """grad(S)/mass = (m/mass)(-y, x, 0)/(x^2 + y^2); exact zeros for m = 0, so those
-        trajectories are fixed points bit for bit. PhaseSingularityError on the axis
-        (including where the rate overflows) and at nodes."""
+        """grad(S)/mass = (m/mass)(-y, x, 0)/(x^2 + y^2); exact zeros for m = 0, so those trajectories are fixed
+        points bit for bit. PhaseSingularityError on the axis (including where the rate overflows) and at nodes."""
         from functools import lru_cache, partial
 
         from .schrodinger_states import laguerre_node, legendre_node
-        from .trajectory_engine import ORIGIN_GUARD_RADII, VelocityField
+        from .trajectory_engine import VelocityField
 
         if self.q.m == 0:
-            return VelocityField(lambda x, y, z: (0.0, 0.0, 0.0))
+            return VelocityField(lambda x, y, z: (0.0, 0.0))
         q, atom = self.q, self.atom
         k = q.m / atom.mass
+        _, clear, outside_guard = _origin_guard(atom)
         # The node test's recurrences cost O(n - l) and O(l), and an orbit meets few distinct radii and
         # cosines (under 200 of each in a 10 000-step orbit's 40 001 evaluations): each runs once per value.
         radial_node = lru_cache(maxsize=1024)(partial(laguerre_node, q, atom))
         angular_node = lru_cache(maxsize=1024)(partial(legendre_node, q))
 
-        def fn(x: float, y: float, z: float) -> tuple[float, float, float]:
+        def planar(x: float, y: float, z: float) -> tuple[float, float]:
             d, s = x * x + y * y, 1.0
-            r = math.sqrt(d + z * z)
+            r_sq = d + z * z
+            if not clear < r_sq < math.inf:
+                outside_guard(x, y, z)
+            r = math.sqrt(r_sq)
             if not (_NORMAL_MIN <= d and r < math.inf and abs(k / d) < math.inf):
                 d = s = math.hypot(x, y)  # a sum or the rate left the float range: scale by rho instead
                 r = math.hypot(d, z)
@@ -147,22 +164,21 @@ class SchrodingerEigenstate(Frozen):
                 raise PhaseSingularityError(f"phase singularity: grad(m*phi) undefined on the z axis, z={z}")
             if radial_node(r) or angular_node(z / r):  # is_node(q, atom, r, z / r)
                 raise PhaseSingularityError("phase singularity: wavefunction node")
-            return _rotation(k / d, x / s, y / s)
+            return (0.0 - k / d * (y / s), k / d * (x / s) + 0.0)
 
-        return VelocityField(fn, min_radius=ORIGIN_GUARD_RADII * atom.bohr_radius)
+        return VelocityField(planar)
 
     def angular_rate(self, start: SphericalPoint) -> float:
         """(m/mass)/rho^2; 0 where the flow is zero or undefined: for m = 0, on the
         axis (including where the rate overflows), at a node and inside the origin guard.
         DomainError where the start moves but the rate underflows or its period overflows."""
         from .schrodinger_states import is_node
-        from .trajectory_engine import ORIGIN_GUARD_RADII
 
         rho = start.r * pole_safe_sin(start.theta)
         if (
             self.q.m == 0
             or rho == 0.0
-            or start.r < ORIGIN_GUARD_RADII * self.atom.bohr_radius
+            or start.r < _origin_guard(self.atom)[0]
             or is_node(self.q, self.atom, start.r, math.cos(start.theta))
         ):
             return 0.0

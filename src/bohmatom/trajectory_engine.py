@@ -2,20 +2,14 @@
 
 Integration runs in Cartesian coordinates with fixed-step classical RK4, which
 avoids the phi coordinate singularity on the polar axis and keeps runs exactly
-reproducible. The RK4 loop works on Python floats x, y, z and a VelocityField
-maps such a triple to the tuple (vx, vy, vz): one step costs a few
-microseconds, where 3-element numpy arrays cost about five times as much.
-Python float arithmetic rounds as numpy's elementwise arithmetic does, so the
-float loop gives the same bits as the same RK4 on arrays. Every model flow is
-a rigid rotation about z (see models), so each numerical orbit can be checked
-against the exact circle returned by circular_orbit.
-
-The rows go straight into one flat float buffer, an anonymous memory map
-reserved before the first step and written one row at a time, and the exact
-circle is computed on floats too. A 10 000-step Dirac `trajectory` process
-takes 0.13 s and peaks at 21 MB (medians of 11 runs, on a shared 2-core Xeon
-host with Python 3.11).
-"""
+reproducible. Every model flow is a rigid rotation about z (see models), so the
+loop steps the Python floats x and y through the flow's planar closure, one
+call per stage, with z fixed: the bits of the same RK4 on 3-element arrays, at
+about 1 us per Dirac step, and each orbit can be checked against the exact
+circle of circular_orbit. The rows go straight into one flat float buffer, an
+anonymous memory map reserved before the first step. A 10 000-step Dirac
+`trajectory` process takes 0.068 s and peaks at 16.6 MB (medians of 21 runs on
+a shared 2-core Xeon host, Python 3.11; BENCH_21.json has the `orbit` runs)."""
 
 from __future__ import annotations
 
@@ -27,27 +21,22 @@ from .errors import DomainError, OriginSingularityError, TrajectorySingularityEr
 from .frozen import Frozen
 from .writer import reserve_floats
 
-#: Trajectories are aborted when they come this close to the nucleus, in units
-#: of the Bohr radius. Ground-state circles never do; the guard protects
-#: future superposition fields.
+#: Each model's flow raises OriginSingularityError this close to the nucleus, in units of the Bohr radius,
+#: and the trajectory is aborted there. Ground-state circles never come this close.
 ORIGIN_GUARD_RADII = 1e-6
 
 
 class VelocityField(Frozen):
-    """Callable velocity field (x, y, z) -> (vx, vy, vz) on floats, with an origin guard."""
+    """Callable velocity field (x, y, z) -> (vx, vy, 0.0) on floats. Every model flow rotates about z:
+    `planar` maps (x, y, z) to (vx, vy), and raises OriginSingularityError inside the origin guard."""
 
-    _fields = ("fn", "min_radius")
+    _fields = ("planar",)
 
-    def __init__(self, fn: Callable[[float, float, float], tuple[float, float, float]], min_radius: float = 0.0):
-        self._set(fn, min_radius)
+    def __init__(self, planar: Callable[[float, float, float], tuple[float, float]]):
+        self._set(planar)
 
     def __call__(self, x: float, y: float, z: float) -> tuple[float, float, float]:
-        # hypot scales rather than squares, so no radius leaves the float range.
-        if self.min_radius > 0.0 and math.hypot(x, y, z) < self.min_radius:
-            raise OriginSingularityError(
-                f"trajectory entered guard radius {self.min_radius} around the origin"
-            )
-        return self.fn(x, y, z)
+        return (*self.planar(x, y, z), 0.0)
 
 
 #: The buffer's columns: t, x, y, z, vx, vy, vz.
@@ -55,13 +44,9 @@ _COLUMNS = 7
 
 
 class Trajectory:
-    """Uniform-step trajectory in one flat float buffer, read-only.
-
-    Row k holds the state at time t[k]: the Cartesian position and
-    velocity. The buffer holds the columns t, x, y, z, vx, vy, vz one after
-    another, each `capacity` floats long, of which the first len(self) are
-    filled. `columns` gives the seven filled columns as memoryviews of floats.
-    """
+    """Uniform-step trajectory in one flat float buffer, read-only: row k holds the Cartesian position
+    and velocity at time t[k]. The buffer holds the columns t, x, y, z, vx, vy, vz one after another,
+    each `capacity` floats long, of which the first len(self) are filled (see `columns`)."""
 
     def __init__(self, buffer: memoryview, rows: int):
         self._buffer = buffer.toreadonly()
@@ -78,15 +63,10 @@ class Trajectory:
         return tuple(self._buffer[k * c : k * c + n] for k in range(_COLUMNS))
 
 
-def integrate_trajectory(
-    field: VelocityField, start: SphericalPoint, dt: float, steps: int
-) -> Trajectory:
-    """Fixed-step RK4 integration of dx/dt = v(x), returning every state.
-
-    steps = 0 yields the single starting state. If any field evaluation hits
-    the origin guard, a TrajectorySingularityError carrying the partial
-    trajectory (up to the last good state) is raised.
-    """
+def integrate_trajectory(field: VelocityField, start: SphericalPoint, dt: float, steps: int) -> Trajectory:
+    """Fixed-step RK4 integration of dx/dt = v(x), returning every state (steps = 0: the start alone).
+    Where an evaluation enters the origin guard, TrajectorySingularityError carries the partial
+    trajectory, up to the last good state."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if steps < 0:
@@ -98,29 +78,27 @@ def integrate_trajectory(
     buffer = reserve_floats(_COLUMNS * rows)
     T, X, Y, Z, VX, VY, VZ = (buffer[k * rows : (k + 1) * rows] for k in range(_COLUMNS))
 
-    # `done` is the number of complete rows; inside the loop it is also the
-    # index of the row being computed, so an abort keeps rows [0, done).
-    # A position that overflows becomes inf or nan (Python floats raise no
+    # `done` is the number of complete rows; inside the loop it is also the index of the row being computed,
+    # so an abort keeps rows [0, done). A position that overflows becomes inf or nan (Python floats raise no
     # warning), which the field or the caller rejects.
     done = 0
     x, y, z = start.xyz()
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
+    h2, h6 = 0.5 * dt, dt / 6.0
+    planar = field.planar
     try:
-        v = field(x, y, z)
-        T[0], X[0], Y[0], Z[0] = 0.0, x, y, z
-        VX[0], VY[0], VZ[0] = v
+        ax, ay, VZ[0] = field(x, y, z)
+        T[0], X[0], Y[0], Z[0], VX[0], VY[0] = 0.0, x, y, z, ax, ay
+        # vz is 0.0 at every stage, so z stays fixed: z + h*0.0 is z, but for a signed zero, which
+        # turns into +0.0. The map starts zero-filled, so the vz column already reads +0.0.
+        z = z + h6 * 0.0
         for done in range(1, steps + 1):
-            ax, ay, az = v
-            bx, by, bz = field(x + h2 * ax, y + h2 * ay, z + h2 * az)
-            cx, cy, cz = field(x + h2 * bx, y + h2 * by, z + h2 * bz)
-            dx, dy, dz = field(x + dt * cx, y + dt * cy, z + dt * cz)
+            bx, by = planar(x + h2 * ax, y + h2 * ay, z)
+            cx, cy = planar(x + h2 * bx, y + h2 * by, z)
+            dx, dy = planar(x + dt * cx, y + dt * cy, z)
             x = x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
             y = y + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
-            z = z + h6 * (az + 2.0 * bz + 2.0 * cz + dz)
-            v = field(x, y, z)
-            T[done], X[done], Y[done], Z[done] = dt * done, x, y, z
-            VX[done], VY[done], VZ[done] = v
+            ax, ay = planar(x, y, z)
+            T[done], X[done], Y[done], Z[done], VX[done], VY[done] = dt * done, x, y, z, ax, ay
         done = steps + 1
     except OriginSingularityError as exc:
         raise TrajectorySingularityError(str(exc), trajectory=Trajectory(buffer, done)) from exc

@@ -10,7 +10,7 @@ once, at the piece boundary nearest half its rows: a forked child formats the
 back half into a sibling file beside the output, while this process formats
 the front half, then appends the child's file with os.copy_file_range.
 Formatting is the largest part of a 10 000-step `trajectory` process (about
-50 ms of 0.13 s); on two cores the halves take about 1.6 times less wall time
+23 ms of 0.068 s); on two cores the halves take about 1.6 times less wall time
 than one core takes for both (shared 2-core Xeon host, Python 3.11). Every
 piece is formatted on its own, so the text is the same wherever the split
 falls and whether or not the fork succeeds.

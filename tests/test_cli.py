@@ -530,6 +530,32 @@ def test_failed_write_keeps_the_existing_file(tmp_path, args):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
+@pytest.mark.parametrize("args", [FIELD_ARGS, TRAJ_ARGS, DILATE_ARGS], ids=["field", "trajectory", "dilate"])
+def test_a_failed_write_prints_the_same_bytes_every_run(tmp_path, args):
+    # The temp file's name holds the pid: the message names --out and the OS error's text alone.
+    out = tmp_path / "missing" / "x.csv"
+    runs = [
+        subprocess.run([sys.executable, "-m", "bohmatom.cli", *args, "--out", str(out)], env=_SUBPROCESS_ENV,
+                       capture_output=True, text=True)
+        for _ in range(2)
+    ]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(1, "", f"error: cannot write {out}: {os.strerror(2)}\n")] * 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_trajectory_into_a_pipe_is_a_usage_error(tmp_path):
+    # A pipe has no place beside it for the summary sidecar; the command stops before it opens the pipe,
+    # which would wait for a reader.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    result = subprocess.run([sys.executable, "-m", "bohmatom.cli", *TRAJ_ARGS, "--out", str(pipe)],
+                            env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.endswith(f"Error: --out {pipe} is not a regular file, so no summary can go beside it: "
+                                  "use --format json\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
 def test_written_file_replaces_the_existing_one(runner, tmp_path):
     out = tmp_path / "x.csv"
     out.write_text("previous contents\n", encoding="utf-8")
@@ -685,6 +711,7 @@ _EXIT_PATHS = {
     "spin-with-schrodinger": (["state", "--model", "schrodinger", "--spin", "up"], 2),
     "zero-step": (["trajectory", "--dt", "0", "--out", "{out}"], 2),
     "directory-out": (["dilate", "--rest-lifetime", "2e-6", "--out", "{dir}"], 2),
+    "failed-write": (["trajectory", "--steps", "10", "--out", "{missing}"], 1),
     "help": (["--help"], 0),
     "command-help": (["trajectory", "--help"], 0),
     "two-process-table": (["trajectory", "--steps", "3000", "--format", "json", "--out", "{out}"], 0),
@@ -700,7 +727,7 @@ _MAIN_WITH_TEARDOWN = (
 @pytest.mark.parametrize("args, exit_code", _EXIT_PATHS.values(), ids=_EXIT_PATHS.keys())
 def test_program_exit_matches_main(tmp_path, args, exit_code):
     out = tmp_path / "out"
-    args = [{"{out}": str(out), "{dir}": str(tmp_path)}.get(a, a) for a in args]
+    args = [{"{out}": str(out), "{dir}": str(tmp_path), "{missing}": str(tmp_path / "no" / "x")}.get(a, a) for a in args]
     env = {k: v for k, v in _SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}  # stdout as a pipe buffers it
     ends = []
     for entry in (["-m", "bohmatom.cli"], ["-c", _MAIN_WITH_TEARDOWN]):

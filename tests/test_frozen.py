@@ -18,7 +18,11 @@ from bohmatom.grid import SphericalGrid
 
 
 def _still(x, y, z):
-    return (0.0, 0.0, 0.0)
+    return (0.0, 0.0)
+
+
+def _turning(x, y, z):
+    return (-y, x)
 
 
 # Each class, the fields of one value in order, and a value with one field changed.
@@ -29,7 +33,7 @@ VALUES = [
     (DilationReport, {"mean_gamma": 1.1, "pointwise_max_gamma": 1.2, "rest_lifetime": 2e-6,
                       "dilated_lifetime": 2.2e-6}, {"dilated_lifetime": 2.3e-6}),
     (SphericalGrid, {"r_min": 0.5, "r_max": 3.0, "r_count": 2, "theta_count": 3, "phi_count": 4}, {"r_count": 5}),
-    (VelocityField, {"fn": _still, "min_radius": 0.5}, {"min_radius": 0.0}),
+    (VelocityField, {"planar": _still}, {"planar": _turning}),
     (DiracGroundState, {"spin": SpinOrientation.UP, "atom": AtomConfig(1)}, {"spin": SpinOrientation.DOWN}),
     (SchrodingerEigenstate, {"q": QuantumNumbers(2, 1, 1), "atom": AtomConfig(1)}, {"atom": AtomConfig(2)}),
 ]
@@ -55,7 +59,6 @@ def test_value_class_is_a_frozen_record(cls, fields, change):
 
 def test_defaults_and_validation():
     assert AtomConfig(1) == AtomConfig(1, 0.0072973525693, 1.0)
-    assert VelocityField(_still).min_radius == 0.0
     with pytest.raises(DomainError, match="r must be nonnegative"):
         SphericalPoint(-1.0, 0.0, 0.0)
     with pytest.raises(DomainError, match="l must lie in"):

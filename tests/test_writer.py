@@ -280,7 +280,7 @@ def test_a_failed_table_leaves_no_file(monkeypatch, capsys, tmp_path, fmt, failu
         cli._write_files(out, texts)
     assert os.listdir(tmp_path) == []
     assert_no_child()
-    message = {"interrupt": "", "append fails": f"error: cannot write {out}: [Errno 28] No space left on device\n"}
+    message = {"interrupt": "", "append fails": f"error: cannot write {out}: No space left on device\n"}
     assert capsys.readouterr().err == message.get(failure, f"error: {cli._NOT_FINITE}\n")
 
 
