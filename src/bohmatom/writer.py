@@ -5,15 +5,17 @@ same float. A table is written in pieces: blocks of _BLOCK_ROWS rows, or the
 r slabs of a field grid. Within a piece each distinct bit pattern of a column
 is formatted once, and each piece goes into the open output file as soon as
 it is formatted, so the memory a table takes beyond its float columns is one
-piece, not the text of the table. A table of at least two blocks is split
-once, at the piece boundary nearest half its rows: a forked child formats the
-back half into a sibling file beside the output, while this process formats
-the front half, then appends the child's file with os.copy_file_range.
-Formatting is the largest part of a 10 000-step `trajectory` process (about
-23 ms of 0.068 s); on two cores the halves take about 1.6 times less wall time
-than one core takes for both (shared 2-core Xeon host, Python 3.11). Every
-piece is formatted on its own, so the text is the same wherever the split
-falls and whether or not the fork succeeds.
+piece, not the text of the table, whatever the target: a Dirac 100^3 CSV
+`field` into /dev/null peaks at 49 MB, where its whole text took 419 MB. A
+table of at least two blocks that goes into a regular file is split once, at
+the piece boundary nearest half its rows: a forked child formats the back
+half into an unnamed file, while this process formats the front half, then
+appends the child's file with os.copy_file_range. Formatting is the largest
+part of a 10 000-step `trajectory` process (about 23 ms of 0.068 s); on two
+cores the halves take about 1.6 times less wall time than one core takes for
+both (shared 2-core Xeon host, Python 3.11). Every piece is formatted on its
+own, so the text is the same wherever the split falls and whether or not the
+fork succeeds.
 
 The float columns of a table are reserved here too (reserve_floats). Only
 `field` and `trajectory` import this module, so the other commands start
@@ -26,6 +28,7 @@ import math
 import mmap
 import os
 import signal
+import stat
 import sys
 from array import array
 from itertools import repeat
@@ -108,12 +111,6 @@ class Rows:
     def __bool__(self) -> bool:
         return self.count > 0
 
-    def __str__(self) -> str:
-        """The whole text of the rows, formatted in this process."""
-        if not self:
-            return ""
-        return self.row_sep.join(map(self.piece_text(), range(self.pieces)))
-
     def _write(self, fh, text, first: int, stop: int) -> None:
         # Each piece but the table's first is preceded by row_sep, so that the halves meet without a join.
         for i in range(first, stop):
@@ -122,27 +119,27 @@ class Rows:
             fh.write(text(i))
 
     def write(self, fh) -> None:
-        """Write the rows into fh, a text file opened on a path beside which `<path>.back` can be made.
+        """Write the rows into fh, a text file: a device or a pipe in this process alone.
 
-        A table of at least two blocks and two pieces is split at the piece boundary nearest half
-        its rows. A forked child writes the back half into `<path>.back` while this process writes
-        the front half into fh; the child's file is then appended to fh. Where that file or the
-        fork cannot be made, or the child is not seen to end with status 0, this process writes
-        the back half after the front half: the bytes and the exceptions are those of one process.
-        The child is reaped before this returns or raises, and killed first if the front half
-        raised; `<path>.back` is removed on every path.
+        Where fh is a regular file, a table of at least two blocks and two pieces is split at the
+        piece boundary nearest half its rows. A forked child writes the back half into a file made
+        as `<fh.name>.back` and unlinked before the fork, while this process writes the front half
+        into fh; the child's file is then appended to fh. Where that file or the fork cannot be
+        made, or the child is not seen to end with status 0, this process writes the back half
+        after the front half: the bytes and the exceptions are those of one process. The child is
+        reaped before this returns or raises, and killed first if the front half raised.
         """
         if not self:
             return
         text = self.piece_text()
-        if self.count < 2 * _BLOCK_ROWS or self.pieces < 2:
+        if self.count < 2 * _BLOCK_ROWS or self.pieces < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             self._write(fh, text, 0, self.pieces)
             return
         split = min(max(round(self.count / 2 / self.piece_rows), 1), self.pieces - 1)
-        path = f"{fh.name}.back"
         back = pid = status = None
         try:
-            back = open(path, "x+", encoding="utf-8", newline="\n")
+            back = open(f"{fh.name}.back", "x+", encoding="utf-8", newline="\n")
+            os.remove(back.name)  # the child inherits the open file: no name is left to clean up
             pid = os.fork()
         except OSError:
             pass
@@ -177,20 +174,16 @@ class Rows:
                     pass
             if back is not None:
                 back.close()
-                os.remove(path)
 
 
 def table_text(table, cell_sep: str, row_sep: str) -> Rows:
-    """The rows of a float table, each cell the repr of its float, joined by the separators.
+    """The rows of a float table, a list of float columns (see _floats), each cell the repr of its
+    float, joined by the separators.
 
-    The table is a list of float columns (see _floats), or a function of the two
-    separators that returns the Rows itself (the field table, see grid_rows).
     Every value must be finite, else NotFiniteError when the rows are written.
     Block by block, each column's cells are keyed by their bit pattern (so -0.0
     and 0.0 stay apart), and each distinct value is formatted once.
     """
-    if callable(table):
-        return table(cell_sep, row_sep)
     rows = len(table[0])
 
     def piece_text():

@@ -6,6 +6,7 @@ import os
 import pstats
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import click
@@ -565,6 +566,21 @@ def test_written_file_replaces_the_existing_one(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
+@pytest.mark.parametrize("target_name", ["target.csv", "elsewhere/target.csv"], ids=["beside", "another-directory"])
+def test_out_through_a_link_replaces_its_target(runner, tmp_path, target_name):
+    # The temp file goes beside the link's target and replaces it: the link stays a link.
+    plain, link, target = tmp_path / "plain.csv", tmp_path / "link.csv", tmp_path / target_name
+    assert invoke(runner, FIELD_ARGS + ["--out", str(plain)]).exit_code == 0
+    target.parent.mkdir(exist_ok=True)
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target_name)
+    assert invoke(runner, FIELD_ARGS + ["--out", str(link)]).exit_code == 0
+    assert link.is_symlink() and os.readlink(link) == target_name
+    assert target.read_bytes() == plain.read_bytes()
+    files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if not p.is_dir())
+    assert files == sorted(["plain.csv", "link.csv", target_name])
+
+
 def run_cold(args, *flags):
     """`python FLAGS -X importtime -m bohmatom.cli ARGS`, the program's own entry: the finished
     process and the names of the modules it imported."""
@@ -715,6 +731,10 @@ _EXIT_PATHS = {
     "help": (["--help"], 0),
     "command-help": (["trajectory", "--help"], 0),
     "two-process-table": (["trajectory", "--steps", "3000", "--format", "json", "--out", "{out}"], 0),
+    # A FIFO is written in place by one process; it must receive the bytes a regular file gets in two.
+    "fifo-field-csv": (["field", "--r-count", "40", "--out", "{fifo}"], 0),
+    "fifo-field-json": (["field", "--r-count", "40", "--format", "json", "--out", "{fifo}"], 0),
+    "fifo-two-process-table": (["trajectory", "--steps", "3000", "--format", "json", "--out", "{fifo}"], 0),
 }
 
 
@@ -724,20 +744,47 @@ _MAIN_WITH_TEARDOWN = (
 )
 
 
+def read_fifo(path, run):
+    """run()'s result and the bytes it wrote into a new FIFO at path, read by a thread; the FIFO is
+    removed after."""
+    os.mkfifo(path)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(read_bytes(path)))
+    reader.start()
+    try:
+        result = run()
+    finally:
+        while reader.is_alive():  # where the run never opened the FIFO, an empty writer ends the read
+            with contextlib.suppress(OSError):
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(0.1)
+        path.unlink()
+    return result, chunks[0]
+
+
 @pytest.mark.parametrize("args, exit_code", _EXIT_PATHS.values(), ids=_EXIT_PATHS.keys())
 def test_program_exit_matches_main(tmp_path, args, exit_code):
     out = tmp_path / "out"
-    args = [{"{out}": str(out), "{dir}": str(tmp_path), "{missing}": str(tmp_path / "no" / "x")}.get(a, a) for a in args]
+    fifo = "{fifo}" in args
+    paths = {"{out}": str(out), "{fifo}": str(out), "{dir}": str(tmp_path), "{missing}": str(tmp_path / "no" / "x")}
+    args = [paths.get(a, a) for a in args]
     env = {k: v for k, v in _SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}  # stdout as a pipe buffers it
     ends = []
     for entry in (["-m", "bohmatom.cli"], ["-c", _MAIN_WITH_TEARDOWN]):
-        result = subprocess.run([sys.executable, *entry, *args], env=env, capture_output=True, text=True)
+        def run():
+            return subprocess.run([sys.executable, *entry, *args], env=env, capture_output=True, text=True, timeout=120)
+
+        result, piped = read_fifo(out, run) if fifo else (run(), None)
         files = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
-        ends.append((result.returncode, result.stdout, result.stderr, files))
+        ends.append((result.returncode, result.stdout, result.stderr, files, piped))
         for path in tmp_path.iterdir():
             path.unlink()
     assert ends[0][0] == exit_code
     assert ends[0] == ends[1]
+    if fifo:  # the same command into a regular file writes the same bytes
+        assert subprocess.run([sys.executable, "-m", "bohmatom.cli", *args], env=env).returncode == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert out.read_bytes() == ends[0][4]
 
 
 def test_state_into_a_closed_pipe_exits_1_silently():

@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from array import array
+from functools import partial
 
 import click
 import numpy as np
@@ -236,7 +237,7 @@ def file_text(parts):
 def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_cols):
     table = pooled_table(pool, seed, n_rows, n_cols)
     columns = [f"c{k}" for k in range(n_cols)]
-    data = as_columns(table, ["array"] * n_cols)
+    data = partial(writer.table_text, as_columns(table, ["array"] * n_cols))
     # Compared line by line: equal lists are equal texts, and a mismatch reports its first line quickly.
     csv_text = file_text(cli._csv_text("table", columns, data))
     assert csv_text.split("\n") == reference_csv("table", columns, table).split("\n")
@@ -265,11 +266,11 @@ def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds)
     # Compared line by line with the row-wise repr join, as above.
     for columns in (as_columns(table, kinds), as_columns(table, ["array"] * 5)):
         for cell_sep, row_sep in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
-            text = str(writer.table_text(columns, cell_sep, row_sep))
+            text = file_text([writer.table_text(columns, cell_sep, row_sep)])
             assert text.split("\n") == row_sep.join(cell_sep.join(map(repr, row)) for row in table.tolist()).split("\n")
 
 
-@pytest.mark.parametrize("writer", ["csv", "json", "buffers"])
+@pytest.mark.parametrize("form", ["csv", "json", "buffers"])
 @settings(max_examples=20, deadline=None)
 @given(
     pool=value_pools,
@@ -278,14 +279,18 @@ def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds)
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
     where=st.floats(0.0, 1.0, exclude_max=True),
 )
-def test_table_writer_rejects_a_non_finite_cell(writer, pool, seed, n_rows, bad, where):
+def test_table_writer_rejects_a_non_finite_cell(form, pool, seed, n_rows, bad, where):
     table = pooled_table(pool, seed, n_rows, 3)
     table.flat[int(where * table.size)] = bad
+
+    def rows(kind):
+        return partial(writer.table_text, as_columns(table, [kind] * 3))
+
     parts = {
-        "csv": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["list"] * 3)),
-        "json": lambda: cli._json_text(document(["a", "b", "c"], as_columns(table, ["memoryview"] * 3))),
-        "buffers": lambda: cli._csv_text("t", ["a", "b", "c"], as_columns(table, ["array"] * 3)),
-    }[writer]
+        "csv": lambda: cli._csv_text("t", ["a", "b", "c"], rows("list")),
+        "json": lambda: cli._json_text(document(["a", "b", "c"], rows("memoryview"))),
+        "buffers": lambda: cli._csv_text("t", ["a", "b", "c"], rows("array")),
+    }[form]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table")
         result = CliRunner().invoke(click.Command("write", callback=lambda: cli._write_files(path, {path: parts()})))

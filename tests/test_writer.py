@@ -1,4 +1,4 @@
-"""The table writer in two processes: the same text as one process, in memory or in a file, the
+"""The table writer in two processes: the same text as one process, in a file or a pipe, the
 same error, no child left and no file left beside the output."""
 
 import math
@@ -8,6 +8,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -81,13 +83,27 @@ def file_rows(rows, directory):
         return fh.read()
 
 
+def pipe_rows(rows):
+    """The rows as Rows.write puts them into a pipe, read back by a thread."""
+    read_fd, write_fd = os.pipe()
+    texts = []
+    reader = threading.Thread(target=lambda: texts.append(open(read_fd, encoding="utf-8", newline="").read()))
+    reader.start()
+    try:
+        with open(write_fd, "w", encoding="utf-8", newline="\n") as fh:
+            rows.write(fh)
+    finally:
+        reader.join()
+    return texts[0]
+
+
 def written(write, fail_fork, to_file):
-    """The text of the rows write() returns, as str() gives it or written into a file, or the
-    NotFiniteError class; the forks it asked for. No child is left, and no file beside the rows."""
+    """The text of the rows write() returns, written into a file or a pipe, or the NotFiniteError
+    class; the forks it asked for. No child is left, and no file beside the rows."""
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         spy = ForkSpy(patch, fail_fork)
         try:
-            text = file_rows(write(), tmp) if to_file else str(write())
+            text = file_rows(write(), tmp) if to_file else pipe_rows(write())
         except writer.NotFiniteError:
             text = writer.NotFiniteError
         assert os.listdir(tmp) == (["rows"] if to_file else [])
@@ -96,8 +112,8 @@ def written(write, fail_fork, to_file):
 
 
 def all_texts(write):
-    """The rows written into a file in two processes, into a file in one (the fork fails) and by
-    str(): each text with its forks."""
+    """The rows written into a file in two processes, into a file in one (the fork fails) and into
+    a pipe, which one process writes: each text with its forks."""
     return written(write, False, True), written(write, True, True), written(write, False, False)
 
 
@@ -120,10 +136,10 @@ def test_column_table_in_two_processes_equals_one(rows, n_cols, pool, seed, fmt,
         expected = serial_text(list(zip(*columns)), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    (forked, forks), (in_process, _), (text, text_forks) = all_texts(lambda: writer.table_text(columns, *separators))
-    assert forked == in_process == text == expected
+    (forked, forks), (in_process, _), (piped, pipe_forks) = all_texts(lambda: writer.table_text(columns, *separators))
+    assert forked == in_process == piped == expected
     assert forks == (rows >= 2 * B)
-    assert text_forks == 0
+    assert pipe_forks == 0
 
 
 def grid_reference(grid, columns, slab):
@@ -160,11 +176,11 @@ def test_grid_table_in_two_processes_equals_one(shape, per_point, pool, seed, fm
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
     texts = all_texts(lambda: writer.grid_rows(grid, columns, *separators))
-    (forked, forks), (in_process, _), (text, text_forks) = texts
-    assert forked == in_process == text == expected
+    (forked, forks), (in_process, _), (piped, pipe_forks) = texts
+    assert forked == in_process == piped == expected
     if expected is not writer.NotFiniteError:  # a bad per-angle value fails before the split
         assert forks == (grid.size >= 2 * B and r_count >= 2)
-    assert text_forks == 0
+    assert pipe_forks == 0
 
 
 # Split after three blocks, so that the child writes three; each block's text (about 25 kB) is
@@ -224,8 +240,20 @@ def test_a_child_that_fails_leaves_its_half_to_this_process(monkeypatch, tmp_pat
 @pytest.mark.parametrize("how", ["killed midway", "exits 1"])
 def test_a_child_that_fails_midway_leaves_its_half_to_this_process(monkeypatch, tmp_path, how):
     # The child's file holds a part of its half and is not trusted: this process writes the back half, and
-    # the child's file is removed.
+    # the child's file, which has no name, is closed.
     assert_written_here(failing_child(monkeypatch, how), tmp_path)
+
+
+def test_the_child_file_has_no_name_while_the_halves_are_written(tmp_path):
+    # Its name is removed before the fork, so none can outlive a process killed midway.
+    listings = []
+
+    def listed(i, text):
+        listings.append(os.listdir(tmp_path))
+        return text(i)
+
+    assert_written_here(spoiled(writer.table_text(COLUMNS, ",", "\n"), listed), tmp_path)
+    assert listings == [["rows"]] * 3  # the front half's three pieces, formatted in this process
 
 
 def test_an_ignored_sigchld_costs_the_split_not_the_text(tmp_path):
@@ -262,11 +290,11 @@ def test_a_failed_table_leaves_no_file(monkeypatch, capsys, tmp_path, fmt, failu
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(writer, "_append", no_space)
-    out = str(tmp_path / f"table.{fmt}")
+    out, table = str(tmp_path / f"table.{fmt}"), partial(writer.table_text, [column])
     if fmt == "csv":
-        texts = {out: cli._csv_text("t", ["a"], [column]), out + ".summary.json": cli._json_text({"a": 1})}
+        texts = {out: cli._csv_text("t", ["a"], table), out + ".summary.json": cli._json_text({"a": 1})}
     else:
-        texts = {out: cli._json_text({"command": "t", "columns": ["a"], "rows": [column]})}
+        texts = {out: cli._json_text({"command": "t", "columns": ["a"], "rows": table})}
     if failure == "interrupt":  # raised in the first piece this process formats, once the child is forked
         parent = os.getpid()
 
@@ -295,17 +323,21 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_a_large_table_peaks_well_below_its_file_size(tmp_path):
-    # The rows go into the file piece by piece: the process peaks at half the file's size, where building the
-    # whole text first took 2.5 times it.
+    # The rows go into the file, or into /dev/null, piece by piece: the process peaks at about half the file's
+    # size, where building the whole text first took 2.5 times it.
     out = tmp_path / "field.json"
     grid = ["--r-count", "60", "--theta-count", "60", "--phi-count", "60"]
     args = ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", *grid, "--format", "json"]
     env = {**os.environ, "PYTHONPATH": str(Path(bohmatom.__file__).resolve().parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *args, "--out", str(out)], env=env, capture_output=True, text=True
-    )
-    status, peak_kb = map(int, result.stdout.split())
+    peaks = []
+    for target in (str(out), os.devnull):
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *args, "--out", target], env=env, capture_output=True, text=True
+        )
+        status, peak_kb = map(int, result.stdout.split())
+        assert status == 0, (target, result.stderr)
+        peaks.append(peak_kb * 1024)
     size = out.stat().st_size
-    assert status == 0 and size > 40e6
-    assert peak_kb * 1024 < 0.75 * size
+    assert size > 40e6
+    assert max(peaks) < 0.75 * size
     assert os.listdir(tmp_path) == ["field.json"]
