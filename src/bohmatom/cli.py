@@ -16,10 +16,12 @@ writes its rows on floats; `state` evaluates its point on floats, with the
 bits of the same point's `field` row; `field` evaluates each factor once per
 value of its own grid axis. The table writer (`writer`) writes the rows into
 the output's temp file, or a device or pipe, one piece at a time, so a table
-takes one piece of memory, not its whole text. `run` ends the process as soon
-as its output is flushed.
+takes one piece of memory, not its whole text. A `field` slab is computed by
+the process that writes it, and a column of one value per (r, theta) ring is
+formatted once per ring. `run` ends the process as soon as its output is
+flushed.
 Per process, a 10 000-step Dirac `trajectory` takes 0.068 s, a Dirac 30^3
-`field` 0.063 s, a `state` 0.031 s and `--help` 0.039 s (medians of 11 to 21
+`field` 0.057 s, a `state` 0.031 s and `--help` 0.039 s (medians of 11 to 21
 runs on a shared 2-core Xeon host, Python 3.11).
 """
 

@@ -11,6 +11,14 @@ that ring carries its bits. Only j1, j2, vx and vy are computed per point,
 into float columns reserved before the first point. Every value has the bits
 of the state modules' point functions at the same point.
 
+A table builds here all that can fail: the reserved columns, the factors per
+radius and per colatitude, the node tests and the per-angle columns. Its
+per-point columns are filled one r slab at a time, by the process that
+writes the slab (FieldTable.fill, called by writer.grid_rows), so that a
+forked child computes the back half of a large table and this process only
+the front half. The ring columns (j0, and the Schrodinger speed) are marked,
+so that the writer formats each ring's value once.
+
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only
 for a Schrodinger table.
@@ -79,6 +87,18 @@ class SphericalGrid(Frozen):
         return [2.0 * math.pi * k / self.phi_count for k in range(self.phi_count)]
 
 
+class FieldTable:
+    """The columns j0, j1, j2, j3, vx, vy, vz, speed of a field table on a grid, and fill(i), which
+    computes r slab i of its per-point columns. A column holds one value per grid point, or one per
+    angle pair of an r slab, the same at every radius. The per-point columns are reserved before the
+    first point and hold 0.0 until fill(i) has run for a slab; the process that writes slab i fills
+    it. rings are the indices of the per-point columns that hold one value per (r, theta) ring,
+    the same bits at every azimuth."""
+
+    def __init__(self, columns: list, fill, rings: tuple[int, ...]):
+        self.columns, self.fill, self.rings = columns, fill, rings
+
+
 def _point_columns(grid: SphericalGrid, count: int) -> list[memoryview]:
     """count float columns of one value per grid point, reserved at once in one buffer before
     the first point (MemoryError if they cannot be)."""
@@ -97,36 +117,42 @@ def _by_phi(grid: SphericalGrid, per_phi: list) -> list:
     return per_phi * grid.theta_count
 
 
-def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) -> list:
-    """The columns j0, j1, j2, j3, vx, vy, vz, speed of the Dirac field table on the grid: the
-    current j^mu of the gamma contraction and the Cartesian velocity. j0, j1 and j2 hold one value
-    per point; the others one value per angle pair of an r slab, the same at every radius. j0 is
-    summed once per (r, theta), and the speed is |Z*alpha*sin(theta)|, once per colatitude."""
+def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) -> FieldTable:
+    """The Dirac field table on the grid: the current j^mu of the gamma contraction and the
+    Cartesian velocity. j0, j1 and j2 hold one value per point; the others one value per angle pair
+    of an r slab, the same at every radius. j0 is summed once per (r, theta), a ring column, and the
+    speed is |Z*alpha*sin(theta)|, once per colatitude. A(r) is taken for every radius here, so that
+    a DomainError is raised before any slab is filled."""
     from .dirac_states import azimuthal_speed, ground_current, radial_amplitude, small_component_ratio
 
     current = _point_columns(grid, 3)
     slab = grid.theta_count * grid.phi_count
+    amplitudes = [radial_amplitude(atom, r) for r in grid.r]
     zeta = small_component_ratio(atom)
     b = [zeta * math.cos(t) for t in grid.theta]
     d = [zeta * pole_safe_sin(t) for t in grid.theta]
     d_sin = list(map(mul, _by_theta(grid, d), _by_phi(grid, [math.sin(p) for p in grid.phi])))
     d_cos = list(map(mul, _by_theta(grid, d), _by_phi(grid, [math.cos(p) for p in grid.phi])))
-    for i, r in enumerate(grid.r):
-        j0, j1, j2 = ground_current(spin, radial_amplitude(atom, r), b, d, d_sin, d_cos)
+
+    def fill(i: int) -> None:
+        j0, j1, j2 = ground_current(spin, amplitudes[i], b, d, d_sin, d_cos)
         for column, values in zip(current, (_by_theta(grid, j0), j1, j2)):
             column[i * slab : (i + 1) * slab] = array("d", values)
+
     rates = [azimuthal_speed(spin, atom, t) for t in grid.theta]
     vx, vy, vz = map(list, zip(*(azimuthal_to_cartesian(p, v) for v in rates for p in grid.phi)))
-    return [*current, [0.0] * slab, vx, vy, vz, _by_theta(grid, list(map(abs, rates)))]
+    columns = [*current, [0.0] * slab, vx, vy, vz, _by_theta(grid, list(map(abs, rates)))]
+    return FieldTable(columns, fill, (0,))
 
 
-def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> list:
-    """The columns j0, j1, j2, j3, vx, vy, vz, speed of the Schrodinger field table on the grid:
-    the density |psi|^2, the current density times velocity and the Cartesian velocity
-    grad(S)/mass. j0 holds one value per point, and so do j1, j2, vx, vy and speed for m != 0;
-    the others hold one value per angle pair of an r slab, the same at every radius. The density
-    (R_nl Theta)^2 and the speed |m / (mass r sin(theta))| are taken once per (r, theta).
-    PhaseSingularityError for m != 0 where the grid meets the axis or a node."""
+def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> FieldTable:
+    """The Schrodinger field table on the grid: the density |psi|^2, the current density times
+    velocity and the Cartesian velocity grad(S)/mass. j0 holds one value per point, and so do j1,
+    j2, vx, vy and speed for m != 0; the others hold one value per angle pair of an r slab, the same
+    at every radius. The density (R_nl Theta)^2 and the speed |m / (mass r sin(theta))| are taken
+    once per (r, theta): they are the ring columns. R_nl, the rates and the node tests are taken
+    here, so that PhaseSingularityError, for m != 0 where the grid meets the axis or a node, is
+    raised before any slab is filled."""
     from .schrodinger_states import hydrogen_wavefunction, phase_gradient
 
     columns = _point_columns(grid, 1 if q.m == 0 else 6)
@@ -138,9 +164,9 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
             raise PhaseSingularityError("phase singularity: wavefunction node")
         sin_phi = _by_phi(grid, [math.sin(p) for p in grid.phi])
         cos_phi = _by_phi(grid, [math.cos(p) for p in grid.phi])
-    zeros = [0.0] * slab
-    for i, factor in enumerate(radial):
-        density = _by_theta(grid, [a * a for a in (factor * x for x in colatitude)])
+
+    def fill(i: int) -> None:
+        density = _by_theta(grid, [a * a for a in (radial[i] * x for x in colatitude)])
         rows = [density]
         if q.m != 0:
             v = _by_theta(grid, rates[i])
@@ -151,7 +177,9 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
             rows += [list(map(mul, density, vx)), list(map(mul, density, vy)), vx, vy, speed]
         for column, values in zip(columns, rows):
             column[i * slab : (i + 1) * slab] = array("d", values)
+
+    zeros = [0.0] * slab
     if q.m == 0:  # the flow and the current are 0.0 everywhere
-        return [*columns, zeros, zeros, zeros, zeros, zeros, zeros, zeros]
+        return FieldTable([*columns, zeros, zeros, zeros, zeros, zeros, zeros, zeros], fill, (0,))
     j0, j1, j2, vx, vy, speed = columns
-    return [j0, j1, j2, zeros, vx, vy, zeros, speed]
+    return FieldTable([j0, j1, j2, zeros, vx, vy, zeros, speed], fill, (0, 7))

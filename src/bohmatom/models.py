@@ -67,7 +67,7 @@ class DiracGroundState(Frozen):
     def header(self) -> dict:
         return {"model": "dirac", "spin": self.spin.value, "quantum_numbers": None}
 
-    def field_table(self, grid: SphericalGrid) -> list:
+    def field_table(self, grid: SphericalGrid) -> FieldTable:
         """The columns j0, j1, j2, j3, vx, vy, vz, speed of the field table on the grid (grid.dirac_table)."""
         from .grid import dirac_table
 
@@ -127,7 +127,7 @@ class SchrodingerEigenstate(Frozen):
     def header(self) -> dict:
         return {"model": "schrodinger", "spin": None, "quantum_numbers": [self.q.n, self.q.l, self.q.m]}
 
-    def field_table(self, grid: SphericalGrid) -> list:
+    def field_table(self, grid: SphericalGrid) -> FieldTable:
         """The columns j0, j1, j2, j3, vx, vy, vz, speed of the field table on the grid (grid.schrodinger_table)."""
         from .grid import schrodinger_table
 

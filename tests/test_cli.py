@@ -735,6 +735,11 @@ _EXIT_PATHS = {
     "fifo-field-csv": (["field", "--r-count", "40", "--out", "{fifo}"], 0),
     "fifo-field-json": (["field", "--r-count", "40", "--format", "json", "--out", "{fifo}"], 0),
     "fifo-two-process-table": (["trajectory", "--steps", "3000", "--format", "json", "--out", "{fifo}"], 0),
+    # A field fails before its output is opened: A(r) leaves the float range, or the grid does not fit in memory.
+    "field-amplitude-overflow": (["field", "--mass", "1e300", "--out", "{out}"], 1),
+    "field-beyond-memory": (
+        ["field", "--r-count", "1000000", "--theta-count", "1000000", "--phi-count", "100000", "--out", "{out}"], 1
+    ),
 }
 
 
@@ -781,6 +786,8 @@ def test_program_exit_matches_main(tmp_path, args, exit_code):
             path.unlink()
     assert ends[0][0] == exit_code
     assert ends[0] == ends[1]
+    if args[0] == "field" and exit_code == 1:  # it failed before its output was opened: no file, .tmp or .back
+        assert ends[0][3] == []
     if fifo:  # the same command into a regular file writes the same bytes
         assert subprocess.run([sys.executable, "-m", "bohmatom.cli", *args], env=env).returncode == 0
         assert [p.name for p in tmp_path.iterdir()] == ["out"]

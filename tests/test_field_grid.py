@@ -136,8 +136,11 @@ def array_table(model, points: list[SphericalPoint]) -> np.ndarray:
 
 
 def float_table(model, grid: SphericalGrid) -> np.ndarray:
-    """model.field_table expanded to one row of 8 values per point."""
-    columns = [np.array(column, dtype=float) for column in model.field_table(grid)]
+    """model.field_table with every r slab filled, expanded to one row of 8 values per point."""
+    table = model.field_table(grid)
+    for i in range(grid.r_count):
+        table.fill(i)
+    columns = [np.array(column, dtype=float) for column in table.columns]
     return np.column_stack([c if len(c) == grid.size else np.tile(c, grid.r_count) for c in columns])
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from array import array
 from functools import partial
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohmatom
-from bohmatom import cli, writer
-from bohmatom.grid import SphericalGrid
+from bohmatom import DiracGroundState, QuantumNumbers, SchrodingerEigenstate, SpinOrientation, cli, make_atom, writer
+from bohmatom.grid import FieldTable, SphericalGrid
 
 B = writer._BLOCK_ROWS
 SEPARATORS = {"csv": (",", "\n"), "json": (",\n      ", "\n    ],\n    [\n      ")}
@@ -151,36 +152,93 @@ def grid_reference(grid, columns, slab):
     ]
 
 
+def lazy_table(grid, columns, rings):
+    """A FieldTable of the columns, where each one of a value per point is a reserved column that
+    fill(i) fills slab by slab from the given one."""
+    slab = grid.theta_count * grid.phi_count
+    point = [k for k, c in enumerate(columns) if len(c) == grid.size]
+    reserved = {k: writer.reserve_floats(grid.size) for k in point}
+
+    def fill(i):
+        for k in point:
+            reserved[k][i * slab : (i + 1) * slab] = array("d", columns[k][i * slab : (i + 1) * slab])
+
+    return FieldTable([reserved.get(k, c) for k, c in enumerate(columns)], fill, rings)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.one_of(
         st.sampled_from([(2047, 1, 1), (2048, 1, 1), (2049, 1, 1), (1, 64, 32), (2, 32, 32), (3, 683, 1), (3, 700, 1)]),
         st.tuples(st.integers(1, 40), st.integers(1, 30), st.integers(1, 12)),
     ),
-    per_point=st.lists(st.booleans(), min_size=1, max_size=4),
+    kinds=st.lists(st.sampled_from(["angle", "point", "ring"]), min_size=1, max_size=4),
     pool=value_pools,
     seed=st.integers(0, 2**32 - 1),
     fmt=st.sampled_from(sorted(SEPARATORS)),
     where=bad_rows,
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
-def test_grid_table_in_two_processes_equals_one(shape, per_point, pool, seed, fmt, where, bad):
+def test_grid_table_in_two_processes_equals_one(shape, kinds, pool, seed, fmt, where, bad):
+    # A column holds one value per angle pair, per point, or per (r, theta) ring: the same bits at every azimuth.
     r_count, theta_count, phi_count = shape
     grid = SphericalGrid(0.5, 3.0, r_count, theta_count, phi_count)
     slab = theta_count * phi_count
-    columns = [pooled(pool, seed + k, grid.size if each else slab) for k, each in enumerate(per_point)]
+    counts = {"angle": slab, "point": grid.size, "ring": r_count * theta_count}
+    columns = [pooled(pool, seed + k, counts[kind]) for k, kind in enumerate(kinds)]
     spoil(columns[-1], where, bad)
+    columns = [[v for v in c for _ in range(phi_count)] if kind == "ring" else c for c, kind in zip(columns, kinds)]
+    rings = tuple(k for k, kind in enumerate(kinds) if kind == "ring")
     separators = SEPARATORS[fmt]
     try:
         expected = serial_text(grid_reference(grid, columns, slab), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    texts = all_texts(lambda: writer.grid_rows(grid, columns, *separators))
+    texts = all_texts(lambda: writer.grid_rows(grid, lazy_table(grid, columns, rings), *separators))
     (forked, forks), (in_process, _), (piped, pipe_forks) = texts
     assert forked == in_process == piped == expected
     if expected is not writer.NotFiniteError:  # a bad per-angle value fails before the split
         assert forks == (grid.size >= 2 * B and r_count >= 2)
     assert pipe_forks == 0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [DiracGroundState(SpinOrientation.UP, make_atom()), SchrodingerEigenstate(QuantumNumbers(3, 2, 1), make_atom())],
+    ids=["dirac", "schrodinger"],
+)
+@pytest.mark.parametrize(
+    "r_count, target", [(30, "file"), (30, "pipe"), (2, "file")], ids=["two-processes", "pipe", "under-2048-rows"]
+)
+def test_each_slab_is_filled_once_by_the_process_that_writes_it(tmp_path, model, r_count, target):
+    a0 = model.atom.bohr_radius
+    grid = SphericalGrid(0.2 * a0, 5.0 * a0, r_count, 30, 30)
+    table, log = model.field_table(grid), tmp_path / "fills"
+    fill, fd = table.fill, os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged_fill(i):
+        os.write(fd, f"{os.getpid()} {i}\n".encode())
+        fill(i)
+
+    table.fill = logged_fill
+    rows = writer.grid_rows(grid, table, ",", "\n")
+    try:
+        if target == "file":
+            (tmp_path / "out").mkdir()
+            file_rows(rows, tmp_path / "out")
+        else:
+            pipe_rows(rows)
+    finally:
+        os.close(fd)
+    slabs = {}
+    for pid, i in (map(int, line.split()) for line in log.read_text().splitlines()):
+        slabs.setdefault(pid, []).append(i)
+    this = os.getpid()
+    if grid.size >= 2 * B and target == "file":  # 27 000 rows, split at slab 15 of 30
+        (child,) = set(slabs) - {this}
+        assert slabs == {this: list(range(15)), child: list(range(15, 30))}
+    else:
+        assert slabs == {this: list(range(r_count))}
 
 
 # Split after three blocks, so that the child writes three; each block's text (about 25 kB) is
