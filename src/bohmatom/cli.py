@@ -10,19 +10,15 @@ Each command's options are declared once, as data, in _COMMANDS. The program
 entry `run` parses a well-formed argv against that table and calls the
 command itself, so such a run imports neither click nor dataclasses; help,
 usage errors and any other argv go to the click group `main`, which is built
-from the same table the first time it is read. No command imports numpy, and
-each imports only the modules it runs: `trajectory` integrates, checks and
-writes its rows on floats; `state` evaluates its point on floats, with the
-bits of the same point's `field` row; `field` evaluates each factor once per
-value of its own grid axis. The table writer (`writer`) writes the rows into
-the output's temp file, or a device or pipe, one piece at a time, so a table
-takes one piece of memory, not its whole text. A `field` slab is computed by
-the process that writes it, and a column of one value per (r, theta) ring is
-formatted once per ring. `run` ends the process as soon as its output is
-flushed.
-Per process, a 10 000-step Dirac `trajectory` takes 0.068 s, a Dirac 30^3
-`field` 0.057 s, a `state` 0.031 s and `--help` 0.039 s (medians of 11 to 21
-runs on a shared 2-core Xeon host, Python 3.11).
+from the same table the first time it is read. No command imports numpy or
+json, and each imports only the modules it runs; _json writes JSON as
+json.dumps(indent=2) does. The table writer (`writer`) writes the rows into
+the output's temp file, or a device or pipe, one piece at a time, and each
+piece of a `field` or `trajectory` table is computed by the process that
+writes it. `run` ends the process as soon as its output is flushed.
+Per process, a 10 000-step Dirac `trajectory` takes 0.066 s, a Dirac 30^3
+`field` 0.059 s, a `state` 0.030 s and `--help` 0.038 s (medians of 21 to 101
+runs without a bytecode cache, on a shared 2-core Xeon host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -30,15 +26,14 @@ from __future__ import annotations
 import atexit
 import errno
 import math
-import operator
 import os
 import stat
 import sys
 from array import array
 from functools import partial
+from types import SimpleNamespace
 
-from .errors import DomainError, NotFiniteError, TrajectorySingularityError, UsageError
-from .physics_core import FINE_STRUCTURE, SpinOrientation, make_atom
+from .errors import DomainError, NotFiniteError, UsageError
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 #: Largest Laguerre degree n - l - 1 accepted. The radial recurrence and the
@@ -59,8 +54,9 @@ def _in_place(path: str) -> bool:
 
 
 def _write_files(out: str, texts: dict[str, list]) -> None:
-    """Write each text, a list of strings and writer.Rows, to its path, or report the failure for
-    --out (or a value that is not finite) and exit 1.
+    """Write each text, a list of strings and parts that write themselves (a writer.Rows, or a part
+    of a JSON text that _json defers), to its path, or report the failure for --out (or a value
+    that is not finite) and exit 1.
 
     Every text goes into its file part by part. A regular file's text first goes to a new temporary
     file beside the file its path names, through any symbolic link, and only once all of them are
@@ -97,27 +93,49 @@ def _fail(message: str) -> None:
 
 _NOT_FINITE = "the result is not finite: a value overflowed or is undefined"
 
-#: The "rows" value _json_text stands in for a table; no other value of a document is this string.
-_ROWS = "\0rows"
+_JSON_ESCAPES = {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}  # JSON's, by UTF-16 code unit
+
+
+def _json(value, indent: str):
+    """value, of dicts with str keys, lists, tuples, str, int, float, bool and None, as json.dumps(value,
+    indent=2, allow_nan=False) writes it at the indent, in strings and parts: a "rows" value, a function
+    table(cell_sep, row_sep) that gives a writer.Rows, as its list of row lists, and any other callable as
+    a part that writes the value it gives once it is reached. NotFiniteError for NaN and infinities."""
+    if isinstance(value, str):
+        units = array("H", value.encode("utf-16", "surrogatepass"))[1:]  # after the byte-order mark
+        yield '"' + "".join(_JSON_ESCAPES.get(u) or (chr(u) if 31 < u < 127 else f"\\u{u:04x}") for u in units) + '"'
+    elif value is None or isinstance(value, bool):
+        yield "null" if value is None else "true" if value else "false"
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise NotFiniteError(value)
+    elif isinstance(value, (int, float)):
+        yield int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+    elif callable(value):  # called when its part is written, after the parts before it
+        yield SimpleNamespace(write=lambda fh: fh.writelines(_json(value(), indent)))
+    else:
+        inner, keyed = "\n" + indent + "  ", isinstance(value, dict)
+        opening, closing = "{}" if keyed else "[]"
+        for k, item in enumerate(value.items() if keyed else value):
+            yield ("," if k else opening) + inner
+            if keyed:
+                key, item = item
+                yield from (*_json(key, ""), ": ")
+            if keyed and key == "rows" and callable(item):  # a list of rows, each the list of its cells
+                row, cell = inner + "  ", inner + "    "
+                rows = item("," + cell, row + "]," + row + "[" + cell)
+                yield from ("[" + row + "[" + cell, rows, row + "]" + inner + "]") if rows else ("[]",)
+            else:
+                yield from _json(item, indent + "  ")
+        yield ("\n" + indent if value else opening) + closing
 
 
 def _json_text(doc: dict) -> list:
-    """The document as indent-2 JSON, as the parts _write_files takes; a "rows" value, a function
-    table(cell_sep, row_sep) that gives a writer.Rows, is written as its list of row lists would be."""
-    import json  # here, so that a CSV field table loads neither json nor re
-
-    table = doc.get("rows")
-    if table is not None:
-        rows = table(",\n      ", "\n    ],\n    [\n      ")
-        doc = {**doc, "rows": _ROWS}
+    """The document's JSON text (see _json) and a newline, as the parts _write_files takes; where a
+    value is not finite, the command fails."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # NaN or Infinity, which JSON cannot carry
+        return [*_json(doc, ""), "\n"]
+    except NotFiniteError:
         _fail(_NOT_FINITE)
-    if table is None:
-        return [text]
-    head, _, tail = text.partition(json.dumps(_ROWS))
-    return [head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail] if rows else [head + "[]" + tail]
 
 
 def _csv_text(comment: str, columns: list[str], table) -> list:
@@ -132,6 +150,8 @@ def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
 
 
 def _make_atom(z: int, alpha_scale: float, mass: float):
+    from .physics_core import FINE_STRUCTURE, make_atom  # here, so that --help loads none of the physics
+
     try:
         return make_atom(z, FINE_STRUCTURE * alpha_scale, mass)
     except DomainError as exc:
@@ -141,6 +161,7 @@ def _make_atom(z: int, alpha_scale: float, mass: float):
 def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
     """Enforce the model-conditional flags, then build the model on its atom."""
     from .models import DiracGroundState, SchrodingerEigenstate
+    from .physics_core import SpinOrientation
 
     if model == "schrodinger":
         from .schrodinger_states import QuantumNumbers
@@ -204,8 +225,8 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     the Cartesian distance to it. CSV output carries the run summary in a
     '<out>.summary.json' sidecar; JSON output embeds it.
     """
-    from .coords import SphericalPoint, norm3
-    from .trajectory_engine import circular_orbit, integrate_trajectory
+    from .coords import SphericalPoint
+    from .trajectory_engine import TrajectoryTable
     from .writer import table_text
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
@@ -219,49 +240,23 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
         raise UsageError(str(exc)) from exc
     if fmt == "csv" and _in_place(out):
         raise UsageError(f"--out {out} is not a regular file, so no summary can go beside it: use --format json")
-
-    aborted = False
     try:
-        # Signed rotation rate of the exact circular orbit through the start; 0 where there is none.
-        omega = model.angular_rate(start)
-        period = 2.0 * math.pi / abs(omega) if omega else math.inf
-        if dt is None:
-            dt = period / 10000.0 if math.isfinite(period) else 1.0
-        trajectory = integrate_trajectory(model.velocity_field(), start, dt, steps)
-    except TrajectorySingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        trajectory = exc.trajectory
-        aborted = True
+        table = TrajectoryTable(model, start, dt, steps)
     except DomainError as exc:
         _fail(str(exc))
-    except MemoryError:
-        # The trajectory's columns are reserved up front, before the first step.
+    except MemoryError:  # the trajectory's columns are reserved before the first step
         _fail(f"--steps {steps} does not fit in memory")
-
-    columns = ["t", "x", "y", "z", "vx", "vy", "vz", "x_ref", "y_ref", "z_ref", "deviation"]
-    # Float buffers throughout: the trajectory's own columns, the exact circle and the distance to it.
-    t, *xyz_velocity = trajectory.columns
-    ref = circular_orbit(start, omega, t)
-    deviation = array("d", map(norm3, *(map(operator.sub, a, b) for a, b in zip(xyz_velocity[:3], ref))))
-    table = partial(table_text, [t, *xyz_velocity, *ref, deviation])
-
-    summary = {
-        "dt": dt,
-        "steps_requested": steps,
-        "steps_completed": max(len(trajectory) - 1, 0),
-        "period": period if math.isfinite(period) else None,
-        "max_deviation": max(deviation, default=0.0),
-        "aborted": aborted,
-    }
-
+    if table.error is not None:
+        print(f"error: {table.error}", file=sys.stderr)
+    rows = partial(table_text, table)  # writing them fills the deviation column, which the summary reads after them
     if fmt == "csv":
         comment = "trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"
-        texts = {out: _csv_text(comment, columns, table), out + ".summary.json": _json_text(summary)}
+        texts = {out: _csv_text(comment, table.names, rows), out + ".summary.json": _json_text(table.summary)}
     else:
-        doc = _document("trajectory", model, z, alpha_scale, mass, columns=columns, rows=table, summary=summary)
-        texts = {out: _json_text(doc)}
+        fields = {"columns": table.names, "rows": rows, "summary": table.summary}
+        texts = {out: _json_text(_document("trajectory", model, z, alpha_scale, mass, **fields))}
     _write_files(out, texts)
-    if aborted:
+    if table.error is not None:
         sys.exit(1)
 
 
@@ -273,6 +268,7 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     the non-relativistic limit, where mean_gamma must approach 1.
     """
     from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
+    from .physics_core import SpinOrientation
 
     if not (rest_lifetime > 0.0 and math.isfinite(rest_lifetime)):
         raise UsageError(f"--rest-lifetime must be positive and finite, got {rest_lifetime}")

@@ -16,8 +16,9 @@ radius and per colatitude, the node tests and the per-angle columns. Its
 per-point columns are filled one r slab at a time, by the process that
 writes the slab (FieldTable.fill, called by writer.grid_rows), so that a
 forked child computes the back half of a large table and this process only
-the front half. The ring columns (j0, and the Schrodinger speed) are marked,
-so that the writer formats each ring's value once.
+the front half. The ring columns (j0, and the Schrodinger speed) hold one
+value per (r, theta) ring and are marked, so that the writer formats each
+ring's value once.
 
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
 
 from .coords import azimuthal_to_cartesian, pole_safe_sin
@@ -89,22 +91,28 @@ class SphericalGrid(Frozen):
 
 class FieldTable:
     """The columns j0, j1, j2, j3, vx, vy, vz, speed of a field table on a grid, and fill(i), which
-    computes r slab i of its per-point columns. A column holds one value per grid point, or one per
-    angle pair of an r slab, the same at every radius. The per-point columns are reserved before the
-    first point and hold 0.0 until fill(i) has run for a slab; the process that writes slab i fills
-    it. rings are the indices of the per-point columns that hold one value per (r, theta) ring,
-    the same bits at every azimuth."""
+    computes r slab i of its per-point and ring columns. A column holds one value per grid point, one
+    per angle pair of an r slab, the same at every radius, or one per (r, theta) ring, the same at
+    every azimuth: rings are the indices of those, r-major like the points. The per-point and ring
+    columns are reserved before the first point and hold 0.0 until fill(i) has run for a slab; the
+    process that writes slab i fills it."""
 
     def __init__(self, columns: list, fill, rings: tuple[int, ...]):
         self.columns, self.fill, self.rings = columns, fill, rings
 
 
-def _point_columns(grid: SphericalGrid, count: int) -> list[memoryview]:
-    """count float columns of one value per grid point, reserved at once in one buffer before
-    the first point (MemoryError if they cannot be)."""
-    n = grid.size
-    buffer = reserve_floats(count * n)
-    return [buffer[k * n : (k + 1) * n] for k in range(count)]
+def _reserved(*lengths: int) -> list[memoryview]:
+    """Float columns of the given lengths, reserved at once in one buffer before the first point
+    (MemoryError if they cannot be)."""
+    buffer = reserve_floats(sum(lengths))
+    return [buffer[end - n : end] for n, end in zip(lengths, accumulate(lengths))]
+
+
+def _put(column: memoryview, i: int, values: list) -> None:
+    """Store the values as block i of the column, each block as long as the values: slab i of a
+    per-point column, or the rings of r slab i of a ring column."""
+    n = len(values)
+    column[i * n : (i + 1) * n] = array("d", values)
 
 
 def _by_theta(grid: SphericalGrid, per_theta: list) -> list:
@@ -119,13 +127,13 @@ def _by_phi(grid: SphericalGrid, per_phi: list) -> list:
 
 def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) -> FieldTable:
     """The Dirac field table on the grid: the current j^mu of the gamma contraction and the
-    Cartesian velocity. j0, j1 and j2 hold one value per point; the others one value per angle pair
-    of an r slab, the same at every radius. j0 is summed once per (r, theta), a ring column, and the
-    speed is |Z*alpha*sin(theta)|, once per colatitude. A(r) is taken for every radius here, so that
-    a DomainError is raised before any slab is filled."""
+    Cartesian velocity. j0 is summed once per (r, theta), a ring column; j1 and j2 hold one value
+    per point; the others one value per angle pair of an r slab, the same at every radius, where
+    the speed is |Z*alpha*sin(theta)|, once per colatitude. A(r) is taken for every radius here,
+    so that a DomainError is raised before any slab is filled."""
     from .dirac_states import azimuthal_speed, ground_current, radial_amplitude, small_component_ratio
 
-    current = _point_columns(grid, 3)
+    current = _reserved(grid.r_count * grid.theta_count, grid.size, grid.size)
     slab = grid.theta_count * grid.phi_count
     amplitudes = [radial_amplitude(atom, r) for r in grid.r]
     zeta = small_component_ratio(atom)
@@ -135,9 +143,8 @@ def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) ->
     d_cos = list(map(mul, _by_theta(grid, d), _by_phi(grid, [math.cos(p) for p in grid.phi])))
 
     def fill(i: int) -> None:
-        j0, j1, j2 = ground_current(spin, amplitudes[i], b, d, d_sin, d_cos)
-        for column, values in zip(current, (_by_theta(grid, j0), j1, j2)):
-            column[i * slab : (i + 1) * slab] = array("d", values)
+        for column, values in zip(current, ground_current(spin, amplitudes[i], b, d, d_sin, d_cos)):
+            _put(column, i, values)
 
     rates = [azimuthal_speed(spin, atom, t) for t in grid.theta]
     vx, vy, vz = map(list, zip(*(azimuthal_to_cartesian(p, v) for v in rates for p in grid.phi)))
@@ -147,15 +154,16 @@ def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) ->
 
 def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> FieldTable:
     """The Schrodinger field table on the grid: the density |psi|^2, the current density times
-    velocity and the Cartesian velocity grad(S)/mass. j0 holds one value per point, and so do j1,
-    j2, vx, vy and speed for m != 0; the others hold one value per angle pair of an r slab, the same
-    at every radius. The density (R_nl Theta)^2 and the speed |m / (mass r sin(theta))| are taken
-    once per (r, theta): they are the ring columns. R_nl, the rates and the node tests are taken
+    velocity and the Cartesian velocity grad(S)/mass. The density (R_nl Theta)^2 in j0 and, for
+    m != 0, the speed |m / (mass r sin(theta))| are taken once per (r, theta): they are the ring
+    columns. For m != 0, j1, j2, vx and vy hold one value per point; the others hold one value per
+    angle pair of an r slab, the same at every radius. R_nl, the rates and the node tests are taken
     here, so that PhaseSingularityError, for m != 0 where the grid meets the axis or a node, is
     raised before any slab is filled."""
     from .schrodinger_states import hydrogen_wavefunction, phase_gradient
 
-    columns = _point_columns(grid, 1 if q.m == 0 else 6)
+    ring, point = grid.r_count * grid.theta_count, grid.size
+    columns = _reserved(ring) if q.m == 0 else _reserved(ring, point, point, point, point, ring)
     slab = grid.theta_count * grid.phi_count
     radial, radial_node, colatitude, angular_node = hydrogen_wavefunction(q, atom, grid)
     if q.m != 0:
@@ -166,17 +174,16 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
         cos_phi = _by_phi(grid, [math.cos(p) for p in grid.phi])
 
     def fill(i: int) -> None:
-        density = _by_theta(grid, [a * a for a in (radial[i] * x for x in colatitude)])
-        rows = [density]
+        rings = [a * a for a in (radial[i] * x for x in colatitude)]
+        rows = [rings]
         if q.m != 0:
-            v = _by_theta(grid, rates[i])
+            density, v = _by_theta(grid, rings), _by_theta(grid, rates[i])
             # azimuthal_to_cartesian of v_phi = m / (mass r sin(theta)), and density times it.
             vx = [0.0 - w * s for w, s in zip(v, sin_phi)]
             vy = [w * c + 0.0 for w, c in zip(v, cos_phi)]
-            speed = _by_theta(grid, list(map(abs, rates[i])))
-            rows += [list(map(mul, density, vx)), list(map(mul, density, vy)), vx, vy, speed]
+            rows += [list(map(mul, density, vx)), list(map(mul, density, vy)), vx, vy, list(map(abs, rates[i]))]
         for column, values in zip(columns, rows):
-            column[i * slab : (i + 1) * slab] = array("d", values)
+            _put(column, i, values)
 
     zeros = [0.0] * slab
     if q.m == 0:  # the flow and the current are 0.0 everywhere

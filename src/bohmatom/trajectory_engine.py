@@ -7,19 +7,23 @@ loop steps the Python floats x and y through the flow's planar closure, one
 call per stage, with z fixed: the bits of the same RK4 on 3-element arrays, at
 about 1 us per Dirac step, and each orbit can be checked against the exact
 circle of circular_orbit. The rows go straight into one flat float buffer, an
-anonymous memory map reserved before the first step. A 10 000-step Dirac
-`trajectory` process takes 0.068 s and peaks at 16.6 MB (medians of 21 runs on
-a shared 2-core Xeon host, Python 3.11; BENCH_21.json has the `orbit` runs)."""
+anonymous memory map reserved before the first step. The trajectory command's
+table (TrajectoryTable) adds that circle and the distance to it, block by
+block, in the process that writes the block. A 10 000-step Dirac `trajectory`
+process takes 0.066 s and peaks at 16.4 MB (medians of 41 and 11 runs without
+a bytecode cache, on a shared 2-core Xeon host, Python 3.11; BENCH_24.json has
+the `orbit` runs)."""
 
 from __future__ import annotations
 
 import math
 from array import array
+from operator import sub
 
-from .coords import SphericalPoint
+from .coords import SphericalPoint, norm3
 from .errors import DomainError, OriginSingularityError, TrajectorySingularityError
 from .frozen import Frozen
-from .writer import reserve_floats
+from .writer import _BLOCK_ROWS, reserve_floats
 
 #: Each model's flow raises OriginSingularityError this close to the nucleus, in units of the Bohr radius,
 #: and the trajectory is aborted there. Ground-state circles never come this close.
@@ -121,3 +125,56 @@ def circular_orbit(start: SphericalPoint, angular_rate: float, t) -> tuple[array
         x.append(rho * math.cos(phi))
         y.append(rho * math.sin(phi))
     return x, y, array("d", [start.r * math.cos(start.theta)]) * len(x)
+
+
+class TrajectoryTable:
+    """The table of the trajectory command: the RK4 run of a model's flow from start, steps steps of dt,
+    where dt None is a ten-thousandth of the period of the exact circle through start (1.0 where it does
+    not turn). Its columns are t, x, y, z, vx, vy, vz of the trajectory, then x_ref, y_ref and z_ref of
+    that circle (circular_orbit) and deviation, the Cartesian distance to it. These four are reserved in
+    one shared map and hold 0.0 until fill(i) has computed block i, the writer's rows i * _BLOCK_ROWS
+    on: the process that writes block i fills it, and the blocks a forked child fills are seen here.
+
+    A run that enters the origin guard is kept up to its last good state, and error is then its
+    TrajectorySingularityError (else None). summary is the run summary, whose max_deviation is a
+    function to call once every block is filled. DomainError where the model or the run cannot start;
+    MemoryError where the columns do not fit.
+    """
+
+    names = ("t", "x", "y", "z", "vx", "vy", "vz", "x_ref", "y_ref", "z_ref", "deviation")
+
+    def __init__(self, model, start: SphericalPoint, dt: float | None, steps: int):
+        # Signed rotation rate of the exact circular orbit through the start; 0 where there is none.
+        self._start, self._rate = start, model.angular_rate(start)
+        period = 2.0 * math.pi / abs(self._rate) if self._rate else math.inf
+        if dt is None:
+            dt = period / 10000.0 if math.isfinite(period) else 1.0
+        try:
+            trajectory, self.error = integrate_trajectory(model.velocity_field(), start, dt, steps), None
+        except TrajectorySingularityError as exc:
+            trajectory, self.error = exc.trajectory, exc
+        n = len(trajectory)
+        buffer = reserve_floats(4 * max(n, 1))  # a map is never empty
+        self._reference = [buffer[k * n : (k + 1) * n] for k in range(4)]
+        self.columns = [*trajectory.columns, *self._reference]
+        self.summary = {
+            "dt": dt,
+            "steps_requested": steps,
+            "steps_completed": max(n - 1, 0),
+            "period": period if math.isfinite(period) else None,
+            "max_deviation": self.max_deviation,
+            "aborted": self.error is not None,
+        }
+
+    def fill(self, i: int) -> None:
+        """Compute block i of x_ref, y_ref, z_ref and deviation."""
+        block = slice(i * _BLOCK_ROWS, (i + 1) * _BLOCK_ROWS)
+        t, *xyz = (column[block] for column in self.columns[:4])
+        ref = circular_orbit(self._start, self._rate, t)
+        deviation = array("d", map(norm3, *(map(sub, a, b) for a, b in zip(xyz, ref))))
+        for column, values in zip(self._reference, (*ref, deviation)):
+            column[block] = values
+
+    def max_deviation(self) -> float:
+        """The largest deviation, 0.0 for a table of no rows; read once every block is filled."""
+        return max(self._reference[3], default=0.0)

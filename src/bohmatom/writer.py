@@ -10,18 +10,19 @@ piece, not the text of the table, whatever the target: a Dirac 100^3 CSV
 table of at least two blocks that goes into a regular file is split once, at
 the piece boundary nearest half its rows: a forked child formats the back
 half into an unnamed file, while this process formats the front half, then
-appends the child's file with os.copy_file_range. A field table's slabs are
-also computed by the process that formats them, and a column that holds one
-value per (r, theta) ring is formatted once per ring. Formatting is the largest
-part of a 10 000-step `trajectory` process (about 23 ms of 0.068 s); on two
-cores the halves take about 1.6 times less wall time than one core takes for
-both (shared 2-core Xeon host, Python 3.11). Every piece is formatted on its
-own, so the text is the same wherever the split falls and whether or not the
-fork succeeds.
+appends the child's file with os.copy_file_range. The process that formats a
+piece also computes it, by the table's fill(i): a field slab, or the exact
+circle and the deviation of a trajectory block. A column that holds one value
+per (r, theta) ring is formatted once per ring. Filling and formatting the
+rows is the largest part of a 10 000-step `trajectory` process (about 23 ms
+of 0.066 s); on two cores the halves take about 1.8 times less wall time than
+one core takes for both (shared 2-core Xeon host, Python 3.11). Every piece
+is formatted on its own, so the text is the same wherever the split falls and
+whether or not the fork succeeds.
 
-The float columns of a table are reserved here too (reserve_floats). Only
-`field` and `trajectory` import this module, so the other commands start
-without compiling it.
+The float columns of a table are reserved here too (reserve_floats), in maps
+that a forked child shares. Only `field` and `trajectory` import this module,
+so the other commands start without compiling it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import signal
 import stat
 import sys
 from array import array
@@ -46,16 +46,18 @@ _COPY_CHUNK = 1 << 20
 
 
 def reserve_floats(count: int) -> memoryview:
-    """A buffer of count floats in an anonymous private memory map.
+    """A buffer of count floats in an anonymous shared memory map.
 
     The map reserves the memory at once but touches none of it: each page is
-    allocated when it is first written. MemoryError if it cannot be reserved.
+    allocated when it is first written. A child forked while the table is
+    written shares it, so that the values it fills are seen here.
+    MemoryError if it cannot be reserved.
     """
     size = 8 * count
     if size > sys.maxsize:
         raise MemoryError(f"{count} floats do not fit in memory")
     try:
-        return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)).cast("d")
+        return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_SHARED)).cast("d")
     except OSError as exc:  # ENOMEM: larger than the address space or the commit limit
         raise MemoryError(f"{count} floats do not fit in memory") from exc
 
@@ -170,6 +172,8 @@ class Rows:
                 self._write(fh, text, split, self.pieces)
         finally:
             if pid is not None:  # the front half raised: the child's half is not wanted
+                import signal  # here alone: building its enums costs every table process 0.4 ms
+
                 try:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
@@ -180,19 +184,22 @@ class Rows:
 
 
 def table_text(table, cell_sep: str, row_sep: str) -> Rows:
-    """The rows of a float table, a list of float columns (see _floats), each cell the repr of its
-    float, joined by the separators.
+    """The rows of a float table, each cell the repr of its float, joined by the separators. The
+    table has columns, float columns of one length (see _floats), and fill(i), which the process
+    that writes block i of _BLOCK_ROWS rows calls just before it formats it, so that a forked child
+    computes only the blocks it writes.
 
     Every value must be finite, else NotFiniteError when the rows are written.
     Block by block, each column's cells are keyed by their bit pattern (so -0.0
     and 0.0 stay apart), and each distinct value is formatted once.
     """
-    rows = len(table[0])
+    rows = len(table.columns[0])
 
     def piece_text():
-        columns = list(map(_floats, table))
+        columns = list(map(_floats, table.columns))
 
         def text(i: int) -> str:
+            table.fill(i)
             start = i * _BLOCK_ROWS
             cells = [_cells(column, start, start + _BLOCK_ROWS) for column in columns]
             return row_sep.join(map(cell_sep.join, zip(*cells)))
@@ -206,26 +213,27 @@ def grid_rows(grid, table, cell_sep: str, row_sep: str) -> Rows:
     """The rows of a field table on a SphericalGrid: r, theta and phi, then the columns of the
     table (a grid.FieldTable), as table_text gives them, one r slab per piece.
 
-    A column holds one value per grid point, or one per angle pair of an r slab, the
-    same at every radius. r, theta, phi and the per-angle columns are formatted once
-    for the grid, and each run of them is joined into one string per angle pair. The
-    process that writes slab i fills it, by table.fill(i), just before it formats it, so
-    that a forked child computes only the slabs it writes. A ring column (table.rings)
-    is formatted once per ring, from its theta_count values at phi = 0 of the slab, each
-    text repeated over the ring's azimuths; the other per-point columns once per
-    distinct bit pattern of each r slab.
+    A column holds one value per grid point, one per angle pair of an r slab, the same
+    at every radius, or, where its index is in table.rings, one per (r, theta) ring.
+    r, theta, phi and the per-angle columns are formatted once for the grid, and each
+    run of them is joined into one string per angle pair. The process that writes slab
+    i fills it, by table.fill(i), just before it formats it, so that a forked child
+    computes only the slabs it writes. A ring column is formatted once per ring, from
+    its theta_count values of the slab, each text repeated over the ring's azimuths;
+    a per-point column once per distinct bit pattern of each r slab.
     """
     slab = grid.theta_count * grid.phi_count
     azimuths = range(grid.phi_count)
 
     def ring_cells(column: memoryview, start: int, stop: int) -> list[str]:
-        return [cell for cell in _formatted(column[start:stop:grid.phi_count].tolist()) for _ in azimuths]
+        rings = column[start // grid.phi_count : stop // grid.phi_count]  # the rings of points start to stop
+        return [cell for cell in _formatted(rings.tolist()) for _ in azimuths]
 
     def piece_text():
         phi = _formatted(grid.phi)
         parts = [[cell_sep.join((t, p)) for t in _formatted(grid.theta) for p in phi]]
         for k, column in enumerate(table.columns):
-            if len(column) == grid.size:  # one value per point, also where the grid is one slab: filled slab by slab
+            if k in table.rings or len(column) == grid.size:  # filled slab by slab, also where the grid is one slab
                 parts.append(partial(ring_cells if k in table.rings else _cells, _floats(column)))
                 continue
             cells = _cells(_floats(column), 0, slab)

@@ -600,7 +600,7 @@ _MODEL_MODULES = {
     "schrodinger": {"bohmatom.libm", "bohmatom.schrodinger_states", "bohmatom.special_functions"},
 }
 _COMMAND_MODULES = {
-    "--help": _BASE_MODULES,
+    "--help": {"bohmatom", "bohmatom.errors"},
     "dilate": _BASE_MODULES | {"bohmatom.dilation"},
     "state": _STATE_MODULES,
     "trajectory": _STATE_MODULES | {"bohmatom.trajectory_engine", "bohmatom.writer"},
@@ -695,22 +695,24 @@ def test_cli_import_loads_no_scipy(tmp_path):
             assert json.loads(result.stdout)["command"] == "state"
 
 
-def test_well_formed_commands_import_no_typing_and_csv_tables_no_json(tmp_path):
-    # -S leaves out site, whose .pth files may import both modules before the program starts.
+def test_well_formed_commands_import_neither_typing_nor_json(tmp_path):
+    # -S leaves out site, whose .pth files may import both modules before the program starts. Every JSON
+    # file, a trajectory's CSV summary too, is written without the json module.
     out = str(tmp_path / "out")
     schrodinger = ["--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1"]
     runs = [
-        (["state"], {"typing"}),
-        (["state", *schrodinger], {"typing"}),
-        (["trajectory", "--steps", "10", "--out", out], {"typing"}),
-        (["trajectory", *schrodinger, "--theta", "1", "--steps", "10", "--format", "json", "--out", out], {"typing"}),
-        (["field", "--out", out], {"typing", "json"}),
-        (["field", *schrodinger, "--format", "json", "--out", out], {"typing"}),
+        ["state"],
+        ["state", *schrodinger, "--out", out],
+        ["dilate", "--rest-lifetime", "2e-6", "--out", out],
+        ["trajectory", "--steps", "10", "--out", out],
+        ["trajectory", *schrodinger, "--theta", "1", "--steps", "10", "--format", "json", "--out", out],
+        ["field", "--out", out],
+        ["field", *schrodinger, "--format", "json", "--out", out],
     ]
-    for args, absent in runs:
+    for args in runs:
         result, modules = run_cold(args, "-S")
         assert result.returncode == 0, (args, result.stderr)
-        assert not modules & absent, args
+        assert not modules & {"typing", "json"}, args
 
 
 # The program's entry ends each process with os._exit: its exit code, stdout, stderr and files are those of main().

@@ -136,11 +136,13 @@ def array_table(model, points: list[SphericalPoint]) -> np.ndarray:
 
 
 def float_table(model, grid: SphericalGrid) -> np.ndarray:
-    """model.field_table with every r slab filled, expanded to one row of 8 values per point."""
+    """model.field_table with every r slab filled, expanded to one row of 8 values per point: a ring
+    column spread over its azimuths, a column of one value per angle pair repeated at every radius."""
     table = model.field_table(grid)
     for i in range(grid.r_count):
         table.fill(i)
     columns = [np.array(column, dtype=float) for column in table.columns]
+    columns = [np.repeat(c, grid.phi_count) if k in table.rings else c for k, c in enumerate(columns)]
     return np.column_stack([c if len(c) == grid.size else np.tile(c, grid.r_count) for c in columns])
 
 

@@ -5,7 +5,8 @@ must be physical (j0 >= 0, timelike up to rounding, |v| < 1), the two spins
 must be mirror images, and the field command's CSV text must parse back to
 exactly the values the library computes. The table writer must produce the
 same bytes as the row-wise repr join and json.dumps(indent=2) it replaces,
-from lists, float arrays and memoryviews alike, and the trajectory command's
+from lists, float arrays and memoryviews alike, the JSON writer the bytes of
+json.dumps(indent=2) for any document, and the trajectory command's
 float reference circle and deviation must equal their numpy formulas.
 """
 
@@ -15,6 +16,7 @@ import os
 import tempfile
 from array import array
 from functools import partial
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -246,10 +248,11 @@ def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_col
 
 
 def as_columns(table, kinds):
-    """The table's columns, each as the kind drawn for it: a list, array('d') or a memoryview of floats."""
+    """The table as writer.table_text takes it, its fill doing nothing: its columns, each as the kind
+    drawn for it, a list, array('d') or a memoryview of floats."""
     make = {"list": lambda c: c.tolist(), "array": lambda c: array("d", c.tolist()),
             "memoryview": lambda c: memoryview(c.copy())}
-    return [make[kind](column) for column, kind in zip(table.T, kinds)]
+    return SimpleNamespace(columns=[make[kind](column) for column, kind in zip(table.T, kinds)], fill=lambda i: None)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1])
@@ -297,6 +300,44 @@ def test_table_writer_rejects_a_non_finite_cell(form, pool, seed, n_rows, bad, w
         assert os.listdir(tmp) == []  # no output, temp or sibling file
     assert result.exit_code == 1
     assert (result.stdout, result.stderr) == ("", f"error: {cli._NOT_FINITE}\n")
+
+
+# Every kind of value a JSON document may hold: any text (lone surrogates too), ints of any size, bools,
+# None and finite floats with their edges, in lists, tuples and dicts with str keys, nested.
+any_text = st.text(st.characters(exclude_categories=()))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | any_text
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([*FLOAT_EDGES, 1.7e308, -1.7e308]),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(any_text, inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values)
+def test_json_writer_equals_json_dumps(value):
+    expected = json.dumps(value, indent=2, allow_nan=False) + "\n"
+    assert "".join(cli._json_text(value)) == expected
+    if isinstance(value, dict):  # and with each value but a "rows" table deferred until its part is written
+        deferred = {key: item if key == "rows" else partial(lambda v: v, item) for key, item in value.items()}
+        assert file_text(cli._json_text(deferred)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_fails_on_a_value_that_is_not_finite(capsys, tmp_path, bad):
+    # Where json.dumps(allow_nan=False) raises, the command fails with the not-finite error: before any file
+    # is opened for a value of the document, and leaving no file for a deferred one.
+    doc = {"a": [1.0, {"b": bad}]}
+    with pytest.raises(ValueError):
+        json.dumps(doc, allow_nan=False)
+    with pytest.raises(SystemExit) as now:
+        cli._json_text(doc)
+    out = str(tmp_path / "doc.json")
+    with pytest.raises(SystemExit) as later:
+        cli._write_files(out, {out: cli._json_text({"a": 1.0, "b": lambda: bad})})
+    assert now.value.code == later.value.code == 1
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err == f"error: {cli._NOT_FINITE}\n" * 2
 
 
 def array_circle(start, rate, t):

@@ -1,6 +1,7 @@
 """The table writer in two processes: the same text as one process, in a file or a pipe, the
 same error, no child left and no file left beside the output."""
 
+import json
 import math
 import os
 import random
@@ -12,6 +13,7 @@ import threading
 from array import array
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 import bohmatom
 from bohmatom import DiracGroundState, QuantumNumbers, SchrodingerEigenstate, SpinOrientation, cli, make_atom, writer
 from bohmatom.grid import FieldTable, SphericalGrid
+from bohmatom.trajectory_engine import TrajectoryTable
 
 B = writer._BLOCK_ROWS
 SEPARATORS = {"csv": (",", "\n"), "json": (",\n      ", "\n    ],\n    [\n      ")}
@@ -47,6 +50,11 @@ def spoil(column, where, bad):
         column[0] = bad
     if column and where in ("back", "both"):
         column[-1] = bad
+
+
+def column_table(columns):
+    """A table of the float columns, all computed: its fill does nothing."""
+    return SimpleNamespace(columns=columns, fill=lambda i: None)
 
 
 def serial_text(rows, cell_sep, row_sep):
@@ -88,7 +96,12 @@ def pipe_rows(rows):
     """The rows as Rows.write puts them into a pipe, read back by a thread."""
     read_fd, write_fd = os.pipe()
     texts = []
-    reader = threading.Thread(target=lambda: texts.append(open(read_fd, encoding="utf-8", newline="").read()))
+
+    def read():
+        with open(read_fd, encoding="utf-8", newline="") as fh:
+            texts.append(fh.read())
+
+    reader = threading.Thread(target=read)
     reader.start()
     try:
         with open(write_fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -137,7 +150,8 @@ def test_column_table_in_two_processes_equals_one(rows, n_cols, pool, seed, fmt,
         expected = serial_text(list(zip(*columns)), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    (forked, forks), (in_process, _), (piped, pipe_forks) = all_texts(lambda: writer.table_text(columns, *separators))
+    texts = all_texts(lambda: writer.table_text(column_table(columns), *separators))
+    (forked, forks), (in_process, _), (piped, pipe_forks) = texts
     assert forked == in_process == piped == expected
     assert forks == (rows >= 2 * B)
     assert pipe_forks == 0
@@ -153,15 +167,15 @@ def grid_reference(grid, columns, slab):
 
 
 def lazy_table(grid, columns, rings):
-    """A FieldTable of the columns, where each one of a value per point is a reserved column that
-    fill(i) fills slab by slab from the given one."""
-    slab = grid.theta_count * grid.phi_count
-    point = [k for k, c in enumerate(columns) if len(c) == grid.size]
-    reserved = {k: writer.reserve_floats(grid.size) for k in point}
+    """A FieldTable of the columns, where each ring column, and each of a value per point, is a
+    reserved column that fill(i) fills slab by slab from the given one."""
+    lazy = [k for k, c in enumerate(columns) if k in rings or len(c) == grid.size]
+    reserved = {k: writer.reserve_floats(len(columns[k])) for k in lazy}
 
     def fill(i):
-        for k in point:
-            reserved[k][i * slab : (i + 1) * slab] = array("d", columns[k][i * slab : (i + 1) * slab])
+        for k in lazy:
+            n = len(columns[k]) // grid.r_count  # a slab's points, or its rings
+            reserved[k][i * n : (i + 1) * n] = array("d", columns[k][i * n : (i + 1) * n])
 
     return FieldTable([reserved.get(k, c) for k, c in enumerate(columns)], fill, rings)
 
@@ -187,11 +201,11 @@ def test_grid_table_in_two_processes_equals_one(shape, kinds, pool, seed, fmt, w
     counts = {"angle": slab, "point": grid.size, "ring": r_count * theta_count}
     columns = [pooled(pool, seed + k, counts[kind]) for k, kind in enumerate(kinds)]
     spoil(columns[-1], where, bad)
-    columns = [[v for v in c for _ in range(phi_count)] if kind == "ring" else c for c, kind in zip(columns, kinds)]
+    spread = [[v for v in c for _ in range(phi_count)] if kind == "ring" else c for c, kind in zip(columns, kinds)]
     rings = tuple(k for k, kind in enumerate(kinds) if kind == "ring")
     separators = SEPARATORS[fmt]
     try:
-        expected = serial_text(grid_reference(grid, columns, slab), *separators)
+        expected = serial_text(grid_reference(grid, spread, slab), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
     texts = all_texts(lambda: writer.grid_rows(grid, lazy_table(grid, columns, rings), *separators))
@@ -214,13 +228,7 @@ def test_each_slab_is_filled_once_by_the_process_that_writes_it(tmp_path, model,
     a0 = model.atom.bohr_radius
     grid = SphericalGrid(0.2 * a0, 5.0 * a0, r_count, 30, 30)
     table, log = model.field_table(grid), tmp_path / "fills"
-    fill, fd = table.fill, os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-
-    def logged_fill(i):
-        os.write(fd, f"{os.getpid()} {i}\n".encode())
-        fill(i)
-
-    table.fill = logged_fill
+    fd = logged_fills(table, log)
     rows = writer.grid_rows(grid, table, ",", "\n")
     try:
         if target == "file":
@@ -230,15 +238,70 @@ def test_each_slab_is_filled_once_by_the_process_that_writes_it(tmp_path, model,
             pipe_rows(rows)
     finally:
         os.close(fd)
-    slabs = {}
-    for pid, i in (map(int, line.split()) for line in log.read_text().splitlines()):
-        slabs.setdefault(pid, []).append(i)
-    this = os.getpid()
+    slabs, this = fills_by_process(log), os.getpid()
     if grid.size >= 2 * B and target == "file":  # 27 000 rows, split at slab 15 of 30
         (child,) = set(slabs) - {this}
         assert slabs == {this: list(range(15)), child: list(range(15, 30))}
     else:
         assert slabs == {this: list(range(r_count))}
+
+
+def logged_fills(table, log):
+    """Make table.fill(i) append "pid i" to the file log before it fills block or slab i; the log's
+    descriptor, to close."""
+    fill, fd = table.fill, os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged_fill(i):
+        os.write(fd, f"{os.getpid()} {i}\n".encode())
+        fill(i)
+
+    table.fill = logged_fill
+    return fd
+
+
+def fills_by_process(log):
+    """The blocks or slabs each process filled, in order, by pid."""
+    fills = {}
+    for pid, i in (map(int, line.split()) for line in log.read_text().splitlines()):
+        fills.setdefault(pid, []).append(i)
+    return fills
+
+
+@pytest.mark.parametrize(
+    "steps, target", [(10000, "file"), (10000, "pipe"), (2046, "file")],
+    ids=["two-processes", "pipe", "under-2048-rows"],
+)
+def test_each_trajectory_block_is_filled_once_by_the_process_that_writes_it(tmp_path, steps, target):
+    # The circle and the deviation of block i are computed by the process that writes block i; the summary's
+    # max_deviation is read after the write, from the deviation column both processes filled.
+    model = DiracGroundState(SpinOrientation.UP, make_atom())
+    table = TrajectoryTable(model, bohmatom.SphericalPoint(model.atom.bohr_radius, 1.0, 0.5), None, steps)
+    log, out = tmp_path / "fills", str(tmp_path / "out" / "orbit.csv")
+    fd = logged_fills(table, log)
+    try:
+        if target == "file":
+            os.mkdir(tmp_path / "out")
+            rows = partial(writer.table_text, table)
+            texts = {out: cli._csv_text("t", table.names, rows), out + ".summary.json": cli._json_text(table.summary)}
+            cli._write_files(out, texts)
+            text = Path(out).read_text(encoding="utf-8").split("\n", 2)[2]
+            summary = json.loads(Path(out + ".summary.json").read_text(encoding="utf-8"))
+        else:
+            text = pipe_rows(writer.table_text(table, ",", "\n"))
+            summary = {"max_deviation": table.max_deviation()}
+    finally:
+        os.close(fd)
+    assert_no_child()
+    blocks, this = -(-(steps + 1) // B), os.getpid()
+    fills = fills_by_process(log)
+    if steps + 1 >= 2 * B and target == "file":  # 10 001 rows, split at block 5 of 10
+        (child,) = set(fills) - {this}
+        assert fills == {this: list(range(5)), child: list(range(5, blocks))}
+    else:
+        assert fills == {this: list(range(blocks))}
+    deviation = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()]
+    assert len(deviation) == steps + 1
+    assert summary["max_deviation"] == max(deviation) > 0.0
 
 
 # Split after three blocks, so that the child writes three; each block's text (about 25 kB) is
@@ -280,7 +343,7 @@ def failing_child(monkeypatch, how):
         return text(i)
 
     monkeypatch.setattr(writer.os, "fork", doomed_child)
-    return spoiled(writer.table_text(COLUMNS, ",", "\n"), fails)
+    return spoiled(writer.table_text(column_table(COLUMNS), ",", "\n"), fails)
 
 
 def assert_written_here(rows, directory):
@@ -310,7 +373,7 @@ def test_the_child_file_has_no_name_while_the_halves_are_written(tmp_path):
         listings.append(os.listdir(tmp_path))
         return text(i)
 
-    assert_written_here(spoiled(writer.table_text(COLUMNS, ",", "\n"), listed), tmp_path)
+    assert_written_here(spoiled(writer.table_text(column_table(COLUMNS), ",", "\n"), listed), tmp_path)
     assert listings == [["rows"]] * 3  # the front half's three pieces, formatted in this process
 
 
@@ -318,7 +381,7 @@ def test_an_ignored_sigchld_costs_the_split_not_the_text(tmp_path):
     # With SIGCHLD ignored the child is reaped unseen: its status is unknown, so this process writes its half.
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert_written_here(writer.table_text(COLUMNS, ",", "\n"), tmp_path)
+        assert_written_here(writer.table_text(column_table(COLUMNS), ",", "\n"), tmp_path)
     finally:
         signal.signal(signal.SIGCHLD, previous)
 
@@ -329,7 +392,7 @@ def test_the_sibling_file_is_appended_through_memory_where_copy_file_range_fails
 
     monkeypatch.setattr(writer, "_COPY_CHUNK", 1000)  # several chunks
     monkeypatch.setattr(writer.os, "copy_file_range", refused, raising=False)
-    assert_written_here(writer.table_text(COLUMNS, ",", "\n"), tmp_path)
+    assert_written_here(writer.table_text(column_table(COLUMNS), ",", "\n"), tmp_path)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -348,7 +411,7 @@ def test_a_failed_table_leaves_no_file(monkeypatch, capsys, tmp_path, fmt, failu
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(writer, "_append", no_space)
-    out, table = str(tmp_path / f"table.{fmt}"), partial(writer.table_text, [column])
+    out, table = str(tmp_path / f"table.{fmt}"), partial(writer.table_text, column_table([column]))
     if fmt == "csv":
         texts = {out: cli._csv_text("t", ["a"], table), out + ".summary.json": cli._json_text({"a": 1})}
     else:
