@@ -9,11 +9,10 @@ Z*alpha*sin(theta), so a bound unstable particle picks up a computable
 lifetime dilation.
 
 Everything runs on Python floats; the only runtime dependency is click, which
-the command line loads only to print help and report usage errors. Without
-it, a `dilate` or `state` process takes 0.05 s instead of 0.06-0.07 s (medians
-of 11 runs, shared 2-core Xeon host, Python 3.11). The public names are
-imported from their submodules on first access (PEP 562), so importing the
-package loads only what is used.
+the command line loads only to print help and report usage errors, so that a
+well-formed command starts without it (BENCH_18.json has the measured runs).
+The public names are imported from their submodules on first access (PEP
+562), so importing the package loads only what is used.
 """
 
 import importlib

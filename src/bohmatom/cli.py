@@ -12,13 +12,12 @@ command itself, so such a run imports neither click nor dataclasses; help,
 usage errors and any other argv go to the click group `main`, which is built
 from the same table the first time it is read. No command imports numpy or
 json, and each imports only the modules it runs; _json writes JSON as
-json.dumps(indent=2) does. The table writer (`writer`) writes the rows into
-the output's temp file, or a device or pipe, one piece at a time, and each
-piece of a `field` or `trajectory` table is computed by the process that
-writes it. `run` ends the process as soon as its output is flushed.
-Per process, a 10 000-step Dirac `trajectory` takes 0.066 s, a Dirac 30^3
-`field` 0.059 s, a `state` 0.030 s and `--help` 0.038 s (medians of 21 to 101
-runs without a bytecode cache, on a shared 2-core Xeon host, Python 3.11).
+json.dumps(indent=2) does. Both tables go through the writer's one table
+function, writer.table_text, which writes the rows into the output's temp
+file, or a device or pipe, one piece at a time, and each piece of a `field`
+or `trajectory` table is computed by the process that writes it. `run` ends
+the process as soon as its output is flushed. The BENCH_*.json files hold
+the measured runs of each command (bench/run.py, and per-process timings).
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     j0, j1, j2, j3, vx, vy, vz, speed (spatial components Cartesian).
     """
     from .grid import SphericalGrid
-    from .writer import grid_rows
+    from .writer import table_text
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     a0 = model.atom.bohr_radius
@@ -204,7 +203,7 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     grid = SphericalGrid(r_lo, r_hi, r_count, theta_count, phi_count)
     try:
         # The model reserves its per-point columns before it builds the axes or the first point.
-        rows = partial(grid_rows, grid, model.field_table(grid))
+        rows = partial(table_text, model.field_table(grid))
     except DomainError as exc:
         _fail(str(exc))
     except MemoryError:

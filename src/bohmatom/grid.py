@@ -7,18 +7,19 @@ and the Legendre node test per colatitude, and sines and cosines per azimuth.
 The state modules compute the factors. Both flows are rigid rotations about
 z, so j0, j3 and the speed do not depend on phi: each is computed once per
 (r, theta), by the arithmetic of the point at phi = 0, and every azimuth of
-that ring carries its bits. Only j1, j2, vx and vy are computed per point,
-into float columns reserved before the first point. Every value has the bits
-of the state modules' point functions at the same point.
+that (r, theta) carries its bits. Only j1, j2, vx and vy are computed per
+point, into float columns reserved before the first point. Every value has
+the bits of the state modules' point functions at the same point.
 
 A table builds here all that can fail: the reserved columns, the factors per
 radius and per colatitude, the node tests and the per-angle columns. Its
-per-point columns are filled one r slab at a time, by the process that
-writes the slab (FieldTable.fill, called by writer.grid_rows), so that a
-forked child computes the back half of a large table and this process only
-the front half. The ring columns (j0, and the Schrodinger speed) hold one
-value per (r, theta) ring and are marked, so that the writer formats each
-ring's value once.
+columns that change from slab to slab are filled one r slab at a time, by
+the process that writes the slab (FieldTable.fill, called by the writer), so
+that a forked child computes the back half of a large table and this process
+only the front half. The table is in the writer's one form: each column says
+how many rows one of its values spans, so that the writer formats r once per
+slab, j0 (and the Schrodinger speed) once per (r, theta) and the columns of
+one value per angle pair once for the table.
 
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only
@@ -90,15 +91,20 @@ class SphericalGrid(Frozen):
 
 
 class FieldTable:
-    """The columns j0, j1, j2, j3, vx, vy, vz, speed of a field table on a grid, and fill(i), which
-    computes r slab i of its per-point and ring columns. A column holds one value per grid point, one
-    per angle pair of an r slab, the same at every radius, or one per (r, theta) ring, the same at
-    every azimuth: rings are the indices of those, r-major like the points. The per-point and ring
-    columns are reserved before the first point and hold 0.0 until fill(i) has run for a slab; the
-    process that writes slab i fills it."""
+    """The field table on a grid, in the one form writer.table_text writes (see writer.Rows): rows,
+    one per grid point, r-major, in pieces of piece_rows, one r slab each. Its columns are r, theta
+    and phi, then j0, j1, j2, j3, vx, vy, vz and speed, and spans[k] is the number of rows one value
+    of column k spans: a slab for r, phi_count for theta and for a column of one value per
+    (r, theta), and 1 for phi and the others, which hold one value per point or one per angle pair
+    of a slab, the same at every radius. The columns of one value per point or per (r, theta) are
+    reserved before the first point and hold 0.0 until fill(i) has computed r slab i: the process
+    that writes slab i fills it."""
 
-    def __init__(self, columns: list, fill, rings: tuple[int, ...]):
-        self.columns, self.fill, self.rings = columns, fill, rings
+    def __init__(self, grid: SphericalGrid, columns: list, spans: tuple[int, ...], fill):
+        slab = grid.theta_count * grid.phi_count
+        self.rows, self.piece_rows, self.fill = grid.size, slab, fill
+        self.columns = [grid.r, grid.theta, grid.phi, *columns]
+        self.spans = (slab, grid.phi_count, 1, *spans)
 
 
 def _reserved(*lengths: int) -> list[memoryview]:
@@ -110,7 +116,7 @@ def _reserved(*lengths: int) -> list[memoryview]:
 
 def _put(column: memoryview, i: int, values: list) -> None:
     """Store the values as block i of the column, each block as long as the values: slab i of a
-    per-point column, or the rings of r slab i of a ring column."""
+    column of one value per point, or the values of r slab i in a column of one value per (r, theta)."""
     n = len(values)
     column[i * n : (i + 1) * n] = array("d", values)
 
@@ -127,10 +133,10 @@ def _by_phi(grid: SphericalGrid, per_phi: list) -> list:
 
 def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) -> FieldTable:
     """The Dirac field table on the grid: the current j^mu of the gamma contraction and the
-    Cartesian velocity. j0 is summed once per (r, theta), a ring column; j1 and j2 hold one value
-    per point; the others one value per angle pair of an r slab, the same at every radius, where
-    the speed is |Z*alpha*sin(theta)|, once per colatitude. A(r) is taken for every radius here,
-    so that a DomainError is raised before any slab is filled."""
+    Cartesian velocity. j0 is summed once per (r, theta), each value spanning its azimuths; j1
+    and j2 hold one value per point; the others one value per angle pair of an r slab, the same
+    at every radius, where the speed is |Z*alpha*sin(theta)|, once per colatitude. A(r) is taken
+    for every radius here, so that a DomainError is raised before any slab is filled."""
     from .dirac_states import azimuthal_speed, ground_current, radial_amplitude, small_component_ratio
 
     current = _reserved(grid.r_count * grid.theta_count, grid.size, grid.size)
@@ -149,17 +155,17 @@ def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) ->
     rates = [azimuthal_speed(spin, atom, t) for t in grid.theta]
     vx, vy, vz = map(list, zip(*(azimuthal_to_cartesian(p, v) for v in rates for p in grid.phi)))
     columns = [*current, [0.0] * slab, vx, vy, vz, _by_theta(grid, list(map(abs, rates)))]
-    return FieldTable(columns, fill, (0,))
+    return FieldTable(grid, columns, (grid.phi_count, *[1] * 7), fill)
 
 
 def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) -> FieldTable:
     """The Schrodinger field table on the grid: the density |psi|^2, the current density times
     velocity and the Cartesian velocity grad(S)/mass. The density (R_nl Theta)^2 in j0 and, for
-    m != 0, the speed |m / (mass r sin(theta))| are taken once per (r, theta): they are the ring
-    columns. For m != 0, j1, j2, vx and vy hold one value per point; the others hold one value per
-    angle pair of an r slab, the same at every radius. R_nl, the rates and the node tests are taken
-    here, so that PhaseSingularityError, for m != 0 where the grid meets the axis or a node, is
-    raised before any slab is filled."""
+    m != 0, the speed |m / (mass r sin(theta))| are taken once per (r, theta), each value spanning
+    its azimuths. For m != 0, j1, j2, vx and vy hold one value per point; the others hold one value
+    per angle pair of an r slab, the same at every radius. R_nl, the rates and the node tests are
+    taken here, so that PhaseSingularityError, for m != 0 where the grid meets the axis or a node,
+    is raised before any slab is filled."""
     from .schrodinger_states import hydrogen_wavefunction, phase_gradient
 
     ring, point = grid.r_count * grid.theta_count, grid.size
@@ -187,6 +193,7 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
 
     zeros = [0.0] * slab
     if q.m == 0:  # the flow and the current are 0.0 everywhere
-        return FieldTable([*columns, zeros, zeros, zeros, zeros, zeros, zeros, zeros], fill, (0,))
+        return FieldTable(grid, [*columns, *[zeros] * 7], (grid.phi_count, *[1] * 7), fill)
     j0, j1, j2, vx, vy, speed = columns
-    return FieldTable([j0, j1, j2, zeros, vx, vy, zeros, speed], fill, (0, 7))
+    spans = (grid.phi_count, 1, 1, 1, 1, 1, 1, grid.phi_count)
+    return FieldTable(grid, [j0, j1, j2, zeros, vx, vy, zeros, speed], spans, fill)

@@ -9,10 +9,8 @@ about 1 us per Dirac step, and each orbit can be checked against the exact
 circle of circular_orbit. The rows go straight into one flat float buffer, an
 anonymous memory map reserved before the first step. The trajectory command's
 table (TrajectoryTable) adds that circle and the distance to it, block by
-block, in the process that writes the block. A 10 000-step Dirac `trajectory`
-process takes 0.066 s and peaks at 16.4 MB (medians of 41 and 11 runs without
-a bytecode cache, on a shared 2-core Xeon host, Python 3.11; BENCH_24.json has
-the `orbit` runs)."""
+block, in the process that writes the block. The `orbit` runs of the
+BENCH_*.json files measure 10 000-step Dirac `trajectory` processes."""
 
 from __future__ import annotations
 
@@ -131,9 +129,10 @@ class TrajectoryTable:
     """The table of the trajectory command: the RK4 run of a model's flow from start, steps steps of dt,
     where dt None is a ten-thousandth of the period of the exact circle through start (1.0 where it does
     not turn). Its columns are t, x, y, z, vx, vy, vz of the trajectory, then x_ref, y_ref and z_ref of
-    that circle (circular_orbit) and deviation, the Cartesian distance to it. These four are reserved in
-    one shared map and hold 0.0 until fill(i) has computed block i, the writer's rows i * _BLOCK_ROWS
-    on: the process that writes block i fills it, and the blocks a forked child fills are seen here.
+    that circle (circular_orbit) and deviation, the Cartesian distance to it, one value per row (spans of 1)
+    in pieces of piece_rows = _BLOCK_ROWS rows, the writer's one table form. The last four are reserved in
+    one shared map and hold 0.0 until fill(i) has computed block i, rows i * _BLOCK_ROWS on: the process
+    that writes block i fills it, and the blocks a forked child fills are seen here.
 
     A run that enters the origin guard is kept up to its last good state, and error is then its
     TrajectorySingularityError (else None). summary is the run summary, whose max_deviation is a
@@ -157,6 +156,7 @@ class TrajectoryTable:
         buffer = reserve_floats(4 * max(n, 1))  # a map is never empty
         self._reference = [buffer[k * n : (k + 1) * n] for k in range(4)]
         self.columns = [*trajectory.columns, *self._reference]
+        self.rows, self.piece_rows, self.spans = n, _BLOCK_ROWS, (1,) * len(self.columns)
         self.summary = {
             "dt": dt,
             "steps_requested": steps,

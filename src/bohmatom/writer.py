@@ -1,24 +1,28 @@
 """The table writer of `field` and `trajectory`: float tables as rows of text.
 
 Each cell is the repr of its float, the shortest text that reads back as the
-same float. A table is written in pieces: blocks of _BLOCK_ROWS rows, or the
-r slabs of a field grid. Within a piece each distinct bit pattern of a column
-is formatted once, and each piece goes into the open output file as soon as
-it is formatted, so the memory a table takes beyond its float columns is one
-piece, not the text of the table, whatever the target: a Dirac 100^3 CSV
-`field` into /dev/null peaks at 49 MB, where its whole text took 419 MB. A
-table of at least two blocks that goes into a regular file is split once, at
-the piece boundary nearest half its rows: a forked child formats the back
-half into an unnamed file, while this process formats the front half, then
-appends the child's file with os.copy_file_range. The process that formats a
-piece also computes it, by the table's fill(i): a field slab, or the exact
-circle and the deviation of a trajectory block. A column that holds one value
-per (r, theta) ring is formatted once per ring. Filling and formatting the
-rows is the largest part of a 10 000-step `trajectory` process (about 23 ms
-of 0.066 s); on two cores the halves take about 1.8 times less wall time than
-one core takes for both (shared 2-core Xeon host, Python 3.11). Every piece
-is formatted on its own, so the text is the same wherever the split falls and
-whether or not the fork succeeds.
+same float. Every table has one form (see table_text): its rows come in
+pieces of a fixed number of rows, a trajectory's blocks of _BLOCK_ROWS rows
+or a field's r slabs, and each column says how many rows one of its
+values spans. A column that repeats within every piece, such as the angles
+of a field slab, is formatted once for the table, and a run of such adjacent
+columns is joined once. Any other column is formatted piece by piece: a value
+that spans several rows once, and, in a column of one value per row, each
+distinct bit pattern of the piece once. Each piece goes into the open output
+file as soon as it is formatted, so the memory a table takes beyond its float
+columns is one piece, not the text of the table, whatever the target: a
+Dirac 100^3 CSV `field` into /dev/null peaks at 49 MB, where its whole text
+took 419 MB. A table of at least two blocks that goes into a regular file is
+split once, at the piece boundary nearest half its rows: a forked child
+formats the back half into an unnamed file, while this process formats the
+front half, then appends the child's file with os.copy_file_range. The
+process that formats a piece also computes it, by the table's fill(i): a
+field slab, or the exact circle and the deviation of a trajectory block.
+Filling and formatting the rows is the largest part of a 10 000-step
+`trajectory` process (about 23 ms of 0.066 s); on two cores the halves take
+about 1.8 times less wall time than one core takes for both (shared 2-core
+Xeon host, Python 3.11). Every piece is formatted on its own, so the text is
+the same wherever the split falls and whether or not the fork succeeds.
 
 The float columns of a table are reserved here too (reserve_floats), in maps
 that a forked child shares. Only `field` and `trajectory` import this module,
@@ -80,6 +84,18 @@ def _cells(column: memoryview, start: int, stop: int) -> list[str]:
     return list(map(text.__getitem__, bits))
 
 
+def _span_cells(column: memoryview, span: int, start: int, stop: int):
+    """Rows start to stop of a float column of one value per span rows, start a multiple of span, as
+    cell strings: with span 1 as _cells gives them, else each value formatted once."""
+    if span == 1:
+        return _cells(column, start, stop)
+    values = _formatted(column[start // span : -(-stop // span)].tolist())
+    if len(values) == 1:
+        return repeat(values[0], stop - start)
+    spread = range(span)
+    return [cell for cell in values for _ in spread]
+
+
 def _floats(column) -> memoryview:
     """A float column (array('d'), a contiguous memoryview of floats or a list) as a memoryview
     of floats; a list is copied."""
@@ -100,21 +116,54 @@ def _append(dst: int, src: int) -> None:
 
 
 class Rows:
-    """The rows of a float table, written piece by piece into a text file: `count` rows in
-    `pieces` pieces of `piece_rows` rows each but the last, each cell the repr of its float.
+    """The rows of a float table, written piece by piece into a text file, each cell the repr of its
+    float: the cells of a row joined by cell_sep, and the rows by row_sep. The table has
 
-    piece_text() prepares what the pieces share and returns the function that gives the rows of
-    one piece, joined by row_sep; it and that function raise NotFiniteError where a value is NaN
-    or infinite. Nothing is formatted before the rows are written, so that error is raised while
-    writing. A Rows is true where it has rows.
+    - rows, its number of rows, and piece_rows, the rows of each piece but the last;
+    - columns, float columns (see _floats), and spans, the rows each value of a column spans: row j
+      of column k is columns[k][(j // spans[k]) % len(columns[k])];
+    - fill(i), which the process that writes piece i calls just before it formats it, so that a
+      forked child computes only the pieces it writes.
+
+    Each span divides piece_rows and rows. A column whose len * span is less than rows repeats in
+    every piece: its len * span divides piece_rows, and it is formatted once, before the first
+    piece, from the values it holds then. Any other column is formatted piece by piece, once
+    fill(i) has run.
+
+    piece_text() formats what the pieces share and returns the function that gives the rows of one
+    piece; it and that function raise NotFiniteError where a value is NaN or infinite. Nothing is
+    formatted before the rows are written, so that error is raised while writing. A Rows is true
+    where it has rows.
     """
 
-    def __init__(self, count: int, pieces: int, piece_rows: int, piece_text, row_sep: str):
-        self.count, self.pieces, self.piece_rows = count, pieces, piece_rows
-        self.piece_text, self.row_sep = piece_text, row_sep
+    def __init__(self, table, cell_sep: str, row_sep: str):
+        self.table, self.cell_sep, self.row_sep = table, cell_sep, row_sep
+        self.pieces = -(-table.rows // table.piece_rows)
 
     def __bool__(self) -> bool:
-        return self.count > 0
+        return self.table.rows > 0
+
+    def piece_text(self):
+        table, cell_sep, row_sep, n = self.table, self.cell_sep, self.row_sep, self.table.piece_rows
+        parts = []  # the joined cells of a run of columns that every piece shares, or a function (start, stop) -> cells
+        for column, span in zip(map(_floats, table.columns), table.spans):
+            period = len(column) * span
+            if period >= table.rows:
+                parts.append(partial(_span_cells, column, span))
+                continue
+            cells = list(_span_cells(column, span, 0, period)) * (n // period)
+            if parts and isinstance(parts[-1], list):
+                cells = list(map(cell_sep.join, zip(parts.pop(), cells)))
+            parts.append(cells)
+
+        def text(i: int) -> str:
+            table.fill(i)
+            start = i * n
+            rows = min(n, table.rows - start)
+            cells = [p(start, start + rows) if callable(p) else p if rows == n else p[:rows] for p in parts]
+            return row_sep.join(map(cell_sep.join, zip(*cells)))
+
+        return text
 
     def _write(self, fh, text, first: int, stop: int) -> None:
         # Each piece but the table's first is preceded by row_sep, so that the halves meet without a join.
@@ -136,11 +185,11 @@ class Rows:
         """
         if not self:
             return
-        text = self.piece_text()
-        if self.count < 2 * _BLOCK_ROWS or self.pieces < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        text, rows = self.piece_text(), self.table.rows
+        if rows < 2 * _BLOCK_ROWS or self.pieces < 2 or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             self._write(fh, text, 0, self.pieces)
             return
-        split = min(max(round(self.count / 2 / self.piece_rows), 1), self.pieces - 1)
+        split = min(max(round(rows / 2 / self.table.piece_rows), 1), self.pieces - 1)
         back = pid = status = None
         try:
             back = open(f"{fh.name}.back", "x+", encoding="utf-8", newline="\n")
@@ -183,72 +232,6 @@ class Rows:
                 back.close()
 
 
-def table_text(table, cell_sep: str, row_sep: str) -> Rows:
-    """The rows of a float table, each cell the repr of its float, joined by the separators. The
-    table has columns, float columns of one length (see _floats), and fill(i), which the process
-    that writes block i of _BLOCK_ROWS rows calls just before it formats it, so that a forked child
-    computes only the blocks it writes.
-
-    Every value must be finite, else NotFiniteError when the rows are written.
-    Block by block, each column's cells are keyed by their bit pattern (so -0.0
-    and 0.0 stay apart), and each distinct value is formatted once.
-    """
-    rows = len(table.columns[0])
-
-    def piece_text():
-        columns = list(map(_floats, table.columns))
-
-        def text(i: int) -> str:
-            table.fill(i)
-            start = i * _BLOCK_ROWS
-            cells = [_cells(column, start, start + _BLOCK_ROWS) for column in columns]
-            return row_sep.join(map(cell_sep.join, zip(*cells)))
-
-        return text
-
-    return Rows(rows, -(-rows // _BLOCK_ROWS), _BLOCK_ROWS, piece_text, row_sep)
-
-
-def grid_rows(grid, table, cell_sep: str, row_sep: str) -> Rows:
-    """The rows of a field table on a SphericalGrid: r, theta and phi, then the columns of the
-    table (a grid.FieldTable), as table_text gives them, one r slab per piece.
-
-    A column holds one value per grid point, one per angle pair of an r slab, the same
-    at every radius, or, where its index is in table.rings, one per (r, theta) ring.
-    r, theta, phi and the per-angle columns are formatted once for the grid, and each
-    run of them is joined into one string per angle pair. The process that writes slab
-    i fills it, by table.fill(i), just before it formats it, so that a forked child
-    computes only the slabs it writes. A ring column is formatted once per ring, from
-    its theta_count values of the slab, each text repeated over the ring's azimuths;
-    a per-point column once per distinct bit pattern of each r slab.
-    """
-    slab = grid.theta_count * grid.phi_count
-    azimuths = range(grid.phi_count)
-
-    def ring_cells(column: memoryview, start: int, stop: int) -> list[str]:
-        rings = column[start // grid.phi_count : stop // grid.phi_count]  # the rings of points start to stop
-        return [cell for cell in _formatted(rings.tolist()) for _ in azimuths]
-
-    def piece_text():
-        phi = _formatted(grid.phi)
-        parts = [[cell_sep.join((t, p)) for t in _formatted(grid.theta) for p in phi]]
-        for k, column in enumerate(table.columns):
-            if k in table.rings or len(column) == grid.size:  # filled slab by slab, also where the grid is one slab
-                parts.append(partial(ring_cells if k in table.rings else _cells, _floats(column)))
-                continue
-            cells = _cells(_floats(column), 0, slab)
-            if isinstance(parts[-1], list):
-                parts[-1] = list(map(cell_sep.join, zip(parts[-1], cells)))
-            else:
-                parts.append(cells)
-        radii = _formatted(grid.r)
-
-        def text(i: int) -> str:
-            table.fill(i)
-            start, stop = i * slab, (i + 1) * slab
-            cells = [p if isinstance(p, list) else p(start, stop) for p in parts]
-            return row_sep.join(map(cell_sep.join, zip(repeat(radii[i], slab), *cells)))
-
-        return text
-
-    return Rows(grid.r_count * slab, grid.r_count, slab, piece_text, row_sep)
+#: The one table function of `field` and `trajectory`: table_text(table, cell_sep, row_sep) is the
+#: table's Rows, which the commands' text writes into the output.
+table_text = Rows

@@ -136,14 +136,17 @@ def array_table(model, points: list[SphericalPoint]) -> np.ndarray:
 
 
 def float_table(model, grid: SphericalGrid) -> np.ndarray:
-    """model.field_table with every r slab filled, expanded to one row of 8 values per point: a ring
-    column spread over its azimuths, a column of one value per angle pair repeated at every radius."""
+    """model.field_table with every r slab filled, expanded to one row of 8 values per point, j0 to
+    speed: row j of column k is columns[k][(j // spans[k]) % len(columns[k])]. The table's first
+    three columns, r, theta and phi, must give the grid's points, r-major."""
     table = model.field_table(grid)
     for i in range(grid.r_count):
         table.fill(i)
-    columns = [np.array(column, dtype=float) for column in table.columns]
-    columns = [np.repeat(c, grid.phi_count) if k in table.rings else c for k, c in enumerate(columns)]
-    return np.column_stack([c if len(c) == grid.size else np.tile(c, grid.r_count) for c in columns])
+    rows = np.arange(table.rows)
+    columns = [np.array(c, dtype=float)[(rows // span) % len(c)] for c, span in zip(table.columns, table.spans)]
+    points = [[r, t, p] for r in grid.r for t in grid.theta for p in grid.phi]
+    assert np.column_stack(columns[:3]).tolist() == points
+    return np.column_stack(columns[3:])
 
 
 def assert_tables_agree(model, grid):

@@ -248,11 +248,14 @@ def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_col
 
 
 def as_columns(table, kinds):
-    """The table as writer.table_text takes it, its fill doing nothing: its columns, each as the kind
-    drawn for it, a list, array('d') or a memoryview of floats."""
+    """The table as writer.table_text takes it, in blocks of B rows, its fill doing nothing: its columns,
+    one value per row, each as the kind drawn for it, a list, array('d') or a memoryview of floats."""
     make = {"list": lambda c: c.tolist(), "array": lambda c: array("d", c.tolist()),
             "memoryview": lambda c: memoryview(c.copy())}
-    return SimpleNamespace(columns=[make[kind](column) for column, kind in zip(table.T, kinds)], fill=lambda i: None)
+    columns = [make[kind](column) for column, kind in zip(table.T, kinds)]
+    return SimpleNamespace(
+        rows=len(table), piece_rows=B, columns=columns, spans=(1,) * len(columns), fill=lambda i: None
+    )
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1])

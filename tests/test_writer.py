@@ -53,8 +53,10 @@ def spoil(column, where, bad):
 
 
 def column_table(columns):
-    """A table of the float columns, all computed: its fill does nothing."""
-    return SimpleNamespace(columns=columns, fill=lambda i: None)
+    """A table of the float columns, one value per row in blocks of B rows, all computed: its fill does nothing."""
+    return SimpleNamespace(
+        rows=len(columns[0]), piece_rows=B, columns=columns, spans=(1,) * len(columns), fill=lambda i: None
+    )
 
 
 def serial_text(rows, cell_sep, row_sep):
@@ -166,27 +168,35 @@ def grid_reference(grid, columns, slab):
     ]
 
 
-def lazy_table(grid, columns, rings):
-    """A FieldTable of the columns, where each ring column, and each of a value per point, is a
-    reserved column that fill(i) fills slab by slab from the given one."""
-    lazy = [k for k, c in enumerate(columns) if k in rings or len(c) == grid.size]
+def kind_span(kind, grid):
+    """The rows one value of a column of the kind spans on the grid."""
+    return {"ring": grid.phi_count, "radius": grid.theta_count * grid.phi_count}.get(kind, 1)
+
+
+def lazy_table(grid, columns, kinds):
+    """A FieldTable of the columns, where each column of a kind other than "angle" is a reserved
+    column that fill(i) fills slab by slab from the given one."""
+    lazy = [k for k, kind in enumerate(kinds) if kind != "angle"]
     reserved = {k: writer.reserve_floats(len(columns[k])) for k in lazy}
 
     def fill(i):
         for k in lazy:
-            n = len(columns[k]) // grid.r_count  # a slab's points, or its rings
+            n = len(columns[k]) // grid.r_count  # a slab's values
             reserved[k][i * n : (i + 1) * n] = array("d", columns[k][i * n : (i + 1) * n])
 
-    return FieldTable([reserved.get(k, c) for k, c in enumerate(columns)], fill, rings)
+    spans = tuple(kind_span(kind, grid) for kind in kinds)
+    return FieldTable(grid, [reserved.get(k, c) for k, c in enumerate(columns)], spans, fill)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.one_of(
         st.sampled_from([(2047, 1, 1), (2048, 1, 1), (2049, 1, 1), (1, 64, 32), (2, 32, 32), (3, 683, 1), (3, 700, 1)]),
+        # r_count == phi_count: a column of one value per (r, theta) is as long as one per angle pair
+        st.sampled_from([(8, 3, 8), (24, 5, 24)]),
         st.tuples(st.integers(1, 40), st.integers(1, 30), st.integers(1, 12)),
     ),
-    kinds=st.lists(st.sampled_from(["angle", "point", "ring"]), min_size=1, max_size=4),
+    kinds=st.lists(st.sampled_from(["angle", "point", "ring", "radius"]), min_size=1, max_size=4),
     pool=value_pools,
     seed=st.integers(0, 2**32 - 1),
     fmt=st.sampled_from(sorted(SEPARATORS)),
@@ -194,21 +204,21 @@ def lazy_table(grid, columns, rings):
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 def test_grid_table_in_two_processes_equals_one(shape, kinds, pool, seed, fmt, where, bad):
-    # A column holds one value per angle pair, per point, or per (r, theta) ring: the same bits at every azimuth.
+    # A column holds one value per angle pair, per point, per (r, theta) (the same bits at every azimuth) or per
+    # radius (the same bits over the whole slab).
     r_count, theta_count, phi_count = shape
     grid = SphericalGrid(0.5, 3.0, r_count, theta_count, phi_count)
     slab = theta_count * phi_count
-    counts = {"angle": slab, "point": grid.size, "ring": r_count * theta_count}
+    counts = {"angle": slab, "point": grid.size, "ring": r_count * theta_count, "radius": r_count}
     columns = [pooled(pool, seed + k, counts[kind]) for k, kind in enumerate(kinds)]
     spoil(columns[-1], where, bad)
-    spread = [[v for v in c for _ in range(phi_count)] if kind == "ring" else c for c, kind in zip(columns, kinds)]
-    rings = tuple(k for k, kind in enumerate(kinds) if kind == "ring")
+    spread = [[v for v in c for _ in range(kind_span(kind, grid))] for c, kind in zip(columns, kinds)]
     separators = SEPARATORS[fmt]
     try:
         expected = serial_text(grid_reference(grid, spread, slab), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    texts = all_texts(lambda: writer.grid_rows(grid, lazy_table(grid, columns, rings), *separators))
+    texts = all_texts(lambda: writer.table_text(lazy_table(grid, columns, kinds), *separators))
     (forked, forks), (in_process, _), (piped, pipe_forks) = texts
     assert forked == in_process == piped == expected
     if expected is not writer.NotFiniteError:  # a bad per-angle value fails before the split
@@ -229,7 +239,7 @@ def test_each_slab_is_filled_once_by_the_process_that_writes_it(tmp_path, model,
     grid = SphericalGrid(0.2 * a0, 5.0 * a0, r_count, 30, 30)
     table, log = model.field_table(grid), tmp_path / "fills"
     fd = logged_fills(table, log)
-    rows = writer.grid_rows(grid, table, ",", "\n")
+    rows = writer.table_text(table, ",", "\n")
     try:
         if target == "file":
             (tmp_path / "out").mkdir()
