@@ -28,9 +28,7 @@ field = model.velocity_field()
 vx, vy, vz = field(*start.xyz())   # the flow maps a float triple to a float triple
 print(f"speed at the start: {math.hypot(vx, vy, vz):.12f} (Z*alpha = {atom.za:.12f})")
 steps = 10_000
-trajectory = integrate_trajectory(field, start, period / steps, steps)
-
-t, x, y, z, vx, vy, vz = trajectory.columns   # memoryviews of floats, one per column
+t, x, y, z, vx, vy, vz = integrate_trajectory(field, start, period / steps, steps)   # memoryviews of floats
 radii = list(map(math.hypot, x, y, z))
 closure = math.hypot(x[-1] - x[0], y[-1] - y[0], z[-1] - z[0]) / start.r
 speeds = list(map(math.hypot, vx, vy, vz))
@@ -44,7 +42,7 @@ print("fourth-order convergence against the exact circle:")
 print(f"{'steps':>8}  {'end-point error':>16}  {'order':>6}")
 previous = None
 for n in (250, 500, 1000, 2000):
-    t, x, y, z = integrate_trajectory(field, start, period / n, n).columns[:4]
+    t, x, y, z = integrate_trajectory(field, start, period / n, n)[:4]
     (cx,), (cy,), (cz,) = circular_orbit(start, omega, [t[-1]])
     error = math.hypot(x[-1] - cx, y[-1] - cy, z[-1] - cz)
     order = f"{math.log2(previous / error):6.3f}" if previous else "     -"
@@ -53,9 +51,8 @@ for n in (250, 500, 1000, 2000):
 
 print()
 print("spin down traverses the same circle the other way:")
-down = integrate_trajectory(
+_, x, y = integrate_trajectory(
     DiracGroundState(SpinOrientation.DOWN, atom).velocity_field(), start, period / 2000, 500
-)
-_, x, y = down.columns[:3]
-area = 0.5 * math.fsum(x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(len(down) - 1))
+)[:3]
+area = 0.5 * math.fsum(x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(len(x) - 1))
 print(f"  signed x-y area over a quarter period: {area:+.4e} (negative = clockwise)")

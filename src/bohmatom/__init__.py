@@ -36,7 +36,7 @@ _SUBMODULE_EXPORTS = {
         "QuantumNumbers", "bohm_momentum", "hydrogen_wavefunction", "polar_decompose", "probability_current",
         "radial_function",
     ],
-    "trajectory_engine": ["Trajectory", "VelocityField", "integrate_trajectory"],
+    "trajectory_engine": ["VelocityField", "integrate_trajectory"],
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 

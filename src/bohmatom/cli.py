@@ -36,14 +36,12 @@ from .errors import DomainError, NotFiniteError, UsageError
 
 _ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 #: Largest Laguerre degree n - l - 1 accepted. The radial recurrence and the
-#: factorials in the norms grow with it: `field --model schrodinger --n 25002
-#: --l 1 --m 1` takes about 0.09 s and its `state` 0.07 s (medians of 11
-#: runs), and `state` with --n 1000000 took 62 s.
+#: factorials in the norms grow with it: CHANGES.md records the times of
+#: `field` and `state` at this limit, and of `state` with --n 1000000.
 _MAX_LAGUERRE_DEGREE = 25_000
 #: Largest l accepted. The Legendre recurrence and the factorials (n + l)! and
-#: (l + |m|)! grow with it: the slowest `state` at this limit, such as
-#: `--n 60001 --l 60000 --m 1`, takes about 0.25 s (median of 9 runs), and
-#: --l 999999 took 86 s.
+#: (l + |m|)! grow with it: CHANGES.md records the time of the slowest `state`
+#: at this limit, `--n 60001 --l 60000 --m 1`, and of one with --l 999999.
 _MAX_L = 60_000
 
 
@@ -512,9 +510,10 @@ def run() -> None:
     The exit status is that of the SystemExit _main() ends with (0 where it
     returns), read as sys.exit reads it. The atexit handlers run and stdout and
     stderr are flushed; then os._exit ends the process, which skips freeing
-    every object and module one by one (8-33 ms per process). Where a tracer, profiler or debugger watches the
-    process, or the exit is not a plain status, or a flush fails, the interpreter
-    exits as usual instead, so those report as they always do.
+    every object and module one by one (BENCH_15.json measures the saving).
+    Where a tracer, profiler or debugger watches the process, or the exit is not
+    a plain status, or a flush fails, the interpreter exits as usual instead, so
+    those report as they always do.
     """
     if _traced():
         _main()

@@ -25,13 +25,13 @@ class NotFiniteError(ValueError):
 class TrajectorySingularityError(RuntimeError):
     """Integration approached the origin guard radius.
 
-    Carries the partial trajectory up to the last good state so callers can
-    still serialize what was computed.
+    Carries the trajectory's columns (t, x, y, z, vx, vy, vz) up to the last
+    good state so callers can still serialize what was computed.
     """
 
-    def __init__(self, message: str, trajectory=None):
+    def __init__(self, message: str, columns: tuple = ()):
         super().__init__(message)
-        self.trajectory = trajectory
+        self.columns = columns
 
 
 class UsageError(Exception):

@@ -7,6 +7,8 @@ rho = r sin(theta), so omega = m/(mass*rho^2), which is 0 for m = 0. Each gives
 its field table on a grid, its Cartesian velocity field, the rate of the exact
 circle through a start and the state subcommand's keys; the CLI reaches the
 states through these alone. All of them run on floats, without numpy.
+Each flow alone decides where it is undefined (inside the origin guard, and for
+m != 0 on the z axis and at the nodes); angular_rate asks it at the start.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .physics_core import AtomConfig, SpinOrientation
 
 #: Below the smallest normal float a sum of squares has lost digits.
 _NORMAL_MIN = sys.float_info.min
+#: Each model's flow raises OriginSingularityError this close to the nucleus, in units of the Bohr radius,
+#: and the trajectory is aborted there. Ground-state circles never come this close.
+ORIGIN_GUARD_RADII = 1e-6
 
 
 def lorentz_factor(v) -> float:
@@ -33,19 +38,29 @@ def lorentz_factor(v) -> float:
     return 1.0 / math.sqrt(1.0 - speed_sq)
 
 
-def _with_finite_period(rate: float, r: float) -> float:
-    """The rate of a start that moves; DomainError where it underflowed to 0 or its period 2*pi/|rate| overflows."""
+def _undefined_at(model, start: SphericalPoint) -> bool:
+    """Whether the model's flow raises DomainError at the start, where it decides that it is undefined."""
+    try:
+        model.velocity_field().planar(*start.xyz())
+    except DomainError:
+        return True
+    return False
+
+
+def _with_finite_period(rate: float, r: float, formula: str) -> float:
+    """The rate of a start that moves, the closed form `formula`; DomainError where it overflows, underflows
+    to 0 or its period 2*pi/|rate| overflows."""
+    if not abs(rate) < math.inf:
+        raise DomainError(f"the angular rate {formula} exceeds the float range at r = {r!r}")
     if rate == 0.0 or not 2.0 * math.pi / abs(rate) < math.inf:
         raise DomainError(f"the rotation period 2*pi/|omega| exceeds the float range at r = {r!r}")
     return rate
 
 
 def _origin_guard(atom: AtomConfig):
-    """The guard radius ORIGIN_GUARD_RADII * a0; a bound on x*x + y*y + z*z above which a point lies outside
-    it, (2*guard)^2 taken as a product (inf, not OverflowError, for a huge guard) but at least the smallest
-    normal float; and the exact test on hypot(x, y, z), which raises OriginSingularityError inside."""
-    from .trajectory_engine import ORIGIN_GUARD_RADII
-
+    """For the guard radius ORIGIN_GUARD_RADII * a0: a bound on x*x + y*y + z*z above which a point lies
+    outside it, (2*guard)^2 taken as a product (inf, not OverflowError, for a huge guard) but at least the
+    smallest normal float; and the exact test on hypot(x, y, z), which raises OriginSingularityError inside."""
     guard = ORIGIN_GUARD_RADII * atom.bohr_radius
 
     def outside(x: float, y: float, z: float) -> float:
@@ -54,7 +69,7 @@ def _origin_guard(atom: AtomConfig):
             raise OriginSingularityError(f"trajectory entered guard radius {guard} around the origin")
         return r
 
-    return guard, max(_NORMAL_MIN, (2.0 * guard) * (2.0 * guard)), outside
+    return max(_NORMAL_MIN, (2.0 * guard) * (2.0 * guard)), outside
 
 
 class DiracGroundState(Frozen):
@@ -78,7 +93,7 @@ class DiracGroundState(Frozen):
         from .trajectory_engine import VelocityField
 
         k = self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za
-        _, clear, outside_guard = _origin_guard(self.atom)
+        clear, outside_guard = _origin_guard(self.atom)
 
         def planar(x: float, y: float, z: float) -> tuple[float, float]:
             # 0.0 - a and a + 0.0 map a signed zero to +0.0, as coords.azimuthal_to_cartesian does.
@@ -93,14 +108,13 @@ class DiracGroundState(Frozen):
         return VelocityField(planar)
 
     def angular_rate(self, start: SphericalPoint) -> float:
-        """+/-Z*alpha/r; 0 on the axis, where the flow vanishes, and inside the origin guard.
-        DomainError where the rate or its period 2*pi/|rate| leaves the float range."""
-        if pole_safe_sin(start.theta) == 0.0 or start.r < _origin_guard(self.atom)[0]:
+        """+/-Z*alpha/r; 0 where the flow is zero or undefined: at the poles, and wherever velocity_field()
+        raises at the start (inside the origin guard). DomainError where the rate or its period 2*pi/|rate|
+        leaves the float range."""
+        if pole_safe_sin(start.theta) == 0.0 or _undefined_at(self, start):
             return 0.0
         rate = (self.atom.za if self.spin is SpinOrientation.UP else -self.atom.za) / start.r
-        if not abs(rate) < math.inf:
-            raise DomainError(f"the angular rate Z*alpha/r exceeds the float range at r = {start.r!r}")
-        return _with_finite_period(rate, start.r)
+        return _with_finite_period(rate, start.r, "Z*alpha/r")
 
     def describe(self, point: SphericalPoint) -> dict:
         from .dirac_states import azimuthal_speed, bohm_velocity, dirac_ground_state, four_current_at
@@ -145,7 +159,7 @@ class SchrodingerEigenstate(Frozen):
             return VelocityField(lambda x, y, z: (0.0, 0.0))
         q, atom = self.q, self.atom
         k = q.m / atom.mass
-        _, clear, outside_guard = _origin_guard(atom)
+        clear, outside_guard = _origin_guard(atom)
         # The node test's recurrences cost O(n - l) and O(l), and an orbit meets few distinct radii and
         # cosines (under 200 of each in a 10 000-step orbit's 40 001 evaluations): each runs once per value.
         radial_node = lru_cache(maxsize=1024)(partial(laguerre_node, q, atom))
@@ -169,21 +183,13 @@ class SchrodingerEigenstate(Frozen):
         return VelocityField(planar)
 
     def angular_rate(self, start: SphericalPoint) -> float:
-        """(m/mass)/rho^2; 0 where the flow is zero or undefined: for m = 0, on the
-        axis (including where the rate overflows), at a node and inside the origin guard.
-        DomainError where the start moves but the rate underflows or its period overflows."""
-        from .schrodinger_states import is_node
-
-        rho = start.r * pole_safe_sin(start.theta)
-        if (
-            self.q.m == 0
-            or rho == 0.0
-            or start.r < _origin_guard(self.atom)[0]
-            or is_node(self.q, self.atom, start.r, math.cos(start.theta))
-        ):
+        """(m/mass)/rho^2; 0 where the flow is zero or undefined: for m = 0, at the poles, and wherever
+        velocity_field() raises at the start (on the axis, at a node and inside the origin guard).
+        DomainError where the start moves but the rate or its period 2*pi/|rate| leaves the float range."""
+        if self.q.m == 0 or pole_safe_sin(start.theta) == 0.0 or _undefined_at(self, start):
             return 0.0
-        rate = self.q.m / self.atom.mass / rho / rho
-        return _with_finite_period(rate, start.r) if abs(rate) < math.inf else 0.0
+        rho = start.r * math.sin(start.theta)  # not 0: the flow is undefined on the axis
+        return _with_finite_period(self.q.m / self.atom.mass / rho / rho, start.r, "(m/mass)/rho^2")
 
     def describe(self, point: SphericalPoint) -> dict:
         from .schrodinger_states import (

@@ -4,10 +4,11 @@ Integration runs in Cartesian coordinates with fixed-step classical RK4, which
 avoids the phi coordinate singularity on the polar axis and keeps runs exactly
 reproducible. Every model flow is a rigid rotation about z (see models), so the
 loop steps the Python floats x and y through the flow's planar closure, one
-call per stage, with z fixed: the bits of the same RK4 on 3-element arrays, at
-about 1 us per Dirac step, and each orbit can be checked against the exact
-circle of circular_orbit. The rows go straight into one flat float buffer, an
-anonymous memory map reserved before the first step. The trajectory command's
+call per stage, with z fixed: the bits of the same RK4 on 3-element arrays,
+at the step times that BENCH_21.json records, and each orbit can be checked
+against the exact circle of circular_orbit. integrate_trajectory returns the
+columns t, x, y, z, vx, vy, vz, read-only memoryviews of floats that share one
+anonymous memory map, reserved before the first step. The trajectory command's
 table (TrajectoryTable) adds that circle and the distance to it, block by
 block, in the process that writes the block. The `orbit` runs of the
 BENCH_*.json files measure 10 000-step Dirac `trajectory` processes."""
@@ -23,14 +24,11 @@ from .errors import DomainError, OriginSingularityError, TrajectorySingularityEr
 from .frozen import Frozen
 from .writer import _BLOCK_ROWS, reserve_floats
 
-#: Each model's flow raises OriginSingularityError this close to the nucleus, in units of the Bohr radius,
-#: and the trajectory is aborted there. Ground-state circles never come this close.
-ORIGIN_GUARD_RADII = 1e-6
-
 
 class VelocityField(Frozen):
     """Callable velocity field (x, y, z) -> (vx, vy, 0.0) on floats. Every model flow rotates about z:
-    `planar` maps (x, y, z) to (vx, vy), and raises OriginSingularityError inside the origin guard."""
+    `planar` maps (x, y, z) to (vx, vy), and raises DomainError where the flow is undefined, such as
+    OriginSingularityError inside the origin guard."""
 
     _fields = ("planar",)
 
@@ -41,34 +39,11 @@ class VelocityField(Frozen):
         return (*self.planar(x, y, z), 0.0)
 
 
-#: The buffer's columns: t, x, y, z, vx, vy, vz.
-_COLUMNS = 7
-
-
-class Trajectory:
-    """Uniform-step trajectory in one flat float buffer, read-only: row k holds the Cartesian position
-    and velocity at time t[k]. The buffer holds the columns t, x, y, z, vx, vy, vz one after another,
-    each `capacity` floats long, of which the first len(self) are filled (see `columns`)."""
-
-    def __init__(self, buffer: memoryview, rows: int):
-        self._buffer = buffer.toreadonly()
-        self._capacity = len(buffer) // _COLUMNS
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return self._rows
-
-    @property
-    def columns(self) -> tuple[memoryview, ...]:
-        """t, x, y, z, vx, vy, vz, each a memoryview of len(self) floats."""
-        c, n = self._capacity, self._rows
-        return tuple(self._buffer[k * c : k * c + n] for k in range(_COLUMNS))
-
-
-def integrate_trajectory(field: VelocityField, start: SphericalPoint, dt: float, steps: int) -> Trajectory:
-    """Fixed-step RK4 integration of dx/dt = v(x), returning every state (steps = 0: the start alone).
-    Where an evaluation enters the origin guard, TrajectorySingularityError carries the partial
-    trajectory, up to the last good state."""
+def integrate_trajectory(field: VelocityField, start: SphericalPoint, dt: float, steps: int) -> tuple[memoryview, ...]:
+    """Fixed-step RK4 integration of dx/dt = v(x), returning every state (steps = 0: the start alone) as
+    the columns t, x, y, z, vx, vy, vz, read-only memoryviews of floats: row k is the Cartesian position and
+    velocity at time t[k]. Where an evaluation enters the origin guard, TrajectorySingularityError carries
+    those columns up to the last good state."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if steps < 0:
@@ -77,8 +52,8 @@ def integrate_trajectory(field: VelocityField, start: SphericalPoint, dt: float,
         raise DomainError(f"the end time dt * steps = {dt} * {steps} exceeds the float range")
 
     rows = steps + 1
-    buffer = reserve_floats(_COLUMNS * rows)
-    T, X, Y, Z, VX, VY, VZ = (buffer[k * rows : (k + 1) * rows] for k in range(_COLUMNS))
+    buffer = reserve_floats(7 * rows)
+    columns = T, X, Y, Z, VX, VY, VZ = [buffer[k * rows : (k + 1) * rows] for k in range(7)]
 
     # `done` is the number of complete rows; inside the loop it is also the index of the row being computed,
     # so an abort keeps rows [0, done). A position that overflows becomes inf or nan (Python floats raise no
@@ -103,8 +78,8 @@ def integrate_trajectory(field: VelocityField, start: SphericalPoint, dt: float,
             T[done], X[done], Y[done], Z[done], VX[done], VY[done] = dt * done, x, y, z, ax, ay
         done = steps + 1
     except OriginSingularityError as exc:
-        raise TrajectorySingularityError(str(exc), trajectory=Trajectory(buffer, done)) from exc
-    return Trajectory(buffer, done)
+        raise TrajectorySingularityError(str(exc), tuple(c[:done].toreadonly() for c in columns)) from exc
+    return tuple(c.toreadonly() for c in columns)
 
 
 def circular_orbit(start: SphericalPoint, angular_rate: float, t) -> tuple[array, array, array]:
@@ -149,13 +124,13 @@ class TrajectoryTable:
         if dt is None:
             dt = period / 10000.0 if math.isfinite(period) else 1.0
         try:
-            trajectory, self.error = integrate_trajectory(model.velocity_field(), start, dt, steps), None
+            columns, self.error = integrate_trajectory(model.velocity_field(), start, dt, steps), None
         except TrajectorySingularityError as exc:
-            trajectory, self.error = exc.trajectory, exc
-        n = len(trajectory)
+            columns, self.error = exc.columns, exc
+        n = len(columns[0])
         buffer = reserve_floats(4 * max(n, 1))  # a map is never empty
         self._reference = [buffer[k * n : (k + 1) * n] for k in range(4)]
-        self.columns = [*trajectory.columns, *self._reference]
+        self.columns = [*columns, *self._reference]
         self.rows, self.piece_rows, self.spans = n, _BLOCK_ROWS, (1,) * len(self.columns)
         self.summary = {
             "dt": dt,

@@ -10,19 +10,20 @@ columns is joined once. Any other column is formatted piece by piece: a value
 that spans several rows once, and, in a column of one value per row, each
 distinct bit pattern of the piece once. Each piece goes into the open output
 file as soon as it is formatted, so the memory a table takes beyond its float
-columns is one piece, not the text of the table, whatever the target: a
-Dirac 100^3 CSV `field` into /dev/null peaks at 49 MB, where its whole text
-took 419 MB. A table of at least two blocks that goes into a regular file is
+columns is one piece, not the text of the table, whatever the target
+(CHANGES.md records the peak of a Dirac 100^3 CSV `field` into /dev/null
+both ways). A table of at least two blocks that goes into a regular file is
 split once, at the piece boundary nearest half its rows: a forked child
 formats the back half into an unnamed file, while this process formats the
 front half, then appends the child's file with os.copy_file_range. The
 process that formats a piece also computes it, by the table's fill(i): a
 field slab, or the exact circle and the deviation of a trajectory block.
 Filling and formatting the rows is the largest part of a 10 000-step
-`trajectory` process (about 23 ms of 0.066 s); on two cores the halves take
-about 1.8 times less wall time than one core takes for both (shared 2-core
-Xeon host, Python 3.11). Every piece is formatted on its own, so the text is
-the same wherever the split falls and whether or not the fork succeeds.
+`trajectory` process, and on two free cores the halves take less wall time
+than one core takes for both (BENCH_15.json's `formatting_in_process` and
+CHANGES.md hold the measurements). Every piece is formatted on its own, so
+the text is the same wherever the split falls and whether or not the fork
+succeeds.
 
 The float columns of a table are reserved here too (reserve_floats), in maps
 that a forked child shares. Only `field` and `trajectory` import this module,

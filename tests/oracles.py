@@ -6,7 +6,7 @@ functions, called point by point: the full gamma-matrix contraction (einsum)
 and the closed-form current of the Dirac ground state, the spinor-route and
 Schrodinger quadratures with their Gauss rules, the spherical basis and the
 Cartesian map of vectors, np.linalg.norm with rescaling, the exact circle as
-an (N, 3) array, and a Trajectory's rows as arrays. Beside them stands the
+an (N, 3) array, and a trajectory's columns as arrays. Beside them stands the
 textbook Laguerre recurrence, on floats, as the package first wrote it.
 """
 
@@ -261,7 +261,8 @@ def circular_orbit_xyz(start: SphericalPoint, angular_rate: float, t) -> np.ndar
     return np.column_stack([np.frombuffer(c, dtype=float) for c in columns])
 
 
-def trajectory_arrays(trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A Trajectory's times (N,), Cartesian positions (N, 3) and velocities (N, 3), copied from its columns."""
-    t, *rest = (np.array(c, dtype=float) for c in trajectory.columns)
+def trajectory_arrays(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The times (N,), Cartesian positions (N, 3) and velocities (N, 3) of a trajectory, copied from its
+    columns t, x, y, z, vx, vy, vz as integrate_trajectory returns them."""
+    t, *rest = (np.array(c, dtype=float) for c in columns)
     return t, np.column_stack(rest[:3]), np.column_stack(rest[3:])

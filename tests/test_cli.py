@@ -506,6 +506,41 @@ class TestFlagValidation:
         assert len(rows) == 5 * 7 * 8
 
 
+# Starts at which the rate once made its own guard and node decision, on r and theta, and the flow another, on
+# x, y and z: the summary gives the period of the exact circle exactly where the flow moves the start.
+_START_DECISIONS = {
+    # --r is a radial node of (3, 1, 1), but the start's x, y, z are not: it turns, on its circle.
+    "node": (["--model", "schrodinger", "--n", "3", "--l", "1", "--m", "1", "--r", "822.2159945021748",
+              "--theta", "0.3", "--steps", "4"], 0, 5),
+    # --r is an ulp inside the origin guard, but hypot(x, y, z) is not: the flow moves the start, at the
+    # circle's dt, and the run stops where an RK4 stage enters the guard.
+    "guard-moves": (["--r", "0.00013703599908369577", "--theta", "0.42389999999999994", "--phi", "3.71",
+                     "--steps", "20"], 1, 1),
+    # --r is the guard radius, but hypot(x, y, z) lies inside it: no circle, and no row.
+    "guard-inside": (["--r", "0.0001370359990836958", "--theta", "0.07849999999999999", "--phi", "1.85",
+                      "--steps", "20"], 1, 0),
+}
+
+
+@pytest.mark.parametrize("args, exit_code, rows", _START_DECISIONS.values(), ids=_START_DECISIONS.keys())
+def test_the_period_is_the_circles_exactly_where_the_flow_moves_the_start(runner, tmp_path, args, exit_code, rows):
+    out = tmp_path / "t.json"
+    result = runner.invoke(main, ["trajectory", *args, "--format", "json", "--out", str(out)])
+    assert result.exit_code == exit_code, result.output
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    summary = doc["summary"]
+    assert len(doc["rows"]) == rows and summary["aborted"] is bool(exit_code)
+    if not rows:
+        assert summary["period"] is None and summary["dt"] == 1.0
+        return
+    r, theta = (float(args[args.index(flag) + 1]) for flag in ("--r", "--theta"))
+    rho = r * math.sin(theta)
+    rate = 1 / 1.0 / rho / rho if "schrodinger" in args else make_atom().za / r  # m / mass / rho^2, Z*alpha / r
+    assert summary["period"] == 2.0 * math.pi / rate
+    assert summary["dt"] == summary["period"] / 10000.0
+    assert summary["max_deviation"] <= 1e-12 * r
+
+
 _FILE_SIZE_LIMITED = """
 import resource, signal, sys
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)

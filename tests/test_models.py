@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmatom import (
     DiracGroundState,
@@ -14,7 +16,7 @@ from bohmatom import (
     bohm_momentum,
     make_atom,
 )
-from bohmatom.trajectory_engine import ORIGIN_GUARD_RADII
+from bohmatom.models import ORIGIN_GUARD_RADII
 from oracles import vector_to_cartesian
 
 MODELS = [
@@ -52,11 +54,65 @@ def test_angular_rate_is_zero_where_the_flow_is_zero_or_undefined(hydrogen):
     assert SchrodingerEigenstate(QuantumNumbers(3, 1, 1), hydrogen).angular_rate(node) == 0.0
 
 
+def _ulps_from(x, k):
+    """The float k steps of one ulp above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+_HYDROGEN = make_atom()
+_A0, _GUARD = _HYDROGEN.bohr_radius, ORIGIN_GUARD_RADII * _HYDROGEN.bohr_radius
+_TURNING_MODELS = {
+    "up": DiracGroundState(SpinOrientation.UP, _HYDROGEN),
+    "311": SchrodingerEigenstate(QuantumNumbers(3, 1, 1), _HYDROGEN),
+    "32-1": SchrodingerEigenstate(QuantumNumbers(3, 2, -1), _HYDROGEN),
+}
+
+
+@st.composite
+def _turning_starts(draw):
+    """A model whose flow turns, and an off-pole start: on the (3, 1, 1) radial node r = 6 a0 give or take
+    a few ulp, at the origin guard give or take 3 ulp, or anywhere from inside the guard to 10^6 a0."""
+    name = draw(st.sampled_from(sorted(_TURNING_MODELS)))
+    r = draw(
+        st.builds(_ulps_from, st.just(6.0 * _A0), st.integers(-6, 6))
+        | st.builds(_ulps_from, st.just(_GUARD), st.integers(-3, 3))
+        | st.floats(0.5 * _GUARD, 1e6 * _A0)
+    )
+    theta = draw(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    phi = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    return _TURNING_MODELS[name], SphericalPoint(r, theta, phi)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_turning_starts())
+def test_angular_rate_is_zero_exactly_where_the_flow_raises_at_the_start(run):
+    """Off the poles, a flow that turns is stationary at a start exactly where it is undefined there; the
+    rate and the flow share one guard, axis and node decision, on the start's Cartesian coordinates."""
+    model, start = run
+    try:
+        model.velocity_field().planar(*start.xyz())
+        raises = False
+    except DomainError:
+        raises = True
+    assert (model.angular_rate(start) == 0.0) == raises
+
+
 def test_an_overflowing_dirac_rate_is_a_domain_error():
     atom = make_atom(1, FINE_STRUCTURE, 1e308)
     start = SphericalPoint(2.0 * ORIGIN_GUARD_RADII * atom.bohr_radius, 1.0, 0.0)
     with pytest.raises(DomainError):
         DiracGroundState(SpinOrientation.UP, atom).angular_rate(start)
+
+
+def test_an_overflowing_schrodinger_rate_is_a_domain_error():
+    # The flow moves this start at a finite speed m/(mass*rho), but its rate m/(mass*rho^2) overflows.
+    atom = make_atom(1, FINE_STRUCTURE, 1e300)
+    model, start = SchrodingerEigenstate(QuantumNumbers(2, 1, 1), atom), SphericalPoint(1e-300, 1e-6, 0.0)
+    assert model.velocity_field().planar(*start.xyz())[1] > 0.0
+    with pytest.raises(DomainError, match=r"^the angular rate \(m/mass\)/rho\^2 exceeds the float range"):
+        model.angular_rate(start)
 
 
 @pytest.mark.parametrize("r0", [1e-300, 1e200], ids=("tiny", "huge"))
@@ -108,11 +164,11 @@ def test_a_schrodinger_orbit_runs_each_node_test_once_per_distinct_value(hydroge
     dt, steps = 2.0 * math.pi / abs(model.angular_rate(start)) / 2000, 2000
     laguerre, calls = schrodinger_states.associated_laguerre, []
     monkeypatch.setattr(schrodinger_states, "associated_laguerre", lambda *args: calls.append(args) or laguerre(*args))
-    memo = integrate_trajectory(model.velocity_field(), start, dt, steps).columns
+    memo = integrate_trajectory(model.velocity_field(), start, dt, steps)
     memo_calls, calls[:] = list(calls), []
     with monkeypatch.context() as patch:
         patch.setattr(functools, "lru_cache", lambda maxsize: lambda fn: fn)
-        every = integrate_trajectory(model.velocity_field(), start, dt, steps).columns
+        every = integrate_trajectory(model.velocity_field(), start, dt, steps)
     assert len(calls) == 4 * steps + 1
     assert len(memo_calls) < len(calls) / 20
     assert [column.tobytes() for column in memo] == [column.tobytes() for column in every]

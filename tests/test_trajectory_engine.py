@@ -25,9 +25,10 @@ from bohmatom import (
     integrate_trajectory,
     make_atom,
 )
+from bohmatom.models import ORIGIN_GUARD_RADII
 from bohmatom.physics_core import FINE_STRUCTURE
 from bohmatom.schrodinger_states import is_node
-from bohmatom.trajectory_engine import ORIGIN_GUARD_RADII, circular_orbit
+from bohmatom.trajectory_engine import circular_orbit
 from oracles import circular_orbit_xyz, dirac_current, trajectory_arrays
 
 UP, DOWN = SpinOrientation.UP, SpinOrientation.DOWN
@@ -245,7 +246,7 @@ class TestFloatKernel:
         start = SphericalPoint(4.0, 1.2, 0.5)
         with pytest.raises(TrajectorySingularityError) as excinfo:
             integrate_trajectory(field, start, dt=0.3, steps=50)
-        _, partial_xyz, partial_velocity = trajectory_arrays(excinfo.value.trajectory)
+        _, partial_xyz, partial_velocity = trajectory_arrays(excinfo.value.columns)
         xyz, velocity = array_rk4(field, start, 0.3, 50)
         assert 1 < len(xyz) < 51
         assert np.array_equal(partial_xyz, xyz) and np.array_equal(partial_velocity, velocity)
@@ -353,10 +354,10 @@ def _near_the_guard(model):
 
 def _float_kernel_rows(field, start, dt, steps):
     try:
-        trajectory = integrate_trajectory(field, start, dt, steps)
+        columns = integrate_trajectory(field, start, dt, steps)
     except TrajectorySingularityError as exc:
-        trajectory = exc.trajectory
-    return trajectory_arrays(trajectory)[1:]
+        columns = exc.columns
+    return trajectory_arrays(columns)[1:]
 
 
 @settings(max_examples=400, deadline=None)
@@ -432,10 +433,10 @@ class TestIntegratorContract:
     def test_columns_are_read_only(self, hydrogen):
         field = DiracGroundState(UP, hydrogen).velocity_field()
         start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.0)
-        trajectory = integrate_trajectory(field, start, dt=3.0, steps=7)
-        assert len(trajectory) == 8 and [len(c) for c in trajectory.columns] == [8] * 7
-        assert trajectory.columns[0].tolist() == [k * 3.0 for k in range(8)]
-        for column in trajectory.columns:
+        columns = integrate_trajectory(field, start, dt=3.0, steps=7)
+        assert [len(c) for c in columns] == [8] * 7
+        assert columns[0].tolist() == [k * 3.0 for k in range(8)]
+        for column in columns:
             with pytest.raises(TypeError):
                 column[0] = 1.0
 
@@ -444,10 +445,10 @@ class TestIntegratorContract:
         start = SphericalPoint(4.0, math.pi / 2.0, 0.0)
         with pytest.raises(TrajectorySingularityError) as excinfo:
             integrate_trajectory(field, start, dt=1.0, steps=10)
-        partial = excinfo.value.trajectory
-        assert partial is not None
+        partial = excinfo.value.columns
+        assert len(partial) == 7
         t, xyz, _ = trajectory_arrays(partial)
-        assert 1 <= len(t) == len(partial) < 11
+        assert 1 <= len(t) == len(partial[-1]) < 11
         assert xyz.shape == (len(t), 3)
         assert np.all(np.linalg.norm(xyz, axis=1) >= INWARD_GUARD)
         np.testing.assert_array_equal(xyz[0], start.xyz())
@@ -455,11 +456,10 @@ class TestIntegratorContract:
     def test_float_buffers_and_array_views_hold_the_same_rows(self, hydrogen):
         model = DiracGroundState(UP, hydrogen)
         start = SphericalPoint(hydrogen.bohr_radius, 1.0, 0.2)
-        trajectory = integrate_trajectory(model.velocity_field(), start, dt=3.0, steps=9)
-        t, *columns = trajectory.columns
-        assert len(trajectory) == len(t) == 10
+        t, *columns = integrate_trajectory(model.velocity_field(), start, dt=3.0, steps=9)
+        assert len(t) == 10
         assert all(c.format == "d" and c.readonly for c in (t, *columns))
-        times, xyz, velocity = trajectory_arrays(trajectory)
+        times, xyz, velocity = trajectory_arrays((t, *columns))
         assert t.tolist() == times.tolist()
         assert [list(row) for row in zip(*columns)] == np.hstack([xyz, velocity]).tolist()
         rate = model.angular_rate(start)
@@ -484,7 +484,7 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
     integrate_trajectory(VelocityField(inward), SphericalPoint(4.0, 1.2, 0.5), 0.3, 10**7)
 except TrajectorySingularityError as exc:
-    print(len(exc.trajectory), (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+    print(len(exc.columns[0]), (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
 """
 
 
