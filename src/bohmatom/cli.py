@@ -10,14 +10,15 @@ Each command's options are declared once, as data, in _COMMANDS. The program
 entry `run` parses a well-formed argv against that table and calls the
 command itself, so such a run imports neither click nor dataclasses; help,
 usage errors and any other argv go to the click group `main`, which is built
-from the same table the first time it is read. No command imports numpy or
-json, and each imports only the modules it runs; _json writes JSON as
-json.dumps(indent=2) does. Both tables go through the writer's one table
-function, writer.table_text, which writes the rows into the output's temp
-file, or a device or pipe, one piece at a time, and each piece of a `field`
-or `trajectory` table is computed by the process that writes it. `run` ends
-the process as soon as its output is flushed. The BENCH_*.json files hold
-the measured runs of each command (bench/run.py, and per-process timings).
+from the same table the first time it is read. Both run the body through
+_run, which reports a DomainError as its `error:` line and a NotFiniteError as
+_NOT_FINITE, with exit status 1. Each command imports only the modules it
+runs, which hold its physics, and neither numpy nor json: _json writes JSON as
+json.dumps(indent=2) does. _csv_text and _json write a table's rows through
+writer.Rows into the output's temp file, or a device or pipe, one piece at a
+time, each computed by the process that writes it. `run` ends the process as
+soon as its output is flushed. The BENCH_*.json files hold the measured runs
+of each command (bench/run.py, and per-process timings).
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ import os
 import stat
 import sys
 from array import array
-from functools import partial
 from types import SimpleNamespace
 
 from .errors import DomainError, NotFiniteError, UsageError
 
-_ALPHA_SCALING_STEPS = (1.0, 0.5, 0.1, 0.01)
 #: Largest Laguerre degree n - l - 1 accepted. The radial recurrence and the
 #: factorials in the norms grow with it: CHANGES.md records the times of
 #: `field` and `state` at this limit, and of `state` with --n 1000000.
@@ -52,8 +51,8 @@ def _in_place(path: str) -> bool:
 
 def _write_files(out: str, texts: dict[str, list]) -> None:
     """Write each text, a list of strings and parts that write themselves (a writer.Rows, or a part
-    of a JSON text that _json defers), to its path, or report the failure for --out (or a value
-    that is not finite) and exit 1.
+    of a JSON text that _json defers), to its path, or report the failure for --out and exit 1. A
+    value that is not finite raises NotFiniteError once every temporary file is removed.
 
     Every text goes into its file part by part. A regular file's text first goes to a new temporary
     file beside the file its path names, through any symbolic link, and only once all of them are
@@ -75,8 +74,6 @@ def _write_files(out: str, texts: dict[str, list]) -> None:
                 os.replace(temp, target)
     except OSError as exc:  # its message may name the temp path, which holds the pid
         _fail(f"cannot write {out}: {exc.strerror}")
-    except NotFiniteError:
-        _fail(_NOT_FINITE)
     finally:
         for target, temp in temps.items():
             if temp != target and os.path.exists(temp):
@@ -90,14 +87,27 @@ def _fail(message: str) -> None:
 
 _NOT_FINITE = "the result is not finite: a value overflowed or is undefined"
 
+
+def _run(body, params: dict) -> None:
+    """Run a command body with its parameters: a DomainError it raises ends the command with its one
+    error line, and a NotFiniteError with _NOT_FINITE, each with exit status 1. A UsageError goes to
+    the caller, which reports it as click reports its own."""
+    try:
+        body(**params)
+    except DomainError as exc:
+        _fail(str(exc))
+    except NotFiniteError:
+        _fail(_NOT_FINITE)
+
+
 _JSON_ESCAPES = {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}  # JSON's, by UTF-16 code unit
 
 
 def _json(value, indent: str):
     """value, of dicts with str keys, lists, tuples, str, int, float, bool and None, as json.dumps(value,
-    indent=2, allow_nan=False) writes it at the indent, in strings and parts: a "rows" value, a function
-    table(cell_sep, row_sep) that gives a writer.Rows, as its list of row lists, and any other callable as
-    a part that writes the value it gives once it is reached. NotFiniteError for NaN and infinities."""
+    indent=2, allow_nan=False) writes it at the indent, in strings and parts: a table (see writer.Rows)
+    as its list of row lists, and a callable as a part that writes the value it gives once it is
+    reached. NotFiniteError for NaN and infinities."""
     if isinstance(value, str):
         units = array("H", value.encode("utf-16", "surrogatepass"))[1:]  # after the byte-order mark
         yield '"' + "".join(_JSON_ESCAPES.get(u) or (chr(u) if 31 < u < 127 else f"\\u{u:04x}") for u in units) + '"'
@@ -107,6 +117,12 @@ def _json(value, indent: str):
         raise NotFiniteError(value)
     elif isinstance(value, (int, float)):
         yield int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+    elif hasattr(value, "piece_rows"):  # a table: the list of its rows, each the list of its cells
+        from .writer import Rows
+
+        row, cell = "\n" + indent + "  ", "\n" + indent + "    "
+        rows = Rows(value, "," + cell, row + "]," + row + "[" + cell)
+        yield from ("[" + row + "[" + cell, rows, row + "]\n" + indent + "]") if rows else ("[]",)
     elif callable(value):  # called when its part is written, after the parts before it
         yield SimpleNamespace(write=lambda fh: fh.writelines(_json(value(), indent)))
     else:
@@ -117,28 +133,21 @@ def _json(value, indent: str):
             if keyed:
                 key, item = item
                 yield from (*_json(key, ""), ": ")
-            if keyed and key == "rows" and callable(item):  # a list of rows, each the list of its cells
-                row, cell = inner + "  ", inner + "    "
-                rows = item("," + cell, row + "]," + row + "[" + cell)
-                yield from ("[" + row + "[" + cell, rows, row + "]" + inner + "]") if rows else ("[]",)
-            else:
-                yield from _json(item, indent + "  ")
+            yield from _json(item, indent + "  ")
         yield ("\n" + indent if value else opening) + closing
 
 
 def _json_text(doc: dict) -> list:
-    """The document's JSON text (see _json) and a newline, as the parts _write_files takes; where a
-    value is not finite, the command fails."""
-    try:
-        return [*_json(doc, ""), "\n"]
-    except NotFiniteError:
-        _fail(_NOT_FINITE)
+    """The document's JSON text (see _json) and a newline, as the parts _write_files takes."""
+    return [*_json(doc, ""), "\n"]
 
 
-def _csv_text(comment: str, columns: list[str], table) -> list:
-    """The CSV text as the parts _write_files takes; table(cell_sep, row_sep) gives its writer.Rows."""
-    rows = table(",", "\n")
-    return [f"# bohmatom {comment}\n{','.join(columns)}\n", rows, "\n" if rows else ""]
+def _csv_text(comment: str, table) -> list:
+    """The CSV text of a table (see writer.Rows) under its column names, as the parts _write_files takes."""
+    from .writer import Rows
+
+    rows = Rows(table, ",", "\n")
+    return [f"# bohmatom {comment}\n{','.join(table.names)}\n", rows, "\n" if rows else ""]
 
 
 def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
@@ -146,13 +155,25 @@ def _document(command, model, z, alpha_scale, mass, **fields) -> dict:
     return {"command": command, **model.header, "Z": z, "alpha_scale": alpha_scale, "mass": mass, **fields}
 
 
+def _usage(build, *args):
+    """build(*args) of values from the command line: a DomainError it raises is a usage error."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _make_atom(z: int, alpha_scale: float, mass: float):
     from .physics_core import FINE_STRUCTURE, make_atom  # here, so that --help loads none of the physics
 
-    try:
-        return make_atom(z, FINE_STRUCTURE * alpha_scale, mass)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    return _usage(make_atom, z, FINE_STRUCTURE * alpha_scale, mass)
+
+
+def _point(model, r0, theta0, phi0):
+    """The start or point of --r, --theta and --phi, where --r defaults to one Bohr radius of the model's atom."""
+    from .coords import SphericalPoint
+
+    return _usage(SphericalPoint, model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
 
 
 def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
@@ -165,10 +186,7 @@ def _resolve_model(model, spin, n, l, m, z, alpha_scale, mass):
 
         if spin is not None:
             raise UsageError("--spin applies only to --model dirac")
-        try:
-            q = QuantumNumbers(n if n is not None else 1, l if l is not None else 0, m if m is not None else 0)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
+        q = _usage(QuantumNumbers, n if n is not None else 1, l if l is not None else 0, m if m is not None else 0)
         if q.l > _MAX_L:
             raise UsageError(f"l = {q.l} exceeds {_MAX_L}, the largest supported")
         if q.n - q.l - 1 > _MAX_LAGUERRE_DEGREE:
@@ -188,7 +206,6 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     j0, j1, j2, j3, vx, vy, vz, speed (spatial components Cartesian).
     """
     from .grid import SphericalGrid
-    from .writer import table_text
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     a0 = model.atom.bohr_radius
@@ -197,20 +214,17 @@ def field_cmd(model, spin, n, l, m, z, alpha_scale, mass, r_min, r_max, r_count,
     if not 0.0 < r_lo <= r_hi < math.inf or r_count < 1 or theta_count < 1 or phi_count < 1:
         raise UsageError("invalid grid: need 0 < r-min <= r-max and positive counts")
 
-    columns = ["r", "theta", "phi", "j0", "j1", "j2", "j3", "vx", "vy", "vz", "speed"]
     grid = SphericalGrid(r_lo, r_hi, r_count, theta_count, phi_count)
     try:
         # The model reserves its per-point columns before it builds the axes or the first point.
-        rows = partial(table_text, model.field_table(grid))
-    except DomainError as exc:
-        _fail(str(exc))
+        table = model.field_table(grid)
     except MemoryError:
         _fail(f"a grid of {grid.size} points does not fit in memory")
 
     if fmt == "csv":
-        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", columns, rows)
+        text = _csv_text("field table; natural units (hbar = c = 1); angles in radians", table)
     else:
-        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=columns, rows=rows))
+        text = _json_text(_document("field", model, z, alpha_scale, mass, columns=table.names, rows=table))
     _write_files(out, {out: text})
 
 
@@ -222,35 +236,28 @@ def trajectory_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0,
     the Cartesian distance to it. CSV output carries the run summary in a
     '<out>.summary.json' sidecar; JSON output embeds it.
     """
-    from .coords import SphericalPoint
     from .trajectory_engine import TrajectoryTable
-    from .writer import table_text
 
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
     if steps < 0:
         raise UsageError("--steps must be nonnegative")
     if dt is not None and not (dt > 0.0 and math.isfinite(dt)):
         raise UsageError(f"--dt must be positive and finite, got {dt}")
-    try:
-        start = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    start = _point(model, r0, theta0, phi0)
     if fmt == "csv" and _in_place(out):
         raise UsageError(f"--out {out} is not a regular file, so no summary can go beside it: use --format json")
     try:
         table = TrajectoryTable(model, start, dt, steps)
-    except DomainError as exc:
-        _fail(str(exc))
     except MemoryError:  # the trajectory's columns are reserved before the first step
         _fail(f"--steps {steps} does not fit in memory")
     if table.error is not None:
         print(f"error: {table.error}", file=sys.stderr)
-    rows = partial(table_text, table)  # writing them fills the deviation column, which the summary reads after them
+    # Writing the rows fills the deviation column, which the summary reads after them.
     if fmt == "csv":
         comment = "trajectory; natural units (hbar = c = 1); reference is the exact circular orbit"
-        texts = {out: _csv_text(comment, table.names, rows), out + ".summary.json": _json_text(table.summary)}
+        texts = {out: _csv_text(comment, table), out + ".summary.json": _json_text(table.summary)}
     else:
-        fields = {"columns": table.names, "rows": rows, "summary": table.summary}
+        fields = {"columns": table.names, "rows": table, "summary": table.summary}
         texts = {out: _json_text(_document("trajectory", model, z, alpha_scale, mass, **fields))}
     _write_files(out, texts)
     if table.error is not None:
@@ -264,7 +271,7 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     table (scales 1, 0.5, 0.1, 0.01 on top of --alpha-scale) used to check
     the non-relativistic limit, where mean_gamma must approach 1.
     """
-    from .dilation import excess_over_za_sq, make_report, mean_lorentz_factor
+    from .dilation import alpha_scaling, make_report
     from .physics_core import SpinOrientation
 
     if not (rest_lifetime > 0.0 and math.isfinite(rest_lifetime)):
@@ -272,38 +279,16 @@ def dilate_cmd(spin, z, alpha_scale, mass, rest_lifetime, out):
     spin_o = SpinOrientation(spin)
     atom = _make_atom(z, alpha_scale, mass)
     report = make_report(spin_o, atom, rest_lifetime)
-
-    scaling = []
-    for s in _ALPHA_SCALING_STEPS:
-        atom_s = _make_atom(z, alpha_scale * s, mass)
-        if atom_s.za**2 == 0.0:
-            _fail(f"coupling too small: (Z*alpha)^2 underflows to 0 at Z*alpha = {atom_s.za!r}")
-        mg = report.mean_gamma if s == 1.0 else mean_lorentz_factor(spin_o, atom_s)
-        scaling.append(
-            {"scale": s, "alpha": atom_s.alpha, "mean_gamma": mg, "excess_over_za_sq": excess_over_za_sq(atom_s)}
-        )
-
+    scaling = alpha_scaling(spin_o, atom, alpha_scale, report)
     _write_files(out, {out: _json_text({**report._asdict(), "alpha_scaling": scaling})})
 
 
 def state_cmd(model, spin, n, l, m, z, alpha_scale, mass, r0, theta0, phi0, out):
     """Print the wavefunction or spinor (and local flow data) at one point."""
-    from .coords import SphericalPoint
-
     model = _resolve_model(model, spin, n, l, m, z, alpha_scale, mass)
-    try:
-        point = SphericalPoint(model.atom.bohr_radius if r0 is None else r0, theta0, phi0)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-    xyz = list(point.xyz())
-    point_doc = {"r": point.r, "theta": point.theta, "phi": point.phi, "xyz": xyz}
-    try:
-        doc = _document("state", model, z, alpha_scale, mass, point=point_doc, **model.describe(point))
-    except DomainError as exc:
-        _fail(str(exc))
-
-    text = _json_text(doc)
+    point = _point(model, r0, theta0, phi0)
+    point_doc = {"r": point.r, "theta": point.theta, "phi": point.phi, "xyz": list(point.xyz())}
+    text = _json_text(_document("state", model, z, alpha_scale, mass, point=point_doc, **model.describe(point)))
     if out is None:
         sys.stdout.writelines(text)
         sys.stdout.flush()  # here, so that a closed pipe ends the command as _main ends it
@@ -439,7 +424,7 @@ def __getattr__(name: str):
     def command(command_name, body, options):
         def callback(**params):
             try:
-                body(**params)
+                _run(body, params)
             except UsageError as exc:
                 raise click.UsageError(str(exc)) from exc
 
@@ -476,9 +461,8 @@ def _main() -> None:
     completion = any(key.startswith("_") and key.endswith("_COMPLETE") for key in os.environ)
     call = None if completion else _parse(sys.argv[1:])
     if call is not None:
-        body, params = call
         try:
-            body(**params)
+            _run(*call)
             return
         except UsageError:
             pass

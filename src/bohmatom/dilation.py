@@ -12,6 +12,9 @@ is a one-dimensional theta average against the marginal weight sin(theta)/2,
 which has the closed form artanh(Z*alpha) / (Z*alpha). That closed form is
 the only path, and it needs nothing but the math module; the tests check it
 against the full three-dimensional quadrature through the spinor.
+
+The report's alpha_scaling table (alpha_scaling) checks the non-relativistic
+limit, where <gamma_L> tends to 1 and (<gamma_L> - 1) / (Z*alpha)^2 to 1/3.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 
 from .errors import DomainError
 from .frozen import Frozen
-from .physics_core import AtomConfig, SpinOrientation
+from .physics_core import FINE_STRUCTURE, AtomConfig, SpinOrientation
 
 
 def mean_lorentz_factor(spin: SpinOrientation, atom: AtomConfig) -> float:
@@ -86,3 +89,21 @@ def make_report(spin: SpinOrientation, atom: AtomConfig, rest_lifetime: float) -
         rest_lifetime=rest_lifetime,
         dilated_lifetime=dilated_lifetime(rest_lifetime, mean),
     )
+
+
+def alpha_scaling(spin: SpinOrientation, atom: AtomConfig, alpha_scale: float, report: DilationReport) -> list[dict]:
+    """The report's alpha_scaling table: per scale s of 1, 0.5, 0.1 and 0.01, the atom's Z and mass at alpha =
+    FINE_STRUCTURE * (alpha_scale * s), alpha_scale the atom's own, with its mean Lorentz factor (the report's
+    at s = 1) and excess_over_za_sq. DomainError where no atom has that alpha, or (Z*alpha)^2 underflows to 0."""
+    rows = []
+    for s in (1.0, 0.5, 0.1, 0.01):
+        try:
+            atom_s = atom if s == 1.0 else AtomConfig(atom.Z, FINE_STRUCTURE * (alpha_scale * s), atom.mass)
+        except DomainError as exc:
+            raise DomainError(f"alpha_scaling at scale {s}: {exc}") from exc
+        if atom_s.za**2 == 0.0:
+            raise DomainError(f"coupling too small: (Z*alpha)^2 underflows to 0 at Z*alpha = {atom_s.za!r}")
+        mean = report.mean_gamma if s == 1.0 else mean_lorentz_factor(spin, atom_s)
+        excess = excess_over_za_sq(atom_s)
+        rows.append({"scale": s, "alpha": atom_s.alpha, "mean_gamma": mean, "excess_over_za_sq": excess})
+    return rows

@@ -16,10 +16,10 @@ radius and per colatitude, the node tests and the per-angle columns. Its
 columns that change from slab to slab are filled one r slab at a time, by
 the process that writes the slab (FieldTable.fill, called by the writer), so
 that a forked child computes the back half of a large table and this process
-only the front half. The table is in the writer's one form: each column says
-how many rows one of its values spans, so that the writer formats r once per
-slab, j0 (and the Schrodinger speed) once per (r, theta) and the columns of
-one value per angle pair once for the table.
+only the front half. The table, which carries its column names, is in the
+writer's one form: each column says how many rows one of its values spans, so
+that the writer formats r once per slab, j0 (and the Schrodinger speed) once
+per (r, theta) and the columns of one value per angle pair once for the table.
 
 Only `field` imports this module (through the models' field_table), so the
 other commands start without loading it; the Schrodinger modules load only
@@ -91,14 +91,16 @@ class SphericalGrid(Frozen):
 
 
 class FieldTable:
-    """The field table on a grid, in the one form writer.table_text writes (see writer.Rows): rows,
-    one per grid point, r-major, in pieces of piece_rows, one r slab each. Its columns are r, theta
+    """The field table on a grid, in the one form the writer writes (see writer.Rows): rows, one per
+    grid point, r-major, in pieces of piece_rows, one r slab each. Its columns, by names, are r, theta
     and phi, then j0, j1, j2, j3, vx, vy, vz and speed, and spans[k] is the number of rows one value
     of column k spans: a slab for r, phi_count for theta and for a column of one value per
     (r, theta), and 1 for phi and the others, which hold one value per point or one per angle pair
     of a slab, the same at every radius. The columns of one value per point or per (r, theta) are
     reserved before the first point and hold 0.0 until fill(i) has computed r slab i: the process
     that writes slab i fills it."""
+
+    names = ("r", "theta", "phi", "j0", "j1", "j2", "j3", "vx", "vy", "vz", "speed")
 
     def __init__(self, grid: SphericalGrid, columns: list, spans: tuple[int, ...], fill):
         slab = grid.theta_count * grid.phi_count

@@ -150,7 +150,7 @@ class SchrodingerEigenstate(Frozen):
     def velocity_field(self) -> VelocityField:
         """grad(S)/mass = (m/mass)(-y, x, 0)/(x^2 + y^2); exact zeros for m = 0, so those trajectories are fixed
         points bit for bit. PhaseSingularityError on the axis (including where the rate overflows) and at nodes."""
-        from functools import lru_cache, partial
+        from functools import lru_cache
 
         from .schrodinger_states import laguerre_node, legendre_node
         from .trajectory_engine import VelocityField
@@ -162,8 +162,8 @@ class SchrodingerEigenstate(Frozen):
         clear, outside_guard = _origin_guard(atom)
         # The node test's recurrences cost O(n - l) and O(l), and an orbit meets few distinct radii and
         # cosines (under 200 of each in a 10 000-step orbit's 40 001 evaluations): each runs once per value.
-        radial_node = lru_cache(maxsize=1024)(partial(laguerre_node, q, atom))
-        angular_node = lru_cache(maxsize=1024)(partial(legendre_node, q))
+        radial_node = lru_cache(maxsize=1024)(lambda r: laguerre_node(q, atom, r))
+        angular_node = lru_cache(maxsize=1024)(lambda cos_theta: legendre_node(q, cos_theta))
 
         def planar(x: float, y: float, z: float) -> tuple[float, float]:
             d, s = x * x + y * y, 1.0

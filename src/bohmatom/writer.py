@@ -1,7 +1,7 @@
 """The table writer of `field` and `trajectory`: float tables as rows of text.
 
 Each cell is the repr of its float, the shortest text that reads back as the
-same float. Every table has one form (see table_text): its rows come in
+same float. Every table has one form (see Rows): its rows come in
 pieces of a fixed number of rows, a trajectory's blocks of _BLOCK_ROWS rows
 or a field's r slabs, and each column says how many rows one of its
 values spans. A column that repeats within every piece, such as the angles
@@ -26,8 +26,10 @@ the text is the same wherever the split falls and whether or not the fork
 succeeds.
 
 The float columns of a table are reserved here too (reserve_floats), in maps
-that a forked child shares. Only `field` and `trajectory` import this module,
-so the other commands start without compiling it.
+that a forked child shares. A command hands its table, which carries its
+column names, to its text (cli._csv_text, cli._json), and that makes the
+table's Rows. Only `field` and `trajectory` import this module, so the other
+commands start without compiling it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import os
 import stat
 import sys
 from array import array
-from functools import partial
 from itertools import repeat
 
 from .errors import NotFiniteError
@@ -146,11 +147,11 @@ class Rows:
 
     def piece_text(self):
         table, cell_sep, row_sep, n = self.table, self.cell_sep, self.row_sep, self.table.piece_rows
-        parts = []  # the joined cells of a run of columns that every piece shares, or a function (start, stop) -> cells
+        parts = []  # the joined cells of a run of columns that every piece shares, or a (column, span) of _span_cells
         for column, span in zip(map(_floats, table.columns), table.spans):
             period = len(column) * span
             if period >= table.rows:
-                parts.append(partial(_span_cells, column, span))
+                parts.append((column, span))
                 continue
             cells = list(_span_cells(column, span, 0, period)) * (n // period)
             if parts and isinstance(parts[-1], list):
@@ -161,7 +162,10 @@ class Rows:
             table.fill(i)
             start = i * n
             rows = min(n, table.rows - start)
-            cells = [p(start, start + rows) if callable(p) else p if rows == n else p[:rows] for p in parts]
+            cells = [
+                _span_cells(*p, start, start + rows) if isinstance(p, tuple) else p if rows == n else p[:rows]
+                for p in parts
+            ]
             return row_sep.join(map(cell_sep.join, zip(*cells)))
 
         return text
@@ -231,8 +235,3 @@ class Rows:
                     pass
             if back is not None:
                 back.close()
-
-
-#: The one table function of `field` and `trajectory`: table_text(table, cell_sep, row_sep) is the
-#: table's Rows, which the commands' text writes into the output.
-table_text = Rows

@@ -388,6 +388,20 @@ class TestDilateCommand:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_a_scaled_atom_out_of_range_is_a_one_line_error(self, runner, tmp_path):
+        # The atom of the flags is valid, but at scale 0.01 mass * Z * alpha puts the Bohr radius out of range.
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, ["dilate", "--rest-lifetime", "2e-6", "--mass", "1e-305", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: alpha_scaling at scale 0.01: mass * Z * alpha = ")
+        assert result.output.count("\n") == 1
+        assert not out.exists()
+        # Where the flags' own atom is out of range, that stays a usage error.
+        result = runner.invoke(main, ["dilate", "--rest-lifetime", "2e-6", "--mass", "1e-308", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "puts the Bohr radius out of the float range" in result.output
+        assert not out.exists()
+
     def test_rejects_nonpositive_lifetime(self, runner, tmp_path):
         for lifetime in ("-1.0", "0", "nan", "inf", "-inf"):
             out = tmp_path / "x.json"
@@ -750,6 +764,31 @@ def test_well_formed_commands_import_neither_typing_nor_json(tmp_path):
         assert not modules & {"typing", "json"}, args
 
 
+_SCHRODINGER_211 = ["--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, written",
+    [
+        (["field", "--format", "json", "--out", "{out}"], "out"),
+        (["field", *_SCHRODINGER_211, "--format", "json", "--out", "{out}"], "out"),
+        (["trajectory", "--steps", "1000", "--format", "json", "--out", "{out}"], "out"),
+        (["trajectory", "--steps", "1000", "--out", "{out}"], "out.summary.json"),
+        (["dilate", "--rest-lifetime", "2.196981e-6", "--out", "{out}"], "out"),
+        (["state", *_SCHRODINGER_211, "--out", "{out}"], "out"),
+        (["state", *_SCHRODINGER_211], None),
+    ],
+    ids=["field-dirac", "field-schrodinger", "trajectory", "trajectory-summary", "dilate", "state-out", "state-stdout"],
+)
+def test_json_outputs_are_the_text_json_dumps_gives(runner, tmp_path, args, written):
+    # No command imports json: each JSON file, and the state document on stdout, is the text
+    # json.dumps(indent=2) gives for its own values.
+    result = invoke(runner, [str(tmp_path / "out") if a == "{out}" else a for a in args])
+    assert result.exit_code == 0
+    text = result.stdout if written is None else (tmp_path / written).read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
 # The program's entry ends each process with os._exit: its exit code, stdout, stderr and files are those of main().
 _EXIT_PATHS = {
     "success": (["dilate", "--rest-lifetime", "2e-6", "--out", "{out}"], 0),
@@ -777,6 +816,13 @@ _EXIT_PATHS = {
     "field-beyond-memory": (
         ["field", "--r-count", "1000000", "--theta-count", "1000000", "--phi-count", "100000", "--out", "{out}"], 1
     ),
+    # The table, the JSON text and the scaling table fail before the output is opened.
+    "trajectory-end-time-overflow": (["trajectory", "--dt", "1e308", "--steps", "10", "--out", "{out}"], 1),
+    "dilate-not-finite": (["dilate", "--rest-lifetime", "1.7e308", "--Z", "92", "--out", "{out}"], 1),
+    "dilate-coupling-underflow": (
+        ["dilate", "--rest-lifetime", "2e-6", "--alpha-scale", "1e-200", "--out", "{out}"], 1
+    ),
+    "dilate-scaled-atom": (["dilate", "--rest-lifetime", "2e-6", "--mass", "1e-305", "--out", "{out}"], 1),
 }
 
 
@@ -823,7 +869,8 @@ def test_program_exit_matches_main(tmp_path, args, exit_code):
             path.unlink()
     assert ends[0][0] == exit_code
     assert ends[0] == ends[1]
-    if args[0] == "field" and exit_code == 1:  # it failed before its output was opened: no file, .tmp or .back
+    # A field or dilate that exits 1 failed before its output was opened: no file, .tmp or .back.
+    if args[0] in ("field", "dilate") and exit_code == 1:
         assert ends[0][3] == []
     if fifo:  # the same command into a regular file writes the same bytes
         assert subprocess.run([sys.executable, "-m", "bohmatom.cli", *args], env=env).returncode == 0

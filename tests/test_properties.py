@@ -238,23 +238,23 @@ def file_text(parts):
 @given(pool=value_pools, seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 4))
 def test_table_writer_equals_the_reference_serializers(n_rows, pool, seed, n_cols):
     table = pooled_table(pool, seed, n_rows, n_cols)
-    columns = [f"c{k}" for k in range(n_cols)]
-    data = partial(writer.table_text, as_columns(table, ["array"] * n_cols))
+    data = as_columns(table, ["array"] * n_cols)
     # Compared line by line: equal lists are equal texts, and a mismatch reports its first line quickly.
-    csv_text = file_text(cli._csv_text("table", columns, data))
-    assert csv_text.split("\n") == reference_csv("table", columns, table).split("\n")
-    expected = json.dumps(document(columns, table.tolist()), indent=2) + "\n"
-    assert file_text(cli._json_text(document(columns, data))).split("\n") == expected.split("\n")
+    csv_text = file_text(cli._csv_text("table", data))
+    assert csv_text.split("\n") == reference_csv("table", data.names, table).split("\n")
+    expected = json.dumps(document(data.names, table.tolist()), indent=2) + "\n"
+    assert file_text(cli._json_text(document(data.names, data))).split("\n") == expected.split("\n")
 
 
 def as_columns(table, kinds):
-    """The table as writer.table_text takes it, in blocks of B rows, its fill doing nothing: its columns,
-    one value per row, each as the kind drawn for it, a list, array('d') or a memoryview of floats."""
+    """The table as writer.Rows takes it, in blocks of B rows, its fill doing nothing: its columns, one value
+    per row, each as the kind drawn for it, a list, array('d') or a memoryview of floats, named c0, c1, ..."""
     make = {"list": lambda c: c.tolist(), "array": lambda c: array("d", c.tolist()),
             "memoryview": lambda c: memoryview(c.copy())}
     columns = [make[kind](column) for column, kind in zip(table.T, kinds)]
+    names = [f"c{k}" for k in range(len(columns))]
     return SimpleNamespace(
-        rows=len(table), piece_rows=B, columns=columns, spans=(1,) * len(columns), fill=lambda i: None
+        names=names, rows=len(table), piece_rows=B, columns=columns, spans=(1,) * len(columns), fill=lambda i: None
     )
 
 
@@ -272,7 +272,7 @@ def test_both_dedup_forms_write_the_same_text(n_rows, pool, seed, n_cols, kinds)
     # Compared line by line with the row-wise repr join, as above.
     for columns in (as_columns(table, kinds), as_columns(table, ["array"] * 5)):
         for cell_sep, row_sep in [(",", "\n"), (",\n      ", "\n    ],\n    [\n      ")]:
-            text = file_text([writer.table_text(columns, cell_sep, row_sep)])
+            text = file_text([writer.Rows(columns, cell_sep, row_sep)])
             assert text.split("\n") == row_sep.join(cell_sep.join(map(repr, row)) for row in table.tolist()).split("\n")
 
 
@@ -290,16 +290,18 @@ def test_table_writer_rejects_a_non_finite_cell(form, pool, seed, n_rows, bad, w
     table.flat[int(where * table.size)] = bad
 
     def rows(kind):
-        return partial(writer.table_text, as_columns(table, [kind] * 3))
+        return as_columns(table, [kind] * 3)
 
     parts = {
-        "csv": lambda: cli._csv_text("t", ["a", "b", "c"], rows("list")),
-        "json": lambda: cli._json_text(document(["a", "b", "c"], rows("memoryview"))),
-        "buffers": lambda: cli._csv_text("t", ["a", "b", "c"], rows("array")),
+        "csv": lambda: cli._csv_text("t", rows("list")),
+        "json": lambda: cli._json_text(document(["c0", "c1", "c2"], rows("memoryview"))),
+        "buffers": lambda: cli._csv_text("t", rows("array")),
     }[form]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table")
-        result = CliRunner().invoke(click.Command("write", callback=lambda: cli._write_files(path, {path: parts()})))
+        # The command runner reports the failure, as for any command.
+        write = click.Command("write", callback=lambda: cli._run(lambda: cli._write_files(path, {path: parts()}), {}))
+        result = CliRunner().invoke(write)
         assert os.listdir(tmp) == []  # no output, temp or sibling file
     assert result.exit_code == 1
     assert (result.stdout, result.stderr) == ("", f"error: {cli._NOT_FINITE}\n")
@@ -321,23 +323,23 @@ json_values = st.recursive(
 def test_json_writer_equals_json_dumps(value):
     expected = json.dumps(value, indent=2, allow_nan=False) + "\n"
     assert "".join(cli._json_text(value)) == expected
-    if isinstance(value, dict):  # and with each value but a "rows" table deferred until its part is written
-        deferred = {key: item if key == "rows" else partial(lambda v: v, item) for key, item in value.items()}
+    if isinstance(value, dict):  # and with each value deferred until its part is written
+        deferred = {key: partial(lambda v: v, item) for key, item in value.items()}
         assert file_text(cli._json_text(deferred)) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_fails_on_a_value_that_is_not_finite(capsys, tmp_path, bad):
-    # Where json.dumps(allow_nan=False) raises, the command fails with the not-finite error: before any file
-    # is opened for a value of the document, and leaving no file for a deferred one.
+    # Where json.dumps(allow_nan=False) raises, the command runner fails with the not-finite error: before any
+    # file is opened for a value of the document, and leaving no file for a deferred one.
     doc = {"a": [1.0, {"b": bad}]}
     with pytest.raises(ValueError):
         json.dumps(doc, allow_nan=False)
     with pytest.raises(SystemExit) as now:
-        cli._json_text(doc)
+        cli._run(cli._json_text, {"doc": doc})
     out = str(tmp_path / "doc.json")
     with pytest.raises(SystemExit) as later:
-        cli._write_files(out, {out: cli._json_text({"a": 1.0, "b": lambda: bad})})
+        cli._run(cli._write_files, {"out": out, "texts": {out: cli._json_text({"a": 1.0, "b": lambda: bad})}})
     assert now.value.code == later.value.code == 1
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr().err == f"error: {cli._NOT_FINITE}\n" * 2

@@ -11,7 +11,6 @@ import sys
 import tempfile
 import threading
 from array import array
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,9 +52,11 @@ def spoil(column, where, bad):
 
 
 def column_table(columns):
-    """A table of the float columns, one value per row in blocks of B rows, all computed: its fill does nothing."""
+    """A table of the float columns, named c0, c1, ..., one value per row in blocks of B rows, all computed:
+    its fill does nothing."""
     return SimpleNamespace(
-        rows=len(columns[0]), piece_rows=B, columns=columns, spans=(1,) * len(columns), fill=lambda i: None
+        names=[f"c{k}" for k in range(len(columns))], rows=len(columns[0]), piece_rows=B, columns=columns,
+        spans=(1,) * len(columns), fill=lambda i: None,
     )
 
 
@@ -152,7 +153,7 @@ def test_column_table_in_two_processes_equals_one(rows, n_cols, pool, seed, fmt,
         expected = serial_text(list(zip(*columns)), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    texts = all_texts(lambda: writer.table_text(column_table(columns), *separators))
+    texts = all_texts(lambda: writer.Rows(column_table(columns), *separators))
     (forked, forks), (in_process, _), (piped, pipe_forks) = texts
     assert forked == in_process == piped == expected
     assert forks == (rows >= 2 * B)
@@ -218,7 +219,7 @@ def test_grid_table_in_two_processes_equals_one(shape, kinds, pool, seed, fmt, w
         expected = serial_text(grid_reference(grid, spread, slab), *separators)
     except writer.NotFiniteError:
         expected = writer.NotFiniteError
-    texts = all_texts(lambda: writer.table_text(lazy_table(grid, columns, kinds), *separators))
+    texts = all_texts(lambda: writer.Rows(lazy_table(grid, columns, kinds), *separators))
     (forked, forks), (in_process, _), (piped, pipe_forks) = texts
     assert forked == in_process == piped == expected
     if expected is not writer.NotFiniteError:  # a bad per-angle value fails before the split
@@ -239,7 +240,7 @@ def test_each_slab_is_filled_once_by_the_process_that_writes_it(tmp_path, model,
     grid = SphericalGrid(0.2 * a0, 5.0 * a0, r_count, 30, 30)
     table, log = model.field_table(grid), tmp_path / "fills"
     fd = logged_fills(table, log)
-    rows = writer.table_text(table, ",", "\n")
+    rows = writer.Rows(table, ",", "\n")
     try:
         if target == "file":
             (tmp_path / "out").mkdir()
@@ -291,13 +292,12 @@ def test_each_trajectory_block_is_filled_once_by_the_process_that_writes_it(tmp_
     try:
         if target == "file":
             os.mkdir(tmp_path / "out")
-            rows = partial(writer.table_text, table)
-            texts = {out: cli._csv_text("t", table.names, rows), out + ".summary.json": cli._json_text(table.summary)}
+            texts = {out: cli._csv_text("t", table), out + ".summary.json": cli._json_text(table.summary)}
             cli._write_files(out, texts)
             text = Path(out).read_text(encoding="utf-8").split("\n", 2)[2]
             summary = json.loads(Path(out + ".summary.json").read_text(encoding="utf-8"))
         else:
-            text = pipe_rows(writer.table_text(table, ",", "\n"))
+            text = pipe_rows(writer.Rows(table, ",", "\n"))
             summary = {"max_deviation": table.max_deviation()}
     finally:
         os.close(fd)
@@ -353,7 +353,7 @@ def failing_child(monkeypatch, how):
         return text(i)
 
     monkeypatch.setattr(writer.os, "fork", doomed_child)
-    return spoiled(writer.table_text(column_table(COLUMNS), ",", "\n"), fails)
+    return spoiled(writer.Rows(column_table(COLUMNS), ",", "\n"), fails)
 
 
 def assert_written_here(rows, directory):
@@ -383,7 +383,7 @@ def test_the_child_file_has_no_name_while_the_halves_are_written(tmp_path):
         listings.append(os.listdir(tmp_path))
         return text(i)
 
-    assert_written_here(spoiled(writer.table_text(column_table(COLUMNS), ",", "\n"), listed), tmp_path)
+    assert_written_here(spoiled(writer.Rows(column_table(COLUMNS), ",", "\n"), listed), tmp_path)
     assert listings == [["rows"]] * 3  # the front half's three pieces, formatted in this process
 
 
@@ -391,7 +391,7 @@ def test_an_ignored_sigchld_costs_the_split_not_the_text(tmp_path):
     # With SIGCHLD ignored the child is reaped unseen: its status is unknown, so this process writes its half.
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert_written_here(writer.table_text(column_table(COLUMNS), ",", "\n"), tmp_path)
+        assert_written_here(writer.Rows(column_table(COLUMNS), ",", "\n"), tmp_path)
     finally:
         signal.signal(signal.SIGCHLD, previous)
 
@@ -402,7 +402,7 @@ def test_the_sibling_file_is_appended_through_memory_where_copy_file_range_fails
 
     monkeypatch.setattr(writer, "_COPY_CHUNK", 1000)  # several chunks
     monkeypatch.setattr(writer.os, "copy_file_range", refused, raising=False)
-    assert_written_here(writer.table_text(column_table(COLUMNS), ",", "\n"), tmp_path)
+    assert_written_here(writer.Rows(column_table(COLUMNS), ",", "\n"), tmp_path)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -421,11 +421,11 @@ def test_a_failed_table_leaves_no_file(monkeypatch, capsys, tmp_path, fmt, failu
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(writer, "_append", no_space)
-    out, table = str(tmp_path / f"table.{fmt}"), partial(writer.table_text, column_table([column]))
+    out, table = str(tmp_path / f"table.{fmt}"), column_table([column])
     if fmt == "csv":
-        texts = {out: cli._csv_text("t", ["a"], table), out + ".summary.json": cli._json_text({"a": 1})}
+        texts = {out: cli._csv_text("t", table), out + ".summary.json": cli._json_text({"a": 1})}
     else:
-        texts = {out: cli._json_text({"command": "t", "columns": ["a"], "rows": table})}
+        texts = {out: cli._json_text({"command": "t", "columns": table.names, "rows": table})}
     if failure == "interrupt":  # raised in the first piece this process formats, once the child is forked
         parent = os.getpid()
 
@@ -436,7 +436,7 @@ def test_a_failed_table_leaves_no_file(monkeypatch, capsys, tmp_path, fmt, failu
 
         spoiled(next(part for part in texts[out] if isinstance(part, writer.Rows)), interrupted)
     with pytest.raises(KeyboardInterrupt if failure == "interrupt" else SystemExit):
-        cli._write_files(out, texts)
+        cli._run(cli._write_files, {"out": out, "texts": texts})
     assert os.listdir(tmp_path) == []
     assert_no_child()
     message = {"interrupt": "", "append fails": f"error: cannot write {out}: No space left on device\n"}
