@@ -325,7 +325,9 @@ _PATH = "path"
 
 def _option(flag, kind, default=None, *, name=None, required=False, help=None, show_default=None):
     """One option of a command: its flag, parameter name (the flag's, as click derives it, unless given), type
-    (int, float, a tuple of choices or _PATH), default, whether it is required, its help and [default: ...] note."""
+    (int, float, a tuple of choices or _PATH), default, whether it is required, its help, and the text its help
+    page shows in place of the default. The page (usage.page) notes every default that is not None, as click
+    does for these declarations with show_default."""
     return flag, name or flag[2:].replace("-", "_").lower(), kind, default, required, help, show_default
 
 
@@ -334,19 +336,19 @@ _MODEL_OPTIONS = (
     _option("--l", int, help="Schrodinger only."),
     _option("--n", int, help="Schrodinger only."),
     _option("--spin", ("up", "down"), help="Dirac only."),
-    _option("--model", ("schrodinger", "dirac"), "dirac", show_default=True),
+    _option("--model", ("schrodinger", "dirac"), "dirac"),
 )
 _ATOM_OPTIONS = (
-    _option("--mass", float, 1.0, show_default=True, help="Bound-particle mass in natural units."),
-    _option("--alpha-scale", float, 1.0, show_default=True, help="Multiplier on the physical fine-structure constant."),
-    _option("--Z", int, 1, show_default=True, help="Nuclear charge."),
+    _option("--mass", float, 1.0, help="Bound-particle mass in natural units."),
+    _option("--alpha-scale", float, 1.0, help="Multiplier on the physical fine-structure constant."),
+    _option("--Z", int, 1, help="Nuclear charge."),
 )
 _ANGLE_OPTIONS = (
     _option("--theta", float, math.pi / 2, name="theta0", show_default="pi/2"),
-    _option("--phi", float, 0.0, name="phi0", show_default=True),
+    _option("--phi", float, 0.0, name="phi0"),
 )
 _OUT = _option("--out", _PATH, required=True)
-_FORMAT = _option("--format", ("csv", "json"), "csv", name="fmt", show_default=True)
+_FORMAT = _option("--format", ("csv", "json"), "csv", name="fmt")
 
 #: Each command's body and options, in the order --help lists them.
 _COMMANDS = {
@@ -355,9 +357,9 @@ _COMMANDS = {
         *_ATOM_OPTIONS,
         _option("--r-min", float, help="Grid start radius (natural units); default 0.2 Bohr radii."),
         _option("--r-max", float, help="Grid end radius (natural units); default 5 Bohr radii."),
-        _option("--r-count", int, 5, show_default=True),
-        _option("--theta-count", int, 7, show_default=True, help="Cell-centered; odd counts include the equator."),
-        _option("--phi-count", int, 8, show_default=True),
+        _option("--r-count", int, 5),
+        _option("--theta-count", int, 7, help="Cell-centered; odd counts include the equator."),
+        _option("--phi-count", int, 8),
         _OUT,
         _FORMAT,
     )),
@@ -367,12 +369,12 @@ _COMMANDS = {
         _option("--r", float, name="r0", help="Start radius (natural units); default one Bohr radius."),
         *_ANGLE_OPTIONS,
         _option("--dt", float, help="Time step (natural units); default period/10000."),
-        _option("--steps", int, 10000, show_default=True),
+        _option("--steps", int, 10000),
         _OUT,
         _FORMAT,
     )),
     "dilate": (dilate_cmd, (
-        _option("--spin", ("up", "down"), "up", show_default=True),
+        _option("--spin", ("up", "down"), "up"),
         *_ATOM_OPTIONS,
         _option("--rest-lifetime", float, required=True, help="Rest-frame lifetime in seconds."),
         _OUT,

@@ -31,14 +31,13 @@ from __future__ import annotations
 import math
 from array import array
 from functools import cached_property
-from itertools import accumulate
 from operator import mul
 
 from .coords import azimuthal_to_cartesian, pole_safe_sin
 from .errors import PhaseSingularityError
 from .frozen import Frozen
 from .physics_core import AtomConfig, SpinOrientation
-from .writer import reserve_floats
+from .writer import reserve_columns
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -109,13 +108,6 @@ class FieldTable:
         self.spans = (slab, grid.phi_count, 1, *spans)
 
 
-def _reserved(*lengths: int) -> list[memoryview]:
-    """Float columns of the given lengths, reserved at once in one buffer before the first point
-    (MemoryError if they cannot be)."""
-    buffer = reserve_floats(sum(lengths))
-    return [buffer[end - n : end] for n, end in zip(lengths, accumulate(lengths))]
-
-
 def _put(column: memoryview, i: int, values: list) -> None:
     """Store the values as block i of the column, each block as long as the values: slab i of a
     column of one value per point, or the values of r slab i in a column of one value per (r, theta)."""
@@ -141,7 +133,7 @@ def dirac_table(spin: SpinOrientation, atom: AtomConfig, grid: SphericalGrid) ->
     for every radius here, so that a DomainError is raised before any slab is filled."""
     from .dirac_states import azimuthal_speed, ground_current, radial_amplitude, small_component_ratio
 
-    current = _reserved(grid.r_count * grid.theta_count, grid.size, grid.size)
+    current = reserve_columns(grid.r_count * grid.theta_count, grid.size, grid.size)
     slab = grid.theta_count * grid.phi_count
     amplitudes = [radial_amplitude(atom, r) for r in grid.r]
     zeta = small_component_ratio(atom)
@@ -171,7 +163,7 @@ def schrodinger_table(q: QuantumNumbers, atom: AtomConfig, grid: SphericalGrid) 
     from .schrodinger_states import hydrogen_wavefunction, phase_gradient
 
     ring, point = grid.r_count * grid.theta_count, grid.size
-    columns = _reserved(ring) if q.m == 0 else _reserved(ring, point, point, point, point, ring)
+    columns = reserve_columns(ring) if q.m == 0 else reserve_columns(ring, point, point, point, point, ring)
     slab = grid.theta_count * grid.phi_count
     radial, radial_node, colatitude, angular_node = hydrogen_wavefunction(q, atom, grid)
     if q.m != 0:

@@ -22,7 +22,7 @@ from operator import sub
 from .coords import SphericalPoint, norm3
 from .errors import DomainError, OriginSingularityError, TrajectorySingularityError
 from .frozen import Frozen
-from .writer import _BLOCK_ROWS, reserve_floats
+from .writer import _BLOCK_ROWS, reserve_columns
 
 
 class VelocityField(Frozen):
@@ -51,9 +51,7 @@ def integrate_trajectory(field: VelocityField, start: SphericalPoint, dt: float,
     if not math.isfinite(dt * steps):
         raise DomainError(f"the end time dt * steps = {dt} * {steps} exceeds the float range")
 
-    rows = steps + 1
-    buffer = reserve_floats(7 * rows)
-    columns = T, X, Y, Z, VX, VY, VZ = [buffer[k * rows : (k + 1) * rows] for k in range(7)]
+    columns = T, X, Y, Z, VX, VY, VZ = reserve_columns(*[steps + 1] * 7)
 
     # `done` is the number of complete rows; inside the loop it is also the index of the row being computed,
     # so an abort keeps rows [0, done). A position that overflows becomes inf or nan (Python floats raise no
@@ -128,8 +126,7 @@ class TrajectoryTable:
         except TrajectorySingularityError as exc:
             columns, self.error = exc.columns, exc
         n = len(columns[0])
-        buffer = reserve_floats(4 * max(n, 1))  # a map is never empty
-        self._reference = [buffer[k * n : (k + 1) * n] for k in range(4)]
+        self._reference = reserve_columns(n, n, n, n)
         self.columns = [*columns, *self._reference]
         self.rows, self.piece_rows, self.spans = n, _BLOCK_ROWS, (1,) * len(self.columns)
         self.summary = {

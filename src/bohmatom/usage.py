@@ -1,9 +1,13 @@
 """Help pages and the click group: what a help request or a malformed command line needs.
 
 `page` renders the top-level help page and each command's from the declarations in `cli`: _COMMANDS,
-_HELP and the command bodies' docstrings. Its pages are byte for byte those click 8 renders for the
-same declarations: the usage line, the paragraphs filled by textwrap, the options and commands lists,
-and the short help of each command. `print_help` prints one under the program name click detects, for
+_HELP and the command bodies' docstrings. For those declarations, at every width, its pages are byte
+for byte those click 8 renders: the usage line, the paragraphs, the options and commands lists and the
+short help of each command, each filled by textwrap. It draws only the shapes these declarations have:
+every term narrower than click's 30-column cap, every option with a text, no sentence end within a
+short help's limit, and no indented paragraph or run of spaces in a docstring. tests/test_cli.py
+compares each page with click's at every COLUMNS value click tells apart, so a declaration that needs
+another shape fails there first. `print_help` prints a page under the program name click detects, for
 `--help` and `COMMAND --help`, without importing click. `group` builds the click group, which parses
 every other command line, reports its usage errors and answers shell completion; its help pages are
 `page`'s too. The `cli` argument of each is the module of the commands: `bohmatom.cli`, or `__main__`
@@ -37,37 +41,15 @@ def _width() -> int:
     return max(min(columns, 80) - 2, 50)
 
 
-def _cleandoc(doc: str) -> str:
-    """doc as inspect.cleandoc cleans it: tabs expanded, the first line's leading and the other lines'
-    common indentation removed, and the blank lines at either end dropped."""
-    first, *rest = doc.expandtabs().split("\n")
-    margin = min((len(line) - len(line.lstrip()) for line in rest if line.lstrip()), default=0)
-    lines = [first.lstrip(), *(line[margin:] for line in rest)]
-    while lines and not lines[-1]:
-        lines.pop()
-    while lines and not lines[0]:
-        lines.pop(0)
-    return "\n".join(lines)
-
-
 def _wrap(text: str, width: int, initial: str, subsequent: str) -> str:
-    """text filled by textwrap as click fills it, with the whitespace within lines kept."""
-    return textwrap.fill(text, width, initial_indent=initial, subsequent_indent=subsequent, replace_whitespace=False)
+    """text filled by textwrap as click fills it."""
+    return textwrap.fill(text, width, initial_indent=initial, subsequent_indent=subsequent)
 
 
-def _fill(text: str, width: int, indent: str = "") -> str:
-    """text as click fills help text: each paragraph, a run of nonempty lines, joined by spaces and
-    filled by textwrap at the indent and its first line's own, one empty line between paragraphs."""
-    paragraphs, lines = [], []
-    for line in [*text.splitlines(), ""]:
-        if line:
-            lines.append(line)
-        elif lines:
-            first = lines[0].lstrip()
-            pad = indent + " " * (len(lines[0]) - len(first))
-            paragraphs.append(_wrap(" ".join([first, *lines[1:]]), width, pad, pad))
-            lines = []
-    return "\n\n".join(paragraphs)
+def _fill(text: str, width: int, indent: str) -> str:
+    """A docstring as click fills help text: each paragraph, its words joined by single spaces, filled at
+    the indent, one empty line between paragraphs."""
+    return "\n\n".join(_wrap(" ".join(par.split()), width, indent, indent) for par in text.split("\n\n"))
 
 
 def _usage(path: str, args: str, width: int) -> str:
@@ -79,53 +61,19 @@ def _usage(path: str, args: str, width: int) -> str:
 
 
 def _list(heading: str, rows: list, width: int) -> str:
-    """A section of terms and their texts: each text beside its term in a column at most 30 wide, or
-    under a longer term, filled to the width."""
-    column = min(max(len(term) for term, _ in rows), 30) + 2
-    lines = [f"\n{heading}:"]
-    for term, text in rows:
-        if not text:
-            lines.append("  " + term)
-            continue
-        pad = " " * (column - len(term)) if len(term) <= column - 2 else "\n" + " " * (column + 2)
-        wrapped = _fill(text, max(width - column - 2, 10)).splitlines()
-        lines.append("  " + term + pad + ("\n" + " " * (column + 2)).join(wrapped))
-    return "\n".join(lines)
-
-
-def _short(doc: str | None, limit: int) -> str:
-    """A command's short help: the first paragraph of its docstring up to the first sentence end, or cut
-    after the last word that leaves room for '...' within the limit."""
-    words = (doc or "").partition("\n\n")[0].split()
-    total = 0
-    for i, word in enumerate(words):
-        total += len(word) + (i > 0)
-        if total > limit:
-            break
-        if word[-1] == ".":
-            return " ".join(words[: i + 1])
-        if total == limit and i != len(words) - 1:
-            break
-    else:
-        return " ".join(words)
-    total += 3
-    while i > 0:
-        total -= len(words[i]) + (i > 0)
-        if total <= limit:
-            break
-        i -= 1
-    return " ".join(words[:i]) + "..."
+    """A section of terms and their texts: each text beside its term, in a column 2 wider than the
+    longest term, filled to the width."""
+    column = max(len(term) for term, _ in rows) + 2
+    lines = (_wrap(text, width, f"  {term:{column}}", " " * (column + 2)) for term, text in rows)
+    return f"{heading}:\n" + "\n".join(lines)
 
 
 def _option_row(cli, option) -> tuple[str, str]:
-    """An option's term, its flag and metavar, and its text, its help and its [default: ...] and [required] notes."""
+    """An option's term, its flag and metavar, and its text: its help and its [default: ...] and [required]
+    notes, where the default is shown wherever it is not None."""
     flag, _, kind, default, required, help_text, show_default = option
     metavar = "FILE" if kind is cli._PATH else f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _METAVARS[kind]
-    notes = []
-    if isinstance(show_default, str):
-        notes.append(f"default: ({show_default})")
-    elif show_default and default is not None:
-        notes.append(f"default: {default}")
+    notes = [] if default is None else [f"default: ({show_default})" if show_default else f"default: {default}"]
     if required:
         notes.append("required")
     note = f"[{'; '.join(notes)}]" if notes else ""
@@ -137,20 +85,22 @@ def page(cli, path: str, command: str | None = None) -> str:
     `bohmatom field`), without the final newline."""
     width = _width()
     if command is None:
-        usage, doc, options = "[OPTIONS] COMMAND [ARGS]...", cli._HELP, []
+        usage, doc, rows = "[OPTIONS] COMMAND [ARGS]...", cli._HELP, []
     else:
         body, options = cli._COMMANDS[command]
-        usage, doc = "[OPTIONS]", body.__doc__
-    text = [_usage(path, usage, width)]
-    doc = _cleandoc(doc).partition("\f")[0] if doc else ""
-    if doc:
-        text.append("\n" + _fill(doc, width, "  "))
-    text.append(_list("Options", [*(_option_row(cli, option) for option in options), _HELP_OPTION], width))
-    if command is None:
+        usage, doc, rows = "[OPTIONS]", body.__doc__, [_option_row(cli, option) for option in options]
+    text = [_usage(path, usage, width), _fill(doc, width, "  "), _list("Options", [*rows, _HELP_OPTION], width)]
+    if command is None:  # each command's short help: its docstring's first paragraph, cut to fit
         limit = width - 6 - max(map(len, cli._COMMANDS))
-        rows = [(name, _short(cli._COMMANDS[name][0].__doc__, limit)) for name in sorted(cli._COMMANDS)]
+        rows = [
+            (name, textwrap.shorten(
+                cli._COMMANDS[name][0].__doc__.partition("\n\n")[0], limit,
+                placeholder="...", break_on_hyphens=False, break_long_words=False,
+            ))
+            for name in sorted(cli._COMMANDS)
+        ]
         text.append(_list("Commands", rows, width))
-    return "\n".join(text)
+    return "\n\n".join(text)
 
 
 def _program_name() -> str:

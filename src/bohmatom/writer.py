@@ -25,7 +25,7 @@ CHANGES.md hold the measurements). Every piece is formatted on its own, so
 the text is the same wherever the split falls and whether or not the fork
 succeeds.
 
-The float columns of a table are reserved here too (reserve_floats), in maps
+The float columns of a table are reserved here too (reserve_columns), in maps
 that a forked child shares. A command hands its table, which carries its
 column names, to its text (cli._csv_text, cli._json), and that makes the
 table's Rows. Only `field` and `trajectory` import this module, so the other
@@ -40,7 +40,7 @@ import os
 import stat
 import sys
 from array import array
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import NotFiniteError
 
@@ -51,21 +51,23 @@ _BLOCK_ROWS = 1024
 _COPY_CHUNK = 1 << 20
 
 
-def reserve_floats(count: int) -> memoryview:
-    """A buffer of count floats in an anonymous shared memory map.
+def reserve_columns(*lengths: int) -> list[memoryview]:
+    """Float columns of the given lengths, in one anonymous shared memory map.
 
     The map reserves the memory at once but touches none of it: each page is
     allocated when it is first written. A child forked while the table is
-    written shares it, so that the values it fills are seen here.
-    MemoryError if it cannot be reserved.
+    written shares it, so that the values it fills are seen here. The map
+    holds at least one float, as no map is empty, so columns of no rows are
+    reserved too. MemoryError if it cannot be reserved.
     """
-    size = 8 * count
-    if size > sys.maxsize:
+    count = sum(lengths)
+    if 8 * count > sys.maxsize:
         raise MemoryError(f"{count} floats do not fit in memory")
     try:
-        return memoryview(mmap.mmap(-1, size, flags=mmap.MAP_SHARED)).cast("d")
+        buffer = memoryview(mmap.mmap(-1, 8 * max(count, 1), flags=mmap.MAP_SHARED)).cast("d")
     except OSError as exc:  # ENOMEM: larger than the address space or the commit limit
         raise MemoryError(f"{count} floats do not fit in memory") from exc
+    return [buffer[end - n : end] for n, end in zip(lengths, accumulate(lengths))]
 
 
 def _formatted(values: list) -> list[str]:

@@ -273,9 +273,10 @@ def trajectory_arrays(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def click_group(cli):
-    """The click group of cli's commands, declared to click with each option's help and [default: ...]
-    note and each command's docstring, so that click renders its help pages itself: the pages that
-    bohmatom.usage.page renders without click."""
+    """The click group of cli's commands, declared to click with each option's help and each command's
+    docstring, and show_default wherever the default is not None (the declared text where there is
+    one), so that click renders its help pages itself: the pages that bohmatom.usage.page renders
+    without click."""
     import click
 
     def command(command_name, body, options):
@@ -295,7 +296,7 @@ def click_group(cli):
                 ),
                 required=required,
                 help=help_text,
-                show_default=show_default,
+                show_default=show_default or default is not None,
                 **({} if required else {"default": default}),
             )
             for flag, param, kind, default, required, help_text, show_default in options

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -661,8 +662,10 @@ _COMMAND_MODULES = {
 
 def expected_modules(args):
     """The package modules `bohmatom ARGS` imports: its command's, and its model's where it evaluates one."""
+    if "--help" in args:
+        return _COMMAND_MODULES["--help"]
     modules = _COMMAND_MODULES[args[0]]
-    if args[0] in ("--help", "dilate"):
+    if args[0] == "dilate":
         return modules
     model = "schrodinger" if "schrodinger" in args else "dirac"
     if args[0] == "trajectory" and model == "dirac":  # the flow is closed-form: no spinor
@@ -714,10 +717,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
     # No command loads numpy, and each loads only the package modules it runs. A well-formed command and
-    # --help run without click (and the dataclasses and inspect modules); a usage error needs click.
+    # each help page run without click (and the dataclasses and inspect modules); a usage error needs click.
     out = tmp_path / "out"
-    runs = [(["--help"], 0), (["dilate", "--rest-lifetime", "2e-6", "--out", str(out)], 0)]
-    runs += [(["dilate", "--rest-lifetime", "0", "--out", str(out)], 2)]
+    runs = [(["--help"], 0), *(([name, "--help"], 0) for name in cli._COMMANDS)]
+    runs += [(["dilate", "--rest-lifetime", "2e-6", "--out", str(out)], 0)]
+    runs += [(["dilate", "--rest-lifetime", "0", "--out", str(out)], 2), (["field", "--r-count", "0", "--out", str(out)], 2)]
     runs += [(["state", *args], exit_code) for args, exit_code in _COLD_STATES]
     runs += [
         (["trajectory", *args, "--format", fmt, "--out", str(out)], exit_code)
@@ -733,13 +737,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
         result, modules = run_cold(args)
         assert result.returncode == exit_code, (args, result.stderr)
         assert not {m for m in modules if m.split(".")[0] in ("numpy", "scipy")}, args
-        usage_error = {"bohmatom.usage"} if exit_code == 2 else set()  # reported by the click group
-        assert {m for m in modules if m.split(".")[0] == "bohmatom"} == expected_modules(args) | usage_error, args
+        # A usage error is raised before any model is evaluated, and reported by the click group.
+        expected = _COMMAND_MODULES[args[0]] | {"bohmatom.usage"} if exit_code == 2 else expected_modules(args)
+        assert {m for m in modules if m.split(".")[0] == "bohmatom"} == expected, args
         if exit_code == 2:
             assert "click" in modules, args
         else:
             assert not {m for m in modules if m.split(".")[0] in ("click", "dataclasses", "inspect")}, args
-        if args[0] == "dilate" and exit_code == 0:
+        if "--help" in args:
+            assert result.stdout.startswith("Usage: python -m bohmatom.cli "), args
+        elif args[0] == "dilate" and exit_code == 0:
             assert json.loads(out.read_text(encoding="utf-8"))["mean_gamma"] > 1.0
         elif args[0] in ("trajectory", "field") and exit_code == 0:
             assert out.stat().st_size > 0
@@ -765,6 +772,30 @@ def test_well_formed_commands_import_neither_typing_nor_json(tmp_path):
         result, modules = run_cold(args, "-S")
         assert result.returncode == 0, (args, result.stderr)
         assert not modules & {"typing", "json"}, args
+
+
+def test_phi_independent_columns_hold_one_value_per_ring(tmp_path):
+    # Both flows rotate rigidly about z: j0, j3 and speed hold one bit pattern per (r, theta) ring, in a
+    # CSV and a JSON table each read back with nothing but the csv and json modules.
+    grid = ["--r-count", "3", "--theta-count", "24", "--phi-count", "24"]
+    runs = {
+        "ring.csv": ["field", "--model", "dirac", "--Z", "80", *grid],
+        "ring.json": ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", *grid, "--format", "json"],
+    }
+    for name, args in runs.items():
+        command = [sys.executable, "-m", "bohmatom.cli", *args, "--out", name]
+        assert subprocess.run(command, env=_SUBPROCESS_ENV, cwd=tmp_path).returncode == 0, name
+    with open(tmp_path / "ring.csv", newline="") as fh:
+        _, *csv_rows = csv.reader(line for line in fh if not line.startswith("#"))
+    with open(tmp_path / "ring.json") as fh:
+        tables = {"ring.csv": [list(map(float, row)) for row in csv_rows], "ring.json": json.load(fh)["rows"]}
+    for name, rows in tables.items():
+        assert len(rows) == 3 * 24 * 24, name
+        for column in (3, 6, 10):  # j0, j3, speed
+            rings = {}
+            for row in rows:
+                rings.setdefault((row[0], row[1]), set()).add(row[column].hex())
+            assert len(rings) == 3 * 24 and all(len(v) == 1 for v in rings.values()), (name, column)
 
 
 _SCHRODINGER_211 = ["--model", "schrodinger", "--n", "2", "--l", "1", "--m", "1"]
@@ -936,9 +967,9 @@ def test_profiled_run_writes_its_profile(tmp_path):
     assert "make_report" in str(pstats.Stats(str(tmp_path / "p.prof")).stats)
 
 
-#: COLUMNS values: unset, below click's least width of 50, about 50, about 80 (the widest page), a
-#: width that a long program name crowds, and values that are no positive integer.
-_COLUMNS = [None, "1", "30", "50", "51", "52", "60", "66", "72", "78", "79", "80", "81", "120", "0", "abc"]
+#: COLUMNS values: unset, every value from 1 to 81 (click's width is COLUMNS - 2, clamped to 50-78, so
+#: these hold every width it can take), one far above 80, and values that are no positive integer.
+_COLUMNS = [None, *map(str, range(1, 82)), "120", "0", "abc"]
 _PROGRAM_NAMES = ["bohmatom", "python -m bohmatom.cli", "-c"]
 _HELP_REQUESTS = [["--help"], *([name, "--help"] for name in cli._COMMANDS)]
 
@@ -980,50 +1011,6 @@ def test_help_pages_are_the_ones_click_renders(monkeypatch, capsys, columns):
                 program.setattr(sys, "argv", [argv0, *args])
                 cli._main()
             assert capsys.readouterr() == (expected[1], ""), (prog, args)
-
-
-def _sentence_first():
-    """Print one value. Then more words follow, well past the end of the first sentence of this text.
-
-    A second paragraph,
-        with an indented line and a-long-hyphenated-compound-word-that-textwrap-may-break-at-its-hyphens.
-
-      An indented paragraph.
-    """
-
-
-def _undocumented():
-    pass
-
-
-#: Declarations that the program's own do not exercise: a term wider than 30 columns, an option with
-#: neither help nor note, a short help cut at a sentence end, indented paragraphs and no docstring.
-_OTHER_DECLARATIONS = SimpleNamespace(
-    _PATH=cli._PATH, _run=cli._run, UsageError=cli.UsageError,
-    _HELP="A top-level text that runs on. " * 8,
-    _COMMANDS={
-        "a-rather-long-command-name": (_sentence_first, (
-            cli._option("--an-extremely-long-flag", ("first-choice", "second-choice"), "first-choice",
-                        show_default=True, help="A choice between two values, with a help text of some length."),
-            cli._option("--plain", float),
-            cli._option("--x", int, 3, show_default="three"),
-            cli._option("--out", cli._PATH, required=True, help="Where."),
-        )),
-        "u": (_undocumented, (cli._option("--n", int, 1, show_default=True),)),
-    },
-)
-
-
-@pytest.mark.parametrize("columns", ["1", "60", "79", "200"], ids=lambda columns: f"COLUMNS={columns}")
-def test_help_pages_of_other_declarations_are_the_ones_click_renders(monkeypatch, columns):
-    monkeypatch.setenv("COLUMNS", columns)
-    reference = click_group(_OTHER_DECLARATIONS)
-    for command in [None, *_OTHER_DECLARATIONS._COMMANDS]:
-        args = ["--help"] if command is None else [command, "--help"]
-        path = "bohmatom" if command is None else f"bohmatom {command}"
-        page = usage.page(_OTHER_DECLARATIONS, path, command) + "\n"
-        assert (0, page) == click_prints(reference, args, "bohmatom"), command
-        assert (0, page) == click_prints(usage.group(_OTHER_DECLARATIONS), args, "bohmatom"), command
 
 
 @pytest.mark.parametrize("columns", [None, "52", "abc"], ids=lambda columns: f"COLUMNS={columns}")

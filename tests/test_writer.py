@@ -134,6 +134,16 @@ def all_texts(write):
     return written(write, False, True), written(write, True, True), written(write, False, False)
 
 
+def test_reserved_columns_share_one_map_and_may_be_empty():
+    a, empty, b = writer.reserve_columns(3, 0, 2)
+    assert (len(a), len(empty), len(b)) == (3, 0, 2) and a.obj is b.obj
+    a[:], b[:] = array("d", [1.0, 2.0, 3.0]), array("d", [4.0, 5.0])
+    assert (a.tolist(), b.tolist()) == ([1.0, 2.0, 3.0], [4.0, 5.0])
+    assert [len(c) for c in writer.reserve_columns(0, 0)] == [0, 0]  # the map itself is never empty
+    with pytest.raises(MemoryError):
+        writer.reserve_columns(sys.maxsize // 16 + 1, sys.maxsize // 16 + 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=block_rows,
@@ -178,7 +188,7 @@ def lazy_table(grid, columns, kinds):
     """A FieldTable of the columns, where each column of a kind other than "angle" is a reserved
     column that fill(i) fills slab by slab from the given one."""
     lazy = [k for k, kind in enumerate(kinds) if kind != "angle"]
-    reserved = {k: writer.reserve_floats(len(columns[k])) for k in lazy}
+    reserved = dict(zip(lazy, writer.reserve_columns(*(len(columns[k]) for k in lazy))))
 
     def fill(i):
         for k in lazy:
