@@ -18,12 +18,10 @@ formats the back half into an unnamed file, while this process formats the
 front half, then appends the child's file with os.copy_file_range. The
 process that formats a piece also computes it, by the table's fill(i): a
 field slab, or the exact circle and the deviation of a trajectory block.
-Filling and formatting the rows is the largest part of a 10 000-step
-`trajectory` process, and on two free cores the halves take less wall time
-than one core takes for both (BENCH_15.json's `formatting_in_process` and
-CHANGES.md hold the measurements). Every piece is formatted on its own, so
-the text is the same wherever the split falls and whether or not the fork
-succeeds.
+The kernel mostly starts a child on its parent's CPU, so the child first
+moves to another allowed CPU and then allows them all again: the halves run
+side by side (BENCH_30.json). Each piece is formatted on its own, so the
+text is the same wherever the split falls and whether the fork succeeds.
 
 The float columns of a table are reserved here too (reserve_columns), in maps
 that a forked child shares. A command hands its table, which carries its
@@ -106,6 +104,15 @@ def _floats(column) -> memoryview:
     return memoryview(array("d", column) if isinstance(column, list) else column)
 
 
+def _cpu() -> int:
+    """The CPU this process runs on, field 39 of /proc/self/stat; -1 where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as proc:
+            return int(proc.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return -1
+
+
 def _append(dst: int, src: int) -> None:
     """Append all of the file src at the offset of dst, advancing it."""
     size, done = os.fstat(src).st_size, 0
@@ -183,7 +190,8 @@ class Rows:
         """Write the rows into fh, a text file: a device or a pipe in this process alone.
 
         Where fh is a regular file, a table of at least two blocks and two pieces is split at the
-        piece boundary nearest half its rows. A forked child writes the back half into a file made
+        piece boundary nearest half its rows. A forked child, started on another CPU than the one
+        this process ran on at the fork where one is allowed, writes the back half into a file made
         as `<fh.name>.back` and unlinked before the fork, while this process writes the front half
         into fh; the child's file is then appended to fh. Where that file or the fork cannot be
         made, or the child is not seen to end with status 0, this process writes the back half
@@ -201,12 +209,19 @@ class Rows:
         try:
             back = open(f"{fh.name}.back", "x+", encoding="utf-8", newline="\n")
             os.remove(back.name)  # the child inherits the open file: no name is left to clean up
+            cpu = _cpu()
             pid = os.fork()
         except OSError:
             pass
         if pid == 0:  # the child: write the back half and end without running any of the parent's exit code
             status = 1
             try:
+                try:  # start on another CPU than this process, then allow them all again: no pin outlives the move
+                    allowed = os.sched_getaffinity(0)
+                    os.sched_setaffinity(0, allowed - {cpu})
+                    os.sched_setaffinity(0, allowed)
+                except (AttributeError, OSError):  # one CPU allowed, or no sched_setaffinity on this system
+                    pass
                 self._write(back, text, split, self.pieces)
                 back.flush()
                 status = 0

@@ -415,6 +415,80 @@ def test_the_sibling_file_is_appended_through_memory_where_copy_file_range_fails
     assert_written_here(writer.Rows(column_table(COLUMNS), ",", "\n"), tmp_path)
 
 
+def split_fills(directory):
+    """COLUMNS written into a new file in directory/out, checked by assert_written_here: the pieces each
+    process filled, this one's as "here" and the child's as "child"."""
+    table, log, out = column_table(COLUMNS), directory / "fills", directory / "out"
+    out.mkdir()
+    fd = logged_fills(table, log)
+    try:
+        assert_written_here(writer.Rows(table, ",", "\n"), out)
+    finally:
+        os.close(fd)
+    return {"here" if pid == os.getpid() else "child": pieces for pid, pieces in fills_by_process(log).items()}
+
+
+def test_the_child_starts_on_another_cpu_and_this_process_keeps_its_cpus(monkeypatch, tmp_path):
+    # The child's first act allows every CPU but the one this process read just before the fork, which moves
+    # it at once, and then allows them all again. Where one CPU is allowed the move is refused: the child
+    # writes its half where it starts.
+    allowed, this, moves, at_fork = os.sched_getaffinity(0), os.getpid(), tmp_path / "moves", []
+    set_affinity, cpu = os.sched_setaffinity, writer._cpu
+
+    def logged(pid, cpus):
+        set_affinity(pid, cpus)
+        if os.getpid() != this:
+            with open(moves, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([sorted(cpus), cpu()]) + "\n")
+
+    def read_at_fork():
+        at_fork.append(cpu())
+        return at_fork[-1]
+
+    monkeypatch.setattr(writer.os, "sched_setaffinity", logged)
+    monkeypatch.setattr(writer, "_cpu", read_at_fork)
+    assert split_fills(tmp_path) == {"here": [0, 1, 2], "child": [3, 4, 5]}
+    assert os.sched_getaffinity(0) == allowed
+    (parent_cpu,) = at_fork
+    assert parent_cpu in allowed
+    if len(allowed) == 1:
+        assert not moves.exists()
+    else:
+        (away, moved_to), (again, _) = map(json.loads, moves.read_text(encoding="utf-8").splitlines())
+        assert away == sorted(allowed - {parent_cpu}) and moved_to in away
+        assert again == sorted(allowed)
+
+
+@pytest.mark.parametrize("failure", ["sched_setaffinity raises", "no sched_setaffinity", "no /proc/self/stat"])
+def test_a_child_that_cannot_move_writes_its_half_where_it_starts(monkeypatch, tmp_path, failure):
+    if failure == "sched_setaffinity raises":
+        def refused(pid, cpus):
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(writer.os, "sched_setaffinity", refused)
+    elif failure == "no sched_setaffinity":
+        monkeypatch.delattr(writer.os, "sched_setaffinity")
+    else:
+        def no_proc(path, *args, **kwargs):
+            if str(path).startswith("/proc/"):
+                raise FileNotFoundError(2, "No such file or directory", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(writer, "open", no_proc, raising=False)
+        assert writer._cpu() == -1
+    assert split_fills(tmp_path) == {"here": [0, 1, 2], "child": [3, 4, 5]}
+
+
+def test_confined_to_one_cpu_the_table_is_still_split_with_the_same_bytes(tmp_path):
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        assert split_fills(tmp_path) == {"here": [0, 1, 2], "child": [3, 4, 5]}
+        assert os.sched_getaffinity(0) == {min(allowed)}
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "failure", ["not finite in the front half", "not finite in the back half", "interrupt", "append fails"]

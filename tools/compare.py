@@ -8,7 +8,9 @@ directory. The cases are:
 - each command on both models and both formats;
 - the argv of tests/test_cli.py's _EXIT_PATHS (all but the FIFO ones) and _COLD_* lists, read from
   the working tree's file;
-- the argv of CI's two-process byte step, into files and into a pipe;
+- the argv of CI's two-process byte step, into files and into a pipe; each of its tables written into a
+  file, in two processes, also runs a second time in HEAD with the CLI confined to one CPU (set by
+  os.sched_setaffinity before the exec), and is compared with BASE's unconfined run;
 - every help request at COLUMNS unset, 52 and 80;
 - usage errors.
 
@@ -53,6 +55,20 @@ USAGE_ERRORS = [
     ["state", "--theta", "nan"],
     ["state", "--", "--r"],
 ]
+#: The argv of CI's two-process byte step, by name.
+CI_TABLES = {
+    "orbit": ["trajectory", "--steps", "10000"],
+    "orbit-json": ["trajectory", "--steps", "10000", "--format", "json"],
+    "field": ["field", *GRID],
+    "field-json": ["field", *SCHRODINGER_321, *GRID, "--format", "json"],
+    "field-m0": ["field", "--model", "schrodinger", "--n", "3", "--l", "1", "--m", "0", *GRID],
+    "field-dirac-json": ["field", *GRID, "--format", "json"],
+    "field-square": ["field", *SQUARE],
+    "field-square-json": ["field", *SCHRODINGER_321, *SQUARE, "--format", "json"],
+    "orbit-2048": ["trajectory", "--steps", "2047"],
+}
+#: The cases written into a file in two processes, which HEAD also runs confined to one CPU.
+ONE_CPU = {f"ci:{name}" for name in CI_TABLES}
 
 
 def tested_argv() -> dict[str, list[str]]:
@@ -89,20 +105,9 @@ def all_cases() -> dict[str, tuple[list[str], str | None]]:
     for spin in ("up", "down"):
         cases[f"dilate:{spin}"] = ["dilate", "--spin", spin, "--rest-lifetime", "2.196981e-6", "--out", "out"]
     cases.update(tested_argv())
-    ci = {
-        "orbit": ["trajectory", "--steps", "10000"],
-        "orbit-json": ["trajectory", "--steps", "10000", "--format", "json"],
-        "field": ["field", *GRID],
-        "field-json": ["field", *SCHRODINGER_321, *GRID, "--format", "json"],
-        "field-m0": ["field", "--model", "schrodinger", "--n", "3", "--l", "1", "--m", "0", *GRID],
-        "field-dirac-json": ["field", *GRID, "--format", "json"],
-        "field-square": ["field", *SQUARE],
-        "field-square-json": ["field", *SCHRODINGER_321, *SQUARE, "--format", "json"],
-        "orbit-2048": ["trajectory", "--steps", "2047"],
-    }
-    cases.update({f"ci:{name}": [*args, "--out", "out"] for name, args in ci.items()})
+    cases.update({f"ci:{name}": [*args, "--out", "out"] for name, args in CI_TABLES.items()})
     for name in ("orbit-json", "field-json", "field-square-json"):  # stdout is a pipe: written in place
-        cases[f"ci:{name}:pipe"] = [*ci[name], "--out", "/dev/stdout"]
+        cases[f"ci:{name}:pipe"] = [*CI_TABLES[name], "--out", "/dev/stdout"]
     cases = {name: (args, None) for name, args in cases.items()}
     helps = [["--help"], *([c, "--help"] for c in COMMANDS), ["field", "--Z=3", "--help"], ["--help", "field"]]
     for columns in (None, "52", "80"):
@@ -112,14 +117,21 @@ def all_cases() -> dict[str, tuple[list[str], str | None]]:
     return cases
 
 
-def run_case(tree: Path, args: list[str], columns: str | None) -> tuple:
-    """The exit code, stdout, stderr and files (name and bytes) of one run in a fresh directory."""
+def confine_to_one_cpu() -> None:
+    """Allow this process, and what it execs, only the lowest of its allowed CPUs."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_case(tree: Path, args: list[str], columns: str | None, one_cpu: bool = False) -> tuple:
+    """The exit code, stdout, stderr and files (name and bytes) of one run in a fresh directory, confined to
+    one CPU where one_cpu is true."""
     env = {k: v for k, v in os.environ.items() if k not in ("COLUMNS", "PYTHONUNBUFFERED")}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", **({"COLUMNS": columns} if columns else {}))
     with tempfile.TemporaryDirectory(prefix="compare-") as cwd:
         result = subprocess.run(
             [sys.executable, "-m", "bohmatom.cli", *args],
             cwd=cwd, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=300,
+            preexec_fn=confine_to_one_cpu if one_cpu else None,
         )
         root = Path(cwd)
         files = sorted((str(p.relative_to(root)), p.read_bytes()) for p in root.rglob("*") if p.is_file())
@@ -153,14 +165,20 @@ def main(argv: list[str]) -> int:
         base = checkout(argv[0], Path(scratch, "base"))
         head = checkout(argv[1], Path(scratch, "head")) if len(argv) == 2 else REPO
         for name, (args, columns) in cases.items():
-            ends = [run_case(tree, args, columns) for tree in (base, head)]
-            if ends[0] != ends[1]:
-                fields = ("exit code", "stdout", "stderr", "files")
-                print(f"{name}: {', '.join(f for f, a, b in zip(fields, *ends) if a != b)} differ", file=sys.stderr)
-                differ.append(name)
+            expected = run_case(base, args, columns)
+            runs = {name: run_case(head, args, columns)}
+            if name in ONE_CPU:
+                runs[f"{name}:one-cpu"] = run_case(head, args, columns, one_cpu=True)
+            for run_name, end in runs.items():
+                if end != expected:
+                    fields = ("exit code", "stdout", "stderr", "files")
+                    print(f"{run_name}: {', '.join(f for f, a, b in zip(fields, expected, end) if a != b)} differ",
+                          file=sys.stderr)
+                    differ.append(run_name)
     head_name = argv[1] if len(argv) == 2 else "working tree"
-    summary = {"base": argv[0], "head": head_name, "cases": len(cases), "identical": len(cases) - len(differ),
-               "different": differ}
+    total = len(cases) + len(ONE_CPU)
+    summary = {"base": argv[0], "head": head_name, "cases": total, "one_cpu_cases": len(ONE_CPU),
+               "identical": total - len(differ), "different": differ}
     print(json.dumps(summary))
     return 1 if differ else 0
 
