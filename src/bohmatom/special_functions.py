@@ -11,8 +11,7 @@ conventions:
 All of them run on floats. associated_laguerre takes one x at a time (the
 radial factor of a state calls it once per distinct rho). Y_l^m is a
 colatitude factor times e^{i m phi}: colatitude_factors gives the first once
-per colatitude, with_azimuth multiplies one by e^{i m phi}, and
-spherical_harmonic is the two at one pair of angles.
+per colatitude, and with_azimuth multiplies one by e^{i m phi}.
 """
 
 from __future__ import annotations
@@ -67,16 +66,6 @@ def _harmonic_norm(l: int, am: int) -> float:
     # Factorial ratio first (correctly rounded int division, at most 1): a
     # float times math.factorial(l + am) overflows from l + am = 171 on.
     return math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) * (math.factorial(l - am) / math.factorial(l + am)))
-
-
-def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
-    """Orthonormal spherical harmonic Y_l^m(theta, phi) with Condon-Shortley phase: the
-    colatitude factor at theta times e^{i m phi} (with_azimuth)."""
-    if l < 0:
-        raise DomainError("l must be nonnegative")
-    if abs(m) > l:
-        raise DomainError(f"|m| must not exceed l, got l={l}, m={m}")
-    return with_azimuth(m, colatitude_factors(l, m, [float(theta)])[0], float(phi))
 
 
 def colatitude_factors(l: int, m: int, theta: list[float]) -> list[float]:

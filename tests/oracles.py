@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from bohmatom import SphericalPoint, SpinOrientation, dirac_ground_state, radial_amplitude, radial_function
 from bohmatom import small_component_ratio
 from bohmatom.coords import _SQRT_NORMAL_MIN, pole_safe_sin
-from bohmatom.special_functions import spherical_harmonic
+from bohmatom.special_functions import colatitude_factors, with_azimuth
 from bohmatom.trajectory_engine import circular_orbit
 
 #: Gauss rule sizes of the spinor-route quadratures: radial nodes for both, then
@@ -205,7 +205,7 @@ def state_norm(q, atom) -> float:
     r_nodes, r_weights = composite_gauss_legendre(edges, _STATE_RADIAL_NODES)
     radial = np.array([radial_function(q, atom, r) for r in r_nodes.tolist()]) ** 2 * r_nodes * r_nodes
     theta_nodes, theta_weights = angular_nodes(_STATE_THETA_NODES)
-    angular = np.abs([spherical_harmonic(q.l, q.m, t, 0.0) for t in theta_nodes.tolist()]) ** 2
+    angular = np.abs([with_azimuth(q.m, colatitude_factors(q.l, q.m, [t])[0], 0.0) for t in theta_nodes.tolist()]) ** 2
     return 2.0 * math.pi * float(np.sum(r_weights * radial)) * float(np.sum(theta_weights * angular))
 
 

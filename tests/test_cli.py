@@ -845,6 +845,16 @@ _EXIT_PATHS = {
     "fifo-field-csv": (["field", "--r-count", "40", "--out", "{fifo}"], 0),
     "fifo-field-json": (["field", "--r-count", "40", "--format", "json", "--out", "{fifo}"], 0),
     "fifo-two-process-table": (["trajectory", "--steps", "3000", "--format", "json", "--out", "{fifo}"], 0),
+    "fifo-orbit-json": (["trajectory", "--steps", "10000", "--format", "json", "--out", "{fifo}"], 0),
+    "fifo-schrodinger-field-json": (
+        ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", "--r-count", "30", "--theta-count", "30",
+         "--phi-count", "30", "--format", "json", "--out", "{fifo}"], 0
+    ),
+    # r_count == phi_count: a column of one value per (r, theta) is as long as one of one value per angle pair
+    "fifo-schrodinger-square-json": (
+        ["field", "--model", "schrodinger", "--n", "3", "--l", "2", "--m", "1", "--r-count", "24", "--theta-count", "5",
+         "--phi-count", "24", "--format", "json", "--out", "{fifo}"], 0
+    ),
     # A field fails before its output is opened: A(r) leaves the float range, or the grid does not fit in memory.
     "field-amplitude-overflow": (["field", "--mass", "1e300", "--out", "{out}"], 1),
     "field-beyond-memory": (
